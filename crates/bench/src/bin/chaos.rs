@@ -15,7 +15,8 @@
 //! Pass `--json` to emit one tagged JSON object per run (JSONL) instead
 //! of the tables; `--smoke` shrinks every experiment for CI;
 //! `--trace <path>` writes a Chrome/Perfetto trace of the crash-failover
-//! run (degraded-mode, crash, failover and retry events on serve tracks).
+//! run (crash spans on serve tracks; failover and retry events on the
+//! driver's cluster tracks).
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -23,7 +24,7 @@ use std::rc::Rc;
 use facil_bench::{emit_run, print_table, BenchCli};
 use facil_serve::{
     run_fleet_with_faults, run_fleet_with_faults_traced, FaultEvent, FaultKind, FaultPlan,
-    FaultRates, FleetConfig, Routing, ServeConfig,
+    FaultRates, FleetConfig, RetryPolicy, Routing, ServeConfig,
 };
 use facil_sim::{InferenceSim, Strategy};
 use facil_soc::{Platform, PlatformId};
@@ -107,9 +108,7 @@ fn main() {
             at_s: 0.5,
             kind: FaultKind::Crash { recover_s: None },
         }],
-        max_retries: 4,
-        retry_backoff_s: 0.05,
-        ..FaultPlan::none()
+        policy: RetryPolicy { max_retries: 4, retry_backoff_s: 0.05, ..RetryPolicy::none() },
     };
     let mut crash_availability = 1.0;
     let mut rows = Vec::new();
@@ -145,8 +144,9 @@ fn main() {
         );
     }
 
-    // The same crash scenario again, traced: crash/freeze spans, failover
-    // and retry instants land on per-device and fleet tracks.
+    // The same crash scenario again, traced: crash/freeze spans land on
+    // per-device tracks, failover and retry instants on the driver's cell
+    // track.
     if cli.wants_trace() {
         let sink = Rc::new(RefCell::new(RingSink::new(1 << 20)));
         let cfg = ServeConfig { seed, fmfi: 0.0, ..ServeConfig::default() };
@@ -169,9 +169,7 @@ fn main() {
             mean_outage_s: 0.5,
         };
         let mut plan = FaultPlan::random(1234, 4, 30.0, rates);
-        plan.max_retries = 3;
-        plan.retry_backoff_s = 0.05;
-        plan.deadline_s = 20.0;
+        plan.policy = RetryPolicy { max_retries: 3, retry_backoff_s: 0.05, deadline_s: 20.0 };
         let cfg = ServeConfig { seed, fmfi: 0.0, ..ServeConfig::default() };
         let fc = FleetConfig { devices: 4, routing: Routing::LeastLoaded };
         let r =

@@ -23,8 +23,12 @@
 //! Everything here is deterministic end to end — queries come from the
 //! workspace's own `XorShift64Star` and arrivals from closed-form diurnal
 //! traces, so repeated runs (at any `FACIL_THREADS`) emit byte-identical
-//! JSONL. The committed `BENCH_cluster.json` at the repo root is exactly
-//! `cargo run --release -p facil-bench --bin cluster -- --json`.
+//! JSONL. Each JSON report keeps the cluster summary, tenant rollups,
+//! router sheds and per-cell summaries; the per-cell `devices`,
+//! `requests` and `sheds` arrays give way to `report_fnv1a`, an FNV-1a
+//! digest of the full `ClusterReport::to_json()`, so byte-identity is
+//! still checked. The committed `BENCH_cluster.json` at the repo root is
+//! exactly `cargo run --release -p facil-bench --bin cluster -- --json`.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -34,12 +38,27 @@ use facil_cluster::{
     run_cluster, run_cluster_traced, AutoscalePolicy, ChaosEvent, ChaosPlan, ChaosRates,
     ClusterConfig, ClusterReport, Tenant,
 };
-use facil_serve::{DeviceSim, ServeConfig};
+use facil_serve::{DeviceSim, FaultKind, ServeConfig};
 use facil_sim::InferenceSim;
 use facil_soc::{Platform, PlatformId};
-use facil_telemetry::json::escaped;
+use facil_telemetry::json::{escaped, fnv1a};
 use facil_telemetry::{RingSink, RunManifest};
 use facil_workloads::{ArrivalProcess, Dataset, Query, XorShift64Star};
+
+/// `r` as this binary emits it: the full report minus the per-cell
+/// `devices`, `requests` and `sheds` arrays, led by `report_fnv1a`, the
+/// digest of the full `to_json()`.
+fn report_json(r: &ClusterReport) -> String {
+    let digest = fnv1a(r.to_json().as_bytes());
+    let mut slim = r.clone();
+    for c in &mut slim.cells {
+        c.serve.devices.clear();
+        c.serve.requests.clear();
+        c.serve.sheds.clear();
+    }
+    let body = slim.to_json().replace(r#","devices":[],"requests":[],"sheds":[]"#, "");
+    format!(r#"{{"report_fnv1a":"{digest:016x}",{}"#, &body[1..])
+}
 
 /// Deterministic query mix from the workspace RNG (no `rand` dependency,
 /// so the committed artifact is stable across toolchains).
@@ -126,11 +145,10 @@ fn main() {
                 duration_s: 0.2 * day_s,
                 extra_s: 0.3,
             },
-            ChaosEvent::GrayFailure {
+            ChaosEvent::Device {
                 device: base_cfg.global_index(cells - 1, 0),
                 at_s: day_s,
-                duration_s: 0.5 * day_s,
-                factor: 4.0,
+                kind: FaultKind::Slow { duration_s: 0.5 * day_s, factor: 4.0 },
             },
         ],
         ..ChaosPlan::none()
@@ -156,7 +174,7 @@ fn main() {
             &cli,
             "chaos_matrix",
             &[("scenario", &escaped(label)), ("events", &plan.events.len().to_string())],
-            &r.to_json(),
+            &report_json(&r),
         );
         matrix_availability.push((label, r.availability));
         rows.push(vec![
@@ -218,7 +236,7 @@ fn main() {
         &cli,
         "tenant_qos",
         &[("tenants", "2"), ("quota_mib", &(quota >> 20).to_string())],
-        &r.to_json(),
+        &report_json(&r),
     );
     if !cli.json {
         let rows: Vec<Vec<String>> = r
@@ -279,7 +297,7 @@ fn main() {
         &cli,
         "autoscale",
         &[("slo_ttft_ms", "800"), ("max_devices", &max_devices.to_string())],
-        &r.to_json(),
+        &report_json(&r),
     );
     if !cli.json {
         print_table(

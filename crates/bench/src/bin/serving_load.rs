@@ -4,13 +4,13 @@
 //!
 //! Each (strategy, rate) point is served twice: by the original FCFS
 //! run-to-completion scheduler (`facil_sim::serving::serve`, kept as the
-//! comparison baseline) and by the continuous-batching simulator
-//! (`facil_serve::run_serving`, unbounded queue so the comparison is pure
-//! scheduling). Pass `--json` to emit one JSON object per point instead of
-//! the table.
+//! comparison baseline) and by the continuous-batching simulator (a
+//! one-device `facil_serve::run_fleet`, unbounded queue so the comparison
+//! is pure scheduling). Pass `--json` to emit one JSON object per point
+//! instead of the table.
 
 use facil_bench::{print_table, BenchCli};
-use facil_serve::{run_serving, ServeConfig};
+use facil_serve::{run_fleet, FleetConfig, ServeConfig};
 use facil_sim::{serve, InferenceSim, ServingConfig, Strategy};
 use facil_soc::{Platform, PlatformId};
 use facil_telemetry::{JsonWriter, RunManifest};
@@ -46,7 +46,8 @@ fn main() {
                 fmfi: 0.0,
                 ..ServeConfig::default()
             };
-            let cb = run_serving(&sim, &dataset, &ArrivalProcess::Poisson { qps }, cfg)
+            let arrival = ArrivalProcess::Poisson { qps };
+            let cb = run_fleet(&sim, &dataset, &arrival, cfg, FleetConfig::default())
                 .expect("serving run with a valid config");
             points += 1;
             if cli.json {

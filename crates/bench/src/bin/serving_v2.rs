@@ -22,8 +22,8 @@ use facil_dram::{replay_on, sequential_trace, DramSystem, Op, TraceOptions};
 use facil_llm::ModelConfig;
 use facil_pim::PimEngine;
 use facil_serve::{
-    run_fleet, run_fleet_with_faults_traced, run_serving, FaultEvent, FaultKind, FaultPlan,
-    FleetConfig, Routing, ServeConfig,
+    run_fleet, run_fleet_with_faults_traced, FaultEvent, FaultKind, FaultPlan, FleetConfig,
+    RetryPolicy, Routing, ServeConfig,
 };
 use facil_sim::{serve, InferenceSim, ServingConfig, Strategy};
 use facil_soc::{Platform, PlatformId};
@@ -33,8 +33,9 @@ use facil_workloads::{ArrivalProcess, Dataset};
 
 /// Record one Chrome trace covering all three instrumented layers: a short
 /// logged DRAM replay (per-bank command tracks), one PIM GEMV kernel span,
-/// and a traced two-device fleet run with a mid-run crash (admissions,
-/// batches, failovers, retries on the serve tracks).
+/// and a traced two-device fleet run with a mid-run crash (admissions and
+/// batches on the serve tracks; dispatches, failovers and retries on the
+/// driver's cluster tracks).
 fn record_trace(cli: &BenchCli, sim: &InferenceSim, dataset: &Dataset, cfg: ServeConfig) {
     let sink = Rc::new(RefCell::new(RingSink::new(1 << 20)));
     let mut handle = sink.clone();
@@ -59,9 +60,7 @@ fn record_trace(cli: &BenchCli, sim: &InferenceSim, dataset: &Dataset, cfg: Serv
             at_s: 0.5,
             kind: FaultKind::Crash { recover_s: None },
         }],
-        max_retries: 4,
-        retry_backoff_s: 0.05,
-        ..FaultPlan::none()
+        policy: RetryPolicy { max_retries: 4, retry_backoff_s: 0.05, ..RetryPolicy::none() },
     };
     let fleet = FleetConfig { devices: 2, routing: Routing::LeastLoaded };
     run_fleet_with_faults_traced(
@@ -104,7 +103,8 @@ fn main() {
         let fcfs = serve(&sim, strategy, &dataset, ServingConfig { arrival_qps: qps, seed });
         let cfg =
             ServeConfig { strategy, seed, queue_cap: 1 << 20, fmfi: 0.0, ..ServeConfig::default() };
-        let cb = run_serving(&sim, &dataset, &ArrivalProcess::Poisson { qps }, cfg)
+        let arrival = ArrivalProcess::Poisson { qps };
+        let cb = run_fleet(&sim, &dataset, &arrival, cfg, FleetConfig::default())
             .expect("serving run with a valid config");
         emit_run(&cli, "cb_vs_fcfs", &[("qps", &number(qps))], &cb.to_json());
         runs += 1;
@@ -144,7 +144,8 @@ fn main() {
     let mut rows = Vec::new();
     for &(label, queue_cap) in caps {
         let cfg = ServeConfig { strategy, seed, queue_cap, fmfi: 0.0, ..ServeConfig::default() };
-        let r = run_serving(&sim, &dataset, &ArrivalProcess::Poisson { qps: 64.0 }, cfg)
+        let arrival = ArrivalProcess::Poisson { qps: 64.0 };
+        let r = run_fleet(&sim, &dataset, &arrival, cfg, FleetConfig::default())
             .expect("serving run with a valid config");
         emit_run(
             &cli,

@@ -1,11 +1,12 @@
 //! Cluster-scale chaos: correlated cell outages, network partitions,
-//! link-delay spikes, and slow-node gray failures, compiled down to the
-//! device-level [`FaultPlan`] plus router-visible windows.
+//! link-delay spikes, and device faults (slow-node gray failures among
+//! them), compiled down to the device-level [`FaultPlan`] plus
+//! router-visible windows ([`CompiledChaos`]).
 //!
-//! A [`ChaosPlan`] extends the PR 2 fault model one level up. Device-scope
-//! events (crashes, freezes, PIM/KV faults, gray slowdowns) compile to
-//! [`FaultEvent`]s on *global* device indices; cluster-scope events
-//! compile to windows only the router sees:
+//! A [`ChaosPlan`] extends the device fault model one level up.
+//! Device-scope events (crashes, freezes, PIM/KV faults, gray slowdowns)
+//! compile to [`FaultEvent`]s on *global* device indices; cluster-scope
+//! events compile to windows only the router sees:
 //!
 //! - **cell outages** crash every device of a cell at once (recoverable),
 //!   the correlated failure a flat fleet cannot express;
@@ -19,10 +20,9 @@
 //! fault plan that reproduces the chaos-free schedule exactly.
 
 use facil_core::{FacilError, Result};
-use facil_serve::{FaultEvent, FaultKind, FaultPlan};
+use facil_serve::faults::check_window;
+use facil_serve::{ClusterConfig, CompiledChaos, FaultEvent, FaultKind, FaultPlan, RetryPolicy};
 use facil_workloads::XorShift64Star;
-
-use crate::topology::ClusterConfig;
 
 /// One chaos event at cluster scope.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -61,21 +61,10 @@ pub enum ChaosEvent {
         /// Added dispatch latency, seconds (must be positive).
         extra_s: f64,
     },
-    /// Gray failure: global device `device` serves `factor`× slower for
-    /// `duration_s` seconds while still passing health checks
-    /// ([`FaultKind::Slow`]).
-    GrayFailure {
-        /// Global device index.
-        device: usize,
-        /// Slowdown start, seconds.
-        at_s: f64,
-        /// Slowdown length, seconds.
-        duration_s: f64,
-        /// Iteration-time multiplier (finite, >= 1.0).
-        factor: f64,
-    },
     /// Pass a device-scope fault through unchanged (crash, freeze,
-    /// PIM fault, KV fault) on a global device index.
+    /// PIM fault, KV fault, or a [`FaultKind::Slow`] gray failure: the
+    /// device serves `factor`× slower while still passing health checks)
+    /// on a global device index.
     Device {
         /// Global device index.
         device: usize,
@@ -95,7 +84,8 @@ pub struct ChaosRates {
     pub partitions_per_h: f64,
     /// Link-delay spikes per hour (cluster-wide).
     pub link_delays_per_h: f64,
-    /// Gray failures per hour (cluster-wide).
+    /// Gray failures ([`FaultKind::Slow`] device faults) per hour
+    /// (cluster-wide).
     pub gray_failures_per_h: f64,
     /// Device crashes per hour (cluster-wide, recoverable).
     pub crashes_per_h: f64,
@@ -113,25 +103,25 @@ impl Default for ChaosRates {
     }
 }
 
-/// Deterministic cluster chaos schedule plus the failover policy knobs
-/// shared with the device-level [`FaultPlan`].
+/// Deterministic cluster chaos schedule plus the retry/deadline policy
+/// it hands down to the device-level [`FaultPlan`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChaosPlan {
     /// Scheduled events (any order; compilation sorts).
     pub events: Vec<ChaosEvent>,
-    /// Failover attempts per request before shedding as `Failed`.
-    pub max_retries: u32,
-    /// Base retry backoff, seconds (doubles per attempt, saturating).
-    pub retry_backoff_s: f64,
-    /// Per-request deadline, seconds (0 disables).
-    pub deadline_s: f64,
+    /// Retry budget, backoff and per-request deadline.
+    pub policy: RetryPolicy,
 }
 
 impl ChaosPlan {
-    /// No chaos: empty schedule, default failover knobs. Compiles to an
-    /// empty [`FaultPlan`] and reproduces the chaos-free schedule exactly.
+    /// No chaos: empty schedule, default failover policy (3 retries from a
+    /// 50 ms backoff, no deadline). Compiles to an empty [`FaultPlan`] and
+    /// reproduces the chaos-free schedule exactly.
     pub fn none() -> ChaosPlan {
-        ChaosPlan { events: Vec::new(), max_retries: 3, retry_backoff_s: 0.05, deadline_s: 0.0 }
+        ChaosPlan {
+            events: Vec::new(),
+            policy: RetryPolicy { max_retries: 3, retry_backoff_s: 0.05, deadline_s: 0.0 },
+        }
     }
 
     /// Sample a chaos schedule over `span_s` seconds for the cluster shape
@@ -189,11 +179,13 @@ impl ChaosPlan {
         ));
         events.extend(sample(
             rates.gray_failures_per_h,
-            Box::new(|rng, t| ChaosEvent::GrayFailure {
+            Box::new(|rng, t| ChaosEvent::Device {
                 device: initial_slots[(rng.next_u64() as usize) % initial_slots.len()],
                 at_s: t,
-                duration_s: 5.0 + rng.next_f64() * 55.0,
-                factor: 2.0 + rng.next_f64() * 6.0,
+                kind: FaultKind::Slow {
+                    duration_s: 5.0 + rng.next_f64() * 55.0,
+                    factor: 2.0 + rng.next_f64() * 6.0,
+                },
             }),
         ));
         events.extend(sample(
@@ -207,37 +199,20 @@ impl ChaosPlan {
         ChaosPlan { events, ..ChaosPlan::none() }
     }
 
-    /// Check every event against the cluster shape.
+    /// Check every event against the cluster shape, and the policy.
     ///
     /// # Errors
     ///
-    /// [`FacilError::InvalidRequest`] on negative times/durations, a
-    /// non-positive link-delay `extra_s` (deferral must make progress), a
-    /// gray factor below 1.0; [`FacilError::DeviceUnavailable`] on an
-    /// out-of-range cell or device target.
+    /// [`FacilError::InvalidRequest`] on a malformed window
+    /// ([`check_window`]) or device fault ([`FaultKind::validate`]), a
+    /// non-positive link-delay `extra_s` (deferral must make progress), or
+    /// a malformed policy ([`RetryPolicy::validate`]);
+    /// [`FacilError::DeviceUnavailable`] on an out-of-range cell or device
+    /// target.
     pub fn validate(&self, cfg: &ClusterConfig) -> Result<()> {
         let check_cell = |cell: usize| {
             if cell >= cfg.cells {
                 return Err(FacilError::DeviceUnavailable { device: cell });
-            }
-            Ok(())
-        };
-        let check_device = |device: usize| {
-            if device >= cfg.total_slots() {
-                return Err(FacilError::DeviceUnavailable { device });
-            }
-            Ok(())
-        };
-        let check_span = |at_s: f64, duration_s: f64| {
-            if !at_s.is_finite() || at_s < 0.0 {
-                return Err(FacilError::InvalidRequest(format!(
-                    "event time {at_s} must be non-negative and finite"
-                )));
-            }
-            if !duration_s.is_finite() || duration_s <= 0.0 {
-                return Err(FacilError::InvalidRequest(format!(
-                    "event duration {duration_s} must be finite and positive"
-                )));
             }
             Ok(())
         };
@@ -246,52 +221,26 @@ impl ChaosPlan {
                 ChaosEvent::CellOutage { cell, at_s, duration_s }
                 | ChaosEvent::Partition { cell, at_s, duration_s } => {
                     check_cell(cell)?;
-                    check_span(at_s, duration_s)?;
+                    check_window(at_s, duration_s)?;
                 }
                 ChaosEvent::LinkDelay { cell, at_s, duration_s, extra_s } => {
                     check_cell(cell)?;
-                    check_span(at_s, duration_s)?;
+                    check_window(at_s, duration_s)?;
                     if !extra_s.is_finite() || extra_s <= 0.0 {
                         return Err(FacilError::InvalidRequest(format!(
                             "link delay {extra_s} must be positive and finite"
                         )));
                     }
                 }
-                ChaosEvent::GrayFailure { device, at_s, duration_s, factor } => {
-                    check_device(device)?;
-                    check_span(at_s, duration_s)?;
-                    if !factor.is_finite() || factor < 1.0 {
-                        return Err(FacilError::InvalidRequest(format!(
-                            "gray factor {factor} must be finite and >= 1.0"
-                        )));
-                    }
-                }
                 ChaosEvent::Device { device, at_s, kind } => {
-                    check_device(device)?;
-                    let duration = match kind {
-                        FaultKind::Crash { recover_s } => recover_s.unwrap_or(1.0),
-                        FaultKind::Freeze { duration_s }
-                        | FaultKind::PimFault { duration_s }
-                        | FaultKind::KvFault { duration_s }
-                        | FaultKind::Slow { duration_s, .. } => duration_s,
-                    };
-                    check_span(at_s, duration)?;
+                    if device >= cfg.total_slots() {
+                        return Err(FacilError::DeviceUnavailable { device });
+                    }
+                    kind.validate(at_s)?;
                 }
             }
         }
-        if !self.retry_backoff_s.is_finite() || self.retry_backoff_s < 0.0 {
-            return Err(FacilError::InvalidRequest(format!(
-                "retry backoff {} must be non-negative and finite",
-                self.retry_backoff_s
-            )));
-        }
-        if !self.deadline_s.is_finite() || self.deadline_s < 0.0 {
-            return Err(FacilError::InvalidRequest(format!(
-                "deadline {} must be non-negative and finite",
-                self.deadline_s
-            )));
-        }
-        Ok(())
+        self.policy.validate()
     }
 
     /// Compile to the device-level fault plan plus router windows. The
@@ -299,8 +248,7 @@ impl ChaosPlan {
     ///
     /// # Errors
     ///
-    /// See [`ChaosPlan::validate`]; the compiled [`FaultPlan`] is also
-    /// validated against the total slot count.
+    /// See [`ChaosPlan::validate`].
     pub fn compile(&self, cfg: &ClusterConfig) -> Result<CompiledChaos> {
         self.validate(cfg)?;
         let mut fault_events = Vec::new();
@@ -325,13 +273,6 @@ impl ChaosPlan {
                 ChaosEvent::LinkDelay { cell, at_s, duration_s, extra_s } => {
                     link_delays[cell].push((at_s, at_s + duration_s, extra_s));
                 }
-                ChaosEvent::GrayFailure { device, at_s, duration_s, factor } => {
-                    fault_events.push(FaultEvent {
-                        device,
-                        at_s,
-                        kind: FaultKind::Slow { duration_s, factor },
-                    });
-                }
                 ChaosEvent::Device { device, at_s, kind } => {
                     fault_events.push(FaultEvent { device, at_s, kind });
                 }
@@ -345,79 +286,8 @@ impl ChaosPlan {
         for w in &mut link_delays {
             w.sort_by(|a, b| a.0.total_cmp(&b.0));
         }
-        let plan = FaultPlan {
-            events: fault_events,
-            deadline_s: self.deadline_s,
-            max_retries: self.max_retries,
-            retry_backoff_s: self.retry_backoff_s,
-        };
-        plan.validate(cfg.total_slots())?;
+        let plan = FaultPlan { events: fault_events, policy: self.policy };
         Ok(CompiledChaos { plan, partitions, link_delays })
-    }
-}
-
-/// A [`ChaosPlan`] lowered to what the two tiers consume: one merged
-/// device-level fault plan, and per-cell partition / link-delay windows
-/// only the router sees.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CompiledChaos {
-    /// Device-level faults on global indices (each
-    /// [`facil_serve::DeviceSim`] filters its own events).
-    pub plan: FaultPlan,
-    /// Per-cell partition windows `(start, end)`, sorted by start.
-    pub partitions: Vec<Vec<(f64, f64)>>,
-    /// Per-cell link-delay windows `(start, end, extra_s)`, sorted by
-    /// start.
-    pub link_delays: Vec<Vec<(f64, f64, f64)>>,
-}
-
-impl CompiledChaos {
-    /// True if the router cannot dispatch into `cell` at `t`.
-    pub fn partitioned(&self, cell: usize, t: f64) -> bool {
-        self.partitions[cell].iter().any(|&(s, e)| s <= t && t < e)
-    }
-
-    /// Extra dispatch latency into `cell` at `t` (0.0 outside spikes;
-    /// overlapping spikes take the maximum).
-    pub fn link_delay(&self, cell: usize, t: f64) -> f64 {
-        self.link_delays[cell]
-            .iter()
-            .filter(|&&(s, e, _)| s <= t && t < e)
-            .map(|&(_, _, x)| x)
-            .fold(0.0, f64::max)
-    }
-
-    /// Earliest router-visible availability boundary strictly after `t`:
-    /// the next end of a partition or link-delay window. Used by the
-    /// quiesce loop to jump parked work to the next instant the world can
-    /// have changed.
-    pub fn next_boundary_after(&self, t: f64) -> Option<f64> {
-        let mut best: Option<f64> = None;
-        let mut consider = |x: f64| {
-            if x > t && best.is_none_or(|b| x < b) {
-                best = Some(x);
-            }
-        };
-        for cell in &self.partitions {
-            for &(s, e) in cell {
-                consider(s);
-                consider(e);
-            }
-        }
-        for cell in &self.link_delays {
-            for &(s, e, _) in cell {
-                consider(s);
-                consider(e);
-            }
-        }
-        for ev in &self.plan.events {
-            match ev.kind {
-                FaultKind::Crash { recover_s: Some(r) } => consider(ev.at_s + r),
-                FaultKind::Freeze { duration_s } => consider(ev.at_s + duration_s),
-                _ => {}
-            }
-        }
-        best
     }
 }
 
@@ -482,11 +352,10 @@ mod tests {
     #[test]
     fn gray_failures_compile_to_slow_faults() {
         let plan = ChaosPlan {
-            events: vec![ChaosEvent::GrayFailure {
+            events: vec![ChaosEvent::Device {
                 device: 4,
                 at_s: 1.0,
-                duration_s: 5.0,
-                factor: 3.0,
+                kind: FaultKind::Slow { duration_s: 5.0, factor: 3.0 },
             }],
             ..ChaosPlan::none()
         };
@@ -495,13 +364,51 @@ mod tests {
         assert!(matches!(c.plan.events[0].kind, FaultKind::Slow { factor, .. } if factor == 3.0));
     }
 
+    /// Validation and compilation agree on every device fault: a plan
+    /// `validate` accepts always compiles, and one it rejects never does.
+    #[test]
+    fn validate_rejects_every_fault_compile_would() {
+        let shape = cfg();
+        for kind in [
+            FaultKind::Slow { duration_s: 1.0, factor: 0.5 },
+            FaultKind::Slow { duration_s: 1.0, factor: f64::NAN },
+            FaultKind::Slow { duration_s: 1.0, factor: f64::INFINITY },
+            FaultKind::Freeze { duration_s: 0.0 },
+            FaultKind::Crash { recover_s: Some(f64::NAN) },
+        ] {
+            let plan = ChaosPlan {
+                events: vec![ChaosEvent::Device { device: 0, at_s: 1.0, kind }],
+                ..ChaosPlan::none()
+            };
+            assert!(plan.validate(&shape).is_err(), "validate accepted {kind:?}");
+            assert!(plan.compile(&shape).is_err(), "compile accepted {kind:?}");
+        }
+        let ok = ChaosPlan {
+            events: vec![ChaosEvent::Device {
+                device: 0,
+                at_s: 1.0,
+                kind: FaultKind::Slow { duration_s: 1.0, factor: 1.0 },
+            }],
+            ..ChaosPlan::none()
+        };
+        ok.validate(&shape).unwrap();
+        ok.compile(&shape).unwrap();
+        let mut bad_policy = ChaosPlan::none();
+        bad_policy.policy.retry_backoff_s = -1.0;
+        assert!(bad_policy.validate(&shape).is_err());
+    }
+
     #[test]
     fn out_of_range_targets_are_rejected() {
         let shape = cfg();
         for ev in [
             ChaosEvent::CellOutage { cell: 2, at_s: 0.0, duration_s: 1.0 },
             ChaosEvent::Partition { cell: 9, at_s: 0.0, duration_s: 1.0 },
-            ChaosEvent::GrayFailure { device: 6, at_s: 0.0, duration_s: 1.0, factor: 2.0 },
+            ChaosEvent::Device {
+                device: 6,
+                at_s: 0.0,
+                kind: FaultKind::Slow { duration_s: 1.0, factor: 2.0 },
+            },
             ChaosEvent::Device {
                 device: 100,
                 at_s: 0.0,

@@ -4,10 +4,9 @@
 //! the report tells the right story.
 
 use facil_cluster::{
-    run_cluster, run_cluster_traced, AutoscalePolicy, ChaosEvent, ChaosPlan, ClusterConfig,
-    ClusterShedReason, Tenant,
+    run_cluster, run_cluster_traced, AutoscalePolicy, ChaosEvent, ChaosPlan, ClusterConfig, Tenant,
 };
-use facil_serve::ServeConfig;
+use facil_serve::{FaultKind, ServeConfig, ShedReason};
 use facil_sim::InferenceSim;
 use facil_soc::{Platform, PlatformId};
 use facil_telemetry::RingSink;
@@ -123,11 +122,10 @@ fn gray_failure_slows_the_node_but_loses_nothing() {
     let d = fixed_queries(6, 64, 64);
     let cfg = base_cfg(1, 2);
     let plan = ChaosPlan {
-        events: vec![ChaosEvent::GrayFailure {
+        events: vec![ChaosEvent::Device {
             device: 0,
             at_s: 0.0,
-            duration_s: 120.0,
-            factor: 8.0,
+            kind: FaultKind::Slow { duration_s: 120.0, factor: 8.0 },
         }],
         ..ChaosPlan::none()
     };
@@ -154,7 +152,7 @@ fn tenant_quota_sheds_only_the_offending_class() {
     assert!(r.tenants[0].offered > 0 && r.tenants[1].offered > 0, "both classes drew traffic");
     assert_eq!(r.shed_quota, r.tenants[1].offered, "a 1-byte quota admits nothing");
     for s in &r.sheds {
-        if s.reason == ClusterShedReason::QuotaExceeded {
+        if s.reason == ShedReason::QuotaExceeded {
             assert_eq!(s.tenant, 1, "quota sheds must attribute to the quota'd tenant");
         }
     }
@@ -175,7 +173,7 @@ fn park_overflow_evicts_the_newest_parked_request() {
     assert_eq!(r.shed_overload, 2, "two arrivals overflow a 2-deep park");
     assert_eq!(r.completed, 2, "the two oldest ride out the partition");
     let overloaded: Vec<u64> =
-        r.sheds.iter().filter(|s| s.reason == ClusterShedReason::Overload).map(|s| s.id).collect();
+        r.sheds.iter().filter(|s| s.reason == ShedReason::Overload).map(|s| s.id).collect();
     assert_eq!(overloaded, vec![2, 3], "eviction takes the newest same-priority entries");
 }
 
@@ -229,7 +227,7 @@ fn tracing_is_observational_and_records_router_decisions() {
     assert_eq!(plain, traced, "tracing changed the schedule");
     assert_eq!(plain.to_json(), traced.to_json());
     let json = sink.borrow().to_chrome_json();
-    for name in ["dispatch", "failover", "cell0", "router"] {
+    for name in ["dispatch", "failover", "retry", "cell0", "router"] {
         assert!(json.contains(name), "trace export missing {name}");
     }
 }

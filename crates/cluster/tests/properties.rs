@@ -163,8 +163,8 @@ fn empty_plans_reproduce_the_chaos_free_schedule() {
     });
 }
 
-/// A one-cell cluster without chaos degenerates to the fleet driver:
-/// its cell report is byte-identical to a standalone
+/// A fleet is a one-cell cluster on the same driver: without chaos, a
+/// one-cell cluster's cell report is byte-identical to a standalone
 /// [`run_fleet_with_faults`] run over the same devices.
 #[test]
 fn single_cell_cluster_matches_the_fleet_driver() {

@@ -22,7 +22,7 @@
 //! [`FaultPlan`]:
 //!
 //! - **Crash** windows evict every pending and in-flight request (KV
-//!   released, progress lost) into the eviction buffer the fleet driver
+//!   released, progress lost) into the eviction buffer the serving driver
 //!   harvests with [`DeviceSim::take_evicted`]; a permanent crash leaves
 //!   the device dead.
 //! - **Freeze** windows stall the clock without losing state.
@@ -55,7 +55,7 @@ use crate::request::{RequestRecord, ShedReason, ShedRecord};
 pub struct ServeConfig {
     /// Execution strategy the timing oracle runs.
     pub strategy: Strategy,
-    /// Seed for the arrival process (consumed by the fleet driver).
+    /// Seed for the arrival process (consumed by the serving driver).
     pub seed: u64,
     /// Admission-queue bound; arrivals beyond it are shed (`QueueFull`).
     pub queue_cap: usize,
@@ -110,7 +110,7 @@ struct ActiveReq {
     attempt: u32,
 }
 
-/// A request this device lost to a crash; the fleet driver re-queues it on
+/// A request this device lost to a crash; the serving driver re-queues it on
 /// a survivor (or sheds it as [`ShedReason::Failed`] once the retry budget
 /// is exhausted).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -311,7 +311,7 @@ impl<'a, S: TraceSink> DeviceSim<'a, S> {
             decode_tokens: 0,
             prefill_chunks: 0,
             series: Vec::new(),
-            deadline_s: plan.deadline_s,
+            deadline_s: plan.policy.deadline_s,
             outages,
             pim_windows,
             kv_windows,
@@ -464,7 +464,7 @@ impl<'a, S: TraceSink> DeviceSim<'a, S> {
         attempt: u32,
     ) {
         if self.dead {
-            // Defensive: the fleet routes around dead devices, but a direct
+            // Defensive: the driver routes around dead devices, but a direct
             // caller must not lose the request either.
             self.evicted.push(EvictedReq { id, arrival_s, evicted_s: t_s, attempt, query });
             self.evicted_total += 1;
@@ -1244,7 +1244,7 @@ mod tests {
     #[test]
     fn expired_deadline_sheds_at_admission() {
         let mut plan = FaultPlan::none();
-        plan.deadline_s = 0.5;
+        plan.policy.deadline_s = 0.5;
         // Freeze the device past every deadline while requests queue up.
         plan.events.push(FaultEvent {
             device: 0,

@@ -6,7 +6,7 @@
 //!
 //! - **Crash** ([`FaultKind::Crash`]): the device goes down at `at_s`,
 //!   losing every pending and in-flight request (their KV reservations are
-//!   released and the fleet driver fails them over to survivors). With
+//!   released and the serving driver fails them over to survivors). With
 //!   `recover_s` the device comes back empty at `at_s + recover_s`;
 //!   without it the crash is permanent.
 //! - **Freeze** ([`FaultKind::Freeze`]): the device stops executing for a
@@ -21,11 +21,13 @@
 //!   failure — admission is blocked for the window, in-flight requests
 //!   keep their memory and keep running.
 //!
-//! The plan also carries fleet-wide robustness policy: per-request
-//! deadlines, the retry budget, and the exponential-backoff base used when
-//! a request must be re-queued after a failure.
+//! The plan also carries the serving driver's robustness policy
+//! ([`RetryPolicy`]): per-request deadlines, the retry budget, and the
+//! exponential-backoff base used when a crash evicts a request. The
+//! cluster's chaos plan carries the same struct, and both plans check
+//! their device faults with the same [`FaultKind::validate`].
 
-use facil_core::FacilError;
+use facil_core::{FacilError, Result};
 use facil_workloads::XorShift64Star;
 
 /// What goes wrong in a [`FaultEvent`].
@@ -65,6 +67,56 @@ pub enum FaultKind {
     },
 }
 
+/// Check a fault window: its start must be finite and non-negative, its
+/// length finite and positive.
+///
+/// # Errors
+///
+/// [`FacilError::InvalidRequest`] naming the offending value.
+pub fn check_window(at_s: f64, duration_s: f64) -> Result<()> {
+    if !at_s.is_finite() || at_s < 0.0 {
+        return Err(FacilError::InvalidRequest(format!(
+            "fault time {at_s} must be finite and non-negative"
+        )));
+    }
+    if !duration_s.is_finite() || duration_s <= 0.0 {
+        return Err(FacilError::InvalidRequest(format!(
+            "fault duration {duration_s} must be finite and positive"
+        )));
+    }
+    Ok(())
+}
+
+impl FaultKind {
+    /// Check a fault of this kind striking at `at_s`: its window (a
+    /// permanent crash has none), and a slowdown factor that is finite
+    /// and at least 1.0. The one check every fault schedule runs on its
+    /// device faults.
+    ///
+    /// # Errors
+    ///
+    /// [`FacilError::InvalidRequest`] naming the offending value.
+    pub fn validate(&self, at_s: f64) -> Result<()> {
+        let duration_s = match *self {
+            // A permanent crash has no window: only its start is checked.
+            FaultKind::Crash { recover_s } => recover_s.unwrap_or(1.0),
+            FaultKind::Freeze { duration_s }
+            | FaultKind::PimFault { duration_s }
+            | FaultKind::KvFault { duration_s }
+            | FaultKind::Slow { duration_s, .. } => duration_s,
+        };
+        check_window(at_s, duration_s)?;
+        if let FaultKind::Slow { factor, .. } = *self {
+            if !factor.is_finite() || factor < 1.0 {
+                return Err(FacilError::InvalidRequest(format!(
+                    "slowdown factor {factor} must be finite and >= 1.0"
+                )));
+            }
+        }
+        Ok(())
+    }
+}
+
 /// One scheduled failure on one device.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultEvent {
@@ -76,21 +128,78 @@ pub struct FaultEvent {
     pub kind: FaultKind,
 }
 
-/// A complete, deterministic fault schedule plus the fleet's robustness
-/// policy (deadlines and retry budget).
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultPlan {
-    /// Scheduled faults (any order; devices filter their own).
-    pub events: Vec<FaultEvent>,
-    /// Per-request deadline, seconds from arrival; `0.0` disables
-    /// deadlines.
-    pub deadline_s: f64,
-    /// How many times a request may be re-queued after a failure before it
-    /// is shed as [`crate::ShedReason::Failed`].
+/// How the serving driver treats a request a crash evicted, and how long
+/// any request may wait: the one retry/deadline policy every fault
+/// schedule carries.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RetryPolicy {
+    /// How many times a request may be re-dispatched after a crash evicts
+    /// it before it is shed as [`crate::ShedReason::Failed`].
     pub max_retries: u32,
     /// Base of the exponential backoff charged to the serving clock before
     /// a retry: attempt `k` waits `retry_backoff_s * 2^(k-1)` seconds.
     pub retry_backoff_s: f64,
+    /// Per-request deadline, seconds from arrival; `0.0` disables
+    /// deadlines.
+    pub deadline_s: f64,
+}
+
+impl RetryPolicy {
+    /// No retries, no backoff, no deadlines.
+    pub fn none() -> Self {
+        RetryPolicy { max_retries: 0, retry_backoff_s: 0.0, deadline_s: 0.0 }
+    }
+
+    /// Backoff charged to the serving clock before retry attempt
+    /// `attempt` (0-based count of failovers already consumed):
+    /// `retry_backoff_s * 2^attempt`, **saturating** — the exponent is
+    /// capped at 2^60 and a non-finite product clamps to [`f64::MAX`], so
+    /// high attempt counts return a huge *finite* wait instead of
+    /// overflowing to infinity (which would poison every downstream time
+    /// comparison with NaN).
+    pub fn backoff_s(&self, attempt: u32) -> f64 {
+        if self.retry_backoff_s <= 0.0 {
+            return 0.0;
+        }
+        let b = self.retry_backoff_s * 2f64.powi(attempt.min(BACKOFF_EXP_CAP) as i32);
+        if b.is_finite() {
+            b
+        } else {
+            f64::MAX
+        }
+    }
+
+    /// Check the policy's knobs.
+    ///
+    /// # Errors
+    ///
+    /// [`FacilError::InvalidRequest`] for a negative or non-finite backoff
+    /// or deadline.
+    pub fn validate(&self) -> Result<()> {
+        if !self.retry_backoff_s.is_finite() || self.retry_backoff_s < 0.0 {
+            return Err(FacilError::InvalidRequest(format!(
+                "retry backoff {} must be finite and non-negative",
+                self.retry_backoff_s
+            )));
+        }
+        if !self.deadline_s.is_finite() || self.deadline_s < 0.0 {
+            return Err(FacilError::InvalidRequest(format!(
+                "deadline {} must be finite and non-negative",
+                self.deadline_s
+            )));
+        }
+        Ok(())
+    }
+}
+
+/// A complete, deterministic fault schedule plus the driver's retry and
+/// deadline policy.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FaultPlan {
+    /// Scheduled faults (any order; devices filter their own).
+    pub events: Vec<FaultEvent>,
+    /// Retry budget, backoff and per-request deadline.
+    pub policy: RetryPolicy,
 }
 
 impl Default for FaultPlan {
@@ -117,37 +226,12 @@ pub struct FaultRates {
 /// schedule while keeping the arithmetic finite.
 const BACKOFF_EXP_CAP: u32 = 60;
 
-/// Exponential backoff before retry attempt `attempt` (0-based count of
-/// failovers already consumed): `base * 2^attempt`, **saturating** — the
-/// exponent is capped at 2^60 and a non-finite product clamps to
-/// [`f64::MAX`], so high attempt counts return a huge *finite* wait
-/// instead of overflowing to infinity (which would poison every
-/// downstream time comparison with NaN).
-pub fn saturating_backoff(base_s: f64, attempt: u32) -> f64 {
-    if base_s <= 0.0 {
-        return 0.0;
-    }
-    let b = base_s * 2f64.powi(attempt.min(BACKOFF_EXP_CAP) as i32);
-    if b.is_finite() {
-        b
-    } else {
-        f64::MAX
-    }
-}
-
 impl FaultPlan {
     /// The empty plan: no faults, no deadlines, no retries. Serving with
     /// this plan is bit-for-bit identical to serving without fault
     /// injection at all.
     pub fn none() -> Self {
-        FaultPlan { events: Vec::new(), deadline_s: 0.0, max_retries: 0, retry_backoff_s: 0.0 }
-    }
-
-    /// Backoff charged to the serving clock before retry attempt
-    /// `attempt`, per [`saturating_backoff`] over this plan's
-    /// [`retry_backoff_s`](FaultPlan::retry_backoff_s).
-    pub fn backoff_s(&self, attempt: u32) -> f64 {
-        saturating_backoff(self.retry_backoff_s, attempt)
+        FaultPlan { events: Vec::new(), policy: RetryPolicy::none() }
     }
 
     /// Generate a seeded random plan over `span_s` seconds on a fleet of
@@ -189,59 +273,16 @@ impl FaultPlan {
     ///
     /// * [`FacilError::DeviceUnavailable`] if an event targets a device
     ///   index outside the fleet;
-    /// * [`FacilError::InvalidRequest`] for non-finite or negative times,
-    ///   non-positive fault durations, or a negative/non-finite deadline
-    ///   or backoff.
-    pub fn validate(&self, devices: usize) -> facil_core::Result<()> {
+    /// * [`FacilError::InvalidRequest`] for a malformed fault
+    ///   ([`FaultKind::validate`]) or policy ([`RetryPolicy::validate`]).
+    pub fn validate(&self, devices: usize) -> Result<()> {
         for e in &self.events {
             if e.device >= devices {
                 return Err(FacilError::DeviceUnavailable { device: e.device });
             }
-            if !e.at_s.is_finite() || e.at_s < 0.0 {
-                return Err(FacilError::InvalidRequest(format!(
-                    "fault time {} is not a finite non-negative number",
-                    e.at_s
-                )));
-            }
-            let duration = match e.kind {
-                FaultKind::Crash { recover_s } => recover_s.unwrap_or(1.0),
-                FaultKind::Freeze { duration_s }
-                | FaultKind::PimFault { duration_s }
-                | FaultKind::KvFault { duration_s }
-                | FaultKind::Slow { duration_s, .. } => duration_s,
-            };
-            if !duration.is_finite() || duration <= 0.0 {
-                return Err(FacilError::InvalidRequest(format!(
-                    "fault duration {duration} must be finite and positive"
-                )));
-            }
-            if let FaultKind::Slow { factor, .. } = e.kind {
-                if !factor.is_finite() || factor < 1.0 {
-                    return Err(FacilError::InvalidRequest(format!(
-                        "slowdown factor {factor} must be finite and >= 1.0"
-                    )));
-                }
-            }
+            e.kind.validate(e.at_s)?;
         }
-        if !self.deadline_s.is_finite() || self.deadline_s < 0.0 {
-            return Err(FacilError::InvalidRequest(format!(
-                "deadline {} must be finite and non-negative",
-                self.deadline_s
-            )));
-        }
-        if !self.retry_backoff_s.is_finite() || self.retry_backoff_s < 0.0 {
-            return Err(FacilError::InvalidRequest(format!(
-                "retry backoff {} must be finite and non-negative",
-                self.retry_backoff_s
-            )));
-        }
-        Ok(())
-    }
-
-    /// True if the plan injects no faults and enforces no deadlines (the
-    /// fast path that exactly reproduces fault-free serving).
-    pub fn is_none(&self) -> bool {
-        self.events.is_empty() && self.deadline_s == 0.0
+        self.policy.validate()
     }
 }
 
@@ -252,7 +293,8 @@ mod tests {
     #[test]
     fn none_plan_is_empty_and_valid() {
         let p = FaultPlan::none();
-        assert!(p.is_none());
+        assert!(p.events.is_empty());
+        assert_eq!(p.policy, RetryPolicy::none());
         p.validate(1).unwrap();
         p.validate(0).unwrap();
     }
@@ -288,10 +330,10 @@ mod tests {
     #[test]
     fn bad_policy_is_rejected() {
         let mut p = FaultPlan::none();
-        p.deadline_s = -0.5;
+        p.policy.deadline_s = -0.5;
         assert!(p.validate(1).is_err());
-        p.deadline_s = 0.0;
-        p.retry_backoff_s = f64::NAN;
+        p.policy.deadline_s = 0.0;
+        p.policy.retry_backoff_s = f64::NAN;
         assert!(p.validate(1).is_err());
     }
 
@@ -327,7 +369,7 @@ mod tests {
 
     #[test]
     fn backoff_saturates_instead_of_overflowing() {
-        let plan = FaultPlan { retry_backoff_s: 0.05, ..FaultPlan::none() };
+        let plan = RetryPolicy { retry_backoff_s: 0.05, ..RetryPolicy::none() };
         // Low attempts: the textbook doubling schedule.
         assert_eq!(plan.backoff_s(0), 0.05);
         assert_eq!(plan.backoff_s(1), 0.1);
@@ -347,9 +389,10 @@ mod tests {
         assert!(plan.backoff_s(u32::MAX) > plan.backoff_s(59));
         // A base large enough to overflow even at the capped exponent
         // clamps to f64::MAX instead of going infinite.
-        assert_eq!(saturating_backoff(1e300, u32::MAX), f64::MAX);
+        let huge_base = RetryPolicy { retry_backoff_s: 1e300, ..RetryPolicy::none() };
+        assert_eq!(huge_base.backoff_s(u32::MAX), f64::MAX);
         // Disabled backoff stays free at any attempt count.
-        assert_eq!(FaultPlan::none().backoff_s(u32::MAX), 0.0);
+        assert_eq!(RetryPolicy::none().backoff_s(u32::MAX), 0.0);
     }
 
     #[test]

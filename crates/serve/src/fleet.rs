@@ -1,32 +1,33 @@
-//! Multi-device fleet driver: shards one arrival stream across N devices
-//! under a pluggable routing policy and aggregates the fleet-wide report.
+//! Fleet entry points: N identical devices sharing one arrival stream
+//! under a routing policy — the one-cell case of the serving driver
+//! ([`crate::router`]).
 //!
-//! Every device runs the same continuous-batching scheduler
-//! ([`DeviceSim`]); the fleet advances all device clocks to each arrival
-//! instant before routing, so the least-loaded policy reads consistent
-//! load signals and the whole run is deterministic for a fixed seed.
+//! A fleet is a cluster of one cell with no autoscaling headroom, the
+//! default tenant, no router windows and an unbounded park queue, so it
+//! never sheds `overload`. The driver advances every device clock to each
+//! arrival instant before routing, so the least-loaded policy reads
+//! consistent load signals and the whole run is deterministic for a fixed
+//! seed.
 //!
-//! With a [`FaultPlan`] ([`run_fleet_with_faults`]) the driver also
-//! provides graceful degradation: requests lost to device crashes are
-//! harvested ([`DeviceSim::take_evicted`]) and *failed over* to surviving
-//! devices with exponential backoff charged to the serving clock, bounded
-//! by the plan's retry budget ([`ShedReason::Failed`] once exhausted);
+//! With a [`FaultPlan`] ([`run_fleet_with_faults`]) requests lost to
+//! device crashes fail over to surviving devices with exponential backoff,
+//! bounded by the plan's [`RetryPolicy`](crate::RetryPolicy)
+//! ([`ShedReason::Failed`](crate::ShedReason::Failed) once exhausted). A
+//! request that finds every device down parks until one recovers;
 //! per-request deadlines expire stale work instead of serving it late
-//! ([`ShedReason::DeadlineExpired`]). With [`FaultPlan::none`] the
-//! schedule — and the serialized report — is bit-for-bit identical to the
-//! fault-free driver.
+//! ([`ShedReason::DeadlineExpired`](crate::ShedReason::DeadlineExpired)).
+//! With [`FaultPlan::none`] the schedule — and the serialized report — is
+//! bit-for-bit identical to the fault-free run.
 
-use std::cmp::{Ordering, Reverse};
-use std::collections::BinaryHeap;
+use facil_sim::InferenceSim;
+use facil_telemetry::{NullSink, TraceSink};
+use facil_workloads::{ArrivalProcess, Dataset};
 
-use facil_sim::{InferenceSim, Strategy};
-use facil_telemetry::{pool, ArgValue, MetricsRegistry, NullSink, TraceSink, TrackId};
-use facil_workloads::{ArrivalProcess, Dataset, Query};
-
-use crate::device::{DeviceSim, EvictedReq, ServeConfig};
+use crate::device::ServeConfig;
 use crate::faults::FaultPlan;
 use crate::metrics::ServeReport;
-use crate::request::{RequestRecord, ShedReason, ShedRecord};
+use crate::router::{drive, CompiledChaos, Exec, ParallelExec, SerialExec};
+use crate::topology::{ClusterConfig, Tenant};
 
 /// How arrivals are assigned to devices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -80,227 +81,19 @@ impl FleetConfig {
     }
 }
 
-/// A re-queued request waiting out its retry backoff.
-#[derive(Debug, Clone, Copy)]
-struct Retry {
-    t_s: f64,
-    seq: u64,
-    id: u64,
-    arrival_s: f64,
-    query: Query,
-    attempt: u32,
-}
-
-impl PartialEq for Retry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for Retry {}
-impl PartialOrd for Retry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Retry {
-    /// Fire time first, then insertion order — a total, deterministic
-    /// order even for coincident retries.
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.t_s.total_cmp(&other.t_s).then(self.seq.cmp(&other.seq))
-    }
-}
-
-/// Mutable fleet-driver state shared by the arrival loop and the
-/// quiescence loop. Failover, retry and fleet-level shed decisions are
-/// traced on a `serve`-process `fleet` track.
-struct Driver<'p, S: TraceSink> {
-    plan: &'p FaultPlan,
-    routing: Routing,
-    rr: usize,
-    seq: u64,
-    retryq: BinaryHeap<Reverse<Retry>>,
-    fleet_sheds: Vec<ShedRecord>,
-    failovers: usize,
-    retries: usize,
-    sink: S,
-    track: TrackId,
-}
-
-impl<S: TraceSink> Driver<'_, S> {
-    /// Collect crash-evicted requests from every device and schedule their
-    /// failover (or fail them permanently).
-    fn harvest(&mut self, devices: &mut [DeviceSim<'_, S>]) {
-        for (d, dev) in devices.iter_mut().enumerate() {
-            for ev in dev.take_evicted() {
-                self.failovers += 1;
-                self.sink.instant(
-                    self.track,
-                    "failover",
-                    ev.evicted_s * 1e9,
-                    &[("id", ArgValue::U64(ev.id)), ("from", ArgValue::U64(d as u64))],
-                );
-                self.requeue_or_fail(d, ev);
-            }
-        }
-    }
-
-    /// Schedule a retry after exponential backoff, or shed the request if
-    /// the retry budget or its deadline is exhausted. `device` is the
-    /// device the request last touched (recorded on the shed).
-    fn requeue_or_fail(&mut self, device: usize, ev: EvictedReq) {
-        if ev.attempt >= self.plan.max_retries {
-            self.record_fleet_shed(ev.evicted_s, ev.id, ShedReason::Failed);
-            self.fleet_sheds.push(ShedRecord {
-                id: ev.id,
-                device,
-                arrival_s: ev.arrival_s,
-                reason: ShedReason::Failed,
-            });
-            return;
-        }
-        let t_s = ev.evicted_s + self.plan.backoff_s(ev.attempt);
-        if self.plan.deadline_s > 0.0 && t_s - ev.arrival_s > self.plan.deadline_s {
-            self.record_fleet_shed(ev.evicted_s, ev.id, ShedReason::DeadlineExpired);
-            self.fleet_sheds.push(ShedRecord {
-                id: ev.id,
-                device,
-                arrival_s: ev.arrival_s,
-                reason: ShedReason::DeadlineExpired,
-            });
-            return;
-        }
-        self.sink.instant(
-            self.track,
-            "retry",
-            t_s * 1e9,
-            &[("id", ArgValue::U64(ev.id)), ("attempt", ArgValue::U64(u64::from(ev.attempt + 1)))],
-        );
-        self.retryq.push(Reverse(Retry {
-            t_s,
-            seq: self.seq,
-            id: ev.id,
-            arrival_s: ev.arrival_s,
-            query: ev.query,
-            attempt: ev.attempt + 1,
-        }));
-        self.seq += 1;
-        self.retries += 1;
-    }
-
-    /// Trace a fleet-level shed decision as an instant event.
-    fn record_fleet_shed(&mut self, t_s: f64, id: u64, reason: ShedReason) {
-        self.sink.instant(
-            self.track,
-            "shed",
-            t_s * 1e9,
-            &[("id", ArgValue::U64(id)), ("reason", ArgValue::Str(reason.as_str()))],
-        );
-    }
-
-    /// Route one request (fresh or retried) to an accepting device, or
-    /// schedule another retry when every device is down.
-    fn offer(
-        &mut self,
-        devices: &mut [DeviceSim<'_, S>],
-        t_s: f64,
-        id: u64,
-        arrival_s: f64,
-        query: Query,
-        attempt: u32,
-    ) {
-        let accepting: Vec<usize> =
-            (0..devices.len()).filter(|&i| devices[i].accepts(t_s)).collect();
-        let Some(&first) = accepting.first() else {
-            self.requeue_or_fail(0, EvictedReq { id, arrival_s, evicted_s: t_s, attempt, query });
-            return;
-        };
-        let target = match self.routing {
-            Routing::RoundRobin => {
-                let k = accepting[self.rr % accepting.len()];
-                self.rr += 1;
-                k
-            }
-            // min_by_key returns the first minimum: ties go to the lowest
-            // accepting device index, keeping the schedule deterministic.
-            Routing::LeastLoaded => accepting
-                .iter()
-                .copied()
-                .min_by_key(|&i| devices[i].backlog_tokens())
-                .unwrap_or(first),
-        };
-        devices[target].enqueue_attempt(t_s, arrival_s, id, query, attempt);
-    }
-}
-
-/// How the independent per-device phases of the fleet loop execute.
-///
-/// The fleet driver alternates *global* decisions (routing, failover,
-/// retries — inherently serial) with *per-device* phases (advancing every
-/// device clock, draining every device) that touch disjoint state. The
-/// per-device phases are the hot part of a large-fleet run, so the
-/// untraced path farms them out to the [`pool`] workers; the result is
-/// identical either way because no device reads another's state.
-///
-/// Public so higher-level drivers (the cluster router) reuse the same
-/// split over *one flat device list per tick* — the cluster flattens
-/// cells × devices into a single slice and issues one
-/// [`pool::par_map_mut`] batch, instead of fanning out per cell.
-pub trait FleetExec<S: TraceSink> {
-    /// Advance every device clock to `t_s`.
-    fn advance_all(devices: &mut [DeviceSim<'_, S>], t_s: f64);
-    /// Drain every device's outstanding work.
-    fn drain_all(devices: &mut [DeviceSim<'_, S>]);
-}
-
-/// Serial device phases: required for traced runs, whose devices share a
-/// single-threaded sink handle (e.g. `Rc<RefCell<RingSink>>`).
-#[derive(Debug)]
-pub enum SerialExec {}
-
-impl<S: TraceSink> FleetExec<S> for SerialExec {
-    fn advance_all(devices: &mut [DeviceSim<'_, S>], t_s: f64) {
-        for d in devices.iter_mut() {
-            d.advance_until(t_s);
-        }
-    }
-    fn drain_all(devices: &mut [DeviceSim<'_, S>]) {
-        for d in devices.iter_mut() {
-            d.drain();
-        }
-    }
-}
-
-/// Parallel device phases on the persistent [`pool`] workers
-/// (`FACIL_THREADS`). Implemented only for the untraced [`NullSink`]
-/// path, where devices are `Send`; [`pool::par_map_mut`] falls back to
-/// the serial loop for single-device fleets, one configured worker, or
-/// when the caller is itself a pool worker (nested parallelism).
-#[derive(Debug)]
-pub enum ParallelExec {}
-
-impl FleetExec<NullSink> for ParallelExec {
-    fn advance_all(devices: &mut [DeviceSim<'_, NullSink>], t_s: f64) {
-        pool::par_map_mut(devices, |d| d.advance_until(t_s));
-    }
-    fn drain_all(devices: &mut [DeviceSim<'_, NullSink>]) {
-        pool::par_map_mut(devices, DeviceSim::drain);
-    }
-}
-
 /// Serve `dataset` with arrivals from `arrival` on a fleet of
-/// `fleet.devices` identical devices (each a [`DeviceSim`] over `sim`),
-/// injecting the failures scheduled in `plan`.
+/// `fleet.devices` identical devices (each a [`crate::DeviceSim`] over
+/// `sim`), injecting the failures scheduled in `plan`.
 ///
 /// Deterministic for a fixed `cfg.seed` and plan: the arrival sample,
 /// fault schedule, routing and retry decisions and every device schedule
 /// depend only on the inputs — repeated runs serialize to byte-identical
-/// JSON regardless of the [`pool::parallelism`] worker count. With
-/// [`FaultPlan::none`] the result is exactly the fault-free [`run_fleet`]
-/// schedule.
+/// JSON regardless of the worker count. With [`FaultPlan::none`] the
+/// result is exactly the fault-free [`run_fleet`] schedule.
 ///
-/// Fleet-level sheds ([`ShedReason::Failed`], and
-/// [`ShedReason::DeadlineExpired`] raised at re-queue time) record the
-/// device the request last ran on, or 0 if it never reached one.
+/// Sheds the driver decides ([`crate::ShedReason::Failed`] and
+/// [`crate::ShedReason::DeadlineExpired`]) name the device that last
+/// evicted the request, or 0 if it never reached one.
 ///
 /// # Errors
 ///
@@ -314,14 +107,16 @@ pub fn run_fleet_with_faults(
     fleet: FleetConfig,
     plan: &FaultPlan,
 ) -> facil_core::Result<ServeReport> {
-    drive::<NullSink, ParallelExec>(sim, dataset, arrival, cfg, fleet, plan, NullSink)
+    run::<NullSink, ParallelExec>(sim, dataset, arrival, cfg, fleet, plan, NullSink)
 }
 
 /// [`run_fleet_with_faults`] with every scheduler decision recorded into
 /// `sink` (cloned per device; pass an `Rc<RefCell<RingSink>>` to collect
-/// the whole fleet into one trace). Tracing is observational: the report
-/// is identical to the untraced run, byte for byte. Traced devices run
-/// their phases serially so the sink handle never crosses a thread.
+/// the whole fleet into one trace): per-device `serve` tracks plus the
+/// driver's `cluster` router and `cell0` tracks. Tracing is
+/// observational: the report is identical to the untraced run, byte for
+/// byte. Traced devices run their phases serially so the sink handle
+/// never crosses a thread.
 ///
 /// # Errors
 ///
@@ -335,202 +130,7 @@ pub fn run_fleet_with_faults_traced<S: TraceSink + Clone>(
     plan: &FaultPlan,
     sink: S,
 ) -> facil_core::Result<ServeReport> {
-    drive::<S, SerialExec>(sim, dataset, arrival, cfg, fleet, plan, sink)
-}
-
-/// The fleet driver, generic over the per-device execution strategy `E`.
-fn drive<S: TraceSink + Clone, E: FleetExec<S>>(
-    sim: &InferenceSim,
-    dataset: &Dataset,
-    arrival: &ArrivalProcess,
-    cfg: ServeConfig,
-    fleet: FleetConfig,
-    plan: &FaultPlan,
-    mut sink: S,
-) -> facil_core::Result<ServeReport> {
-    fleet.validate()?;
-    plan.validate(fleet.devices)?;
-    let times = arrival.sample_times(cfg.seed, dataset.queries.len());
-    let track = if sink.enabled() { sink.track("serve", "fleet") } else { TrackId::default() };
-    let mut devices: Vec<DeviceSim<S>> = (0..fleet.devices)
-        .map(|d| DeviceSim::with_faults_traced(sim, d, cfg, plan, sink.clone()))
-        .collect();
-    let mut drv = Driver {
-        plan,
-        routing: fleet.routing,
-        rr: 0,
-        seq: dataset.queries.len() as u64,
-        retryq: BinaryHeap::new(),
-        fleet_sheds: Vec::new(),
-        failovers: 0,
-        retries: 0,
-        sink,
-        track,
-    };
-
-    for (i, (q, &t)) in dataset.queries.iter().zip(&times).enumerate() {
-        // Fire retries that come due before this arrival.
-        while let Some(&Reverse(r)) = drv.retryq.peek() {
-            if r.t_s > t {
-                break;
-            }
-            drv.retryq.pop();
-            E::advance_all(&mut devices, r.t_s);
-            drv.harvest(&mut devices);
-            drv.offer(&mut devices, r.t_s, r.id, r.arrival_s, r.query, r.attempt);
-        }
-        // Advance every device to the arrival instant so routing reads
-        // up-to-date backlogs (and idle devices' clocks move forward).
-        E::advance_all(&mut devices, t);
-        drv.harvest(&mut devices);
-        drv.offer(&mut devices, t, i as u64, t, *q, 0);
-    }
-    // Quiesce: drain all devices, fail over anything lost on the way, and
-    // keep going until no retry is outstanding anywhere.
-    loop {
-        E::drain_all(&mut devices);
-        drv.harvest(&mut devices);
-        let Some(Reverse(r)) = drv.retryq.pop() else { break };
-        E::advance_all(&mut devices, r.t_s);
-        drv.harvest(&mut devices);
-        drv.offer(&mut devices, r.t_s, r.id, r.arrival_s, r.query, r.attempt);
-    }
-
-    let span_s =
-        devices.iter().map(DeviceSim::now_s).fold(times.last().copied().unwrap_or(0.0), f64::max);
-    let meta = ReportMeta {
-        strategy: cfg.strategy,
-        arrival: arrival.to_string(),
-        routing: fleet.routing,
-        offered: dataset.queries.len(),
-        span_s,
-        failovers: drv.failovers,
-        retries: drv.retries,
-        deadline_s: plan.deadline_s,
-    };
-    Ok(assemble_report(&devices, &drv.fleet_sheds, &meta))
-}
-
-/// Run identity and driver-level counters the report assembler cannot read
-/// off the devices themselves.
-#[derive(Debug, Clone)]
-pub struct ReportMeta {
-    /// Execution strategy of the timing oracle.
-    pub strategy: Strategy,
-    /// Arrival process description.
-    pub arrival: String,
-    /// Routing policy used across devices.
-    pub routing: Routing,
-    /// Requests offered to the fleet.
-    pub offered: usize,
-    /// Wall-clock span utilization and availability are normalized
-    /// against, seconds.
-    pub span_s: f64,
-    /// Crash evictions the driver harvested for failover.
-    pub failovers: usize,
-    /// Retry attempts the driver scheduled.
-    pub retries: usize,
-    /// Per-request deadline (0 disables deadline accounting), seconds.
-    pub deadline_s: f64,
-}
-
-/// Assemble a [`ServeReport`] from final device state plus the driver's
-/// fleet-level sheds — the roll-up `drive` uses, exposed so higher-level
-/// drivers (e.g. a cluster of fleets) can produce per-fleet reports with
-/// identical metric definitions. Rate metrics (availability, utilization,
-/// uptime, rates per second, deadline-violation rate) are 0.0 — never
-/// `NaN` — for zero-span or zero-offered runs, matching
-/// `DramStats::hit_rate`.
-pub fn assemble_report<S: TraceSink>(
-    devices: &[DeviceSim<'_, S>],
-    fleet_sheds: &[ShedRecord],
-    meta: &ReportMeta,
-) -> ServeReport {
-    let span_s = meta.span_s;
-    let mut requests: Vec<RequestRecord> =
-        devices.iter().flat_map(|d| d.completed().iter().copied()).collect();
-    requests.sort_by_key(|r| r.id);
-    let mut sheds: Vec<ShedRecord> = devices
-        .iter()
-        .flat_map(|d| d.shed().iter().copied())
-        .chain(fleet_sheds.iter().copied())
-        .collect();
-    sheds.sort_by_key(|s| s.id);
-
-    // Latency rollups go through the shared registry: one percentile
-    // definition for the whole workspace instead of a bespoke path here.
-    let mut reg = MetricsRegistry::new();
-    for r in &requests {
-        reg.observe("serve.ttft_ms", r.ttft_ms);
-        reg.observe("serve.ttlt_ms", r.ttlt_ms);
-    }
-    for d in devices {
-        reg.observe_all("serve.tbt_ms", d.tbt_ms());
-    }
-    let ttft_ms = reg.summary("serve.ttft_ms");
-    let ttlt_ms = reg.summary("serve.ttlt_ms");
-    let tbt_ms = reg.summary("serve.tbt_ms");
-    let by_reason = |reason: ShedReason| sheds.iter().filter(|s| s.reason == reason).count();
-    let utilization = if span_s > 0.0 {
-        devices.iter().map(|d| d.busy_s()).sum::<f64>() / (span_s * devices.len() as f64)
-    } else {
-        0.0
-    };
-    let per_qps = |n: usize| if span_s > 0.0 { n as f64 / span_s } else { 0.0 };
-    let device_reports: Vec<_> = devices.iter().map(|d| d.report(span_s)).collect();
-    let downtime_s: f64 = device_reports.iter().map(|d| d.down_s).sum();
-    let degraded_s: f64 = device_reports.iter().map(|d| d.degraded_s).sum();
-    let relayout_stall_s: f64 = device_reports.iter().map(|d| d.relayout_stall_s).sum();
-    let slow_s: f64 = device_reports.iter().map(|d| d.slow_s).sum();
-    let availability = if span_s > 0.0 && !devices.is_empty() {
-        (1.0 - downtime_s / (span_s * devices.len() as f64)).clamp(0.0, 1.0)
-    } else {
-        0.0
-    };
-    let shed_deadline = by_reason(ShedReason::DeadlineExpired);
-    let deadline_violations = if meta.deadline_s > 0.0 {
-        let deadline_ms = meta.deadline_s * 1e3;
-        shed_deadline + requests.iter().filter(|r| r.ttlt_ms > deadline_ms).count()
-    } else {
-        0
-    };
-    let offered = meta.offered;
-    let deadline_violation_rate =
-        if offered > 0 { deadline_violations as f64 / offered as f64 } else { 0.0 };
-
-    ServeReport {
-        strategy: meta.strategy,
-        arrival: meta.arrival.clone(),
-        routing: meta.routing,
-        num_devices: devices.len(),
-        offered,
-        completed: requests.len(),
-        shed: sheds.len(),
-        shed_queue_full: by_reason(ShedReason::QueueFull),
-        shed_oversized: by_reason(ShedReason::Oversized),
-        shed_no_memory: by_reason(ShedReason::NoMemory),
-        shed_failed: by_reason(ShedReason::Failed),
-        shed_deadline,
-        span_s,
-        offered_qps: per_qps(offered),
-        goodput_qps: per_qps(requests.len()),
-        utilization,
-        availability,
-        downtime_s,
-        degraded_s,
-        relayout_stall_s,
-        slow_s,
-        failovers: meta.failovers,
-        retries: meta.retries,
-        deadline_violations,
-        deadline_violation_rate,
-        ttft_ms,
-        tbt_ms,
-        ttlt_ms,
-        devices: device_reports,
-        requests,
-        sheds,
-    }
+    run::<S, SerialExec>(sim, dataset, arrival, cfg, fleet, plan, sink)
 }
 
 /// Serve `dataset` with arrivals from `arrival` on a fault-free fleet
@@ -549,26 +149,43 @@ pub fn run_fleet(
     run_fleet_with_faults(sim, dataset, arrival, cfg, fleet, &FaultPlan::none())
 }
 
-/// Single-device serving run: a fleet of one.
-///
-/// # Errors
-///
-/// See [`run_fleet`].
-pub fn run_serving(
+/// Run the fleet as a one-cell cluster and roll it up as one report.
+fn run<S: TraceSink + Clone, E: Exec<S>>(
     sim: &InferenceSim,
     dataset: &Dataset,
     arrival: &ArrivalProcess,
     cfg: ServeConfig,
+    fleet: FleetConfig,
+    plan: &FaultPlan,
+    sink: S,
 ) -> facil_core::Result<ServeReport> {
-    run_fleet(sim, dataset, arrival, cfg, FleetConfig::default())
+    fleet.validate()?;
+    let cell = ClusterConfig {
+        cells: 1,
+        devices_per_cell: fleet.devices,
+        max_devices_per_cell: fleet.devices,
+        serve: cfg,
+        routing: fleet.routing,
+        park_cap: usize::MAX,
+        hedge_after_s: 0.0,
+        autoscale: None,
+        tenants: vec![Tenant::default_tenant()],
+    };
+    let chaos = CompiledChaos {
+        plan: plan.clone(),
+        partitions: vec![Vec::new()],
+        link_delays: vec![Vec::new()],
+    };
+    Ok(drive::<S, E>(sim, dataset, arrival, &cell, &chaos, sink)?.fleet_report())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::{FaultEvent, FaultKind};
+    use crate::faults::{FaultEvent, FaultKind, RetryPolicy};
     use facil_core::FacilError;
     use facil_soc::{Platform, PlatformId};
+    use facil_workloads::Query;
     use std::collections::BTreeSet;
     use std::sync::OnceLock;
 
@@ -581,13 +198,20 @@ mod tests {
         ServeConfig { seed: 9, fmfi: 0.0, ..ServeConfig::default() }
     }
 
+    /// A crash at t = 0 on device 0 of a one-device fleet, recovering
+    /// after `recover_s` (never with `None`).
+    fn sole_device_crash(recover_s: Option<f64>, policy: RetryPolicy) -> FaultPlan {
+        FaultPlan {
+            events: vec![FaultEvent { device: 0, at_s: 0.0, kind: FaultKind::Crash { recover_s } }],
+            policy,
+        }
+    }
+
     #[test]
     fn single_device_run_is_a_fleet_of_one() {
         let d = Dataset::code_autocompletion_like(3, 24);
         let arrival = ArrivalProcess::Poisson { qps: 1.0 };
-        let a = run_serving(sim(), &d, &arrival, cfg()).unwrap();
-        let b = run_fleet(sim(), &d, &arrival, cfg(), FleetConfig::default()).unwrap();
-        assert_eq!(a, b);
+        let a = run_fleet(sim(), &d, &arrival, cfg(), FleetConfig::default()).unwrap();
         assert_eq!(a.num_devices, 1);
         assert_eq!(a.offered, 24);
         assert_eq!(a.completed + a.shed, a.offered);
@@ -713,7 +337,8 @@ mod tests {
     #[test]
     fn empty_dataset_yields_an_empty_report() {
         let d = Dataset { name: "empty".into(), queries: Vec::new() };
-        let r = run_serving(sim(), &d, &ArrivalProcess::Poisson { qps: 1.0 }, cfg()).unwrap();
+        let arrival = ArrivalProcess::Poisson { qps: 1.0 };
+        let r = run_fleet(sim(), &d, &arrival, cfg(), FleetConfig::default()).unwrap();
         assert_eq!(r.offered, 0);
         assert_eq!(r.completed, 0);
         assert_eq!(r.shed, 0);
@@ -745,9 +370,7 @@ mod tests {
                 at_s: 0.5,
                 kind: FaultKind::Crash { recover_s: None },
             }],
-            max_retries: 4,
-            retry_backoff_s: 0.05,
-            ..FaultPlan::none()
+            policy: RetryPolicy { max_retries: 4, retry_backoff_s: 0.05, ..RetryPolicy::none() },
         };
         let fc = FleetConfig { devices: 3, routing: Routing::LeastLoaded };
         let r = run_fleet_with_faults(sim(), &d, &arrival, cfg(), fc, &plan).unwrap();
@@ -766,26 +389,40 @@ mod tests {
     }
 
     #[test]
-    fn all_devices_dead_fails_requests_after_bounded_retries() {
+    fn all_devices_dead_fails_parked_requests_at_quiesce() {
         let d = Dataset { name: "two".into(), queries: vec![Query { prefill: 16, decode: 4 }; 2] };
         let arrival = ArrivalProcess::Trace { times_s: vec![1.0, 2.0] };
-        let plan = FaultPlan {
-            events: vec![FaultEvent {
-                device: 0,
-                at_s: 0.0,
-                kind: FaultKind::Crash { recover_s: None },
-            }],
-            max_retries: 2,
-            retry_backoff_s: 0.1,
-            ..FaultPlan::none()
-        };
+        let policy = RetryPolicy { max_retries: 2, retry_backoff_s: 0.1, ..RetryPolicy::none() };
+        let plan = sole_device_crash(None, policy);
         let fc = FleetConfig { devices: 1, routing: Routing::RoundRobin };
         let r = run_fleet_with_faults(sim(), &d, &arrival, cfg(), fc, &plan).unwrap();
         assert_eq!(r.completed, 0);
         assert_eq!(r.shed, 2);
         assert_eq!(r.shed_failed, 2);
-        assert!(r.retries > 0, "retries were attempted before giving up");
+        // Finding no device spends no retry: both requests park, and the
+        // quiesce loop fails them once no recovery can ever come.
+        assert_eq!(r.retries, 0);
         assert_eq!(r.availability, 0.0);
+    }
+
+    #[test]
+    fn parked_request_is_served_when_its_device_recovers() {
+        let d = Dataset { name: "one".into(), queries: vec![Query { prefill: 16, decode: 4 }] };
+        let arrival = ArrivalProcess::Trace { times_s: vec![1.0] };
+        // The sole device is down from t = 0 to t = 2 s; the request
+        // arriving at 1 s waits for the recovery instead of burning its
+        // retry budget against a dead fleet.
+        let policy = RetryPolicy { max_retries: 2, retry_backoff_s: 0.1, ..RetryPolicy::none() };
+        let plan = sole_device_crash(Some(2.0), policy);
+        let fc = FleetConfig { devices: 1, routing: Routing::RoundRobin };
+        let r = run_fleet_with_faults(sim(), &d, &arrival, cfg(), fc, &plan).unwrap();
+        assert_eq!(r.completed, 1);
+        assert_eq!(r.shed, 0);
+        assert_eq!(r.retries, 0);
+        let q = &r.requests[0];
+        assert_eq!(q.retries, 0);
+        assert_eq!(q.admitted_s, 2.0, "dispatched at the recovery instant");
+        assert!(q.ttft_ms > 1000.0 && q.ttft_ms < 1100.0, "TTFT {} ms", q.ttft_ms);
     }
 
     #[test]
@@ -801,9 +438,7 @@ mod tests {
                 at_s: 0.5,
                 kind: FaultKind::Crash { recover_s: None },
             }],
-            max_retries: 4,
-            retry_backoff_s: 0.05,
-            ..FaultPlan::none()
+            policy: RetryPolicy { max_retries: 4, retry_backoff_s: 0.05, ..RetryPolicy::none() },
         };
         let fc = FleetConfig { devices: 3, routing: Routing::LeastLoaded };
         let plain = run_fleet_with_faults(sim(), &d, &arrival, cfg(), fc, &plan).unwrap();
@@ -829,7 +464,7 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(ja, jb, "trace export must be byte-identical across repeats");
         // The crash run exercises every scheduler track and event family.
-        for track in ["device0", "device1", "device2", "fleet"] {
+        for track in ["device0", "device1", "device2", "router", "cell0"] {
             assert!(ja.contains(&format!("\"name\":\"{track}\"")), "missing track {track}");
         }
         assert!(plain.failovers > 0, "the crash must evict in-flight work");
@@ -839,21 +474,13 @@ mod tests {
     }
 
     #[test]
-    fn deadline_expires_stale_retries() {
+    fn deadline_expires_work_waiting_for_recovery() {
         let d = Dataset { name: "one".into(), queries: vec![Query { prefill: 16, decode: 4 }] };
         let arrival = ArrivalProcess::Trace { times_s: vec![1.0] };
-        // Sole device is down from before the arrival; the backoff pushes
-        // the retry past the deadline.
-        let plan = FaultPlan {
-            events: vec![FaultEvent {
-                device: 0,
-                at_s: 0.0,
-                kind: FaultKind::Crash { recover_s: None },
-            }],
-            deadline_s: 0.2,
-            max_retries: 10,
-            retry_backoff_s: 0.3,
-        };
+        // The sole device is down from before the arrival and recovers at
+        // 1.5 s, past the request's 0.2 s deadline.
+        let policy = RetryPolicy { max_retries: 10, retry_backoff_s: 0.3, deadline_s: 0.2 };
+        let plan = sole_device_crash(Some(1.5), policy);
         let fc = FleetConfig { devices: 1, routing: Routing::RoundRobin };
         let r = run_fleet_with_faults(sim(), &d, &arrival, cfg(), fc, &plan).unwrap();
         assert_eq!(r.completed, 0);

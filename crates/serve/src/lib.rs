@@ -7,7 +7,7 @@
 //! head-of-line request plus one decode step for every in-flight request
 //! per iteration, Orca/Sarathi style).
 //!
-//! The simulator is built from four layers:
+//! The simulator is built from these layers:
 //!
 //! - [`DeviceSim`] — one device: bounded admission queue, up-front KV
 //!   reservation against a [`facil_core::FacilSystem`] physical allocator
@@ -17,12 +17,20 @@
 //! - [`FaultPlan`] — deterministic fault injection: device crashes and
 //!   freezes, PIM-unit faults (FACIL degrades to SoC GEMV on its
 //!   SoC-readable layout while hybrid baselines stall for a weight
-//!   re-layout), transient KV-reservation failures, plus per-request
-//!   deadlines and a bounded exponential-backoff retry policy.
-//! - [`run_serving`] / [`run_fleet`] / [`run_fleet_with_faults`] — drive
-//!   one device or a fleet of N identical devices sharing an arrival
-//!   stream under a [`Routing`] policy (round-robin or least-loaded),
-//!   failing crashed devices' work over to survivors.
+//!   re-layout), transient KV-reservation failures and slow-node gray
+//!   failures, plus the [`RetryPolicy`]: per-request deadlines and a
+//!   bounded exponential-backoff retry budget.
+//! - [`router`] — the one serving driver: arrivals, failover retries and
+//!   quiescence over cells of devices ([`ClusterConfig`]), with a
+//!   two-tier router (cell admission, then device dispatch under a
+//!   [`Routing`] policy), tenant QoS, a park queue for requests no device
+//!   can take yet, router-only partition and link-delay windows
+//!   ([`CompiledChaos`]) and SLO-burn autoscaling. [`run_cells`] rolls a
+//!   run up as a [`ClusterReport`]; the `facil-cluster` crate adds the
+//!   chaos model that compiles down to it.
+//! - [`run_fleet`] / [`run_fleet_with_faults`] — a fleet of N identical
+//!   devices sharing an arrival stream: the one-cell case of the same
+//!   driver, failing crashed devices' work over to survivors.
 //! - [`ServeReport`] — SLO and availability metrics: per-request
 //!   TTFT/TBT/TTLT with p50/p95/p99 [`facil_sim::Summary`] rollups,
 //!   goodput vs offered load, shed accounting, per-device utilization,
@@ -38,9 +46,10 @@
 //! # Observability
 //!
 //! The scheduler is instrumented through [`facil_telemetry`]:
-//! [`run_fleet_with_faults_traced`] records admissions, sheds, batch
-//! formation, degraded-mode transitions, crashes/freezes, failovers and
-//! retries as trace events on per-device and fleet tracks (simulated
+//! [`run_fleet_with_faults_traced`] and [`run_cells_traced`] record
+//! admissions, sheds, batch formation, degraded-mode transitions,
+//! crashes/freezes, dispatches, parks, failovers and retries as trace
+//! events on per-device, router and per-cell tracks (simulated
 //! nanoseconds, exportable as a Chrome/Perfetto trace), and
 //! [`ServeReport::register_into`] publishes the run's counters and latency
 //! histograms into a shared [`facil_telemetry::MetricsRegistry`]. Tracing
@@ -53,13 +62,18 @@ pub mod device;
 pub mod faults;
 pub mod fleet;
 pub mod metrics;
+pub mod report;
 pub mod request;
+pub mod router;
+pub mod topology;
 
 pub use device::{DeviceSim, EvictedReq, ServeConfig};
-pub use faults::{saturating_backoff, FaultEvent, FaultKind, FaultPlan, FaultRates};
+pub use faults::{FaultEvent, FaultKind, FaultPlan, FaultRates, RetryPolicy};
 pub use fleet::{
-    assemble_report, run_fleet, run_fleet_with_faults, run_fleet_with_faults_traced, run_serving,
-    FleetConfig, FleetExec, ParallelExec, ReportMeta, Routing, SerialExec,
+    run_fleet, run_fleet_with_faults, run_fleet_with_faults_traced, FleetConfig, Routing,
 };
 pub use metrics::{DeviceReport, QueueSample, ServeReport};
+pub use report::{CellReport, ClusterReport, ClusterShedRecord, TenantReport};
 pub use request::{RequestRecord, ShedReason, ShedRecord};
+pub use router::{run_cells, run_cells_traced, CompiledChaos};
+pub use topology::{AutoscalePolicy, ClusterConfig, Tenant};

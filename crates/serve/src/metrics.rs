@@ -10,10 +10,11 @@
 //! [`facil_telemetry::MetricsRegistry`].
 
 use facil_sim::{Strategy, Summary};
-use facil_telemetry::{JsonWriter, MetricsRegistry};
+use facil_telemetry::{JsonWriter, MetricsRegistry, TraceSink};
 
+use crate::device::DeviceSim;
 use crate::fleet::Routing;
-use crate::request::{RequestRecord, ShedRecord};
+use crate::request::{RequestRecord, ShedReason, ShedRecord};
 
 /// One point of a device's load time series (sampled per iteration,
 /// downsampled for the report).
@@ -102,7 +103,8 @@ pub struct ServeReport {
     pub shed_oversized: usize,
     /// Sheds with reason [`crate::ShedReason::NoMemory`].
     pub shed_no_memory: usize,
-    /// Sheds with reason [`crate::ShedReason::Failed`] (retry budget exhausted).
+    /// Sheds with reason [`crate::ShedReason::Failed`] (retry budget
+    /// exhausted, or no device left that could ever take the request).
     pub shed_failed: usize,
     /// Sheds with reason [`crate::ShedReason::DeadlineExpired`].
     pub shed_deadline: usize,
@@ -128,7 +130,7 @@ pub struct ServeReport {
     /// Total device-seconds served inside gray-failure (slow-node)
     /// windows.
     pub slow_s: f64,
-    /// Requests evicted by crashes and handed back to the fleet driver.
+    /// Requests evicted by crashes and handed back to the serving driver.
     pub failovers: usize,
     /// Retry attempts scheduled (each charged exponential backoff on the
     /// serving clock).
@@ -216,7 +218,127 @@ fn write_shed(w: &mut JsonWriter, s: &ShedRecord) {
         .end_object();
 }
 
+/// Run identity and driver-level counters the report assembler cannot read
+/// off the devices themselves.
+#[derive(Debug, Clone)]
+pub(crate) struct ReportMeta {
+    /// Execution strategy of the timing oracle.
+    pub strategy: Strategy,
+    /// Arrival process description.
+    pub arrival: String,
+    /// Routing policy used across devices.
+    pub routing: Routing,
+    /// Requests offered to the devices.
+    pub offered: usize,
+    /// Wall-clock span utilization and availability are normalized
+    /// against, seconds.
+    pub span_s: f64,
+    /// Crash evictions the driver harvested for failover.
+    pub failovers: usize,
+    /// Retry attempts the driver scheduled.
+    pub retries: usize,
+    /// Per-request deadline (0 disables deadline accounting), seconds.
+    pub deadline_s: f64,
+}
+
 impl ServeReport {
+    /// Assemble a report from final device state plus the driver's own
+    /// sheds — the one roll-up behind a fleet report and every cell of a
+    /// cluster report. Rate metrics (availability, utilization, uptime,
+    /// rates per second, deadline-violation rate) are 0.0 — never `NaN` —
+    /// for zero-span or zero-offered runs, matching `DramStats::hit_rate`.
+    pub(crate) fn assemble<S: TraceSink>(
+        devices: &[DeviceSim<'_, S>],
+        driver_sheds: &[ShedRecord],
+        meta: &ReportMeta,
+    ) -> ServeReport {
+        let span_s = meta.span_s;
+        let mut requests: Vec<RequestRecord> =
+            devices.iter().flat_map(|d| d.completed().iter().copied()).collect();
+        requests.sort_by_key(|r| r.id);
+        let mut sheds: Vec<ShedRecord> = devices
+            .iter()
+            .flat_map(|d| d.shed().iter().copied())
+            .chain(driver_sheds.iter().copied())
+            .collect();
+        sheds.sort_by_key(|s| s.id);
+
+        // Latency rollups go through the shared registry: one percentile
+        // definition for the whole workspace instead of a bespoke path here.
+        let mut reg = MetricsRegistry::new();
+        for r in &requests {
+            reg.observe("serve.ttft_ms", r.ttft_ms);
+            reg.observe("serve.ttlt_ms", r.ttlt_ms);
+        }
+        for d in devices {
+            reg.observe_all("serve.tbt_ms", d.tbt_ms());
+        }
+        let ttft_ms = reg.summary("serve.ttft_ms");
+        let ttlt_ms = reg.summary("serve.ttlt_ms");
+        let tbt_ms = reg.summary("serve.tbt_ms");
+        let by_reason = |reason: ShedReason| sheds.iter().filter(|s| s.reason == reason).count();
+        let utilization = if span_s > 0.0 {
+            devices.iter().map(|d| d.busy_s()).sum::<f64>() / (span_s * devices.len() as f64)
+        } else {
+            0.0
+        };
+        let per_qps = |n: usize| if span_s > 0.0 { n as f64 / span_s } else { 0.0 };
+        let device_reports: Vec<_> = devices.iter().map(|d| d.report(span_s)).collect();
+        let downtime_s: f64 = device_reports.iter().map(|d| d.down_s).sum();
+        let degraded_s: f64 = device_reports.iter().map(|d| d.degraded_s).sum();
+        let relayout_stall_s: f64 = device_reports.iter().map(|d| d.relayout_stall_s).sum();
+        let slow_s: f64 = device_reports.iter().map(|d| d.slow_s).sum();
+        let availability = if span_s > 0.0 && !devices.is_empty() {
+            (1.0 - downtime_s / (span_s * devices.len() as f64)).clamp(0.0, 1.0)
+        } else {
+            0.0
+        };
+        let shed_deadline = by_reason(ShedReason::DeadlineExpired);
+        let deadline_violations = if meta.deadline_s > 0.0 {
+            let deadline_ms = meta.deadline_s * 1e3;
+            shed_deadline + requests.iter().filter(|r| r.ttlt_ms > deadline_ms).count()
+        } else {
+            0
+        };
+        let offered = meta.offered;
+        let deadline_violation_rate =
+            if offered > 0 { deadline_violations as f64 / offered as f64 } else { 0.0 };
+
+        ServeReport {
+            strategy: meta.strategy,
+            arrival: meta.arrival.clone(),
+            routing: meta.routing,
+            num_devices: devices.len(),
+            offered,
+            completed: requests.len(),
+            shed: sheds.len(),
+            shed_queue_full: by_reason(ShedReason::QueueFull),
+            shed_oversized: by_reason(ShedReason::Oversized),
+            shed_no_memory: by_reason(ShedReason::NoMemory),
+            shed_failed: by_reason(ShedReason::Failed),
+            shed_deadline,
+            span_s,
+            offered_qps: per_qps(offered),
+            goodput_qps: per_qps(requests.len()),
+            utilization,
+            availability,
+            downtime_s,
+            degraded_s,
+            relayout_stall_s,
+            slow_s,
+            failovers: meta.failovers,
+            retries: meta.retries,
+            deadline_violations,
+            deadline_violation_rate,
+            ttft_ms,
+            tbt_ms,
+            ttlt_ms,
+            devices: device_reports,
+            requests,
+            sheds,
+        }
+    }
+
     /// Serialize the report as a self-contained JSON object (one line).
     pub fn to_json(&self) -> String {
         let mut w = JsonWriter::with_capacity(4096);
@@ -299,7 +421,6 @@ impl ServeReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::ShedReason;
 
     fn sample_report() -> ServeReport {
         ServeReport {

@@ -17,11 +17,16 @@ pub enum ShedReason {
     /// keeps the queue making progress.
     NoMemory,
     /// The request was lost to device failures and its retry budget is
-    /// exhausted (or no device could ever accept it again).
+    /// exhausted, or it was still waiting for a device when no future
+    /// instant could make one available.
     Failed,
-    /// The request's deadline elapsed before it could be admitted (or
-    /// re-queued after a failure).
+    /// The request's deadline elapsed before it could be admitted or
+    /// (re-)dispatched.
     DeadlineExpired,
+    /// Evicted from an overflowing park queue (worst QoS class first).
+    Overload,
+    /// Dispatch would exceed the tenant's outstanding-KV quota.
+    QuotaExceeded,
 }
 
 impl ShedReason {
@@ -34,6 +39,8 @@ impl ShedReason {
             ShedReason::NoMemory => "no-memory",
             ShedReason::Failed => "failed",
             ShedReason::DeadlineExpired => "deadline-expired",
+            ShedReason::Overload => "overload",
+            ShedReason::QuotaExceeded => "quota-exceeded",
         }
     }
 }

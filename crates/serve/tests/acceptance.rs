@@ -4,7 +4,7 @@
 //! executable checks, not just bench-output prose.
 
 use facil_serve::{
-    run_fleet_with_faults, run_serving, FaultEvent, FaultKind, FaultPlan, FleetConfig, Routing,
+    run_fleet, run_fleet_with_faults, FaultEvent, FaultKind, FaultPlan, FleetConfig, Routing,
     ServeConfig,
 };
 use facil_sim::{serve, InferenceSim, ServingConfig, Strategy};
@@ -45,7 +45,9 @@ fn continuous_batching_sustains_higher_qps_than_fcfs() {
         .iter()
         .copied()
         .filter(|&qps| {
-            let r = run_serving(sim(), &d, &ArrivalProcess::Poisson { qps }, cfg).unwrap();
+            let r =
+                run_fleet(sim(), &d, &ArrivalProcess::Poisson { qps }, cfg, FleetConfig::default())
+                    .unwrap();
             assert_eq!(r.shed, 0, "unbounded queue must not shed");
             r.ttft_ms.p95 <= target_p95_ms
         })
@@ -68,7 +70,7 @@ fn admission_control_bounds_tail_latency_past_saturation() {
     let d = Dataset::code_autocompletion_like(42, 96);
     let bounded = |qps: f64| {
         let cfg = ServeConfig { seed: 9, queue_cap: 16, fmfi: 0.0, ..ServeConfig::default() };
-        run_serving(sim(), &d, &ArrivalProcess::Poisson { qps }, cfg).unwrap()
+        run_fleet(sim(), &d, &ArrivalProcess::Poisson { qps }, cfg, FleetConfig::default()).unwrap()
     };
     let saturated = bounded(16.0);
     let overloaded = bounded(64.0);
@@ -88,8 +90,14 @@ fn admission_control_bounds_tail_latency_past_saturation() {
     // tail absorbs the whole backlog.
     let unbounded_cfg =
         ServeConfig { seed: 9, queue_cap: 1 << 20, fmfi: 0.0, ..ServeConfig::default() };
-    let unbounded =
-        run_serving(sim(), &d, &ArrivalProcess::Poisson { qps: 64.0 }, unbounded_cfg).unwrap();
+    let unbounded = run_fleet(
+        sim(),
+        &d,
+        &ArrivalProcess::Poisson { qps: 64.0 },
+        unbounded_cfg,
+        FleetConfig::default(),
+    )
+    .unwrap();
     assert_eq!(unbounded.shed, 0);
     assert!(
         unbounded.ttft_ms.p95 > overloaded.ttft_ms.p95,

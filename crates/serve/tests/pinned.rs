@@ -1,0 +1,118 @@
+//! Byte-identity pins for the serving driver: FNV-1a digests of
+//! `ServeReport::to_json()` for fault-free fleets under both routings, and
+//! for the `chaos` binary's crash-failover and fault-rate-sweep fleets.
+//! The digests were recorded from the fleet driver before it became a
+//! one-cell cluster; any change to the schedule, the report or its JSON
+//! moves them.
+
+use facil_serve::{
+    run_fleet, run_fleet_with_faults, FaultEvent, FaultKind, FaultPlan, FaultRates, FleetConfig,
+    RetryPolicy, Routing, ServeConfig, ServeReport,
+};
+use facil_sim::InferenceSim;
+use facil_soc::{Platform, PlatformId};
+use facil_telemetry::json::fnv1a;
+use facil_workloads::{ArrivalProcess, Dataset};
+use std::sync::OnceLock;
+
+fn sim() -> &'static InferenceSim {
+    static SIM: OnceLock<InferenceSim> = OnceLock::new();
+    SIM.get_or_init(|| {
+        InferenceSim::new(Platform::get(PlatformId::Iphone)).expect("default model fits")
+    })
+}
+
+fn digest(r: &ServeReport) -> u64 {
+    fnv1a(r.to_json().as_bytes())
+}
+
+fn check(label: &str, got: &[u64], want: &[u64]) {
+    assert_eq!(got, want, "{label} digests moved: {got:#018x?}");
+}
+
+#[test]
+fn fault_free_fleets_are_pinned() {
+    let d = Dataset::alpaca_like(11, 96);
+    let arrival = ArrivalProcess::Poisson { qps: 16.0 };
+    let cfg = ServeConfig { seed: 9, fmfi: 0.0, ..ServeConfig::default() };
+    let mut got = Vec::new();
+    for devices in [1, 4, 64] {
+        for routing in [Routing::RoundRobin, Routing::LeastLoaded] {
+            let r = run_fleet(sim(), &d, &arrival, cfg, FleetConfig { devices, routing }).unwrap();
+            got.push(digest(&r));
+        }
+    }
+    check(
+        "fault-free fleet",
+        &got,
+        &[
+            0x708d_2d30_8cd8_865e,
+            0x9a18_7b4d_af2f_6d26,
+            0xffc9_5c85_e0ca_7ab3,
+            0x4ef1_b61c_436e_44a4,
+            0x806f_7de9_8ee8_4d67,
+            0xb88d_a07e_2202_7462,
+        ],
+    );
+}
+
+/// The `chaos` binary's experiments 2 and 3 at its smoke (16) and full
+/// (48) sizes, seed 9.
+#[test]
+fn chaos_binary_fleets_are_pinned() {
+    let cfg = ServeConfig { seed: 9, fmfi: 0.0, ..ServeConfig::default() };
+    let mut got = Vec::new();
+    for n in [16, 48] {
+        let d = Dataset::code_autocompletion_like(7, n);
+        let arrival = ArrivalProcess::Poisson { qps: 8.0 };
+        let crash = FaultPlan {
+            events: vec![FaultEvent {
+                device: 0,
+                at_s: 0.5,
+                kind: FaultKind::Crash { recover_s: None },
+            }],
+            policy: RetryPolicy { max_retries: 4, retry_backoff_s: 0.05, ..RetryPolicy::none() },
+        };
+        let fc = FleetConfig { devices: 3, routing: Routing::LeastLoaded };
+        for plan in [FaultPlan::none(), crash] {
+            got.push(digest(&run_fleet_with_faults(sim(), &d, &arrival, cfg, fc, &plan).unwrap()));
+        }
+
+        let d = Dataset::alpaca_like(3, n);
+        let arrival = ArrivalProcess::Poisson { qps: 4.0 };
+        for crash_per_s in [0.0, 0.05, 0.1, 0.2, 0.4] {
+            let rates = FaultRates {
+                crash_per_s,
+                pim_per_s: crash_per_s / 2.0,
+                kv_per_s: crash_per_s / 2.0,
+                mean_outage_s: 0.5,
+            };
+            let mut plan = FaultPlan::random(1234, 4, 30.0, rates);
+            plan.policy.max_retries = 3;
+            plan.policy.retry_backoff_s = 0.05;
+            plan.policy.deadline_s = 20.0;
+            let fc = FleetConfig { devices: 4, routing: Routing::LeastLoaded };
+            got.push(digest(&run_fleet_with_faults(sim(), &d, &arrival, cfg, fc, &plan).unwrap()));
+        }
+    }
+    check(
+        "chaos fleet",
+        &got,
+        &[
+            0xd6b4_609b_744e_bb18,
+            0xed75_88b3_ca81_5fcd,
+            0x3a62_dfe2_4f97_20cb,
+            0x5ebe_b698_9896_1f6d,
+            0xfb13_5b32_641c_9f85,
+            0x4adb_c5f0_403a_1101,
+            0xf8a5_14bd_f66e_2741,
+            0x57b8_f4de_1d2b_8d73,
+            0xee17_1b72_c0a4_f0e9,
+            0x0d36_ec20_0635_e410,
+            0x6b9c_2507_b903_0d6f,
+            0xa573_1eb3_c6b2_1f90,
+            0x4b62_a2bd_6f04_69a2,
+            0x475a_84c5_8e77_76f2,
+        ],
+    );
+}

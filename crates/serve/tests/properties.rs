@@ -3,8 +3,8 @@
 
 use facil_check::cases;
 use facil_serve::{
-    run_fleet, run_fleet_with_faults, run_fleet_with_faults_traced, run_serving, FaultPlan,
-    FaultRates, FleetConfig, Routing, ServeConfig,
+    run_fleet, run_fleet_with_faults, run_fleet_with_faults_traced, FaultPlan, FaultRates,
+    FleetConfig, Routing, ServeConfig,
 };
 use facil_sim::InferenceSim;
 use facil_soc::{Platform, PlatformId};
@@ -120,8 +120,8 @@ fn serving_runs_are_byte_identical_across_repeats() {
         let d = Dataset::alpaca_like(seed, n);
         let cfg = ServeConfig { seed, fmfi, ..ServeConfig::default() };
         let arrival = ArrivalProcess::Bursty { qps, burst: 3 };
-        let a = run_serving(sim(), &d, &arrival, cfg).unwrap();
-        let b = run_serving(sim(), &d, &arrival, cfg).unwrap();
+        let a = run_fleet(sim(), &d, &arrival, cfg, FleetConfig::default()).unwrap();
+        let b = run_fleet(sim(), &d, &arrival, cfg, FleetConfig::default()).unwrap();
         assert_eq!(&a, &b);
         assert_eq!(a.to_json(), b.to_json());
     });
@@ -137,8 +137,17 @@ fn ttft_is_monotone_in_offered_load() {
         let d = Dataset::code_autocompletion_like(seed, n);
         // queue_cap >= n: nothing is shed, both runs serve every request.
         let cfg = ServeConfig { seed, queue_cap: 1 << 20, fmfi: 0.0, ..ServeConfig::default() };
-        let light = run_serving(sim(), &d, &ArrivalProcess::Poisson { qps: 0.2 }, cfg).unwrap();
-        let heavy = run_serving(sim(), &d, &ArrivalProcess::Poisson { qps }, cfg).unwrap();
+        let light = run_fleet(
+            sim(),
+            &d,
+            &ArrivalProcess::Poisson { qps: 0.2 },
+            cfg,
+            FleetConfig::default(),
+        )
+        .unwrap();
+        let heavy =
+            run_fleet(sim(), &d, &ArrivalProcess::Poisson { qps }, cfg, FleetConfig::default())
+                .unwrap();
         assert_eq!(light.shed, 0);
         assert_eq!(heavy.shed, 0);
         assert!(
@@ -185,9 +194,9 @@ fn conservation_holds_under_random_faults() {
         let cfg = ServeConfig { seed, fmfi: 0.0, ..ServeConfig::default() };
         let rates = FaultRates { crash_per_s, pim_per_s, kv_per_s, mean_outage_s: 0.4 };
         let mut plan = FaultPlan::random(fault_seed, devices, 20.0, rates);
-        plan.max_retries = max_retries;
-        plan.retry_backoff_s = 0.05;
-        plan.deadline_s = if deadline_on { 5.0 } else { 0.0 };
+        plan.policy.max_retries = max_retries;
+        plan.policy.retry_backoff_s = 0.05;
+        plan.policy.deadline_s = if deadline_on { 5.0 } else { 0.0 };
         let r = run_fleet_with_faults(
             sim(),
             &d,
@@ -213,7 +222,7 @@ fn conservation_holds_under_random_faults() {
         assert_eq!(ids, (0..n as u64).collect::<BTreeSet<u64>>());
         assert!(r.availability >= 0.0 && r.availability <= 1.0 + 1e-9);
         assert!(r.deadline_violation_rate >= 0.0 && r.deadline_violation_rate <= 1.0 + 1e-9);
-        if plan.deadline_s == 0.0 {
+        if plan.policy.deadline_s == 0.0 {
             assert_eq!(r.deadline_violations, 0);
         }
     });
@@ -231,8 +240,8 @@ fn faulty_runs_are_byte_identical_across_repeats() {
         let rates =
             FaultRates { crash_per_s: 0.3, pim_per_s: 0.3, kv_per_s: 0.3, mean_outage_s: 0.5 };
         let mut plan = FaultPlan::random(fault_seed, devices, 15.0, rates);
-        plan.max_retries = 3;
-        plan.retry_backoff_s = 0.05;
+        plan.policy.max_retries = 3;
+        plan.policy.retry_backoff_s = 0.05;
         let arrival = ArrivalProcess::Bursty { qps, burst: 3 };
         let fleet = FleetConfig { devices, routing: Routing::RoundRobin };
         let a = run_fleet_with_faults(sim(), &d, &arrival, cfg, fleet, &plan).unwrap();
@@ -255,8 +264,8 @@ fn tracing_never_changes_the_schedule() {
         let rates =
             FaultRates { crash_per_s: 0.2, pim_per_s: 0.2, kv_per_s: 0.2, mean_outage_s: 0.4 };
         let mut plan = FaultPlan::random(fault_seed, devices, 10.0, rates);
-        plan.max_retries = 2;
-        plan.retry_backoff_s = 0.05;
+        plan.policy.max_retries = 2;
+        plan.policy.retry_backoff_s = 0.05;
         let arrival = ArrivalProcess::Poisson { qps };
         let fleet = FleetConfig { devices, routing: Routing::LeastLoaded };
         let plain = run_fleet_with_faults(sim(), &d, &arrival, cfg, fleet, &plan).unwrap();
@@ -313,8 +322,8 @@ fn worker_count_never_changes_the_report() {
         } else {
             FaultPlan::none()
         };
-        plan.max_retries = 3;
-        plan.retry_backoff_s = 0.05;
+        plan.policy.max_retries = 3;
+        plan.policy.retry_backoff_s = 0.05;
         let run = || run_fleet_with_faults(sim(), &d, &arrival, cfg, fleet, &plan).unwrap();
         facil_sim::pool::set_parallelism(1);
         let serial = run();

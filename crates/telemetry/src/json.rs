@@ -41,6 +41,15 @@ pub fn escaped(s: &str) -> String {
     out
 }
 
+/// 64-bit FNV-1a digest of `bytes`: a short, stable fingerprint of a
+/// serialized report, so an artifact can pin byte-identity without
+/// carrying the whole report.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
 /// Streaming JSON writer with automatic comma placement.
 ///
 /// Call [`JsonWriter::begin_object`] / [`JsonWriter::begin_array`] to open
@@ -220,6 +229,13 @@ mod tests {
         w.key("nested").begin_object().end_object();
         w.end_object();
         assert_eq!(w.finish(), r#"{"name":"x","n":3,"list":[1,2,{"ok":true}],"nested":{}}"#);
+    }
+
+    #[test]
+    fn fnv1a_matches_the_reference_vectors() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
     }
 
     #[test]

@@ -279,11 +279,13 @@ print(f"cluster smoke OK ({len(runs)} runs, storm availability {storm:.2f}, {out
 echo "cluster artifact: $cluster_artifact"
 
 echo "== FACIL_THREADS determinism smoke =="
-# The worker-count knob must be invisible in results: serving_v2, cluster
-# and the perf_pool fleet digest are byte-identical between 1 and 8
-# workers. perf_pool uses --digest, which prints only the deterministic
-# fleet report (wall-clock fields would break the diff).
-for bin in serving_v2 cluster perf_pool; do
+# The worker-count knob must be invisible in results: serving_v2, chaos,
+# cluster and the perf_pool fleet digest are byte-identical between 1 and
+# 8 workers. chaos covers fleets with faults, whose device phases run on
+# the shared driver's parallel path. perf_pool uses --digest, which
+# prints only the deterministic fleet report (wall-clock fields would
+# break the diff).
+for bin in serving_v2 chaos cluster perf_pool; do
   if [ "$bin" = perf_pool ]; then
     args=(--smoke --digest)
   else
