@@ -538,4 +538,20 @@ mod tests {
             assert!(c.normalized < 2.5, "paper worst case 1.90x, got {}", c.normalized);
         }
     }
+
+    /// The 12 cells the `report` binary prints, pinned bit for bit: an
+    /// FNV-1a digest over the little-endian bits of each cell's
+    /// `(fmfi, load_s, normalized)`. Any change to the allocator's
+    /// placement, compaction victims or frame counts moves it.
+    #[test]
+    fn table1_cells_are_pinned() {
+        let cells = table1_hugepage(&[2.5, 2.0, 1.5, 1.1], &[0.05, 0.45, 0.75]);
+        let bytes: Vec<u8> = cells
+            .iter()
+            .flat_map(|c| [c.fmfi, c.load_s, c.normalized])
+            .flat_map(|x| x.to_bits().to_le_bytes())
+            .collect();
+        let got = facil_telemetry::json::fnv1a(&bytes);
+        assert_eq!(got, 0x3f15_e715_2e03_1e59, "Table I digest moved: {got:#018x}");
+    }
 }

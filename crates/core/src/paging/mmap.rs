@@ -100,12 +100,7 @@ impl AddressSpace {
                 Err(e) => {
                     for (v, pa) in mapped {
                         self.table.unmap(v);
-                        if flags.huge {
-                            self.phys.free_huge(pa);
-                        }
-                        // 4 KB frames are leaked on rollback in this model
-                        // (PhysicalMemory exposes only huge-page free), which
-                        // only matters for the error path of tiny tests.
+                        self.free_page(pa, flags.huge);
                     }
                     return Err(e);
                 }
@@ -127,13 +122,20 @@ impl AddressSpace {
         let page = 1u64 << page_bits;
         for i in 0..region.len / page {
             let page_va = va + i * page;
-            if region.flags.huge {
-                let t = self.table.translate(page_va)?.0;
-                self.phys.free_huge(t.pa & !(page - 1));
-            }
+            let pa = self.table.translate(page_va)?.0.pa & !(page - 1);
+            self.free_page(pa, region.flags.huge);
             self.table.unmap(page_va);
         }
         Ok(())
+    }
+
+    /// Return one page's physical frames.
+    fn free_page(&mut self, pa: u64, huge: bool) {
+        if huge {
+            self.phys.free_huge(pa);
+        } else {
+            self.phys.free_base(pa);
+        }
     }
 
     /// Translate a virtual address (page walk).
@@ -198,24 +200,27 @@ mod tests {
     }
 
     #[test]
-    fn munmap_frees_huge_frames() {
-        let mut a = AddressSpace::new(8 << 20);
-        let before = a.free_bytes();
-        let va = a.mmap(4 << 20, MmapFlags { huge: true, map_id: None }).unwrap();
-        assert_eq!(a.free_bytes(), before - (4 << 20));
-        a.munmap(va).unwrap();
-        assert_eq!(a.free_bytes(), before);
-        assert!(a.translate(va).is_err());
-        assert_eq!(a.region_count(), 0);
+    fn munmap_frees_frames() {
+        for (len, huge, used) in [(4 << 20, true, 4 << 20), (10_000, false, 3 * 4096)] {
+            let mut a = AddressSpace::new(16 << 20);
+            let va = a.mmap(len, MmapFlags { huge, map_id: None }).unwrap();
+            assert_eq!(a.free_bytes(), (16 << 20) - used);
+            a.munmap(va).unwrap();
+            assert_eq!(a.free_bytes(), 16 << 20);
+            assert!(a.translate(va).is_err());
+            assert_eq!(a.region_count(), 0);
+        }
     }
 
     #[test]
-    fn oom_rolls_back_huge_mmap() {
-        let mut a = AddressSpace::new(4 << 20);
-        let err = a.mmap(8 << 20, MmapFlags { huge: true, map_id: None }).unwrap_err();
-        assert!(matches!(err, FacilError::OutOfMemory { .. }));
-        assert_eq!(a.free_bytes(), 4 << 20, "rolled back");
-        assert_eq!(a.region_count(), 0);
+    fn oom_rolls_back_mmap() {
+        for (len, huge) in [(8 << 20, true), (5 << 20, false)] {
+            let mut a = AddressSpace::new(4 << 20);
+            let err = a.mmap(len, MmapFlags { huge, map_id: None }).unwrap_err();
+            assert!(matches!(err, FacilError::OutOfMemory { .. }));
+            assert_eq!(a.free_bytes(), 4 << 20, "rolled back");
+            assert_eq!(a.region_count(), 0);
+        }
     }
 
     #[test]

@@ -14,6 +14,11 @@
 use crate::error::{FacilError, Result};
 use crate::paging::pte::{BASE_PAGE_BITS, HUGE_PAGE_BITS};
 
+#[cfg(test)]
+mod differential;
+#[cfg(test)]
+mod reference;
+
 /// Frames per 2 MB huge page.
 pub const FRAMES_PER_HUGE: u64 = 1 << (HUGE_PAGE_BITS - BASE_PAGE_BITS);
 
@@ -39,20 +44,51 @@ pub struct HugeAlloc {
     pub frames_moved: u64,
 }
 
-/// Bitmap physical-frame allocator (one bit per 4 KB frame) with per-block
-/// free counts so huge-page allocation stays fast at 64 GB scale.
+/// Bitmap physical-frame allocator: one bit per 4 KB frame, set = used.
+///
+/// It works a 64-frame word or a whole 2 MB block (8 words) at a time.
+/// Next to the bitmap it keeps each block's free count and two indexes over
+/// the counts, both exact after every operation: a bitset of the fully-free
+/// blocks, and the largest count in each group of 64 blocks. The indexes
+/// cost about one bit plus 1/32 byte per block. With `B` blocks:
+///
+/// * `alloc_huge`, direct: a scan of `B / 64` words for the lowest
+///   fully-free block, then 8 word writes;
+/// * `alloc_huge`, compacting: a scan of `B / 64` group maxima and one
+///   group's 64 counts for the victim, then a relocation walk from the
+///   rotating cursor that reads one count per block it passes and fills
+///   words at a time;
+/// * `free_huge`: 8 words; `free_base`: one bit;
+/// * `alloc_base`: a scan of the `B` block counts for a partial block;
+/// * `fragment_to`: one write per bitmap word plus one per separator frame
+///   of the scattered region, then a popcount per word;
+/// * `free_huge_blocks` and `fmfi`: a popcount of `B / 64` words.
+///
+/// Each count change also refreshes its group's maximum, rescanning the
+/// group's 64 counts only when the group loses its maximum.
 #[derive(Debug, Clone)]
 pub struct PhysicalMemory {
     /// 1 bit per frame; set = used.
     bits: Vec<u64>,
     /// Free frames per 2 MB block.
     block_free: Vec<u16>,
+    /// Bit `b % 64` of word `b / 64` is set iff block `b` is fully free.
+    free_blocks: Vec<u64>,
+    /// Largest `block_free` of each group of [`GROUP`] consecutive blocks.
+    group_max: Vec<u16>,
     frames: u64,
     free_frames: u64,
     stats: AllocStats,
     /// Rotating cursor for relocation-target search.
     scan_hint: u64,
 }
+
+/// Bitmap words per 2 MB block.
+const BLOCK_WORDS: usize = (FRAMES_PER_HUGE / 64) as usize;
+
+/// Blocks per group of the compaction-victim index: one word of the
+/// fully-free bitset covers one group.
+const GROUP: usize = 64;
 
 impl PhysicalMemory {
     /// Create an allocator over `total_bytes` of physical memory.
@@ -64,32 +100,61 @@ impl PhysicalMemory {
         assert_eq!(total_bytes % (1 << HUGE_PAGE_BITS), 0, "size must be a multiple of 2 MB");
         let frames = total_bytes >> BASE_PAGE_BITS;
         let blocks = (frames / FRAMES_PER_HUGE) as usize;
-        PhysicalMemory {
-            bits: vec![0u64; (frames as usize).div_ceil(64)],
+        let mut pm = PhysicalMemory {
+            bits: vec![0u64; blocks * BLOCK_WORDS],
             block_free: vec![FRAMES_PER_HUGE as u16; blocks],
+            free_blocks: vec![0; blocks.div_ceil(GROUP)],
+            group_max: vec![0; blocks.div_ceil(GROUP)],
             frames,
             free_frames: frames,
             stats: AllocStats::default(),
             scan_hint: 0,
+        };
+        pm.index_groups();
+        pm
+    }
+
+    /// Rebuild the fully-free bitset and the group maxima from the counts.
+    fn index_groups(&mut self) {
+        let groups = self.block_free.chunks(GROUP);
+        for ((free, max), counts) in
+            self.free_blocks.iter_mut().zip(&mut self.group_max).zip(groups)
+        {
+            *free = counts
+                .iter()
+                .rev()
+                .fold(0, |w, &f| w << 1 | u64::from(u64::from(f) == FRAMES_PER_HUGE));
+            *max = counts.iter().copied().max().unwrap_or(0);
         }
     }
 
-    fn is_used(&self, frame: u64) -> bool {
-        self.bits[(frame / 64) as usize] >> (frame % 64) & 1 == 1
+    /// Set block `b`'s free count, keeping both indexes in step.
+    fn set_block_free(&mut self, b: usize, free: u16) {
+        let old = std::mem::replace(&mut self.block_free[b], free);
+        let (g, bit) = (b / GROUP, 1u64 << (b % GROUP));
+        if u64::from(free) == FRAMES_PER_HUGE {
+            self.free_blocks[g] |= bit;
+        } else {
+            self.free_blocks[g] &= !bit;
+        }
+        let max = &mut self.group_max[g];
+        if free >= *max {
+            *max = free;
+        } else if old == *max {
+            let group = self.block_free[g * GROUP..].iter().take(GROUP);
+            *max = group.copied().max().unwrap_or(0);
+        }
     }
 
-    fn set_used(&mut self, frame: u64) {
-        debug_assert!(!self.is_used(frame));
-        self.bits[(frame / 64) as usize] |= 1 << (frame % 64);
-        self.block_free[(frame / FRAMES_PER_HUGE) as usize] -= 1;
-        self.free_frames -= 1;
+    /// Bitmap words of block `b`.
+    fn block_words(&mut self, b: usize) -> &mut [u64] {
+        &mut self.bits[b * BLOCK_WORDS..(b + 1) * BLOCK_WORDS]
     }
 
-    fn set_free(&mut self, frame: u64) {
-        debug_assert!(self.is_used(frame));
-        self.bits[(frame / 64) as usize] &= !(1 << (frame % 64));
-        self.block_free[(frame / FRAMES_PER_HUGE) as usize] += 1;
-        self.free_frames += 1;
+    /// The lowest fully-free block.
+    fn first_free_block(&self) -> Option<usize> {
+        let g = self.free_blocks.iter().position(|&w| w != 0)?;
+        Some(g * GROUP + self.free_blocks[g].trailing_zeros() as usize)
     }
 
     /// Total physical frames.
@@ -107,13 +172,9 @@ impl PhysicalMemory {
         self.stats
     }
 
-    fn blocks(&self) -> u64 {
-        self.block_free.len() as u64
-    }
-
     /// Number of fully-free, aligned 2 MB blocks.
     pub fn free_huge_blocks(&self) -> u64 {
-        self.block_free.iter().filter(|&&f| u64::from(f) == FRAMES_PER_HUGE).count() as u64
+        self.free_blocks.iter().map(|w| u64::from(w.count_ones())).sum()
     }
 
     /// Free-memory fragmentation index for 2 MB allocations:
@@ -137,32 +198,39 @@ impl PhysicalMemory {
             return Err(FacilError::OutOfMemory { requested: 1 << BASE_PAGE_BITS, free: 0 });
         }
         // Prefer a partial block so fully-free blocks stay huge-page ready
-        // (mirrors the kernel's anti-fragmentation placement).
-        // `free_frames > 0` was checked above, and `block_free` is kept in
+        // (mirrors the kernel's anti-fragmentation placement). Without one,
+        // every block with a free frame is fully free.
+        // `free_frames > 0` was checked above, and the counts are kept in
         // lockstep with the frame bitmap, so both lookups must succeed.
         #[allow(clippy::expect_used)]
         let block = self
             .block_free
             .iter()
             .position(|&f| f > 0 && u64::from(f) < FRAMES_PER_HUGE)
-            .or_else(|| self.block_free.iter().position(|&f| f > 0))
+            .or_else(|| self.first_free_block())
             .expect("free frames exist");
-        let start = block as u64 * FRAMES_PER_HUGE;
         #[allow(clippy::expect_used)]
-        let frame = (start..start + FRAMES_PER_HUGE)
-            .find(|&f| !self.is_used(f))
+        let (i, word) = self
+            .block_words(block)
+            .iter_mut()
+            .enumerate()
+            .find(|(_, w)| **w != u64::MAX)
             .expect("block_free count says a frame is free");
-        self.set_used(frame);
+        let bit = (!*word).trailing_zeros();
+        *word |= 1 << bit;
+        self.free_frames -= 1;
+        self.set_block_free(block, self.block_free[block] - 1);
         self.stats.base_pages += 1;
+        let frame = block as u64 * FRAMES_PER_HUGE + i as u64 * 64 + u64::from(bit);
         Ok(frame << BASE_PAGE_BITS)
     }
 
     /// Allocate one 2 MB huge page, compacting if necessary.
     ///
-    /// Direct path: take a fully-free aligned block. Compaction path: pick
-    /// the partial block with the most free frames, relocate its used frames
-    /// into free frames of other partial blocks (counted in `frames_moved`),
-    /// then take the block.
+    /// Direct path: take the lowest fully-free aligned block. Compaction
+    /// path: pick the partial block with the most free frames (the last one
+    /// on a tie), relocate its used frames into free frames of other partial
+    /// blocks (counted in `frames_moved`), then take the block.
     ///
     /// # Errors
     ///
@@ -174,74 +242,116 @@ impl PhysicalMemory {
                 free: self.free_bytes(),
             });
         }
-        // Direct path.
-        if let Some(block) = self.block_free.iter().position(|&f| u64::from(f) == FRAMES_PER_HUGE) {
-            let start = block as u64 * FRAMES_PER_HUGE;
-            for fr in start..start + FRAMES_PER_HUGE {
-                self.set_used(fr);
-            }
+        if let Some(block) = self.first_free_block() {
+            self.claim(block);
             self.stats.pages_direct += 1;
-            return Ok(HugeAlloc { pa: start << BASE_PAGE_BITS, frames_moved: 0 });
+            return Ok(HugeAlloc { pa: (block as u64) << HUGE_PAGE_BITS, frames_moved: 0 });
         }
-        // Compaction path: victim = partial block with most free frames.
-        // The capacity check at the top guarantees at least one such block.
+        // No block is fully free, and the capacity check above guarantees
+        // some block has free frames, so the victim is a partial block.
         #[allow(clippy::expect_used)]
-        let victim = self
-            .block_free
-            .iter()
-            .enumerate()
-            .filter(|(_, &f)| f > 0)
-            .max_by_key(|(_, &f)| f)
-            .map(|(b, _)| b as u64)
-            .expect("free frames exist, so some block has free frames");
-        let to_move = FRAMES_PER_HUGE - u64::from(self.block_free[victim as usize]);
-        let start = victim * FRAMES_PER_HUGE;
-        // Relocate: occupy `to_move` free frames outside the victim block,
-        // starting from the rotating hint.
-        let mut moved = 0;
-        let nblocks = self.blocks();
+        let victim = self.victim().expect("free frames exist, so blocks exist");
+        let to_move = FRAMES_PER_HUGE - u64::from(self.block_free[victim]);
+        self.relocate(victim, to_move);
+        self.claim(victim);
+        self.stats.pages_compacted += 1;
+        self.stats.frames_moved += to_move;
+        Ok(HugeAlloc { pa: (victim as u64) << HUGE_PAGE_BITS, frames_moved: to_move })
+    }
+
+    /// The compaction victim: the last block holding the most free frames,
+    /// as a `max_by_key` over all blocks picks it. `max_by_key` keeps the
+    /// last maximum, so the last group holding the largest maximum holds it.
+    fn victim(&self) -> Option<usize> {
+        let (g, _) = self.group_max.iter().enumerate().max_by_key(|(_, &m)| m)?;
+        let group = self.block_free[g * GROUP..].iter().take(GROUP);
+        let (i, _) = group.enumerate().max_by_key(|(_, &f)| f)?;
+        Some(g * GROUP + i)
+    }
+
+    /// Occupy `need` free frames outside `victim` (the frames compaction
+    /// moves out of it): the lowest free frames of each block with any,
+    /// visiting blocks in order from the rotating hint.
+    fn relocate(&mut self, victim: usize, mut need: u64) {
+        let nblocks = self.block_free.len();
+        let mut b = (self.scan_hint % nblocks as u64) as usize;
         let mut scanned = 0;
-        let mut b = self.scan_hint % nblocks;
-        while moved < to_move && scanned < nblocks {
-            if b != victim && self.block_free[b as usize] > 0 {
-                let bstart = b * FRAMES_PER_HUGE;
-                let mut fr = bstart;
-                while moved < to_move && fr < bstart + FRAMES_PER_HUGE {
-                    if !self.is_used(fr) {
-                        self.set_used(fr);
-                        moved += 1;
-                    }
-                    fr += 1;
-                }
+        while need > 0 && scanned < nblocks {
+            if b != victim && self.block_free[b] > 0 {
+                need -= self.take_lowest(b, need);
             }
             b = (b + 1) % nblocks;
             scanned += 1;
         }
-        self.scan_hint = b;
-        debug_assert_eq!(moved, to_move, "free_frames accounting guarantees room");
-        // Claim the whole victim block.
-        for fr in start..start + FRAMES_PER_HUGE {
-            if !self.is_used(fr) {
-                self.set_used(fr);
-            }
-        }
-        self.stats.pages_compacted += 1;
-        self.stats.frames_moved += to_move;
-        Ok(HugeAlloc { pa: start << BASE_PAGE_BITS, frames_moved: to_move })
+        self.scan_hint = b as u64;
+        debug_assert_eq!(need, 0, "free_frames accounting guarantees room");
     }
 
-    /// Free a previously-allocated huge page.
+    /// Occupy the lowest `need` free frames of block `b`, or all of them if
+    /// it has fewer; returns how many it took. Whole words are filled at
+    /// once; only a partly taken word is set a bit at a time.
+    fn take_lowest(&mut self, b: usize, need: u64) -> u64 {
+        let mut taken = 0;
+        for word in self.block_words(b) {
+            let mut free = !*word;
+            let n = u64::from(free.count_ones());
+            if taken + n <= need {
+                *word = u64::MAX;
+                taken += n;
+            } else {
+                for _ in taken..need {
+                    let lowest = free & free.wrapping_neg();
+                    *word |= lowest;
+                    free ^= lowest;
+                }
+                taken = need;
+            }
+            if taken == need {
+                break;
+            }
+        }
+        self.free_frames -= taken;
+        self.set_block_free(b, self.block_free[b] - taken as u16);
+        taken
+    }
+
+    /// Occupy every frame of block `b`.
+    fn claim(&mut self, b: usize) {
+        self.block_words(b).fill(u64::MAX);
+        self.free_frames -= u64::from(self.block_free[b]);
+        self.set_block_free(b, 0);
+    }
+
+    /// Free a previously-allocated huge page: every used frame of its block.
     ///
     /// # Panics
     ///
-    /// Panics if `pa` is not 2 MB-aligned.
+    /// Panics if `pa` is not 2 MB-aligned or lies beyond physical memory.
     pub fn free_huge(&mut self, pa: u64) {
         assert_eq!(pa & ((1 << HUGE_PAGE_BITS) - 1), 0);
-        let start = pa >> BASE_PAGE_BITS;
-        for fr in start..start + FRAMES_PER_HUGE {
-            if self.is_used(fr) {
-                self.set_free(fr);
-            }
+        let b = (pa >> HUGE_PAGE_BITS) as usize;
+        let words = self.block_words(b);
+        let used: u32 = words.iter().map(|w| w.count_ones()).sum();
+        words.fill(0);
+        self.free_frames += u64::from(used);
+        self.set_block_free(b, FRAMES_PER_HUGE as u16);
+    }
+
+    /// Free a previously-allocated 4 KB frame. Like [`Self::free_huge`],
+    /// freeing a frame that is already free changes nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pa` is not 4 KB-aligned or lies beyond physical memory.
+    pub fn free_base(&mut self, pa: u64) {
+        assert_eq!(pa & ((1 << BASE_PAGE_BITS) - 1), 0);
+        let frame = pa >> BASE_PAGE_BITS;
+        let (word, bit) = (&mut self.bits[(frame / 64) as usize], 1u64 << (frame % 64));
+        if *word & bit != 0 {
+            *word &= !bit;
+            self.free_frames += 1;
+            let b = (frame / FRAMES_PER_HUGE) as usize;
+            self.set_block_free(b, self.block_free[b] + 1);
         }
     }
 
@@ -258,10 +368,7 @@ impl PhysicalMemory {
     pub fn fragment_to(&mut self, used_bytes: u64, fmfi: f64) {
         assert!((0.0..=1.0).contains(&fmfi), "fmfi must be in [0,1]");
         assert!(used_bytes <= self.frames << BASE_PAGE_BITS);
-        // Reset.
-        self.bits.iter_mut().for_each(|w| *w = 0);
-        self.block_free.iter_mut().for_each(|f| *f = FRAMES_PER_HUGE as u16);
-        self.free_frames = self.frames;
+        self.bits.fill(0);
         self.stats = AllocStats::default();
         self.scan_hint = 0;
 
@@ -273,43 +380,54 @@ impl PhysicalMemory {
         // run length adapts so even low-utilization, high-FMFI states are
         // representable (few used frames can break up a lot of free memory).
         let scattered = (free_frames as f64 * fmfi).round() as u64;
-        let mut used_budget = used_frames;
         let free_run = if scattered == 0 {
             1
         } else {
-            scattered.div_ceil(used_budget.max(1)).clamp(1, FRAMES_PER_HUGE / 2)
+            scattered.div_ceil(used_frames.max(1)).clamp(1, FRAMES_PER_HUGE / 2)
         };
         let period = free_run + 1;
-        let mut remaining_scatter = scattered;
-        let mut fr = 0u64;
-        while remaining_scatter > 0 && used_budget > 0 && fr < self.frames {
-            if fr % period < free_run {
-                if remaining_scatter > 0 {
-                    remaining_scatter -= 1;
-                } else {
-                    self.set_used(fr);
-                    used_budget -= 1;
-                }
-            } else {
-                self.set_used(fr);
-                used_budget -= 1;
-            }
-            fr += 1;
+        // The mixed region repeats `free_run` free frames and one separator.
+        // It ends just past the last scattered free frame, or just past the
+        // last separator the used frames pay for, whichever comes first.
+        let mixed = if scattered == 0 || used_frames == 0 {
+            0
+        } else {
+            let past_scattered =
+                (scattered - 1) / free_run * period + (scattered - 1) % free_run + 1;
+            past_scattered.min(used_frames * period).min(self.frames)
+        };
+        for fr in (free_run..mixed).step_by(period as usize) {
+            self.bits[(fr / 64) as usize] |= 1 << (fr % 64);
         }
-        // Round the mixed region up to a block boundary so the tail block is
-        // not accidentally huge-page ready; pad it with used frames.
-        while !fr.is_multiple_of(FRAMES_PER_HUGE) && used_budget > 0 && fr < self.frames {
-            self.set_used(fr);
-            used_budget -= 1;
-            fr += 1;
+        // The remaining used frames follow in one run: first they pad the
+        // mixed region's tail block, so it is not accidentally huge-page
+        // ready, then they fill whole blocks.
+        let rest = used_frames - mixed / period;
+        assert!(rest <= self.frames - mixed, "could not place all used frames");
+        self.fill_used(mixed, mixed + rest);
+        for (free, words) in self.block_free.iter_mut().zip(self.bits.chunks_exact(BLOCK_WORDS)) {
+            let used: u32 = words.iter().map(|w| w.count_ones()).sum();
+            *free = (FRAMES_PER_HUGE - u64::from(used)) as u16;
         }
-        // Remaining used frames fill whole blocks after the mixed region.
-        while used_budget > 0 && fr < self.frames {
-            self.set_used(fr);
-            used_budget -= 1;
-            fr += 1;
+        self.free_frames = free_frames;
+        self.index_groups();
+    }
+
+    /// Mark frames `lo..hi` used in the bitmap (counts untouched).
+    fn fill_used(&mut self, lo: u64, hi: u64) {
+        if lo >= hi {
+            return;
         }
-        assert_eq!(used_budget, 0, "could not place all used frames");
+        let (first, last) = ((lo / 64) as usize, ((hi - 1) / 64) as usize);
+        let head = u64::MAX << (lo % 64);
+        let tail = u64::MAX >> (63 - (hi - 1) % 64);
+        if first == last {
+            self.bits[first] |= head & tail;
+        } else {
+            self.bits[first] |= head;
+            self.bits[first + 1..last].fill(u64::MAX);
+            self.bits[last] |= tail;
+        }
     }
 }
 

@@ -62,6 +62,10 @@ fn address_space_matches_model() {
                 let t = space.translate(va + len / 2).expect("mapped");
                 assert_eq!(t.map_id, *map_id);
             }
+            // Frames are conserved: exactly the mapped bytes are in use,
+            // through failed mmaps (rolled back) and munmaps of either size.
+            let mapped: u64 = model.iter().map(|(_, len, _)| len).sum();
+            assert_eq!(space.free_bytes(), total - mapped);
         }
         assert_eq!(space.region_count(), model.len());
     });

@@ -1,6 +1,8 @@
 //! Property-based tests for the FACIL mapping formulation, selector,
 //! paging and allocator.
 
+use std::collections::HashSet;
+
 use facil_check::{cases, Gen};
 use facil_core::paging::{PageTable, PhysicalMemory, Tlb};
 use facil_core::{
@@ -114,7 +116,8 @@ fn selector_output_is_always_placeable() {
 
 /// The physical allocator conserves frames exactly: free bytes decrease
 /// by exactly 2 MB per successful huge-page allocation, regardless of
-/// fragmentation.
+/// fragmentation, and it never double-allocates: every page it hands out
+/// is 2 MB-aligned and distinct from every page still held.
 #[test]
 fn allocator_conserves_frames() {
     cases(128, |g| {
@@ -124,8 +127,11 @@ fn allocator_conserves_frames() {
         let used = ((total as f64 * used_frac) as u64 >> 12) << 12;
         pm.fragment_to(used, fmfi);
         let mut free = pm.free_bytes();
-        while let Ok(_a) = pm.alloc_huge() {
+        let mut held = HashSet::new();
+        while let Ok(a) = pm.alloc_huge() {
             assert_eq!(pm.free_bytes(), free - (2 << 20));
+            assert_eq!(a.pa % (2 << 20), 0, "{:#x} is not 2 MB-aligned", a.pa);
+            assert!(held.insert(a.pa), "{:#x} handed out twice", a.pa);
             free = pm.free_bytes();
         }
         assert!(pm.free_bytes() < 2 << 20);

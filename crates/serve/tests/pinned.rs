@@ -1,9 +1,11 @@
 //! Byte-identity pins for the serving driver: FNV-1a digests of
-//! `ServeReport::to_json()` for fault-free fleets under both routings, and
-//! for the `chaos` binary's crash-failover and fault-rate-sweep fleets.
-//! The digests were recorded from the fleet driver before it became a
-//! one-cell cluster; any change to the schedule, the report or its JSON
-//! moves them.
+//! `ServeReport::to_json()` for fault-free fleets under both routings, for
+//! the `chaos` binary's crash-failover and fault-rate-sweep fleets, and for
+//! fleets on fragmented memory whose KV reservations compact. The first
+//! two were recorded from the fleet driver before it became a one-cell
+//! cluster, the last from the frame-at-a-time physical allocator; any
+//! change to the schedule, the pages the allocator picks, the report or
+//! its JSON moves them.
 
 use facil_serve::{
     run_fleet, run_fleet_with_faults, FaultEvent, FaultKind, FaultPlan, FaultRates, FleetConfig,
@@ -114,5 +116,30 @@ fn chaos_binary_fleets_are_pinned() {
             0x4b62_a2bd_6f04_69a2,
             0x475a_84c5_8e77_76f2,
         ],
+    );
+}
+
+/// Fleets whose devices are prepared at a non-zero FMFI, so KV slab
+/// reservations go through the huge-page allocator's fragmented state: the
+/// default FMFI 0.25, and FMFI 0.75 under a KV budget small enough that
+/// slab allocations run out of fully-free 2 MB blocks and compact. At FMFI
+/// 0.25 nothing compacts, so that report equals the unfragmented 4-device
+/// least-loaded one pinned above.
+#[test]
+fn fragmented_fleets_are_pinned() {
+    let d = Dataset::alpaca_like(11, 96);
+    let arrival = ArrivalProcess::Poisson { qps: 16.0 };
+    let fc = FleetConfig { devices: 4, routing: Routing::LeastLoaded };
+    let default = ServeConfig { seed: 9, ..ServeConfig::default() };
+    let tight = ServeConfig { fmfi: 0.75, kv_budget_bytes: 1 << 30, ..default };
+    let r = run_fleet(sim(), &d, &arrival, default, fc).unwrap();
+    let got_default = digest(&r);
+    let r = run_fleet(sim(), &d, &arrival, tight, fc).unwrap();
+    let moved: u64 = r.devices.iter().map(|d| d.kv_frames_moved).sum();
+    assert!(moved > 0, "FMFI 0.75 under a 1 GB KV budget must compact");
+    check(
+        "fragmented fleet",
+        &[got_default, digest(&r)],
+        &[0x4ef1_b61c_436e_44a4, 0xc91d_cd7b_f29e_5f3b],
     );
 }
