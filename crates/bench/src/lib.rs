@@ -2,24 +2,27 @@
 //!
 //! Experiment regenerators for every table and figure of the FACIL
 //! (HPCA 2025) evaluation. Each `fig*`/`table*` function returns structured
-//! results; the matching binary under `src/bin/` prints them in the paper's
-//! row/series format, and the `benchmark/` crate times them end to end.
+//! results; the `report` binary prints them all in the paper's row/series
+//! format, and the `benchmark/` crate times them end to end.
 //!
-//! | Paper artifact | Function | Binary |
-//! |---|---|---|
-//! | Fig. 2(a)/(b) | [`fig02_profile`] | `fig02_profile` |
-//! | Fig. 3 | [`fig03_pim_speedup`] | `fig03_pim_speedup` |
-//! | Fig. 6 | [`fig06_relayout`] | `fig06_relayout` |
-//! | Table I | [`table1_hugepage`] | `table1_hugepage` |
-//! | Table III | [`table3_gemm_slowdown`] | `table3_gemm_slowdown` |
-//! | Fig. 13 | [`fig13_ttft`] | `fig13_ttft` |
-//! | Fig. 14 | [`fig14_ttlt`] | `fig14_ttlt` |
-//! | Fig. 15 | [`fig15_datasets`] | `fig15_datasets_ttft` |
-//! | Fig. 16 | [`fig16_datasets`] | `fig16_datasets_ttlt` |
+//! | Paper artifact | Function |
+//! |---|---|
+//! | Fig. 2(a)/(b) | [`fig02_profile`] |
+//! | Fig. 3 | [`fig03_pim_speedup`] |
+//! | Fig. 6 | [`fig06_relayout`] |
+//! | Table I | [`table1_hugepage`] |
+//! | Table III | [`table3_gemm_slowdown`] |
+//! | Fig. 13 | [`fig13_ttft`] |
+//! | Fig. 14 | [`fig14_ttlt`] |
+//! | Fig. 15 | [`fig15_datasets`] |
+//! | Fig. 16 | [`fig16_datasets`] |
 //!
-//! Every binary shares the observability flags of [`cli::BenchCli`]
-//! (`--json`, `--out`, `--seed`, `--trace`, `--smoke`) and emits one
-//! schema-versioned [`facil_telemetry::RunManifest`] record per run.
+//! The other binaries under `src/bin/` run the experiments beyond the
+//! paper: `ablations`, `chaos`, `cluster`, `fidelity`, `mapsearch`,
+//! `serving_v2` and `trace_replay`. Every binary shares the observability
+//! flags of [`cli::BenchCli`] (`--json`, `--out`, `--seed`, `--trace`,
+//! `--smoke`) and emits one schema-versioned
+//! [`facil_telemetry::RunManifest`] record per run.
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
@@ -37,9 +40,9 @@ use facil_soc::{gemm_layout_slowdown, Platform, PlatformId};
 use facil_workloads::{geomean, Dataset};
 
 /// Pretty-print a table with a header row.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
+pub fn print_table(title: &str, headers: &[impl AsRef<str>], rows: &[Vec<String>]) {
     println!("\n== {title} ==");
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
+    let mut widths: Vec<usize> = headers.iter().map(|h| h.as_ref().len()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {
             widths[i] = widths[i].max(cell.len());
@@ -53,7 +56,7 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
             .collect::<Vec<_>>()
             .join("  ")
     };
-    println!("{}", fmt_row(&headers.iter().map(|s| s.to_string()).collect::<Vec<_>>()));
+    println!("{}", fmt_row(&headers.iter().map(|s| s.as_ref().to_string()).collect::<Vec<_>>()));
     for row in rows {
         println!("{}", fmt_row(row));
     }

@@ -7,10 +7,10 @@
 //! [`RadixPageTable`]; [`crate::pimalloc::FacilSystem`] is the
 //! whole-system fast path. Their translation semantics agree (tested).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use crate::error::{FacilError, Result};
-use crate::paging::phys::PhysicalMemory;
+use crate::paging::phys::{AllocStats, PhysicalMemory};
 use crate::paging::pte::{BASE_PAGE_BITS, HUGE_PAGE_BITS};
 use crate::paging::radix::RadixPageTable;
 use crate::paging::table::Translation;
@@ -83,10 +83,14 @@ impl AddressSpace {
         // Align the base to the page size.
         let va = (self.next_va + page - 1) & !(page - 1);
         let mut mapped = Vec::new();
+        let mut moves = Vec::new();
         for i in 0..pages {
             let page_va = va + i * page;
             let res = if flags.huge {
-                self.phys.alloc_huge().map(|h| {
+                let h = self.phys.alloc_huge_with_moves(&mut moves);
+                self.follow(&moves);
+                moves.clear();
+                h.map(|h| {
                     self.table.map_huge(page_va, h.pa, flags.map_id);
                     h.pa
                 })
@@ -129,6 +133,24 @@ impl AddressSpace {
         Ok(())
     }
 
+    /// Point every 4 KB page whose frame compaction moved at the frame's new
+    /// place. Compaction only moves the 4 KB frames of live regions.
+    fn follow(&mut self, moves: &[(u64, u64)]) {
+        if moves.is_empty() {
+            return;
+        }
+        let moved: HashMap<u64, u64> = moves.iter().copied().collect();
+        for (&va, region) in self.regions.iter().filter(|(_, r)| !r.flags.huge) {
+            for page_va in (va..va + region.len).step_by(1 << BASE_PAGE_BITS) {
+                if let Ok((t, _)) = self.table.translate(page_va) {
+                    if let Some(&to) = moved.get(&t.pa) {
+                        self.table.map_base(page_va, to);
+                    }
+                }
+            }
+        }
+    }
+
     /// Return one page's physical frames.
     fn free_page(&mut self, pa: u64, huge: bool) {
         if huge {
@@ -155,6 +177,11 @@ impl AddressSpace {
     /// Free physical bytes.
     pub fn free_bytes(&self) -> u64 {
         self.phys.free_bytes()
+    }
+
+    /// The physical allocator's statistics, compaction included.
+    pub fn alloc_stats(&self) -> AllocStats {
+        self.phys.stats()
     }
 
     /// Number of live regions.
@@ -228,6 +255,33 @@ mod tests {
         let mut a = AddressSpace::new(4 << 20);
         assert!(a.mmap(0, MmapFlags::default()).is_err());
         assert!(matches!(a.munmap(0x123), Err(FacilError::NotMapped { .. })));
+    }
+
+    /// Compaction moves live 4 KB frames out of the block it turns into a
+    /// huge page; their pages must follow them, or `munmap` frees frames of
+    /// the huge page and leaks the moved ones.
+    #[test]
+    fn compaction_moves_base_pages_with_their_frames() {
+        let mut a = AddressSpace::new(6 << 20);
+        let (base, huge) = (MmapFlags::default(), MmapFlags { huge: true, map_id: None });
+        let first = a.mmap(300 << 12, base).unwrap();
+        let h1 = a.mmap(2 << 20, huge).unwrap();
+        let second = a.mmap(300 << 12, base).unwrap();
+        a.munmap(first).unwrap();
+        // No block is fully free: this compacts 88 frames of `second`.
+        let h2 = a.mmap(2 << 20, huge).unwrap();
+        let blocks = [h1, h2].map(|h| a.translate(h).unwrap().pa);
+        for va in (second..second + (300 << 12)).step_by(4096) {
+            let pa = a.translate(va).unwrap().pa;
+            assert!(
+                blocks.iter().all(|&b| pa < b || pa >= b + (2 << 20)),
+                "{pa:#x} is in a huge page"
+            );
+        }
+        for va in [second, h1, h2] {
+            a.munmap(va).unwrap();
+        }
+        assert_eq!(a.free_bytes(), 6 << 20, "every frame is free again");
     }
 
     #[test]

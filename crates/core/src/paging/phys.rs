@@ -90,6 +90,20 @@ const BLOCK_WORDS: usize = (FRAMES_PER_HUGE / 64) as usize;
 /// fully-free bitset covers one group.
 const GROUP: usize = 64;
 
+/// The frames whose bits are set in `words`, lowest first, where bit 0 of
+/// the first word is frame `first`.
+fn set_frames(words: &[u64], first: u64) -> Vec<u64> {
+    let mut frames = Vec::new();
+    for (i, &w) in words.iter().enumerate() {
+        let mut w = w;
+        while w != 0 {
+            frames.push(first + i as u64 * 64 + u64::from(w.trailing_zeros()));
+            w &= w - 1;
+        }
+    }
+    frames
+}
+
 impl PhysicalMemory {
     /// Create an allocator over `total_bytes` of physical memory.
     ///
@@ -236,6 +250,21 @@ impl PhysicalMemory {
     ///
     /// [`FacilError::OutOfMemory`] when fewer than 512 frames remain free.
     pub fn alloc_huge(&mut self) -> Result<HugeAlloc> {
+        self.alloc_huge_inner(None)
+    }
+
+    /// [`Self::alloc_huge`], appending to `moves` one (source, destination)
+    /// pair of physical addresses per 4 KB frame that compaction moved, so
+    /// that the caller can follow its pages to their new frames.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::alloc_huge`].
+    pub fn alloc_huge_with_moves(&mut self, moves: &mut Vec<(u64, u64)>) -> Result<HugeAlloc> {
+        self.alloc_huge_inner(Some(moves))
+    }
+
+    fn alloc_huge_inner(&mut self, moves: Option<&mut Vec<(u64, u64)>>) -> Result<HugeAlloc> {
         if self.free_frames < FRAMES_PER_HUGE {
             return Err(FacilError::OutOfMemory {
                 requested: 1 << HUGE_PAGE_BITS,
@@ -252,7 +281,19 @@ impl PhysicalMemory {
         #[allow(clippy::expect_used)]
         let victim = self.victim().expect("free frames exist, so blocks exist");
         let to_move = FRAMES_PER_HUGE - u64::from(self.block_free[victim]);
-        self.relocate(victim, to_move);
+        match moves {
+            None => self.relocate(victim, to_move, None),
+            // The victim's used frames move, lowest first, to the frames
+            // relocation takes, in the order it takes them.
+            Some(moves) => {
+                let first = victim as u64 * FRAMES_PER_HUGE;
+                let sources = set_frames(self.block_words(victim), first);
+                let mut targets = Vec::with_capacity(sources.len());
+                self.relocate(victim, to_move, Some(&mut targets));
+                let pa = |frame: u64| frame << BASE_PAGE_BITS;
+                moves.extend(sources.into_iter().zip(targets).map(|(s, d)| (pa(s), pa(d))));
+            }
+        }
         self.claim(victim);
         self.stats.pages_compacted += 1;
         self.stats.frames_moved += to_move;
@@ -271,14 +312,15 @@ impl PhysicalMemory {
 
     /// Occupy `need` free frames outside `victim` (the frames compaction
     /// moves out of it): the lowest free frames of each block with any,
-    /// visiting blocks in order from the rotating hint.
-    fn relocate(&mut self, victim: usize, mut need: u64) {
+    /// visiting blocks in order from the rotating hint. Appends each frame
+    /// taken to `taken`, if given.
+    fn relocate(&mut self, victim: usize, mut need: u64, mut taken: Option<&mut Vec<u64>>) {
         let nblocks = self.block_free.len();
         let mut b = (self.scan_hint % nblocks as u64) as usize;
         let mut scanned = 0;
         while need > 0 && scanned < nblocks {
             if b != victim && self.block_free[b] > 0 {
-                need -= self.take_lowest(b, need);
+                need -= self.take_lowest(b, need, taken.as_deref_mut());
             }
             b = (b + 1) % nblocks;
             scanned += 1;
@@ -288,11 +330,14 @@ impl PhysicalMemory {
     }
 
     /// Occupy the lowest `need` free frames of block `b`, or all of them if
-    /// it has fewer; returns how many it took. Whole words are filled at
-    /// once; only a partly taken word is set a bit at a time.
-    fn take_lowest(&mut self, b: usize, need: u64) -> u64 {
+    /// it has fewer; returns how many it took, and appends them to `frames`
+    /// if given. Whole words are filled at once; only a partly taken word
+    /// is set a bit at a time.
+    fn take_lowest(&mut self, b: usize, need: u64, mut frames: Option<&mut Vec<u64>>) -> u64 {
         let mut taken = 0;
-        for word in self.block_words(b) {
+        let first = b as u64 * FRAMES_PER_HUGE;
+        for (i, word) in self.block_words(b).iter_mut().enumerate() {
+            let old = *word;
             let mut free = !*word;
             let n = u64::from(free.count_ones());
             if taken + n <= need {
@@ -305,6 +350,9 @@ impl PhysicalMemory {
                     free ^= lowest;
                 }
                 taken = need;
+            }
+            if let Some(frames) = frames.as_deref_mut() {
+                frames.extend(set_frames(&[*word & !old], first + i as u64 * 64));
             }
             if taken == need {
                 break;
@@ -508,6 +556,27 @@ mod tests {
         assert!(a.frames_moved > 0, "must compact");
         assert_eq!(pm.free_bytes(), before_free - (2 << 20));
         assert_eq!(pm.stats().pages_compacted, 1);
+    }
+
+    #[test]
+    fn compaction_reports_each_moved_frame() {
+        let mut pm = PhysicalMemory::new(16 << 20);
+        pm.fragment_to(8 << 20, 1.0);
+        let mut plain = pm.clone();
+        let mut moves = Vec::new();
+        let a = pm.alloc_huge_with_moves(&mut moves).unwrap();
+        assert_eq!(a, plain.alloc_huge().unwrap(), "asking for moves changes no choice");
+        assert_eq!((pm.stats(), pm.free_bytes()), (plain.stats(), plain.free_bytes()));
+        assert_eq!(moves.len() as u64, a.frames_moved);
+        let block = |pa: u64| pa >> HUGE_PAGE_BITS;
+        let mut targets: Vec<u64> = moves.iter().map(|&(_, to)| to).collect();
+        targets.sort_unstable();
+        targets.dedup();
+        assert_eq!(targets.len(), moves.len(), "each moved frame lands on its own frame");
+        for &(from, to) in &moves {
+            assert_eq!(block(from), block(a.pa), "frames move out of the new huge page");
+            assert_ne!(block(to), block(a.pa));
+        }
     }
 
     #[test]

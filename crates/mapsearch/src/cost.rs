@@ -227,24 +227,6 @@ impl<'a> CostModel<'a> {
         })
     }
 
-    /// A cheap lower bound on [`Self::analytic`] for branch-and-bound
-    /// pruning: assumes the candidate spreads work perfectly over every
-    /// bank and channel (makespan = average load), which no real placement
-    /// beats. Only the MapID-dependent reduction term is exact.
-    pub fn lower_bound(&self, candidate: &Candidate) -> f64 {
-        let topo = self.spec.topology;
-        let bytes = self.matrix.padded_bytes();
-        let blocks = (bytes / self.arch.chunk_row_bytes) as f64;
-        let transfers = (bytes / topo.transfer_bytes) as f64;
-        let bank_lb = blocks * self.block_service_cycles() / topo.total_banks() as f64;
-        let chan_lb = transfers * self.spec.timing.burst_cycles as f64 / topo.channels as f64;
-        let stream_lb = bank_lb.max(chan_lb) + self.startup_cycles();
-        let per_pu = self.arch.chunk_row_bytes << candidate.map_id;
-        let partitions = (self.matrix.padded_row_bytes() / per_pu).max(1).min(topo.total_banks());
-        let reduction = self.reduction_cycles(partitions);
-        self.gemv_weight * (stream_lb + reduction) + self.gemm_weight * stream_lb
-    }
-
     /// Score a candidate by replaying sampled windows through the real
     /// FR-FCFS scheduler.
     ///
@@ -330,28 +312,6 @@ mod tests {
         assert!(wider.reduction_cycles > 0.0);
         assert_eq!(paper.partitions, 1);
         assert_eq!(paper.reduction_cycles, 0.0);
-    }
-
-    #[test]
-    fn lower_bound_never_exceeds_analytic() {
-        let (spec, arch) = setup();
-        // Small enough that every window is sampled: the bound must hold
-        // exactly, not just on extrapolated estimates.
-        for matrix in
-            [MatrixConfig::new(64, 4096, DType::F16), MatrixConfig::new(2048, 2048, DType::F16)]
-        {
-            let m = model(&spec, &arch, matrix);
-            for map_id in 0..=3 {
-                let c = Candidate::paper(map_id);
-                let a = m.analytic(&c).unwrap();
-                let lb = m.lower_bound(&c);
-                assert!(
-                    lb <= a.score * (1.0 + 1e-9),
-                    "{matrix} MapID={map_id}: lb {lb} > analytic {}",
-                    a.score
-                );
-            }
-        }
     }
 
     #[test]

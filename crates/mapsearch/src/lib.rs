@@ -9,7 +9,7 @@
 //! The RACAM line of work argues that address mappings should be derived
 //! from observed reuse patterns rather than analytic rules; FACIL's MapID
 //! family makes that search tractable on-device because the candidate
-//! space is tiny (MapID x PU-bit order x bank hash) and every candidate is
+//! space is tiny (MapID x PU-bit order) and every candidate is
 //! geometry-validated at construction. The pipeline:
 //!
 //! 1. [`WorkloadProfile`] — GEMV/GEMM mix and tensor shapes derived from
@@ -22,12 +22,11 @@
 //!    vs per-channel bus occupancy over address windows) used to rank all
 //!    candidates, cross-checked by real [`DramSystem`](facil_dram::DramSystem)
 //!    runs on sampled traces for the top few;
-//! 4. [`search_workload`] — exhaustive search for small spaces,
-//!    hill-climbing with seeded restarts and branch-and-bound pruning for
-//!    large ones; the paper's pick is the incumbent and is only displaced
-//!    by a candidate that beats it by more than an epsilon on *measured*
-//!    cycles, so the four baseline platform configurations reproduce the
-//!    paper's selection exactly;
+//! 4. [`search_workload`] — scores every candidate (6 to 24 per tensor on
+//!    the paper's platforms, small enough to enumerate); the paper's pick
+//!    is the incumbent and is only displaced by a candidate that beats it
+//!    by more than an epsilon on *measured* cycles, so the four baseline
+//!    platform configurations reproduce the paper's selection exactly;
 //! 5. [`SearchReport`] — best MapID per matrix, score trace and
 //!    evaluated-candidate counts, emitted through the existing
 //!    [`RunManifest`](facil_telemetry::RunManifest) JSONL plumbing, and
@@ -35,9 +34,9 @@
 //!    `facil_sim::InferenceSim::with_selector` (the
 //!    `SearchReport -> MappingDecision` adapter).
 //!
-//! Everything is deterministic under a seed: candidate enumeration order
-//! is fixed, the analytic model is pure arithmetic, window sampling is
-//! stride-based (no RNG), and parallel candidate evaluation goes through
+//! Everything is deterministic: candidate enumeration order is fixed, the
+//! analytic model is pure arithmetic, window sampling is stride-based (no
+//! RNG), and parallel candidate evaluation goes through
 //! `facil_telemetry::pool`, which reassembles results in input order
 //! regardless of the worker count.
 
@@ -55,6 +54,5 @@ pub use cost::{AnalyticCost, CostModel, MeasuredCost, SampleConfig};
 pub use profile::{TensorSpec, WorkloadProfile};
 pub use report::SearchReport;
 pub use search::{
-    search_matrix, search_workload, CandidateOutcome, MatrixSearchResult, SearchConfig,
-    SearchStrategy, TracePoint,
+    search_matrix, search_workload, CandidateOutcome, MatrixSearchResult, SearchConfig, TracePoint,
 };

@@ -1,7 +1,7 @@
 //! Search reports: the durable output of a mapping search.
 //!
 //! A [`SearchReport`] bundles the per-tensor [`MatrixSearchResult`]s with
-//! enough provenance (platform, profile, seed, page size) to reproduce the
+//! enough provenance (platform, profile, page size) to reproduce the
 //! run, serializes through the workspace's hand-rolled
 //! [`JsonWriter`] (byte-identical for
 //! identical inputs — the determinism property tests diff these strings),
@@ -23,8 +23,6 @@ pub struct SearchReport {
     pub platform: String,
     /// Workload profile name.
     pub profile: String,
-    /// Search seed (provenance; exhaustive runs do not consume it).
-    pub seed: u64,
     /// Page size (log2 bytes) the schemes fit in.
     pub page_bits: u32,
     /// Topology the search ran against.
@@ -63,7 +61,6 @@ impl SearchReport {
         Ok(SearchReport {
             platform: platform.into(),
             profile: profile.into(),
-            seed: config.seed,
             page_bits: config.page_bits,
             topology,
             arch,
@@ -116,7 +113,6 @@ impl SearchReport {
         w.begin_object()
             .field_str("platform", &self.platform)
             .field_str("profile", &self.profile)
-            .field_uint("seed", self.seed)
             .field_uint("page_bits", u64::from(self.page_bits))
             .field_uint("displaced", self.displaced_count() as u64)
             .field_uint("evaluated", self.evaluated_total())
@@ -139,7 +135,6 @@ impl SearchReport {
                 .field_uint("best_finish_cycle", r.best_measured.stats.finish_cycle)
                 .field_uint("paper_finish_cycle", r.paper_measured.stats.finish_cycle)
                 .field_uint("evaluated", r.evaluated as u64)
-                .field_uint("pruned", r.pruned as u64)
                 .field_uint("space_size", r.space_size as u64)
                 .key("trace")
                 .begin_array();
@@ -233,7 +228,7 @@ mod tests {
     #[test]
     fn manifest_registration_round_trips_schema() {
         let r = report();
-        let mut m = RunManifest::new("mapsearch", r.seed);
+        let mut m = RunManifest::new("mapsearch", 0);
         r.register_into(&mut m);
         let line = m.to_json_line();
         assert!(line.contains("\"bench\":\"mapsearch\""));

@@ -1,29 +1,20 @@
-//! Search strategies over the candidate space.
+//! Exhaustive search over the candidate space.
 //!
-//! The driver ranks the whole space with the analytic model, replays the
-//! top few candidates (plus the paper's pick) through the cycle-accurate
-//! scheduler, and applies an **epsilon incumbent rule**: the paper's
-//! selection is only displaced by a candidate that beats it on *measured*
-//! cycles by more than [`SearchConfig::improvement_threshold`]. Closed-form
-//! and searched picks therefore agree everywhere the paper's rule is
-//! already (near-)optimal — reproducing Fig. 13's four platform baselines —
-//! while genuinely better placements (e.g. a matrix too small to fill the
-//! paper-MapID window) still win.
+//! The driver scores every candidate with the analytic model (the space on
+//! the paper's platforms holds 6 to 24 entries), replays the top few (plus
+//! the paper's pick) through the cycle-accurate scheduler, and applies an
+//! **epsilon incumbent rule**: the paper's selection is only displaced by a
+//! candidate that beats it on *measured* cycles by more than
+//! [`SearchConfig::improvement_threshold`]. Closed-form and searched picks
+//! therefore agree everywhere the paper's rule is already (near-)optimal —
+//! reproducing Fig. 13's four platform baselines — while genuinely better
+//! placements (e.g. a matrix too small to fill the paper-MapID window)
+//! still win.
 //!
-//! Two analytic-ranking strategies exist:
-//!
-//! * [`SearchStrategy::Exhaustive`] scores every candidate (the space on
-//!   real platforms is at most a few dozen entries);
-//! * [`SearchStrategy::HillClimb`] walks MapID / PU-order / hash neighbors
-//!   from seeded restarts, memoizing scores and pruning restarts whose
-//!   [`CostModel::lower_bound`] cannot beat the incumbent — for the large
-//!   spaces future multi-level topologies would enumerate.
-//!
-//! Everything is deterministic for a fixed seed: enumeration order is
-//! fixed, window sampling is stride-based, restarts come from a seeded
-//! [`XorShift64Star`], and parallel evaluation uses the input-order
-//! [`pool`] helpers, so the result is byte-identical
-//! across worker counts (including under `FACIL_THREADS`).
+//! Everything is deterministic: enumeration order is fixed, window
+//! sampling is stride-based, and parallel evaluation uses the input-order
+//! [`pool`] helpers, so the result is byte-identical across worker counts
+//! (including under `FACIL_THREADS`).
 
 use crate::candidates::{Candidate, CandidateSpace};
 use crate::cost::{AnalyticCost, CostModel, MeasuredCost, SampleConfig};
@@ -31,46 +22,16 @@ use crate::profile::{TensorSpec, WorkloadProfile};
 use facil_core::{select_mapping, MatrixConfig, PimArch, Result, HUGE_PAGE_BITS};
 use facil_dram::DramSpec;
 use facil_telemetry::pool;
-use facil_workloads::XorShift64Star;
-
-/// Which analytic-ranking strategy to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SearchStrategy {
-    /// Exhaustive below [`SearchConfig::exhaustive_threshold`] candidates,
-    /// hill-climbing above.
-    Auto,
-    /// Score every candidate.
-    Exhaustive,
-    /// Seeded-restart hill-climbing with branch-and-bound pruning.
-    HillClimb,
-}
 
 /// Tunables for one search run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SearchConfig {
-    /// Strategy selection.
-    pub strategy: SearchStrategy,
-    /// Seed for hill-climb restart selection (exhaustive runs ignore it,
-    /// but it is still recorded in reports for provenance).
-    pub seed: u64,
-    /// `Auto` switches to hill-climbing above this space size.
-    pub exhaustive_threshold: usize,
-    /// Hill-climb restarts (the first always starts at the paper's pick).
-    pub restarts: usize,
-    /// Max hill-climb steps per restart.
-    pub max_steps: usize,
     /// How many analytically top-ranked candidates get a cycle-accurate
     /// replay (the paper's pick is always replayed in addition).
     pub sim_top_k: usize,
     /// Relative measured-score margin a challenger must win by to displace
     /// the paper's pick (the epsilon incumbent rule).
     pub improvement_threshold: f64,
-    /// Include bank-hash variants in the space. Off by default: hashing
-    /// spreads row conflicts for *any* mapping in the cycle-accurate
-    /// replay, so it wins measured comparisons for reasons orthogonal to
-    /// placement — drowning the MapID/PU-order signal the Fig. 13
-    /// baselines isolate. Turn it on for dedicated hash ablations.
-    pub include_bank_hash: bool,
     /// Worker count for parallel evaluation; `None` uses the global
     /// [`pool::parallelism`] (which honors `FACIL_THREADS`). Results are
     /// identical either way — this only affects wall-clock time.
@@ -84,14 +45,8 @@ pub struct SearchConfig {
 impl Default for SearchConfig {
     fn default() -> Self {
         SearchConfig {
-            strategy: SearchStrategy::Auto,
-            seed: 0xFAC11_u64,
-            exhaustive_threshold: 64,
-            restarts: 4,
-            max_steps: 32,
             sim_top_k: 3,
             improvement_threshold: 0.05,
-            include_bank_hash: false,
             workers: None,
             page_bits: HUGE_PAGE_BITS,
             sample: SampleConfig::default(),
@@ -143,10 +98,8 @@ pub struct MatrixSearchResult {
     pub best_measured: MeasuredCost,
     /// Measured cost of the paper's pick.
     pub paper_measured: MeasuredCost,
-    /// Candidates analytically evaluated.
+    /// Candidates analytically evaluated (the whole space).
     pub evaluated: usize,
-    /// Candidates skipped by branch-and-bound pruning (hill-climb only).
-    pub pruned: usize,
     /// Size of the legal candidate space.
     pub space_size: usize,
     /// Global-best improvements in evaluation order.
@@ -155,27 +108,19 @@ pub struct MatrixSearchResult {
     pub outcomes: Vec<CandidateOutcome>,
 }
 
-/// Analytic phase output: scores per space position plus bookkeeping.
-struct AnalyticPhase {
-    /// `scores[i]` is the analytic cost of `space.candidates()[i]`, if it
-    /// was evaluated (hill-climbing leaves holes).
-    scores: Vec<Option<AnalyticCost>>,
-    evaluated: usize,
-    pruned: usize,
-    trace: Vec<TracePoint>,
-}
-
-fn exhaustive_phase(
+/// The analytic score of every candidate, in enumeration order, and the
+/// trace of global-best improvements.
+fn analytic_phase(
     space: &CandidateSpace,
     model: &CostModel<'_>,
     workers: usize,
-) -> Result<AnalyticPhase> {
-    let results = pool::par_map_with(workers, space.candidates(), |c| model.analytic(c));
-    let mut scores = Vec::with_capacity(results.len());
+) -> Result<(Vec<AnalyticCost>, Vec<TracePoint>)> {
+    let scores = pool::par_map_with(workers, space.candidates(), |c| model.analytic(c))
+        .into_iter()
+        .collect::<Result<Vec<_>>>()?;
     let mut trace = Vec::new();
     let mut best = f64::INFINITY;
-    for (i, r) in results.into_iter().enumerate() {
-        let cost = r?;
+    for (i, cost) in scores.iter().enumerate() {
         if cost.score < best {
             best = cost.score;
             trace.push(TracePoint {
@@ -184,109 +129,8 @@ fn exhaustive_phase(
                 score: cost.score,
             });
         }
-        scores.push(Some(cost));
     }
-    let evaluated = scores.len();
-    Ok(AnalyticPhase { scores, evaluated, pruned: 0, trace })
-}
-
-/// Neighbors of a candidate: MapID +/- 1, adjacent PU-order swaps, and a
-/// hash toggle. Only candidates inside the enumerated space are returned.
-fn neighbors(space: &CandidateSpace, c: &Candidate) -> Vec<usize> {
-    let mut out = Vec::with_capacity(5);
-    let mut push = |cand: Candidate| {
-        if let Some(idx) = space.position(&cand) {
-            out.push(idx);
-        }
-    };
-    if c.map_id > 0 {
-        push(Candidate { map_id: c.map_id - 1, ..*c });
-    }
-    push(Candidate { map_id: c.map_id + 1, ..*c });
-    for i in 0..2 {
-        let mut order = c.pu_order;
-        order.0.swap(i, i + 1);
-        push(Candidate { pu_order: order, ..*c });
-    }
-    push(Candidate { bank_hash: !c.bank_hash, ..*c });
-    out
-}
-
-fn hill_climb_phase(
-    space: &CandidateSpace,
-    model: &CostModel<'_>,
-    config: &SearchConfig,
-    paper_start: usize,
-) -> Result<AnalyticPhase> {
-    let n = space.len();
-    let mut scores: Vec<Option<AnalyticCost>> = vec![None; n];
-    let mut evaluated = 0usize;
-    let mut pruned = 0usize;
-    let mut trace = Vec::new();
-    let mut best = f64::INFINITY;
-
-    let mut rng = XorShift64Star::new(config.seed);
-    let mut starts = vec![paper_start];
-    while starts.len() < config.restarts.max(1) {
-        starts.push((rng.next_u64() % n as u64) as usize);
-    }
-
-    // Memoized scoring with trace upkeep; `None` return means pruned.
-    let eval = |idx: usize,
-                scores: &mut Vec<Option<AnalyticCost>>,
-                evaluated: &mut usize,
-                pruned: &mut usize,
-                trace: &mut Vec<TracePoint>,
-                best: &mut f64|
-     -> Result<Option<f64>> {
-        if let Some(c) = scores[idx] {
-            return Ok(Some(c.score));
-        }
-        let cand = &space.candidates()[idx];
-        if best.is_finite() && model.lower_bound(cand) > *best {
-            *pruned += 1;
-            return Ok(None);
-        }
-        let cost = model.analytic(cand)?;
-        *evaluated += 1;
-        if cost.score < *best {
-            *best = cost.score;
-            trace.push(TracePoint {
-                evaluated: *evaluated,
-                label: cand.describe(space.arch()),
-                score: cost.score,
-            });
-        }
-        scores[idx] = Some(cost);
-        Ok(Some(cost.score))
-    };
-
-    for &start in &starts {
-        let Some(mut here) =
-            eval(start, &mut scores, &mut evaluated, &mut pruned, &mut trace, &mut best)?
-        else {
-            continue; // restart pruned outright: it cannot beat the incumbent
-        };
-        let mut at = start;
-        for _ in 0..config.max_steps {
-            let mut improved = false;
-            for nb in neighbors(space, &space.candidates()[at]) {
-                if let Some(score) =
-                    eval(nb, &mut scores, &mut evaluated, &mut pruned, &mut trace, &mut best)?
-                {
-                    if score < here {
-                        here = score;
-                        at = nb;
-                        improved = true;
-                    }
-                }
-            }
-            if !improved {
-                break;
-            }
-        }
-    }
-    Ok(AnalyticPhase { scores, evaluated, pruned, trace })
+    Ok((scores, trace))
 }
 
 /// Search the candidate space for the best mapping of one tensor.
@@ -303,34 +147,25 @@ pub fn search_matrix(
     config: &SearchConfig,
 ) -> Result<MatrixSearchResult> {
     let topo = spec.topology;
-    let space = CandidateSpace::enumerate(topo, arch, config.page_bits, config.include_bank_hash)?;
+    // No bank-hash variants: hashing spreads row conflicts for *any*
+    // mapping in the cycle-accurate replay, so it would win measured
+    // comparisons for reasons orthogonal to placement and drown the
+    // MapID/PU-order signal the Fig. 13 baselines isolate.
+    let space = CandidateSpace::enumerate(topo, arch, config.page_bits, false)?;
     let model = CostModel::new(spec, arch, tensor.matrix, profile, config.sample, config.page_bits);
     let workers = config.workers.unwrap_or_else(pool::parallelism);
 
     let paper_decision = select_mapping(&tensor.matrix, topo, arch, config.page_bits)?;
     let paper = Candidate::paper(paper_decision.map_id.0);
 
-    let use_exhaustive = match config.strategy {
-        SearchStrategy::Exhaustive => true,
-        SearchStrategy::HillClimb => false,
-        SearchStrategy::Auto => space.len() <= config.exhaustive_threshold,
-    };
-    let phase = if use_exhaustive {
-        exhaustive_phase(&space, &model, workers)?
-    } else {
-        hill_climb_phase(&space, &model, config, space.position(&paper).unwrap_or(0))?
-    };
+    let (scores, trace) = analytic_phase(&space, &model, workers)?;
 
     // Measured phase: the analytic top-k plus the paper incumbent, each
     // replayed through the cycle-accurate scheduler. Ranking ties break by
     // enumeration order, so the set is deterministic.
-    let mut ranked: Vec<usize> = (0..space.len()).filter(|&i| phase.scores[i].is_some()).collect();
+    let mut ranked: Vec<usize> = (0..space.len()).collect();
     ranked.sort_by(|&a, &b| {
-        let (sa, sb) = (&phase.scores[a], &phase.scores[b]);
-        let (sa, sb) = match (sa, sb) {
-            (Some(x), Some(y)) => (x.score, y.score),
-            _ => unreachable!("ranked only holds evaluated indices"),
-        };
+        let (sa, sb) = (scores[a].score, scores[b].score);
         sa.partial_cmp(&sb).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(&b))
     });
     ranked.truncate(config.sim_top_k.max(1));
@@ -381,14 +216,13 @@ pub fn search_matrix(
     let outcomes = space
         .candidates()
         .iter()
+        .zip(&scores)
         .enumerate()
-        .filter_map(|(i, c)| {
-            phase.scores[i].map(|analytic| CandidateOutcome {
-                candidate: *c,
-                label: c.describe(space.arch()),
-                analytic,
-                measured: measured.iter().find(|(j, _)| *j == i).map(|(_, m)| m.clone()),
-            })
+        .map(|(i, (c, &analytic))| CandidateOutcome {
+            candidate: *c,
+            label: c.describe(space.arch()),
+            analytic,
+            measured: measured.iter().find(|(j, _)| *j == i).map(|(_, m)| m.clone()),
         })
         .collect();
 
@@ -401,10 +235,9 @@ pub fn search_matrix(
         improvement,
         best_measured,
         paper_measured,
-        evaluated: phase.evaluated,
-        pruned: phase.pruned,
+        evaluated: space.len(),
         space_size: space.len(),
-        trace: phase.trace,
+        trace,
         outcomes,
     })
 }
@@ -448,7 +281,7 @@ mod tests {
         assert!(!r.displaced, "epsilon rule must retain the paper's pick");
         assert_eq!(r.best, r.paper);
         assert_eq!(r.improvement, 0.0);
-        assert!(r.evaluated > 0 && r.evaluated <= r.space_size);
+        assert_eq!(r.evaluated, r.space_size);
         assert!(!r.trace.is_empty());
     }
 
@@ -472,26 +305,7 @@ mod tests {
     }
 
     #[test]
-    fn hill_climb_finds_the_same_winner_as_exhaustive() {
-        let (spec, arch) = iphone_spec();
-        let t = TensorSpec::new("moe-expert", MatrixConfig::new(64, 4096, DType::F16));
-        let p = profile_for(t.clone());
-        let ex = SearchConfig { strategy: SearchStrategy::Exhaustive, ..Default::default() };
-        let hc = SearchConfig { strategy: SearchStrategy::HillClimb, ..Default::default() };
-        let re = search_matrix(&spec, &arch, &t, &p, &ex).unwrap();
-        let rh = search_matrix(&spec, &arch, &t, &p, &hc).unwrap();
-        assert_eq!(re.best, rh.best);
-        assert!(
-            rh.evaluated + rh.pruned <= re.evaluated,
-            "hill-climb must not evaluate more than exhaustive: {} + {} vs {}",
-            rh.evaluated,
-            rh.pruned,
-            re.evaluated
-        );
-    }
-
-    #[test]
-    fn fixed_seed_and_worker_count_are_byte_identical() {
+    fn repeat_runs_and_worker_count_are_byte_identical() {
         let (spec, arch) = iphone_spec();
         let t = TensorSpec::new("ffn", MatrixConfig::new(8192, 2048, DType::F16));
         let p = profile_for(t.clone());
@@ -500,7 +314,7 @@ mod tests {
         let a = search_matrix(&spec, &arch, &t, &p, &base).unwrap();
         let b = search_matrix(&spec, &arch, &t, &p, &base).unwrap();
         let c = search_matrix(&spec, &arch, &t, &p, &wide).unwrap();
-        assert_eq!(a, b, "same seed, same result");
+        assert_eq!(a, b, "same inputs, same result");
         assert_eq!(a, c, "worker count must not affect results");
     }
 

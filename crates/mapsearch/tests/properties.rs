@@ -1,13 +1,12 @@
 //! Property-based tests for the mapping search: the searched pick is
-//! never worse than the paper's under the search's own cost model, and a
-//! fixed seed yields byte-identical reports regardless of worker count.
+//! never worse than the paper's under the search's own cost model, and the
+//! report is byte-identical regardless of worker count.
 
 use facil_check::{cases, Gen};
 use facil_core::{DType, MatrixConfig, PimArch};
 use facil_dram::DramSpec;
 use facil_mapsearch::{
-    search_matrix, search_workload, SearchConfig, SearchReport, SearchStrategy, TensorSpec,
-    WorkloadProfile,
+    search_matrix, search_workload, SearchConfig, SearchReport, TensorSpec, WorkloadProfile,
 };
 
 fn spec() -> DramSpec {
@@ -70,20 +69,18 @@ fn searched_never_worse_than_paper() {
     });
 }
 
-/// A fixed seed produces byte-identical reports — including under the
-/// hill-climb strategy (the only seed consumer) and regardless of the
-/// worker count (the `FACIL_THREADS` analogue inside the search).
+/// The exhaustive search's report is byte-identical regardless of the
+/// worker count (the `FACIL_THREADS` analogue inside the search), and it
+/// scores every candidate of the space.
 #[test]
-fn fixed_seed_is_byte_identical_across_workers() {
+fn report_is_byte_identical_across_workers() {
     cases(12, |g| {
-        let (matrix, seed) = (matrix(g), g.u64(0..1_000_000));
+        let matrix = matrix(g);
         let spec = spec();
         let arch = PimArch::aim(&spec.topology);
         let profile = WorkloadProfile::decode_only("prop", vec![TensorSpec::new("t", matrix)]);
-        let base =
-            SearchConfig { seed, strategy: SearchStrategy::HillClimb, ..SearchConfig::default() };
-        let serial = SearchConfig { workers: Some(1), ..base };
-        let wide = SearchConfig { workers: Some(8), ..base };
+        let serial = SearchConfig { workers: Some(1), ..SearchConfig::default() };
+        let wide = SearchConfig { workers: Some(8), ..SearchConfig::default() };
 
         let report = |config: &SearchConfig| -> SearchReport {
             let results = search_workload(&spec, &arch, &profile, config).unwrap();
@@ -92,5 +89,9 @@ fn fixed_seed_is_byte_identical_across_workers() {
         let a = report(&serial);
         let b = report(&wide);
         assert_eq!(a.to_json(), b.to_json());
+        assert!(a
+            .results
+            .iter()
+            .all(|r| r.evaluated == r.space_size && r.outcomes.len() == r.space_size));
     });
 }

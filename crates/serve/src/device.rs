@@ -877,13 +877,14 @@ impl<'a, S: TraceSink> DeviceSim<'a, S> {
         // Downsample the per-iteration series to a bounded time series.
         let stride = self.series.len().div_ceil(240).max(1);
         let queue_depth: Vec<QueueSample> = self.series.iter().step_by(stride).copied().collect();
-        // `.max(0.0)` also normalizes the empty sum's -0.0 identity.
+        // `+ 0.0` turns the empty sum's -0.0 identity into 0.0; `max(0.0)`
+        // may return either zero, and debug and release builds differ.
         let down_s: f64 = self
             .outages
             .iter()
             .map(|w| (w.end.min(span_s) - w.start.min(span_s)).max(0.0))
             .sum::<f64>()
-            .max(0.0);
+            + 0.0;
         // Zero-span runs have no observed device-time: report 0.0 rather
         // than a vacuous 1.0 (same discipline as `DramStats::hit_rate`).
         let uptime = if span_s > 0.0 { (1.0 - down_s / span_s).clamp(0.0, 1.0) } else { 0.0 };

@@ -1,9 +1,9 @@
 //! The workspace's one seeded PRNG.
 //!
 //! The dataset and arrival samplers in this crate, the serving queue and
-//! co-schedule bus in `facil-sim`, fault and chaos plans, mapping-search
-//! restarts and the `facil-check` property harness all draw from it: a
-//! tiny, dependency-free, deterministic random source.
+//! co-schedule bus in `facil-sim`, fault and chaos plans and the
+//! `facil-check` property harness all draw from it: a tiny,
+//! dependency-free, deterministic random source.
 
 /// xorshift64\* PRNG (Vigna, "An experimental exploration of Marsaglia's
 /// xorshift generators, scrambled").

@@ -37,6 +37,11 @@ cargo build --workspace --release --offline
 echo "== tests =="
 cargo test --workspace -q --offline
 
+echo "== serving pins (release) =="
+# The FNV-1a pins of crates/serve/tests/pinned.rs hold in both profiles;
+# the debug run above checks the other one.
+cargo test --release --offline -q -p facil-serve --test pinned
+
 echo "== executor stress (release) =="
 # Teardown-race probe: two million tiny two-worker batches, each followed
 # by a stack-sentinel check. The race needs an optimised build, so the
@@ -60,6 +65,32 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== docs =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q --offline
 
+echo "== report smoke =="
+# The one figure entry point: --json prints exactly one run manifest, and
+# every paper artifact contributes at least one result key, each holding
+# finite numbers only.
+cargo run --release -q --offline -p facil-bench --bin report -- --smoke --json \
+  | python3 -c 'import json,math,sys
+lines = [json.loads(l) for l in sys.stdin if l.strip()]
+assert len(lines) == 1 and "schema_version" in lines[0], f"expected one manifest, got {len(lines)} lines"
+m = lines[0]
+assert m["bench"] == "report" and "seed" in m, m
+def numbers(v):
+    if isinstance(v, dict):
+        return [x for y in v.values() for x in numbers(y)]
+    if isinstance(v, list):
+        return [x for y in v for x in numbers(y)]
+    return [v]
+artifacts = ("fig02", "fig03", "fig06", "table1", "table3", "fig13", "fig14", "fig15", "fig16")
+for a in artifacts:
+    keys = [k for k in m["results"] if k.startswith(a + "_")]
+    assert keys, f"no {a} results"
+    for k in keys:
+        vals = numbers(m["results"][k])
+        assert vals and all(isinstance(x, (int, float)) and math.isfinite(x) for x in vals), (k, vals)
+n = len(m["results"])
+print(f"report smoke OK ({len(artifacts)} artifacts, {n} result keys)")'
+
 echo "== chaos smoke =="
 # Fault-injection showcase must run clean and emit valid JSONL: tagged
 # experiment lines plus one schema-versioned run manifest.
@@ -79,80 +110,16 @@ crash = [o for o in runs if o["experiment"] == "crash_failover"]
 assert all(o["report"]["completed"] + o["report"]["shed"] == o["report"]["offered"] for o in crash)
 print(f"chaos smoke OK ({len(runs)} runs + manifest)")'
 
-echo "== perf_dram smoke =="
-# DRAM scheduling perf harness: parallel stats must equal serial and the
-# next-event engine must equal the cycle-stepped reference (the binary
-# asserts both per point), the JSONL must be well-formed, and the
-# wall-clock numbers are kept as a CI artifact. The >= 2x parallel gate is
-# enforced only on machines with >= 4 cores; the >= 5x next-event-engine
-# gate on the low-utilization serving trace is enforced everywhere.
-mkdir -p target
-perf_artifact="target/BENCH_dram.json"
-: > "$perf_artifact"
-cargo run --release -q --offline -p facil-bench --bin perf_dram -- --smoke --json --enforce-speedup \
-  | tee "$perf_artifact" \
-  | python3 -c 'import json,sys
-lines = [json.loads(l) for l in sys.stdin if l.strip()]
-manifests = [o for o in lines if "schema_version" in o]
-runs = [o for o in lines if "schema_version" not in o]
-assert len(manifests) == 1, f"expected one manifest, got {len(manifests)}"
-assert manifests[0]["bench"] == "perf_dram", manifests[0]
-sweep = [o for o in runs if "mode" not in o["report"]]
-low = [o for o in runs if o["report"].get("mode") == "lowutil"]
-assert len(sweep) == 4, f"expected a 4-point channel sweep, got {len(sweep)}"
-assert len(low) == 1, f"expected one low-utilization point, got {len(low)}"
-for o in sweep:
-    r = o["report"]
-    assert r["stats_match"] is True, r
-    assert r["serial_s"] > 0 and r["parallel_s"] > 0, r
-channels = [o["report"]["channels"] for o in sweep]
-assert channels == [1, 2, 4, 8], channels
-widest = sweep[-1]["report"]
-l = low[0]["report"]
-assert l["stats_match"] is True, l
-assert l["stepped_s"] > 0 and l["event_s"] > 0, l
-ev_speedup = l["event_speedup"]
-assert ev_speedup >= 5.0, f"event engine only {ev_speedup:.2f}x stepped"
-rps, speedup, threads = widest["parallel_rps"], widest["speedup"], widest["threads"]
-print(f"perf_dram smoke OK (8ch: {rps:.0f} req/s, {speedup:.2f}x on {threads} threads; "
-      f"event engine {ev_speedup:.1f}x stepped on the low-util trace)")'
-echo "perf artifact: $perf_artifact"
-
-echo "== perf_pool smoke =="
-# Executor dispatch-overhead harness: the persistent work-stealing pool
-# must beat the old scoped-spawn baseline on per-call dispatch cost, and
-# the fleet loop must reach >= 1.5x steps/s — both gates enforced only on
-# machines with >= 4 cores (the binary checks; worker count alone cannot
-# buy wall-clock speedup). Results equality is asserted inside the binary;
-# the validator re-checks the manifest schema so silent drift cannot pass.
-mkdir -p target
-pool_artifact="target/BENCH_pool.json"
-: > "$pool_artifact"
-cargo run --release -q --offline -p facil-bench --bin perf_pool -- --smoke --json --enforce-speedup \
-  | tee "$pool_artifact" \
-  | python3 -c 'import json,sys
-lines = [json.loads(l) for l in sys.stdin if l.strip()]
-manifests = [o for o in lines if "schema_version" in o]
-runs = [o for o in lines if "schema_version" not in o]
-assert len(manifests) == 1, f"expected one manifest, got {len(manifests)}"
-m = manifests[0]
-assert m["bench"] == "perf_pool" and "seed" in m, m
-res = m["results"]
-for key in ("spawn_us_per_dispatch", "executor_us_per_dispatch", "dispatch_speedup",
-            "serial_steps_s", "parallel_steps_s", "fleet_speedup"):
-    assert key in res and res[key] > 0, (key, res)
-dispatch = [o for o in runs if o["report"].get("mode") == "dispatch"]
-fleet = [o for o in runs if o["report"].get("mode") == "fleet"]
-assert len(dispatch) == 1 and len(fleet) == 1, [o["report"].get("mode") for o in runs]
-d, f = dispatch[0]["report"], fleet[0]["report"]
-assert d["results_match"] is True and f["reports_match"] is True, (d, f)
-assert f["offered"] > 0 and f["serial_s"] > 0 and f["parallel_s"] > 0, f
-spawn, execu = res["spawn_us_per_dispatch"], res["executor_us_per_dispatch"]
-dsp, fsp = res["dispatch_speedup"], res["fleet_speedup"]
-threads, cores = m["config"]["threads"], m["config"]["cores"]
-print(f"perf_pool smoke OK (dispatch {spawn:.1f} -> {execu:.1f} us/call = {dsp:.1f}x; "
-      f"fleet {fsp:.2f}x on {threads} threads, {cores} cores)")'
-echo "pool artifact: $pool_artifact"
+echo "== perf gates (release) =="
+# Wall-clock gates, each on provably equivalent work: serial == parallel
+# DRAM SimResults on 1/2/4/8 channels, stepped == next-event engine on a
+# low-utilization trace (and >= 5x faster there, on every host), executor
+# results == the scoped-spawn baseline's, and a byte-identical 8-device
+# fleet report on one worker and many. The >= 2x (channels), > 1x
+# (dispatch) and >= 1.5x (fleet) parallel gates arm only on hosts with
+# >= 4 cores. Ignored in the debug run above; one at a time so the
+# timings do not share cores.
+cargo test --release --offline -q --test perf_gates -- --ignored --test-threads=1
 
 echo "== DRAM engine equivalence smoke =="
 # The simulation engine must be invisible in results: serving_v2 --json
@@ -286,22 +253,15 @@ print(f"cluster smoke OK ({len(runs)} runs, storm availability {storm:.2f}, {out
 echo "cluster artifact: $cluster_artifact"
 
 echo "== FACIL_THREADS determinism smoke =="
-# The worker-count knob must be invisible in results: serving_v2, chaos,
-# cluster and the perf_pool fleet digest are byte-identical between 1 and
-# 8 workers. chaos covers fleets with faults, whose device phases run on
-# the shared driver's parallel path. perf_pool uses --digest, which
-# prints only the deterministic fleet report (wall-clock fields would
-# break the diff).
-for bin in serving_v2 chaos cluster perf_pool; do
-  if [ "$bin" = perf_pool ]; then
-    args=(--smoke --digest)
-  else
-    args=(--smoke --json)
-  fi
+# The worker-count knob must be invisible in results: serving_v2, chaos
+# and cluster are byte-identical between 1 and 8 workers. chaos covers
+# fleets with faults, whose device phases run on the shared driver's
+# parallel path.
+for bin in serving_v2 chaos cluster; do
   t1="$(mktemp /tmp/facil-threads1.XXXXXX.jsonl)"
   t8="$(mktemp /tmp/facil-threads8.XXXXXX.jsonl)"
-  FACIL_THREADS=1 cargo run --release -q --offline -p facil-bench --bin "$bin" -- "${args[@]}" > "$t1"
-  FACIL_THREADS=8 cargo run --release -q --offline -p facil-bench --bin "$bin" -- "${args[@]}" > "$t8"
+  FACIL_THREADS=1 cargo run --release -q --offline -p facil-bench --bin "$bin" -- --smoke --json > "$t1"
+  FACIL_THREADS=8 cargo run --release -q --offline -p facil-bench --bin "$bin" -- --smoke --json > "$t8"
   diff "$t1" "$t8" && echo "$bin FACIL_THREADS=1 vs 8: byte-identical"
   rm -f "$t1" "$t8"
 done

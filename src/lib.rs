@@ -21,8 +21,8 @@
 //!   two-tier routing, tenant QoS, cluster-scale chaos testing, and
 //!   SLO-burn autoscaling,
 //! * [`mapsearch`] — workload-profile-driven mapping search over the
-//!   MapID / PU-order / bank-hash candidate space, with an analytic cost
-//!   model cross-checked by cycle-accurate replays,
+//!   MapID / PU-order candidate space, with an analytic cost model
+//!   cross-checked by cycle-accurate replays,
 //! * [`fidelity`] — HW/SW-integrated functional PIM simulation: bit-exact
 //!   replay of the all-bank command stream over a bank-sliced DRAM content
 //!   model, plus end-to-end FACIL-vs-conventional token equivalence,
@@ -31,7 +31,7 @@
 //!   and the workspace's shared JSON writer.
 //!
 //! See the `examples/` directory for runnable end-to-end scenarios and
-//! `crates/bench` for the per-figure experiment regenerators.
+//! `crates/bench` for the experiment regenerators.
 
 pub use facil_cluster as cluster;
 pub use facil_core as core;

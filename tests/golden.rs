@@ -4,7 +4,8 @@
 //! these constants together.
 
 use facil_bench::{
-    fig03_pim_speedup, fig13_ttft, fig15_datasets, fig16_datasets, headline_geomeans,
+    fig02_profile, fig03_pim_speedup, fig06_relayout, fig13_ttft, fig14_ttlt, fig15_datasets,
+    fig16_datasets, headline_geomeans, table3_gemm_slowdown,
 };
 use facil_sim::InferenceSim;
 use facil_soc::{Platform, PlatformId};
@@ -24,6 +25,46 @@ fn golden_fig13_geomeans() {
     let series = fig13_ttft(&[8, 16, 32, 64, 128]);
     for (s, g) in series.iter().zip(golden) {
         within(s.geomean, g, 0.05, &format!("fig13 {}", s.platform));
+    }
+}
+
+/// Fig. 2 headline: linear (GEMV) share of Jetson decode (paper > 90%).
+#[test]
+fn golden_fig02_linear_share() {
+    within(fig02_profile(64).linear_fraction, 0.986, 0.05, "fig2 linear share");
+}
+
+/// Fig. 6 TTFT inflation from re-layout at the shortest and longest
+/// prefills (paper ~3x, amortizing with length).
+#[test]
+fn golden_fig06_inflation() {
+    let points = fig06_relayout(&[4, 512]);
+    for (p, g) in points.iter().zip([2.63, 1.39]) {
+        let inflation = p.ttft_with_relayout_ms / p.ttft_ms;
+        within(inflation, g, 0.05, &format!("fig6 inflation at P={}", p.prefill));
+    }
+}
+
+/// Fig. 14 TTLT speedup at P64/D64 per platform (paper ~10%).
+#[test]
+fn golden_fig14_p64_d64() {
+    let golden = [1.094, 1.073, 1.220, 1.159];
+    for (s, g) in fig14_ttlt(&[(64, 64)]).iter().zip(golden) {
+        within(s.points[0].1, g, 0.05, &format!("fig14 P64/D64 {}", s.platform));
+    }
+}
+
+/// Table III worst GEMM slowdown per platform over P = 4, 16 and 64.
+#[test]
+fn golden_table3_worst_slowdowns() {
+    let rows = table3_gemm_slowdown(&PlatformId::all(), &[4, 16, 64]);
+    for (id, g) in PlatformId::all().into_iter().zip([0.0325, 0.0325, 0.0039, 0.0047]) {
+        let worst = rows
+            .iter()
+            .filter(|r| r.platform == id)
+            .flat_map(|r| r.slowdowns.iter().copied())
+            .fold(0.0f64, f64::max);
+        within(worst, g, 0.05, &format!("table3 worst slowdown {id}"));
     }
 }
 
