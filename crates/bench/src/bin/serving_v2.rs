@@ -21,7 +21,7 @@ use std::rc::Rc;
 
 use facil_bench::{emit_run, print_table, BenchCli};
 use facil_core::{select_mapping_2mb, DType, MappingScheme, MatrixConfig};
-use facil_dram::{replay_on, sequential_trace, DramSystem, Op, TraceOptions};
+use facil_dram::{replay_on, sequential_trace, DramSystem, Op};
 use facil_llm::ModelConfig;
 use facil_pim::PimEngine;
 use facil_serve::{
@@ -47,7 +47,7 @@ fn record_trace(cli: &BenchCli, sim: &InferenceSim, dataset: &Dataset, cfg: Serv
     let scheme = MappingScheme::conventional(p.dram.topology);
     let mut sys = DramSystem::new(&p.dram);
     sys.enable_logging();
-    replay_on(&mut sys, &scheme, sequential_trace(0, 256, 32, Op::Read), TraceOptions::default())
+    replay_on(&mut sys, &scheme, sequential_trace(0, 256, 32, Op::Read))
         .expect("sequential demo trace maps");
     sys.export_trace(&mut handle);
 

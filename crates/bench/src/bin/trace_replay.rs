@@ -15,7 +15,7 @@
 
 use facil_bench::BenchCli;
 use facil_core::{MappingScheme, HUGE_PAGE_BITS};
-use facil_dram::{parse_trace, replay_on, DramSystem, EnergyModel, TraceEntry, TraceOptions};
+use facil_dram::{parse_trace, replay_on, DramSystem, EnergyModel, TraceEntry};
 use facil_soc::{Platform, PlatformId};
 use facil_telemetry::{RingSink, RunManifest};
 
@@ -105,7 +105,7 @@ fn main() {
     if cli.wants_trace() {
         sys.enable_logging();
     }
-    let res = replay_on(&mut sys, &scheme, trace, TraceOptions::default()).unwrap_or_else(|e| {
+    let res = replay_on(&mut sys, &scheme, trace).unwrap_or_else(|e| {
         eprintln!("trace replay failed: {e}");
         std::process::exit(2);
     });

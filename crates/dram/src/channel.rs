@@ -5,15 +5,17 @@
 //! request stream in isolation and merges the statistics — serially or on
 //! the [`facil_telemetry::pool`] workers, with identical results.
 //!
-//! Since PR 9 the *scheduling decision* and the *advance of simulated
-//! time* are separated: [`ChannelCore`] owns the bank/rank state machines,
-//! the request queue and the one-step decision procedure
-//! ([`ChannelCore::decide`]), while a [`crate::engine::DramEngine`] decides
-//! which cycles to visit. The cycle-stepped reference engine visits every
-//! DRAM clock; the default event engine jumps straight to the next
-//! actionable cycle (see [`crate::engine`]). Both produce bit-identical
-//! command streams and [`DramStats`] — property-tested in
-//! `tests/properties.rs` (`event_engine_is_bit_identical_to_stepped`).
+//! The *scheduling decision* and the *advance of simulated time* are
+//! separated: [`ChannelCore`] owns the bank/rank state machines, the
+//! request queue and the one-step decision procedure
+//! ([`ChannelCore::decide`]), while the drive loop of the configured
+//! [`EngineKind`] decides which cycles to visit. The cycle-stepped
+//! reference visits every DRAM clock; the default event engine jumps
+//! straight to the next actionable cycle (see [`crate::engine`]). Both
+//! produce bit-identical command streams and [`DramStats`] —
+//! property-tested in `tests/properties.rs`
+//! (`event_engine_is_bit_identical_to_stepped`) and pinned in
+//! `tests/pinned.rs`.
 //!
 //! The decision procedure is allocation-free in steady state: the request
 //! queue is a flat buffer with tombstones (out-of-order FR-FCFS completions
@@ -30,25 +32,18 @@ use crate::spec::DramSpec;
 use crate::stats::DramStats;
 use crate::verifylog::LoggedCommand;
 
-/// Row-buffer management policy of the scheduler.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PagePolicy {
-    /// Leave rows open after column accesses (default; rewards locality).
-    Open,
-    /// Precharge a bank as soon as no queued request hits its open row
-    /// (rewards random traffic by hiding precharge latency).
-    Closed,
-}
+/// How many queued requests the scheduler may look ahead when reordering
+/// (models a finite command queue and bounds FR-FCFS starvation).
+const WINDOW: usize = 32;
 
-/// Tunable scheduler parameters.
+/// Scheduler parameters of a [`crate::DramSystem`].
+///
+/// The scheduler itself is fixed: FR-FCFS over a 32-request lookahead
+/// window with an open-page row policy, the controller the paper's
+/// DRAMsim-derived simulator models. Only the simulation engine is
+/// selectable, and it never changes a result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchedConfig {
-    /// How many queued requests the scheduler may look ahead when
-    /// reordering (models a finite command queue and bounds FR-FCFS
-    /// starvation).
-    pub window: usize,
-    /// Row-buffer policy.
-    pub page_policy: PagePolicy,
     /// Simulation engine driving the scheduler (cycle-stepped reference or
     /// next-event). The default honors the `FACIL_DRAM_ENGINE` environment
     /// variable (see [`EngineKind::default_kind`]); results are
@@ -58,11 +53,7 @@ pub struct SchedConfig {
 
 impl Default for SchedConfig {
     fn default() -> Self {
-        SchedConfig {
-            window: 32,
-            page_policy: PagePolicy::Open,
-            engine: EngineKind::default_kind(),
-        }
+        SchedConfig { engine: EngineKind::default_kind() }
     }
 }
 
@@ -91,7 +82,7 @@ enum Action {
 /// Outcome of one scheduling decision at the current cycle (see
 /// [`ChannelCore::decide`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Decision {
+pub(crate) enum Decision {
     /// A command was issued; the clock has advanced one cycle past the
     /// issue slot (commands occupy the command bus for a cycle).
     Issued,
@@ -113,9 +104,8 @@ pub enum Decision {
 /// Scheduling state of one DRAM channel: bank/rank timing state machines,
 /// the tombstone request queue, statistics and the command log.
 ///
-/// A [`crate::engine::DramEngine`] drives the core to completion through
-/// this contract, upheld by both built-in engines and required of any
-/// external implementation:
+/// Both drive loops of [`crate::engine`] run the core to completion
+/// through this visiting contract, which is what makes them agree:
 ///
 /// 1. per visited cycle, call [`ChannelCore::reclaim`], then
 ///    [`ChannelCore::service_refresh`], then [`ChannelCore::decide`];
@@ -125,7 +115,7 @@ pub enum Decision {
 ///    [`Decision::Blocked`] must all cap the jump;
 /// 3. stop once [`ChannelCore::pending`] reaches zero.
 #[derive(Debug)]
-pub struct ChannelCore {
+pub(crate) struct ChannelCore {
     spec: Arc<DramSpec>,
     banks: Vec<Vec<BankState>>,
     ranks: Vec<RankState>,
@@ -144,7 +134,6 @@ pub struct ChannelCore {
     live: usize,
     stats: DramStats,
     log: Option<Vec<LoggedCommand>>,
-    cfg: SchedConfig,
     /// Scratch: buffer indices of the current lookahead window.
     win: Vec<usize>,
     /// Scratch: per-step candidate set (buffer index, action, ready).
@@ -157,7 +146,10 @@ pub struct ChannelCore {
 }
 
 impl ChannelCore {
-    fn new(spec: Arc<DramSpec>, cfg: SchedConfig) -> Self {
+    /// A core for one channel of `spec`. The multi-channel
+    /// [`crate::DramSystem`] hands every channel the same [`Arc`] instead
+    /// of deep-cloning the spec per channel.
+    pub(crate) fn new(spec: Arc<DramSpec>) -> Self {
         let topo = spec.topology;
         let banks: Vec<Vec<BankState>> = (0..topo.ranks)
             .map(|_| (0..topo.banks()).map(|_| BankState::new()).collect())
@@ -166,7 +158,6 @@ impl ChannelCore {
             .map(|_| RankState::new(topo.bank_groups as usize, spec.timing.refi))
             .collect();
         let total_banks = (topo.ranks * topo.banks()) as usize;
-        let window = cfg.window;
         ChannelCore {
             spec,
             banks,
@@ -180,9 +171,8 @@ impl ChannelCore {
             live: 0,
             stats: DramStats::default(),
             log: None,
-            cfg,
-            win: Vec::with_capacity(window),
-            cand: Vec::with_capacity(window),
+            win: Vec::with_capacity(WINDOW),
+            cand: Vec::with_capacity(WINDOW),
             bank_stamp: vec![0; total_banks],
             stamp: 0,
         }
@@ -194,7 +184,9 @@ impl ChannelCore {
         }
     }
 
-    fn push(&mut self, req: Request) {
+    /// Enqueue a request. Requests must be pushed in non-decreasing
+    /// arrival order (checked in debug builds, as are the address fields).
+    pub(crate) fn push(&mut self, req: Request) {
         debug_assert!(req.addr.rank < self.spec.topology.ranks);
         debug_assert!(req.addr.bank < self.spec.topology.banks());
         debug_assert!(req.addr.row < self.spec.topology.rows);
@@ -207,14 +199,14 @@ impl ChannelCore {
         self.live += 1;
     }
 
-    /// Number of requests still queued. An engine's drive loop runs until
-    /// this reaches zero.
-    pub fn pending(&self) -> usize {
+    /// Number of requests still queued. A drive loop runs until this
+    /// reaches zero.
+    pub(crate) fn pending(&self) -> usize {
         self.live
     }
 
     /// Current simulated cycle.
-    pub fn now(&self) -> u64 {
+    pub(crate) fn now(&self) -> u64 {
         self.now
     }
 
@@ -230,13 +222,13 @@ impl ChannelCore {
     ///
     /// Panics if the queue is empty (debug builds only); callers check
     /// [`ChannelCore::pending`] first.
-    pub fn first_live_arrival(&self) -> u64 {
+    pub(crate) fn first_live_arrival(&self) -> u64 {
         debug_assert!(self.live > 0);
         self.buf[self.head].req.arrival
     }
 
     /// Advance the clock by one cycle.
-    pub fn tick(&mut self) {
+    pub(crate) fn tick(&mut self) {
         self.now += 1;
     }
 
@@ -246,7 +238,7 @@ impl ChannelCore {
     ///
     /// Panics (debug builds) if `target` is in the past — engines must
     /// always make forward progress.
-    pub fn advance_to(&mut self, target: u64) {
+    pub(crate) fn advance_to(&mut self, target: u64) {
         debug_assert!(target >= self.now, "clock must advance monotonically");
         self.now = target;
     }
@@ -257,7 +249,7 @@ impl ChannelCore {
     /// closes open rows, which can turn a far-future row-hit candidate
     /// into a much earlier activate (so skipping the deadline would skip
     /// an actionable cycle).
-    pub fn next_refresh_deadline(&self) -> Option<u64> {
+    pub(crate) fn next_refresh_deadline(&self) -> Option<u64> {
         let min = self.ranks.iter().map(|r| r.next_ref).min().unwrap_or(u64::MAX);
         (min != u64::MAX).then_some(min)
     }
@@ -295,7 +287,7 @@ impl ChannelCore {
     /// state. No command can have issued between the deadline and the
     /// observation: engines service refresh before every decision, so the
     /// bank state still is the state at the deadline.
-    pub fn service_refresh(&mut self) {
+    pub(crate) fn service_refresh(&mut self) {
         let tm = self.spec.timing;
         // Service overdue deadlines in global (deadline, rank) order — NOT
         // rank-by-rank. A cycle-stepped driver visits every cycle and so
@@ -343,7 +335,7 @@ impl ChannelCore {
     /// Reclaim the dead prefix: advance `head` past tombstones and compact
     /// the buffer once the reclaimed prefix dominates, keeping memory
     /// proportional to the live queue (amortized O(1) per completion).
-    pub fn reclaim(&mut self) {
+    pub(crate) fn reclaim(&mut self) {
         while self.head < self.buf.len() && self.buf[self.head].dead {
             self.head += 1;
         }
@@ -365,20 +357,19 @@ impl ChannelCore {
         }
     }
 
-    /// True if any of the first `window` live queue entries (regardless of
-    /// arrival time when `arrived_only` is false) targets `row` of
-    /// `(rank, bank)`.
-    fn window_wants_row(&self, rank: usize, bank: usize, row: u64, arrived_only: bool) -> bool {
+    /// True if any arrived request among the first [`WINDOW`] live queue
+    /// entries targets `row` of `(rank, bank)`.
+    fn window_wants_row(&self, rank: usize, bank: usize, row: u64) -> bool {
         let mut seen = 0;
         let mut idx = self.head;
-        while seen < self.cfg.window && idx < self.buf.len() {
+        while seen < WINDOW && idx < self.buf.len() {
             let p = &self.buf[idx];
             idx += 1;
             if p.dead {
                 continue;
             }
             seen += 1;
-            if (!arrived_only || p.req.arrival <= self.now)
+            if p.req.arrival <= self.now
                 && p.req.addr.rank as usize == rank
                 && p.req.addr.bank as usize == bank
                 && p.req.addr.row == row
@@ -395,19 +386,19 @@ impl ChannelCore {
     ///
     /// Pure in simulated time: the only clock movement is the one-cycle
     /// command-bus slot consumed by an issued command. How the clock moves
-    /// between decisions is entirely the engine's business.
-    pub fn decide(&mut self) -> Decision {
+    /// between decisions is entirely the drive loop's business.
+    pub(crate) fn decide(&mut self) -> Decision {
         debug_assert!(self.live > 0);
         let tm = self.spec.timing;
         let bpg = self.spec.topology.banks_per_group as usize;
 
         // Collect the lookahead window: buffer indices of the first
-        // `window` live requests, in arrival order.
+        // `WINDOW` live requests, in arrival order.
         let mut win = std::mem::take(&mut self.win);
         win.clear();
         {
             let mut idx = self.head;
-            while win.len() < self.cfg.window && idx < self.buf.len() {
+            while win.len() < WINDOW && idx < self.buf.len() {
                 if !self.buf[idx].dead {
                     win.push(idx);
                 }
@@ -439,7 +430,7 @@ impl ChannelCore {
                     // Only precharge if no earlier/other window request still
                     // hits the open row of this bank (FR-FCFS serves hits
                     // before closing).
-                    let hit_waiting = self.window_wants_row(rank, bank, open, true);
+                    let hit_waiting = self.window_wants_row(rank, bank, open);
                     if !hit_waiting && self.claim_bank(rank, bank) {
                         cand.push((i, Action::Precharge, self.banks[rank][bank].next_pre));
                     }
@@ -509,24 +500,6 @@ impl ChannelCore {
                 self.buf[i].dead = true;
                 self.live -= 1;
                 self.now += 1;
-                // Closed-page policy: close the row immediately if nothing
-                // in the window still wants it (issued as an implicit
-                // auto-precharge once tRAS/tRTP/tWR allow).
-                if self.cfg.page_policy == PagePolicy::Closed {
-                    let row = self.banks[rank][bank].open_row;
-                    if let Some(row) = row {
-                        if !self.window_wants_row(rank, bank, row, false) {
-                            let b = &mut self.banks[rank][bank];
-                            let when = b.next_pre.max(self.now);
-                            b.open_row = None;
-                            b.next_act = b.next_act.max(when + tm.rp);
-                            self.stats.precharges += 1;
-                            // Auto-precharges are not logged: they take
-                            // effect at a (possibly future) cycle `when`,
-                            // which would break the log's time ordering.
-                        }
-                    }
-                }
                 Decision::Issued
             }
             Some((i, Action::Activate, _)) => {
@@ -566,92 +539,32 @@ impl ChannelCore {
         decision
     }
 
-    /// Derive the idle-cycle counter once a drive loop finishes: everything
-    /// up to the finish cycle that was not data-bus occupancy. Computed
-    /// from command timestamps only, so it is identical whether the engine
-    /// stepped through or jumped over the idle spans.
-    fn finalize_stats(&mut self) {
-        self.stats.idle_cycles = self.stats.finish_cycle.saturating_sub(self.stats.busy_cycles);
-    }
-}
-
-/// Single-channel FR-FCFS, open-page DRAM scheduler: a [`ChannelCore`]
-/// driven by the configured [`crate::engine::DramEngine`].
-#[derive(Debug)]
-pub struct ChannelSim {
-    core: ChannelCore,
-    engine: EngineKind,
-}
-
-impl ChannelSim {
-    /// Create a scheduler for one channel of `spec` with custom parameters.
-    pub fn with_config(spec: &DramSpec, cfg: SchedConfig) -> Self {
-        Self::from_shared(Arc::new(spec.clone()), cfg)
-    }
-
-    /// Create a scheduler for one channel of `spec`.
-    pub fn new(spec: &DramSpec) -> Self {
-        Self::from_shared(Arc::new(spec.clone()), SchedConfig::default())
-    }
-
-    /// Create a scheduler sharing an already-wrapped spec — the
-    /// multi-channel [`crate::controller::DramSystem`] hands every channel
-    /// the same [`Arc`] instead of deep-cloning the spec per channel.
-    pub fn from_shared(spec: Arc<DramSpec>, cfg: SchedConfig) -> Self {
-        ChannelSim { core: ChannelCore::new(spec, cfg), engine: cfg.engine }
-    }
-
-    /// The engine this scheduler runs on.
-    pub fn engine(&self) -> EngineKind {
-        self.engine
-    }
-
     /// Record every issued device command for later inspection and
     /// independent legality verification (see [`crate::verifylog`]).
-    /// The log is preallocated for the already-queued requests when
-    /// [`ChannelSim::run`] starts.
-    pub fn enable_logging(&mut self) {
-        self.core.log = Some(Vec::new());
+    pub(crate) fn enable_logging(&mut self) {
+        self.log = Some(Vec::new());
     }
 
     /// The command log, if logging was enabled.
-    pub fn log(&self) -> Option<&[LoggedCommand]> {
-        self.core.log.as_deref()
+    pub(crate) fn log(&self) -> Option<&[LoggedCommand]> {
+        self.log.as_deref()
     }
 
-    /// Enqueue a request. Requests must be pushed in non-decreasing arrival
-    /// order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the request targets a different channel than previous ones
-    /// implied by its address fields being out of range, or if arrival order
-    /// is violated (debug builds only).
-    pub fn push(&mut self, req: Request) {
-        self.core.push(req);
-    }
-
-    /// Number of requests still queued.
-    pub fn pending(&self) -> usize {
-        self.core.pending()
-    }
-
-    /// Drain the queue, scheduling every request to completion on the
-    /// configured engine, and return the statistics for this channel.
-    pub fn run(&mut self) -> DramStats {
-        if let Some(log) = &mut self.core.log {
+    /// Drain the queue, scheduling every request to completion on
+    /// `engine`, and return the statistics for this channel.
+    pub(crate) fn run(&mut self, engine: EngineKind) -> DramStats {
+        if let Some(log) = &mut self.log {
             // ~1 ACT per miss/conflict + 1 column per request is the common
             // shape; reserving twice the queue depth avoids log regrowth.
-            log.reserve(2 * self.core.live + 8);
+            log.reserve(2 * self.live + 8);
         }
-        self.engine.engine().drive(&mut self.core);
-        self.core.finalize_stats();
-        self.core.stats
-    }
-
-    /// Statistics accumulated so far.
-    pub fn stats(&self) -> &DramStats {
-        &self.core.stats
+        engine.drive(self);
+        // Everything up to the finish cycle that was not data-bus
+        // occupancy is idle. Computed from command timestamps only, so it
+        // is identical whether the engine stepped through or jumped over
+        // the idle spans.
+        self.stats.idle_cycles = self.stats.finish_cycle.saturating_sub(self.stats.busy_cycles);
+        self.stats
     }
 }
 
@@ -659,6 +572,7 @@ impl ChannelSim {
 mod tests {
     use super::*;
     use crate::addr::DramAddress;
+    use crate::DramSystem;
 
     fn small_spec() -> DramSpec {
         // 1-channel LPDDR5-6400, 256 MB: keeps row counts small in tests.
@@ -669,12 +583,19 @@ mod tests {
         DramAddress { channel: 0, rank, bank, row, column }
     }
 
+    /// Schedule `reqs` on the one channel of `spec` and return its stats.
+    fn run(spec: &DramSpec, reqs: impl IntoIterator<Item = Request>) -> DramStats {
+        let mut sys = DramSystem::new(spec);
+        for r in reqs {
+            sys.push(r);
+        }
+        sys.run().stats
+    }
+
     #[test]
     fn single_read_latency_is_act_plus_rcd_cl_burst() {
         let spec = small_spec();
-        let mut ch = ChannelSim::new(&spec);
-        ch.push(Request::read(addr(0, 0, 0, 0)));
-        let stats = ch.run();
+        let stats = run(&spec, [Request::read(addr(0, 0, 0, 0))]);
         let tm = &spec.timing;
         // ACT at 0, RD at tRCD, data ends at tRCD+CL+burst.
         assert_eq!(stats.finish_cycle, tm.rcd + tm.cl + tm.burst_cycles);
@@ -686,12 +607,7 @@ mod tests {
 
     #[test]
     fn same_row_reads_are_hits() {
-        let spec = small_spec();
-        let mut ch = ChannelSim::new(&spec);
-        for c in 0..8 {
-            ch.push(Request::read(addr(0, 0, 0, c)));
-        }
-        let stats = ch.run();
+        let stats = run(&small_spec(), (0..8).map(|c| Request::read(addr(0, 0, 0, c))));
         assert_eq!(stats.row_misses, 1);
         assert_eq!(stats.row_hits, 7);
         assert_eq!(stats.activates, 1);
@@ -699,11 +615,8 @@ mod tests {
 
     #[test]
     fn row_conflict_forces_precharge() {
-        let spec = small_spec();
-        let mut ch = ChannelSim::new(&spec);
-        ch.push(Request::read(addr(0, 0, 0, 0)));
-        ch.push(Request::read(addr(0, 0, 1, 0)));
-        let stats = ch.run();
+        let reqs = [Request::read(addr(0, 0, 0, 0)), Request::read(addr(0, 0, 1, 0))];
+        let stats = run(&small_spec(), reqs);
         assert_eq!(stats.row_misses, 1);
         assert_eq!(stats.row_conflicts, 1);
         assert_eq!(stats.precharges, 1);
@@ -713,12 +626,8 @@ mod tests {
     #[test]
     fn streaming_one_row_hits_peak_bandwidth() {
         let spec = small_spec();
-        let mut ch = ChannelSim::new(&spec);
-        let cols = spec.topology.columns();
-        for c in 0..cols {
-            ch.push(Request::read(addr(0, 0, 0, c)));
-        }
-        let stats = ch.run();
+        let stats =
+            run(&spec, (0..spec.topology.columns()).map(|c| Request::read(addr(0, 0, 0, c))));
         // Steady state: one burst per tCCD; overhead only from the initial
         // ACT+CL. Bandwidth must exceed 80% of the channel peak.
         let ns = spec.cycles_to_ns(stats.finish_cycle);
@@ -729,17 +638,15 @@ mod tests {
     #[test]
     fn bank_interleaving_hides_row_activation() {
         let spec = small_spec();
-        let mut ch = ChannelSim::new(&spec);
+        let t = spec.topology;
         // Stream across all 16 banks, 4 rows each, column-major like a
         // conventional interleaved layout.
-        for row in 0..4 {
-            for col in 0..spec.topology.columns() {
-                for bank in 0..spec.topology.banks() {
-                    ch.push(Request::read(addr(0, bank, row, col)));
-                }
-            }
-        }
-        let stats = ch.run();
+        let reqs = (0..4).flat_map(|row| {
+            (0..t.columns()).flat_map(move |col| {
+                (0..t.banks()).map(move |bank| Request::read(addr(0, bank, row, col)))
+            })
+        });
+        let stats = run(&spec, reqs);
         let ns = spec.cycles_to_ns(stats.finish_cycle);
         let bw = stats.bytes(spec.topology.transfer_bytes) as f64 / (ns * 1e-9);
         assert!(
@@ -751,13 +658,13 @@ mod tests {
 
     #[test]
     fn fr_fcfs_serves_row_hits_before_conflicting_precharge() {
-        let spec = small_spec();
-        let mut ch = ChannelSim::new(&spec);
-        ch.push(Request::read(addr(0, 0, 0, 0)));
         // Older request to a different row of bank 0, then a younger hit.
-        ch.push(Request::read(addr(0, 0, 5, 0)));
-        ch.push(Request::read(addr(0, 0, 0, 1)));
-        let stats = ch.run();
+        let reqs = [
+            Request::read(addr(0, 0, 0, 0)),
+            Request::read(addr(0, 0, 5, 0)),
+            Request::read(addr(0, 0, 0, 1)),
+        ];
+        let stats = run(&small_spec(), reqs);
         // The younger same-row read must be served as a hit (no extra
         // conflict for it).
         assert_eq!(stats.row_hits, 1);
@@ -768,10 +675,8 @@ mod tests {
     #[test]
     fn writes_then_reads_respect_turnaround() {
         let spec = small_spec();
-        let mut ch = ChannelSim::new(&spec);
-        ch.push(Request::write(addr(0, 0, 0, 0)));
-        ch.push(Request::read(addr(0, 0, 0, 1)));
-        let stats = ch.run();
+        let reqs = [Request::write(addr(0, 0, 0, 0)), Request::read(addr(0, 0, 0, 1))];
+        let stats = run(&spec, reqs);
         let tm = &spec.timing;
         // The read data cannot start before the write data ended plus tWTR.
         let wr_cmd = tm.rcd;
@@ -784,123 +689,26 @@ mod tests {
     #[test]
     fn refresh_is_issued_on_long_streams() {
         let spec = small_spec();
-        let mut ch = ChannelSim::new(&spec);
         // Enough work to cross at least one tREFI boundary.
         let per_refi = spec.timing.refi / spec.timing.ccd_l + 10;
         let cols = spec.topology.columns();
-        let mut n = 0;
-        'outer: for row in 0..spec.topology.rows {
-            for col in 0..cols {
-                ch.push(Request::read(addr(0, 0, row, col)));
-                n += 1;
-                if n > per_refi {
-                    break 'outer;
-                }
-            }
-        }
-        let stats = ch.run();
+        let reqs = (0..=per_refi).map(|n| Request::read(addr(0, 0, n / cols, n % cols)));
+        let stats = run(&spec, reqs);
         assert!(stats.refreshes > 0, "expected refreshes on a long stream");
     }
 
     #[test]
-    fn closed_page_policy_wins_on_random_traffic() {
-        let spec = small_spec();
-        // Random single-access-per-row traffic.
-        let make_reqs = || {
-            (0..512u64).map(|i| {
-                let x = i.wrapping_mul(0x9E3779B97F4A7C15);
-                Request::read(addr(x % 2, (x >> 8) % 16, (x >> 16) % 256, (x >> 32) % 64))
-            })
-        };
-        let mut open = ChannelSim::new(&spec);
-        let mut closed = ChannelSim::with_config(
-            &spec,
-            SchedConfig { page_policy: PagePolicy::Closed, ..Default::default() },
-        );
-        for r in make_reqs() {
-            open.push(r);
-        }
-        for r in make_reqs() {
-            closed.push(r);
-        }
-        let so = open.run();
-        let sc = closed.run();
-        assert!(
-            sc.finish_cycle <= so.finish_cycle,
-            "closed page should win on row-conflict-heavy traffic: {} vs {}",
-            sc.finish_cycle,
-            so.finish_cycle
-        );
-        assert!(sc.row_conflicts < so.row_conflicts);
-    }
-
-    #[test]
-    fn open_page_policy_wins_on_streaming_traffic() {
-        let spec = small_spec();
-        let make_reqs = || (0..512u64).map(|c| Request::read(addr(0, 0, c / 64, c % 64)));
-        let mut open = ChannelSim::new(&spec);
-        let mut closed = ChannelSim::with_config(
-            &spec,
-            SchedConfig { page_policy: PagePolicy::Closed, ..Default::default() },
-        );
-        for r in make_reqs() {
-            open.push(r);
-        }
-        for r in make_reqs() {
-            closed.push(r);
-        }
-        let so = open.run();
-        let sc = closed.run();
-        assert!(
-            so.finish_cycle <= sc.finish_cycle + 8,
-            "{} vs {}",
-            so.finish_cycle,
-            sc.finish_cycle
-        );
-        assert!(so.row_hits >= sc.row_hits);
-    }
-
-    #[test]
-    fn narrow_window_hurts_interleaved_traffic() {
-        let spec = small_spec();
-        let make_reqs = || {
-            (0..512u64).map(|i| {
-                let x = i.wrapping_mul(0x9E3779B97F4A7C15);
-                Request::read(addr(0, (x >> 8) % 16, (x >> 16) % 64, i % 64))
-            })
-        };
-        let mut wide =
-            ChannelSim::with_config(&spec, SchedConfig { window: 32, ..Default::default() });
-        let mut narrow =
-            ChannelSim::with_config(&spec, SchedConfig { window: 2, ..Default::default() });
-        for r in make_reqs() {
-            wide.push(r);
-        }
-        for r in make_reqs() {
-            narrow.push(r);
-        }
-        let sw = wide.run();
-        let sn = narrow.run();
-        assert!(sw.finish_cycle <= sn.finish_cycle, "{} vs {}", sw.finish_cycle, sn.finish_cycle);
-    }
-
-    #[test]
     fn arrival_gaps_are_respected() {
-        let spec = small_spec();
-        let mut ch = ChannelSim::new(&spec);
-        ch.push(Request::read(addr(0, 0, 0, 0)).at(10_000));
-        let stats = ch.run();
+        let stats = run(&small_spec(), [Request::read(addr(0, 0, 0, 0)).at(10_000)]);
         assert!(stats.finish_cycle >= 10_000);
     }
 
     #[test]
     fn idle_accounting_partitions_the_finish_cycle() {
         let spec = small_spec();
-        let mut ch = ChannelSim::new(&spec);
         // Two requests separated by a long idle gap.
-        ch.push(Request::read(addr(0, 0, 0, 0)));
-        ch.push(Request::read(addr(0, 0, 0, 1)).at(50_000));
-        let stats = ch.run();
+        let reqs = [Request::read(addr(0, 0, 0, 0)), Request::read(addr(0, 0, 0, 1)).at(50_000)];
+        let stats = run(&spec, reqs);
         assert_eq!(stats.busy_cycles, 2 * spec.timing.burst_cycles);
         assert_eq!(stats.idle_cycles + stats.busy_cycles, stats.finish_cycle);
         assert!(stats.idle_cycles > 40_000, "gap must be counted as idle");

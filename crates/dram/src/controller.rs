@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use facil_telemetry::{pool, ArgValue, TraceSink, TrackId};
 
-use crate::channel::{ChannelSim, SchedConfig};
+use crate::channel::{ChannelCore, SchedConfig};
 use crate::command::{CommandKind, Request};
 use crate::spec::DramSpec;
 use crate::stats::{DramStats, SimResult};
@@ -21,28 +21,26 @@ use crate::stats::{DramStats, SimResult};
 #[derive(Debug)]
 pub struct DramSystem {
     spec: Arc<DramSpec>,
-    channels: Vec<ChannelSim>,
+    channels: Vec<ChannelCore>,
     cfg: SchedConfig,
 }
 
 impl DramSystem {
     /// Create a backend for `spec` with default scheduler parameters (the
     /// engine honors `FACIL_DRAM_ENGINE`, see
-    /// [`crate::engine::EngineKind::default_kind`]). The spec is stored
-    /// once behind an [`Arc`] and shared by every channel scheduler.
+    /// [`crate::EngineKind::default_kind`]). The spec is stored once
+    /// behind an [`Arc`] and shared by every channel scheduler.
     pub fn new(spec: &DramSpec) -> Self {
         Self::with_config(spec, SchedConfig::default())
     }
 
     /// Create a backend for `spec` with explicit scheduler parameters —
-    /// in particular an explicit [`crate::engine::EngineKind`], which is
-    /// how the perf harness pits the engines against each other on
-    /// identical streams.
+    /// in particular an explicit [`crate::EngineKind`], which is how the
+    /// perf gates pit the engines against each other on identical streams.
     pub fn with_config(spec: &DramSpec, cfg: SchedConfig) -> Self {
         let spec = Arc::new(spec.clone());
-        let channels = (0..spec.topology.channels)
-            .map(|_| ChannelSim::from_shared(Arc::clone(&spec), cfg))
-            .collect();
+        let channels =
+            (0..spec.topology.channels).map(|_| ChannelCore::new(Arc::clone(&spec))).collect();
         DramSystem { spec, channels, cfg }
     }
 
@@ -155,7 +153,8 @@ impl DramSystem {
     /// calling worker runs the channels inline rather than oversubscribing
     /// or deadlocking the executor — with, again, the same `SimResult`.
     pub fn run_with_threads(&mut self, workers: usize) -> SimResult {
-        let per_channel = pool::par_map_mut_with(workers, &mut self.channels, ChannelSim::run);
+        let engine = self.cfg.engine;
+        let per_channel = pool::par_map_mut_with(workers, &mut self.channels, |ch| ch.run(engine));
         let mut stats = DramStats::default();
         for s in &per_channel {
             stats.merge(s);
@@ -294,15 +293,13 @@ mod tests {
     // so refresh spans must land on their deadlines, not on visit times).
     #[test]
     fn trace_tracks_survive_time_jumps() {
-        use crate::channel::SchedConfig;
-        use crate::engine::EngineKind;
+        use crate::EngineKind;
         use facil_telemetry::RingSink;
 
         let spec = DramSpec::lpddr5_6400(16, 256 << 20); // 1 channel
         let gap = 4 * spec.timing.refi + 17;
         let json = |engine: EngineKind| {
-            let cfg = SchedConfig { engine, ..SchedConfig::default() };
-            let mut sys = DramSystem::with_config(&spec, cfg);
+            let mut sys = DramSystem::with_config(&spec, SchedConfig { engine });
             sys.enable_logging();
             for (i, at) in [0, 0, gap, gap + 3].into_iter().enumerate() {
                 sys.push(
@@ -329,14 +326,12 @@ mod tests {
 
     #[test]
     fn with_config_selects_engine_and_reports_it() {
-        use crate::channel::SchedConfig;
-        use crate::engine::EngineKind;
+        use crate::EngineKind;
 
         let spec = DramSpec::lpddr5_6400(16, 256 << 20);
-        let cfg = SchedConfig { engine: EngineKind::Stepped, ..SchedConfig::default() };
-        let sys = DramSystem::with_config(&spec, cfg);
+        let sys = DramSystem::with_config(&spec, SchedConfig { engine: EngineKind::Stepped });
         assert_eq!(sys.config().engine, EngineKind::Stepped);
-        assert_eq!(DramSystem::new(&spec).config().window, SchedConfig::default().window);
+        assert_eq!(DramSystem::new(&spec).config(), SchedConfig::default());
     }
 
     #[test]

@@ -95,18 +95,6 @@ impl EnergyModel {
             background_uj: self.background_mw_per_rank * ranks * elapsed_ns / 1e9 / 1e3,
         }
     }
-
-    /// Convenience: energy (µJ) of streaming `bytes` once at the achieved
-    /// `bandwidth` with a given row-buffer hit rate, without running the
-    /// full simulator — used for back-of-envelope comparisons in benches.
-    pub fn streaming_energy_uj(&self, spec: &DramSpec, bytes: u64, hit_rate: f64, io: bool) -> f64 {
-        let tx = spec.topology.transfer_bytes;
-        let accesses = bytes.div_ceil(tx);
-        let rows = (accesses as f64 * (1.0 - hit_rate)).ceil();
-        let stats = DramStats { reads: accesses, activates: rows as u64, ..Default::default() };
-        let ns = bytes as f64 / spec.peak_bandwidth_bytes_per_sec() * 1e9;
-        self.energy_inner(spec, &stats, ns, io).total_uj()
-    }
 }
 
 #[cfg(test)]
@@ -116,6 +104,15 @@ mod tests {
 
     fn spec() -> DramSpec {
         DramSpec::lpddr5_6400(64, 8 << 30)
+    }
+
+    /// Stats of reading `bytes` once with the given row-buffer hit rate,
+    /// and the time that takes at peak bandwidth.
+    fn streaming(spec: &DramSpec, bytes: u64, hit_rate: f64) -> (DramStats, f64) {
+        let accesses = bytes.div_ceil(spec.topology.transfer_bytes);
+        let rows = (accesses as f64 * (1.0 - hit_rate)).ceil();
+        let stats = DramStats { reads: accesses, activates: rows as u64, ..Default::default() };
+        (stats, bytes as f64 / spec.peak_bandwidth_bytes_per_sec() * 1e9)
     }
 
     #[test]
@@ -148,9 +145,9 @@ mod tests {
     fn lower_hit_rate_costs_more() {
         let m = EnergyModel::default();
         let s = spec();
-        let hot = m.streaming_energy_uj(&s, 1 << 20, 0.95, true);
-        let cold = m.streaming_energy_uj(&s, 1 << 20, 0.1, true);
-        assert!(cold > hot);
+        let (hot, ns) = streaming(&s, 1 << 20, 0.95);
+        let (cold, _) = streaming(&s, 1 << 20, 0.1);
+        assert!(m.energy(&s, &cold, ns).total_uj() > m.energy(&s, &hot, ns).total_uj());
     }
 
     #[test]
@@ -158,7 +155,8 @@ mod tests {
         // Streaming 1 GB at 2 pJ/bit ~ 17 mJ of interface energy.
         let m = EnergyModel::default();
         let s = spec();
-        let uj = m.streaming_energy_uj(&s, 1 << 30, 0.9, true);
+        let (stats, ns) = streaming(&s, 1 << 30, 0.9);
+        let uj = m.energy(&s, &stats, ns).total_uj();
         assert!((10_000.0..60_000.0).contains(&uj), "got {uj} uJ");
     }
 }

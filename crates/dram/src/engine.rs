@@ -1,25 +1,25 @@
 //! Simulation engines: *how* the channel clock advances between
 //! scheduling decisions.
 //!
-//! [`crate::channel::ChannelCore`] defines *what* happens at a visited
-//! cycle (the FR-FCFS decision procedure, refresh bookkeeping, stats); a
-//! [`DramEngine`] decides *which* cycles get visited:
+//! [`ChannelCore`] defines *what* happens at a visited cycle (the FR-FCFS
+//! decision procedure, refresh bookkeeping, stats); the drive loop of an
+//! [`EngineKind`] decides *which* cycles get visited:
 //!
-//! * [`SteppedEngine`] — the cycle-stepped reference: visit every DRAM
-//!   clock, attempt a decision, advance by one. Trivially correct, and
-//!   exactly the semantics the scheduler had before the engine split —
-//!   the old `ChannelSim::step()` loop extracted behind the trait. Cost is
+//! * [`EngineKind::Stepped`] — the cycle-stepped reference: visit every
+//!   DRAM clock, attempt a decision, advance by one. Trivially correct, and
+//!   kept as the oracle the event engine is tested against. Cost is
 //!   proportional to *elapsed DRAM time*, which is the scale ceiling on
 //!   low-utilization serving traces (~10⁶ requests/day are mostly idle
 //!   cycles).
-//! * [`EventEngine`] — next-event simulation: keep the per-request
+//! * [`EngineKind::Event`] — next-event simulation: keep the per-request
 //!   next-actionable times reported by the decision procedure plus the
 //!   per-rank tREFI deadlines in a binary-heap [`EventQueue`], and jump
 //!   the clock directly to the earliest cycle at which the decision could
 //!   possibly change. Cost is proportional to the *number of commands*,
 //!   independent of idle time (the Ramulator 2.x design point).
 //!
-//! The two engines are bit-identical — same command log, same
+//! Both loops keep the visiting contract documented on [`ChannelCore`],
+//! and the two engines are bit-identical — same command log, same
 //! [`crate::DramStats`] — because a jump from `t` to `target` only skips
 //! cycles where the decision is provably the same `Blocked` it was at `t`:
 //!
@@ -31,81 +31,75 @@
 //! * no tREFI deadline falls before `target` (refresh closes rows, which
 //!   can create an *earlier* actionable activate, so deadlines cap the
 //!   jump too — and refresh effects are deadline-derived, never
-//!   visit-time-derived, see [`crate::channel::ChannelCore::service_refresh`]).
+//!   visit-time-derived, see [`ChannelCore::service_refresh`]).
 //!
 //! Selection: [`crate::SchedConfig::engine`], defaulting to the
 //! `FACIL_DRAM_ENGINE` environment variable (`stepped` or `event`), else
 //! [`EngineKind::Event`]. The property test
 //! `event_engine_is_bit_identical_to_stepped` holds the two together under
-//! random traffic, both page policies, multi-channel parallel runs and
-//! refresh-heavy timing.
+//! random traffic, multi-channel parallel runs and refresh-heavy timing,
+//! and `tests/pinned.rs` pins the schedule both of them produce.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::channel::{ChannelCore, Decision};
 
-/// A strategy for driving a [`ChannelCore`] to completion.
-///
-/// Implementations must uphold the visiting contract documented on
-/// [`ChannelCore`]: reclaim + service refresh before every decision, never
-/// move the clock backwards, and never jump past a cycle at which the
-/// decision could change (candidate ready, next window arrival, or tREFI
-/// deadline).
-pub trait DramEngine {
-    /// Engine name for reports and diagnostics.
-    fn name(&self) -> &'static str;
+/// The environment variable that selects the default engine.
+const ENGINE_VAR: &str = "FACIL_DRAM_ENGINE";
 
-    /// Schedule every queued request of `core` to completion.
-    fn drive(&self, core: &mut ChannelCore);
-}
-
-/// Which [`DramEngine`] a scheduler runs on.
+/// Which simulation engine drives the DRAM scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EngineKind {
-    /// Cycle-stepped reference engine ([`SteppedEngine`]).
+    /// Cycle-stepped reference engine: visits every DRAM clock.
     Stepped,
-    /// Next-event engine ([`EventEngine`], the default).
+    /// Next-event engine (the default): jumps to the next cycle at which
+    /// the scheduling decision can change.
     Event,
 }
 
 impl EngineKind {
-    /// Parse an engine name (`stepped`/`step`/`cycle` or `event`/`next-event`),
-    /// case-insensitively.
-    pub fn parse(s: &str) -> Option<EngineKind> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "stepped" | "step" | "cycle" | "cycle-stepped" => Some(EngineKind::Stepped),
-            "event" | "next-event" | "next_event" => Some(EngineKind::Event),
-            _ => None,
+    /// The engine a `FACIL_DRAM_ENGINE` value selects (`None` when the
+    /// variable is unset): `stepped` or `event`, surrounding whitespace
+    /// ignored, in any case. Any other value is an error naming the
+    /// variable and the accepted values.
+    fn from_env_value(value: Option<&str>) -> Result<EngineKind, String> {
+        let Some(v) = value else { return Ok(EngineKind::Event) };
+        match v.trim().to_ascii_lowercase().as_str() {
+            "stepped" => Ok(EngineKind::Stepped),
+            "event" => Ok(EngineKind::Event),
+            _ => Err(format!(
+                "{ENGINE_VAR}={v:?} names no DRAM engine: expected `stepped` or `event`"
+            )),
         }
     }
 
-    /// The engine named by the `FACIL_DRAM_ENGINE` environment variable,
-    /// if set to a recognized value.
-    pub fn from_env() -> Option<EngineKind> {
-        std::env::var("FACIL_DRAM_ENGINE").ok().as_deref().and_then(EngineKind::parse)
-    }
-
-    /// Default engine: `FACIL_DRAM_ENGINE` if set and recognized, else
-    /// [`EngineKind::Event`]. Unrecognized values fall back to the event
-    /// engine (results are identical either way; only wall-clock differs).
+    /// Default engine: the one `FACIL_DRAM_ENGINE` names, else
+    /// [`EngineKind::Event`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `FACIL_DRAM_ENGINE` is set to anything but `stepped` or
+    /// `event`, so that a misspelt engine never silently runs the other.
     pub fn default_kind() -> EngineKind {
-        EngineKind::from_env().unwrap_or(EngineKind::Event)
-    }
-
-    /// The shared engine instance for this kind.
-    pub fn engine(self) -> &'static dyn DramEngine {
-        static STEPPED: SteppedEngine = SteppedEngine;
-        static EVENT: EventEngine = EventEngine;
-        match self {
-            EngineKind::Stepped => &STEPPED,
-            EngineKind::Event => &EVENT,
-        }
+        let value = std::env::var_os(ENGINE_VAR).map(|v| v.to_string_lossy().into_owned());
+        EngineKind::from_env_value(value.as_deref()).unwrap_or_else(|msg| panic!("{msg}"))
     }
 
     /// Engine name (`"stepped"` or `"event"`).
     pub fn name(self) -> &'static str {
-        self.engine().name()
+        match self {
+            EngineKind::Stepped => "stepped",
+            EngineKind::Event => "event",
+        }
+    }
+
+    /// Schedule every queued request of `core` to completion.
+    pub(crate) fn drive(self, core: &mut ChannelCore) {
+        match self {
+            EngineKind::Stepped => drive_stepped(core),
+            EngineKind::Event => drive_event(core),
+        }
     }
 }
 
@@ -115,54 +109,18 @@ impl std::fmt::Display for EngineKind {
     }
 }
 
-/// The cycle-stepped reference engine: visit every DRAM clock cycle.
-///
-/// This is the pre-engine-split scheduler semantics, kept as the obviously
-/// correct oracle the event engine is property-tested against (the same
-/// discipline as `parallel_run_is_bit_identical_to_serial`: a simple
-/// serial reference holds an optimized implementation honest).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SteppedEngine;
-
-impl DramEngine for SteppedEngine {
-    fn name(&self) -> &'static str {
-        "stepped"
-    }
-
-    fn drive(&self, core: &mut ChannelCore) {
-        while core.pending() > 0 {
-            core.reclaim();
-            core.service_refresh();
-            if let Decision::Blocked { .. } = core.decide() {
-                core.tick();
-            }
+/// The cycle-stepped reference: visit every DRAM clock cycle.
+fn drive_stepped(core: &mut ChannelCore) {
+    while core.pending() > 0 {
+        core.reclaim();
+        core.service_refresh();
+        if let Decision::Blocked { .. } = core.decide() {
+            core.tick();
         }
     }
 }
 
-/// What a queued [`EventQueue`] entry is waiting for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum EventKind {
-    /// A blocked command candidate becomes ready (bank timing, tFAW window
-    /// expiry, data-bus drain or turnaround).
-    CandidateReady = 0,
-    /// The next queued request arrives at the channel.
-    Arrival = 1,
-    /// A rank reaches its tREFI deadline and must refresh.
-    RefreshDue = 2,
-}
-
-impl EventKind {
-    fn from_tag(tag: u8) -> EventKind {
-        match tag {
-            0 => EventKind::CandidateReady,
-            1 => EventKind::Arrival,
-            _ => EventKind::RefreshDue,
-        }
-    }
-}
-
-/// Min-heap of future wake-up cycles for the [`EventEngine`].
+/// Min-heap of future wake-up cycles for the event engine.
 ///
 /// Entries are *hints*, not obligations: waking earlier than necessary is
 /// harmless (the decision procedure simply reports `Blocked` again), so
@@ -172,49 +130,34 @@ impl EventKind {
 /// drive loop: every cycle at which the pending decision could change has
 /// an entry at or before it.
 #[derive(Debug, Default)]
-pub struct EventQueue {
-    heap: BinaryHeap<Reverse<(u64, u8)>>,
+struct EventQueue {
+    heap: BinaryHeap<Reverse<u64>>,
     /// Last refresh deadline pushed, so the per-decision re-arm of the
     /// persistent refresh event does not flood the heap with duplicates.
     armed_refresh: Option<u64>,
 }
 
 impl EventQueue {
-    /// An empty queue.
-    pub fn new() -> Self {
-        EventQueue::default()
-    }
-
-    /// Number of queued (possibly stale) events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True if no events are queued.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
     /// Queue a wake-up at `cycle`.
-    pub fn push(&mut self, cycle: u64, kind: EventKind) {
-        self.heap.push(Reverse((cycle, kind as u8)));
+    fn push(&mut self, cycle: u64) {
+        self.heap.push(Reverse(cycle));
     }
 
     /// Arm (or re-arm) the refresh deadline event. Idempotent per
     /// deadline: re-arming the same cycle is a no-op.
-    pub fn arm_refresh(&mut self, deadline: u64) {
+    fn arm_refresh(&mut self, deadline: u64) {
         if self.armed_refresh != Some(deadline) {
-            self.push(deadline, EventKind::RefreshDue);
+            self.push(deadline);
             self.armed_refresh = Some(deadline);
         }
     }
 
-    /// Pop the earliest event strictly after `now`, discarding stale
+    /// Pop the earliest wake-up strictly after `now`, discarding stale
     /// entries at or before `now`.
-    pub fn pop_after(&mut self, now: u64) -> Option<(u64, EventKind)> {
-        while let Some(Reverse((cycle, tag))) = self.heap.pop() {
+    fn pop_after(&mut self, now: u64) -> Option<u64> {
+        while let Some(Reverse(cycle)) = self.heap.pop() {
             if cycle > now {
-                return Some((cycle, EventKind::from_tag(tag)));
+                return Some(cycle);
             }
         }
         None
@@ -231,46 +174,34 @@ impl EventQueue {
 /// for a decision, and (d) on `Blocked` pushes the reported
 /// next-actionable times plus the tREFI deadline into the [`EventQueue`]
 /// and advances to the earliest queued event.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EventEngine;
-
-impl DramEngine for EventEngine {
-    fn name(&self) -> &'static str {
-        "event"
-    }
-
-    fn drive(&self, core: &mut ChannelCore) {
-        let mut queue = EventQueue::new();
-        while core.pending() > 0 {
-            core.reclaim();
-            // Dead span: nothing queued has arrived yet, so no command can
-            // issue before the first arrival — jump it in one assignment.
-            let first = core.first_live_arrival();
-            if core.now() < first {
-                core.advance_to(first);
+fn drive_event(core: &mut ChannelCore) {
+    let mut queue = EventQueue::default();
+    while core.pending() > 0 {
+        core.reclaim();
+        // Dead span: nothing queued has arrived yet, so no command can
+        // issue before the first arrival — jump it in one assignment.
+        let first = core.first_live_arrival();
+        if core.now() < first {
+            core.advance_to(first);
+        }
+        core.service_refresh();
+        if let Decision::Blocked { next_ready, next_arrival } = core.decide() {
+            if let Some(t) = next_ready {
+                queue.push(t);
             }
-            core.service_refresh();
-            match core.decide() {
-                Decision::Issued => {}
-                Decision::Blocked { next_ready, next_arrival } => {
-                    if let Some(t) = next_ready {
-                        queue.push(t, EventKind::CandidateReady);
-                    }
-                    if let Some(t) = next_arrival {
-                        queue.push(t, EventKind::Arrival);
-                    }
-                    if let Some(due) = core.next_refresh_deadline() {
-                        queue.arm_refresh(due);
-                    }
-                    match queue.pop_after(core.now()) {
-                        Some((cycle, _)) => core.advance_to(cycle),
-                        // Blocked guarantees at least one bound: a nonempty
-                        // candidate set reports `next_ready`, and an empty
-                        // one implies the window head has not arrived,
-                        // which reports `next_arrival`.
-                        None => unreachable!("blocked with no future event"),
-                    }
-                }
+            if let Some(t) = next_arrival {
+                queue.push(t);
+            }
+            if let Some(due) = core.next_refresh_deadline() {
+                queue.arm_refresh(due);
+            }
+            match queue.pop_after(core.now()) {
+                Some(cycle) => core.advance_to(cycle),
+                // Blocked guarantees at least one bound: a nonempty
+                // candidate set reports `next_ready`, and an empty one
+                // implies the window head has not arrived, which reports
+                // `next_arrival`.
+                None => unreachable!("blocked with no future event"),
             }
         }
     }
@@ -282,37 +213,47 @@ mod tests {
     use crate::addr::DramAddress;
     use crate::command::Request;
     use crate::spec::DramSpec;
-    use crate::{ChannelSim, SchedConfig};
+    use crate::{DramSystem, SchedConfig};
 
+    /// The variable accepts exactly the two engine names, trimmed and in
+    /// any case; unset means the event engine, and every other value (the
+    /// old aliases included) is an error naming the variable and both
+    /// names. Tested on values, so no test touches the process environment.
     #[test]
-    fn parse_recognizes_both_engines() {
-        assert_eq!(EngineKind::parse("stepped"), Some(EngineKind::Stepped));
-        assert_eq!(EngineKind::parse("CYCLE"), Some(EngineKind::Stepped));
-        assert_eq!(EngineKind::parse(" event "), Some(EngineKind::Event));
-        assert_eq!(EngineKind::parse("next-event"), Some(EngineKind::Event));
-        assert_eq!(EngineKind::parse("warp-speed"), None);
+    fn engine_variable_accepts_exactly_two_names() {
+        let kind = EngineKind::from_env_value;
+        assert_eq!(kind(None), Ok(EngineKind::Event));
+        assert_eq!(kind(Some("stepped")), Ok(EngineKind::Stepped));
+        assert_eq!(kind(Some("STEPPED")), Ok(EngineKind::Stepped));
+        assert_eq!(kind(Some("event")), Ok(EngineKind::Event));
+        assert_eq!(kind(Some(" Event\n")), Ok(EngineKind::Event));
+        for rejected in ["steped", "step", "cycle", "cycle-stepped", "next-event", "next_event", ""]
+        {
+            let err = kind(Some(rejected)).unwrap_err();
+            assert!(err.contains(&format!("FACIL_DRAM_ENGINE={rejected:?}")), "{err}");
+            assert!(err.contains("`stepped`") && err.contains("`event`"), "{err}");
+        }
         assert_eq!(EngineKind::Stepped.name(), "stepped");
         assert_eq!(EngineKind::Event.to_string(), "event");
     }
 
     #[test]
     fn event_queue_orders_and_discards_stale() {
-        let mut q = EventQueue::new();
-        assert!(q.is_empty());
-        q.push(50, EventKind::Arrival);
-        q.push(10, EventKind::CandidateReady);
+        let mut q = EventQueue::default();
+        q.push(50);
+        q.push(10);
         q.arm_refresh(30);
         q.arm_refresh(30); // duplicate arm is a no-op
-        assert_eq!(q.len(), 3);
+        assert_eq!(q.heap.len(), 3);
         // Everything at or before `now` is stale and skipped.
-        assert_eq!(q.pop_after(10), Some((30, EventKind::RefreshDue)));
-        assert_eq!(q.pop_after(30), Some((50, EventKind::Arrival)));
+        assert_eq!(q.pop_after(10), Some(30));
+        assert_eq!(q.pop_after(30), Some(50));
         assert_eq!(q.pop_after(50), None);
     }
 
-    fn run_engine(spec: &DramSpec, engine: EngineKind) -> (crate::DramStats, String) {
-        let mut ch = ChannelSim::with_config(spec, SchedConfig { engine, ..Default::default() });
-        ch.enable_logging();
+    fn run_engine(spec: &DramSpec, engine: EngineKind) -> (crate::SimResult, String) {
+        let mut sys = DramSystem::with_config(spec, SchedConfig { engine });
+        sys.enable_logging();
         for i in 0..64u64 {
             let addr = DramAddress {
                 channel: 0,
@@ -322,10 +263,10 @@ mod tests {
                 column: i % 64,
             };
             let req = if i % 4 == 0 { Request::write(addr) } else { Request::read(addr) };
-            ch.push(req.at(i * 37)); // sparse arrivals: exercises jumps
+            sys.push(req.at(i * 37)); // sparse arrivals: exercises jumps
         }
-        let stats = ch.run();
-        (stats, format!("{:?}", ch.log()))
+        let result = sys.run();
+        (result, format!("{:?}", sys.logs()))
     }
 
     /// The engines must agree command-for-command on a simple stream; the
@@ -333,9 +274,9 @@ mod tests {
     #[test]
     fn engines_agree_on_a_mixed_stream() {
         let spec = DramSpec::lpddr5_6400(16, 256 << 20);
-        let (stepped_stats, stepped_log) = run_engine(&spec, EngineKind::Stepped);
-        let (event_stats, event_log) = run_engine(&spec, EngineKind::Event);
-        assert_eq!(stepped_stats, event_stats);
+        let (stepped_result, stepped_log) = run_engine(&spec, EngineKind::Stepped);
+        let (event_result, event_log) = run_engine(&spec, EngineKind::Event);
+        assert_eq!(stepped_result, event_result);
         assert_eq!(stepped_log, event_log);
     }
 }

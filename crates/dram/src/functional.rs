@@ -1,112 +1,36 @@
 //! Functional (data-value) memory model.
 //!
-//! Stores bytes keyed by *device* address, so data written through one
-//! PA-to-DA mapping and read through another behaves exactly like real DRAM
-//! cells: same cells, different views. This is what lets the integration
-//! tests demonstrate FACIL's core claim — the SoC reads the same weights the
-//! PIM computes on, without re-layout — at the level of actual data values.
+//! [`BankedMemory`] stores bytes keyed by *device* address, so data written
+//! through one PA-to-DA mapping and read through another behaves exactly
+//! like real DRAM cells: same cells, different views. This is what lets the
+//! integration tests demonstrate FACIL's core claim — the SoC reads the same
+//! weights the PIM computes on, without re-layout — at the level of actual
+//! data values.
+//!
+//! Cells are kept the way the device is physically organized: one row image
+//! per touched DRAM row, per bank. The all-bank PIM replay (`facil-fidelity`)
+//! reads whole rows bank by bank, so this layout keeps the functional path
+//! honest about *which bank's cells* every MAC beat touches.
 
 use std::collections::HashMap;
 
 use crate::addr::{DramAddress, Topology};
 use crate::mapper::{AddressMapper, MapFault};
 
-/// A transfer-granular backing store of DRAM cell contents.
-///
-/// This is the pluggable data layer of the functional simulation (the
-/// Ramulator 2.1 composability lesson: the data path is a layer *under* the
-/// timing model, not a fork of it). Anything that can read and write whole
-/// transfers by device address — the sparse [`FunctionalMemory`], a
-/// bank-sliced store, a mmap'd image — gets byte-level PA access through the
-/// provided `write_bytes`/`read_bytes`, and the PIM functional paths
-/// (`facil-pim`, `facil-fidelity`) execute over it unchanged.
-pub trait CellStore {
-    /// Geometry of the store.
-    fn topology(&self) -> &Topology;
-
-    /// Read one whole transfer at a device address. Cells never written
-    /// read as zero.
-    fn load_transfer(&self, addr: DramAddress) -> Vec<u8>;
-
-    /// Write one whole transfer at a device address.
-    ///
-    /// # Panics
-    ///
-    /// Implementations panic if `data` is not exactly one transfer long.
-    fn store_transfer(&mut self, addr: DramAddress, data: &[u8]);
-
-    /// Write `data` starting at physical byte address `pa`, translating
-    /// each transfer through `mapper`. Partial transfers read-modify-write
-    /// the stored cell.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`MapFault`] the mapper raises; bytes before
-    /// the faulting transfer are already written.
-    fn write_bytes<M: AddressMapper>(
-        &mut self,
-        mapper: &M,
-        pa: u64,
-        data: &[u8],
-    ) -> Result<(), MapFault> {
-        let tx = self.topology().transfer_bytes;
-        let mut cur = pa;
-        let mut remaining = data;
-        while !remaining.is_empty() {
-            let offset = (cur % tx) as usize;
-            let chunk = ((tx as usize) - offset).min(remaining.len());
-            let addr = mapper.map(cur)?;
-            if chunk == tx as usize {
-                self.store_transfer(addr, &remaining[..chunk]);
-            } else {
-                let mut block = self.load_transfer(addr);
-                block[offset..offset + chunk].copy_from_slice(&remaining[..chunk]);
-                self.store_transfer(addr, &block);
-            }
-            remaining = &remaining[chunk..];
-            cur += chunk as u64;
-        }
-        Ok(())
-    }
-
-    /// Read `len` bytes starting at physical byte address `pa` through
-    /// `mapper`. Unwritten cells read as zero.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`MapFault`] the mapper raises.
-    fn read_bytes<M: AddressMapper>(
-        &self,
-        mapper: &M,
-        pa: u64,
-        len: usize,
-    ) -> Result<Vec<u8>, MapFault> {
-        let tx = self.topology().transfer_bytes;
-        let mut out = Vec::with_capacity(len);
-        let mut cur = pa;
-        while out.len() < len {
-            let offset = (cur % tx) as usize;
-            let chunk = ((tx as usize) - offset).min(len - out.len());
-            let block = self.load_transfer(mapper.map(cur)?);
-            out.extend_from_slice(&block[offset..offset + chunk]);
-            cur += chunk as u64;
-        }
-        Ok(out)
-    }
-}
-
-/// Byte-accurate DRAM contents, sparse (unwritten cells read as zero).
+/// Byte-accurate DRAM contents, sliced per bank and per row (unwritten cells
+/// read as zero).
 #[derive(Debug, Clone)]
-pub struct FunctionalMemory {
+pub struct BankedMemory {
     topo: Topology,
-    /// Transfer-sized blocks keyed by the flat device-transfer index.
-    blocks: HashMap<u64, Vec<u8>>,
+    /// Indexed by flat bank; each bank maps a row index to its row image.
+    banks: Vec<HashMap<u64, Vec<u8>>>,
 }
 
-impl FunctionalMemory {
-    /// Create an empty functional memory with the given geometry.
+impl BankedMemory {
+    /// Create an empty banked memory with the given geometry.
     pub fn new(topo: Topology) -> Self {
-        FunctionalMemory { topo, blocks: HashMap::new() }
+        let banks = vec![HashMap::new(); topo.total_banks() as usize];
+        BankedMemory { topo, banks }
     }
 
     /// Geometry of this memory.
@@ -114,14 +38,58 @@ impl FunctionalMemory {
         &self.topo
     }
 
-    fn block_mut(&mut self, addr: DramAddress) -> &mut Vec<u8> {
-        let key = addr.flat_index(&self.topo);
+    /// Total distinct DRAM rows holding data, across all banks.
+    pub fn touched_rows(&self) -> usize {
+        self.banks.iter().map(HashMap::len).sum()
+    }
+
+    fn flat_bank(&self, addr: DramAddress) -> usize {
+        debug_assert!(addr.is_valid(&self.topo));
+        ((addr.channel * self.topo.ranks + addr.rank) * self.topo.banks() + addr.bank) as usize
+    }
+
+    /// Byte offset of `addr`'s transfer within its row image.
+    fn offset(&self, addr: DramAddress) -> usize {
+        (addr.column * self.topo.transfer_bytes) as usize
+    }
+
+    /// The row image holding `addr`, if that row was ever written.
+    fn row(&self, addr: DramAddress) -> Option<&[u8]> {
+        self.banks[self.flat_bank(addr)].get(&addr.row).map(Vec::as_slice)
+    }
+
+    /// The row image holding `addr`, allocated (zeroed) on first write.
+    fn row_mut(&mut self, addr: DramAddress) -> &mut [u8] {
+        let row_bytes = self.topo.row_bytes as usize;
+        let flat = self.flat_bank(addr);
+        self.banks[flat].entry(addr.row).or_insert_with(|| vec![0u8; row_bytes])
+    }
+
+    /// Read one whole transfer at a device address (the PIM paths address
+    /// cells directly). Cells never written read as zero.
+    pub fn load_transfer(&self, addr: DramAddress) -> Vec<u8> {
         let tx = self.topo.transfer_bytes as usize;
-        self.blocks.entry(key).or_insert_with(|| vec![0u8; tx])
+        let off = self.offset(addr);
+        match self.row(addr) {
+            Some(row) => row[off..off + tx].to_vec(),
+            None => vec![0u8; tx],
+        }
+    }
+
+    /// Write one whole transfer at a device address.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data` is not exactly one transfer long.
+    pub fn store_transfer(&mut self, addr: DramAddress, data: &[u8]) {
+        assert_eq!(data.len() as u64, self.topo.transfer_bytes);
+        let off = self.offset(addr);
+        self.row_mut(addr)[off..off + data.len()].copy_from_slice(data);
     }
 
     /// Write `data` starting at physical byte address `pa`, translating each
-    /// transfer through `mapper`.
+    /// transfer through `mapper`. Partial transfers keep the rest of the
+    /// stored transfer.
     ///
     /// # Errors
     ///
@@ -140,9 +108,8 @@ impl FunctionalMemory {
             let offset = (cur % tx) as usize;
             let chunk = ((tx as usize) - offset).min(remaining.len());
             let addr = mapper.map(cur)?;
-            debug_assert!(addr.is_valid(&self.topo));
-            let block = self.block_mut(addr);
-            block[offset..offset + chunk].copy_from_slice(&remaining[..chunk]);
+            let off = self.offset(addr) + offset;
+            self.row_mut(addr)[off..off + chunk].copy_from_slice(&remaining[..chunk]);
             remaining = &remaining[chunk..];
             cur += chunk as u64;
         }
@@ -168,54 +135,14 @@ impl FunctionalMemory {
             let offset = (cur % tx) as usize;
             let chunk = ((tx as usize) - offset).min(len - out.len());
             let addr = mapper.map(cur)?;
-            debug_assert!(addr.is_valid(&self.topo));
-            let key = addr.flat_index(&self.topo);
-            match self.blocks.get(&key) {
-                Some(block) => out.extend_from_slice(&block[offset..offset + chunk]),
-                None => out.extend(std::iter::repeat_n(0u8, chunk)),
+            let off = self.offset(addr) + offset;
+            match self.row(addr) {
+                Some(row) => out.extend_from_slice(&row[off..off + chunk]),
+                None => out.resize(out.len() + chunk, 0),
             }
             cur += chunk as u64;
         }
         Ok(out)
-    }
-
-    /// Read one whole transfer at a device address (used by the PIM engine,
-    /// which addresses cells directly).
-    pub fn read_transfer(&self, addr: DramAddress) -> Vec<u8> {
-        let key = addr.flat_index(&self.topo);
-        self.blocks
-            .get(&key)
-            .cloned()
-            .unwrap_or_else(|| vec![0u8; self.topo.transfer_bytes as usize])
-    }
-
-    /// Write one whole transfer at a device address.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data` is not exactly one transfer long.
-    pub fn write_transfer(&mut self, addr: DramAddress, data: &[u8]) {
-        assert_eq!(data.len() as u64, self.topo.transfer_bytes);
-        *self.block_mut(addr) = data.to_vec();
-    }
-
-    /// Number of distinct transfers written so far.
-    pub fn touched_transfers(&self) -> usize {
-        self.blocks.len()
-    }
-}
-
-impl CellStore for FunctionalMemory {
-    fn topology(&self) -> &Topology {
-        &self.topo
-    }
-
-    fn load_transfer(&self, addr: DramAddress) -> Vec<u8> {
-        self.read_transfer(addr)
-    }
-
-    fn store_transfer(&mut self, addr: DramAddress, data: &[u8]) {
-        self.write_transfer(addr, data);
     }
 }
 
@@ -270,7 +197,7 @@ mod tests {
     fn roundtrip_same_mapper() {
         let t = topo();
         let m = identity_mapper(t);
-        let mut mem = FunctionalMemory::new(t);
+        let mut mem = BankedMemory::new(t);
         let data: Vec<u8> = (0..=255).collect();
         mem.write_bytes(&m, 100, &data).unwrap(); // unaligned start
         assert_eq!(mem.read_bytes(&m, 100, 256).unwrap(), data);
@@ -286,7 +213,7 @@ mod tests {
         let a = identity_mapper(t);
         let b = swizzled_mapper(t);
         let cap = t.capacity_bytes() as usize;
-        let mut mem = FunctionalMemory::new(t);
+        let mut mem = BankedMemory::new(t);
         let data: Vec<u8> = (0..cap).map(|i| (i % 251) as u8).collect();
         mem.write_bytes(&a, 0, &data).unwrap();
         let through_b = mem.read_bytes(&b, 0, cap).unwrap();
@@ -303,32 +230,18 @@ mod tests {
     }
 
     #[test]
-    fn cell_store_trait_agrees_with_inherent_paths() {
-        // The provided trait defaults (used by any CellStore implementor)
-        // must behave exactly like FunctionalMemory's own byte paths.
-        let t = topo();
-        let m = identity_mapper(t);
-        let mut inherent = FunctionalMemory::new(t);
-        let mut via_trait = FunctionalMemory::new(t);
-        let data: Vec<u8> = (0..300).map(|i| (i % 253) as u8).collect();
-        inherent.write_bytes(&m, 37, &data).unwrap();
-        CellStore::write_bytes(&mut via_trait, &m, 37, &data).unwrap();
-        assert_eq!(
-            inherent.read_bytes(&m, 0, 512).unwrap(),
-            CellStore::read_bytes(&via_trait, &m, 0, 512).unwrap()
-        );
-        assert_eq!(inherent.touched_transfers(), via_trait.touched_transfers());
-    }
-
-    #[test]
     fn transfer_level_access() {
         let t = topo();
-        let mut mem = FunctionalMemory::new(t);
+        let mut mem = BankedMemory::new(t);
         let addr = DramAddress { channel: 1, rank: 0, bank: 3, row: 5, column: 7 };
-        mem.write_transfer(addr, &[7u8; 32]);
-        assert_eq!(mem.read_transfer(addr), vec![7u8; 32]);
-        assert_eq!(mem.touched_transfers(), 1);
-        let other = DramAddress { channel: 0, ..addr };
-        assert_eq!(mem.read_transfer(other), vec![0u8; 32]);
+        mem.store_transfer(addr, &[7u8; 32]);
+        assert_eq!(mem.load_transfer(addr), vec![7u8; 32]);
+        assert_eq!(mem.touched_rows(), 1);
+        // Same row, untouched column: zero (the row image was allocated).
+        assert_eq!(mem.load_transfer(DramAddress { column: 0, ..addr }), vec![0u8; 32]);
+        // Untouched rows, in another bank and in another channel.
+        assert_eq!(mem.load_transfer(DramAddress { bank: 0, ..addr }), vec![0u8; 32]);
+        assert_eq!(mem.load_transfer(DramAddress { channel: 0, ..addr }), vec![0u8; 32]);
+        assert_eq!(mem.touched_rows(), 1);
     }
 }

@@ -8,16 +8,14 @@
 //! VI-A). This crate provides that substrate from scratch:
 //!
 //! * [`spec::DramSpec`] — JEDEC-shaped LPDDR5/5X presets (timing, topology),
-//! * [`channel::ChannelSim`] — per-channel FR-FCFS, open-page scheduler with
-//!   bank/rank state machines (tRCD/tRP/tRAS/tCCD/tRRD/tFAW/tWR/tRTP/tWTR,
-//!   refresh),
-//! * [`engine`] — the simulation engines driving the scheduler: a
-//!   cycle-stepped reference and the default next-event engine that jumps
-//!   idle cycles (bit-identical results; select with
-//!   [`SchedConfig::engine`] or `FACIL_DRAM_ENGINE`),
-//! * [`controller::DramSystem`] — the multi-channel backend,
+//! * [`controller::DramSystem`] — the multi-channel backend: one FR-FCFS,
+//!   open-page scheduler per channel with bank/rank state machines
+//!   (tRCD/tRP/tRAS/tCCD/tRRD/tFAW/tWR/tRTP/tWTR, refresh), driven by one
+//!   of two simulation engines — a cycle-stepped reference and the default
+//!   next-event engine that jumps idle cycles (bit-identical results;
+//!   select with [`SchedConfig::engine`] or `FACIL_DRAM_ENGINE`),
 //! * [`trace`] — PA-trace replay through an arbitrary [`mapper::AddressMapper`],
-//! * [`functional::FunctionalMemory`] — a data-value model keyed by *device*
+//! * [`functional::BankedMemory`] — a data-value model keyed by *device*
 //!   address, so two different mappings demonstrably view the same cells.
 //!
 //! ```
@@ -37,11 +35,11 @@
 pub mod addr;
 pub mod allbank;
 pub(crate) mod bank;
-pub mod channel;
+mod channel;
 pub mod command;
 pub mod controller;
 pub mod energy;
-pub mod engine;
+mod engine;
 pub mod functional;
 pub mod mapper;
 pub mod spec;
@@ -53,16 +51,16 @@ pub use addr::{DramAddress, Topology};
 pub use allbank::{
     run_allbank, run_allbank_logged, AllBankCommand, AllBankCommandKind, AllBankResult, PimStream,
 };
-pub use channel::{ChannelCore, ChannelSim, Decision, PagePolicy, SchedConfig};
+pub use channel::SchedConfig;
 pub use command::{CommandKind, Op, Request};
 pub use controller::DramSystem;
 pub use energy::{EnergyBreakdown, EnergyModel};
-pub use engine::{DramEngine, EngineKind, EventEngine, EventQueue, SteppedEngine};
-pub use functional::{CellStore, FunctionalMemory};
+pub use engine::EngineKind;
+pub use functional::BankedMemory;
 pub use mapper::{AddressMapper, FnMapper, MapFault};
 pub use spec::{DramKind, DramSpec, Timing};
 pub use stats::{DramStats, SimResult};
 pub use trace::{
-    parse_trace, parse_trace_line, replay_on, run_trace, sequential_trace, TraceEntry, TraceOptions,
+    parse_trace, parse_trace_line, replay_on, run_trace, sequential_trace, TraceEntry,
 };
 pub use verifylog::{verify_allbank_log, verify_log, LoggedCommand, Violation};

@@ -1,6 +1,5 @@
 //! Physical-address trace replay: map a PA stream through an
-//! [`AddressMapper`] and schedule it on the
-//! DRAM backend.
+//! [`AddressMapper`] and schedule it on the DRAM backend.
 
 use crate::command::{Op, Request};
 use crate::controller::DramSystem;
@@ -28,19 +27,12 @@ impl TraceEntry {
     }
 }
 
-/// Options controlling trace replay.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TraceOptions {
-    /// Cycles between successive request arrivals (0 = issue as fast as the
-    /// queues accept, modelling a fully memory-bound requester).
-    pub issue_interval: u64,
-}
-
 /// Replay `trace` through `mapper` on a fresh backend for `spec` and return
 /// the schedule statistics.
 ///
-/// Duplicate physical addresses are allowed (they model re-reads). The trace
-/// order defines arrival order.
+/// Duplicate physical addresses are allowed (they model re-reads). Every
+/// request arrives at cycle 0, modelling a fully memory-bound requester;
+/// the trace order is the queue order.
 ///
 /// # Errors
 ///
@@ -50,10 +42,9 @@ pub fn run_trace<M: AddressMapper>(
     spec: &DramSpec,
     mapper: &M,
     trace: impl IntoIterator<Item = TraceEntry>,
-    opts: TraceOptions,
 ) -> Result<SimResult, MapFault> {
     let mut sys = DramSystem::new(spec);
-    replay_on(&mut sys, mapper, trace, opts)
+    replay_on(&mut sys, mapper, trace)
 }
 
 /// Like [`run_trace`], but on a caller-constructed backend — so the caller
@@ -68,18 +59,16 @@ pub fn replay_on<M: AddressMapper>(
     sys: &mut DramSystem,
     mapper: &M,
     trace: impl IntoIterator<Item = TraceEntry>,
-    opts: TraceOptions,
 ) -> Result<SimResult, MapFault> {
     let topology = sys.spec().topology;
-    for (i, e) in trace.into_iter().enumerate() {
+    for e in trace {
         let addr = mapper.map(e.pa)?;
         debug_assert!(
             addr.is_valid(&topology),
             "mapper produced out-of-range address {addr} for pa {:#x}",
             e.pa
         );
-        let arrival = i as u64 * opts.issue_interval;
-        sys.push(Request { addr, op: e.op, arrival });
+        sys.push(Request { addr, op: e.op, arrival: 0 });
     }
     Ok(sys.run())
 }
@@ -188,7 +177,7 @@ mod tests {
         let spec = DramSpec::lpddr5_6400(64, 8 << 30); // 4 channels
         let mapper = test_mapper(&spec);
         let trace = sequential_trace(0, 16384, spec.topology.transfer_bytes, Op::Read);
-        let res = run_trace(&spec, &mapper, trace, TraceOptions::default()).unwrap();
+        let res = run_trace(&spec, &mapper, trace).unwrap();
         let util = res.utilization(spec.peak_bandwidth_bytes_per_sec());
         assert!(util > 0.85, "sequential read utilization {util:.3} too low");
     }
@@ -204,8 +193,8 @@ mod tests {
         let rnd: Vec<_> = (0..n)
             .map(|i| TraceEntry::read((i.wrapping_mul(0x9E3779B97F4A7C15) % cap) & !31))
             .collect();
-        let s = run_trace(&spec, &mapper, seq, TraceOptions::default()).unwrap();
-        let r = run_trace(&spec, &mapper, rnd, TraceOptions::default()).unwrap();
+        let s = run_trace(&spec, &mapper, seq).unwrap();
+        let r = run_trace(&spec, &mapper, rnd).unwrap();
         assert!(
             r.bandwidth_bytes_per_sec < s.bandwidth_bytes_per_sec,
             "random ({:.2e}) should be slower than sequential ({:.2e})",
@@ -220,22 +209,12 @@ mod tests {
         let spec = DramSpec::lpddr5_6400(16, 256 << 20);
         let mapper = test_mapper(&spec);
         let trace = sequential_trace(0, 64, 32, Op::Read);
-        let plain = run_trace(&spec, &mapper, trace.clone(), TraceOptions::default()).unwrap();
+        let plain = run_trace(&spec, &mapper, trace.clone()).unwrap();
         let mut sys = DramSystem::new(&spec);
         sys.enable_logging();
-        let logged = replay_on(&mut sys, &mapper, trace, TraceOptions::default()).unwrap();
+        let logged = replay_on(&mut sys, &mapper, trace).unwrap();
         assert_eq!(plain, logged);
         let commands: usize = sys.logs().iter().map(|l| l.len()).sum();
         assert!(commands >= 64, "expected at least one command per access, got {commands}");
-    }
-
-    #[test]
-    fn issue_interval_throttles_bandwidth() {
-        let spec = DramSpec::lpddr5_6400(16, 256 << 20);
-        let mapper = test_mapper(&spec);
-        let trace = sequential_trace(0, 1024, 32, Op::Read);
-        let fast = run_trace(&spec, &mapper, trace.clone(), TraceOptions::default()).unwrap();
-        let slow = run_trace(&spec, &mapper, trace, TraceOptions { issue_interval: 16 }).unwrap();
-        assert!(slow.elapsed_ns > 2.0 * fast.elapsed_ns);
     }
 }

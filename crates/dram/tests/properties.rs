@@ -2,8 +2,8 @@
 
 use facil_check::{cases, Gen};
 use facil_dram::{
-    ChannelSim, DramAddress, DramSpec, DramSystem, EngineKind, FnMapper, FunctionalMemory, Op,
-    PagePolicy, Request, SchedConfig, Topology,
+    BankedMemory, DramAddress, DramSpec, DramStats, DramSystem, EngineKind, FnMapper,
+    LoggedCommand, Op, Request, SchedConfig, Topology,
 };
 
 fn small_spec() -> DramSpec {
@@ -43,20 +43,27 @@ fn channel_stream(g: &mut Gen, len: std::ops::Range<usize>) -> Vec<Request> {
     g.vec(len, |g| request(g, &t))
 }
 
+/// Schedule `reqs` on the single channel of `small_spec` with logging on;
+/// return its stats and command log.
+fn run_logged(reqs: Vec<Request>) -> (DramStats, Vec<LoggedCommand>) {
+    let mut sys = DramSystem::new(&small_spec());
+    sys.enable_logging();
+    for r in reqs {
+        sys.push(r);
+    }
+    let stats = sys.run().stats;
+    (stats, sys.logs()[0].to_vec())
+}
+
 /// Every request stream completes, and the hit/miss/conflict counters
 /// partition the column accesses exactly.
 #[test]
 fn scheduler_completes_and_classifies() {
     cases(64, |g| {
         let reqs = channel_stream(g, 1..200);
-        let spec = small_spec();
-        let mut ch = ChannelSim::new(&spec);
         let n = reqs.len() as u64;
         let reads = reqs.iter().filter(|r| r.op == Op::Read).count() as u64;
-        for r in reqs {
-            ch.push(r);
-        }
-        let stats = ch.run();
+        let (stats, _) = run_logged(reqs);
         assert_eq!(stats.reads, reads);
         assert_eq!(stats.reads + stats.writes, n);
         assert_eq!(stats.row_hits + stats.row_misses + stats.row_conflicts, n);
@@ -74,12 +81,8 @@ fn elapsed_time_lower_bound() {
     cases(64, |g| {
         let reqs = channel_stream(g, 1..200);
         let spec = small_spec();
-        let mut ch = ChannelSim::new(&spec);
         let n = reqs.len() as u64;
-        for r in reqs {
-            ch.push(r);
-        }
-        let stats = ch.run();
+        let (stats, _) = run_logged(reqs);
         let data_cycles = n * spec.timing.burst_cycles;
         assert!(stats.finish_cycle >= data_cycles);
         // Generous upper bound: every access a conflict with full tRC.
@@ -113,7 +116,7 @@ fn functional_memory_matches_flat_array() {
             }
         });
         let cap = t.capacity_bytes() as usize;
-        let mut mem = FunctionalMemory::new(t);
+        let mut mem = BankedMemory::new(t);
         let mut model = vec![0u8; cap];
         for (pa, data) in &writes {
             let pa = *pa as usize % (cap - data.len());
@@ -154,15 +157,9 @@ fn parallel_run_is_bit_identical_to_serial() {
 /// Run `entries` through two [`DramSystem`]s that differ only in engine and
 /// assert the [`facil_dram::SimResult`]s and per-channel command logs are
 /// bit-identical. `workers` exercises the engine × thread-pool interaction.
-fn assert_engines_identical(
-    spec: &DramSpec,
-    policy: PagePolicy,
-    entries: &[(Request, u64)],
-    workers: usize,
-) {
+fn assert_engines_identical(spec: &DramSpec, entries: &[(Request, u64)], workers: usize) {
     let mk = |engine| {
-        let cfg = SchedConfig { page_policy: policy, engine, ..SchedConfig::default() };
-        let mut sys = DramSystem::with_config(spec, cfg);
+        let mut sys = DramSystem::with_config(spec, SchedConfig { engine });
         sys.enable_logging();
         let mut arrival = 0u64;
         for (req, gap) in entries {
@@ -181,21 +178,20 @@ fn assert_engines_identical(
     assert_eq!(format!("{:?}", stepped.logs()), format!("{:?}", event.logs()));
 }
 
-/// The engine-split invariant: for any request stream, page policy,
-/// channel count, and `FACIL_THREADS`-style worker count, the next-event
-/// engine produces exactly the `SimResult` and per-channel command logs
-/// of the cycle-stepped reference.
+/// The engine-split invariant: for any request stream, channel count, and
+/// `FACIL_THREADS`-style worker count, the next-event engine produces
+/// exactly the `SimResult` and per-channel command logs of the
+/// cycle-stepped reference.
 #[test]
 fn event_engine_is_bit_identical_to_stepped() {
     cases(24, |g| {
         let entries = g.vec(1..200, timed_request);
-        let (open_page, bus_idx, eight_workers) = (g.bool(), g.usize(0..3), g.bool());
+        let (bus_idx, eight_workers) = (g.usize(0..3), g.bool());
         // 16/32/64-bit bus = 1/2/4 channels; requests are generated against
         // the 4-channel topology and folded onto the smaller ones.
         let spec = DramSpec::lpddr5_6400([16u64, 32, 64][bus_idx], 1 << 30);
         let workers = if eight_workers { 8 } else { 1 };
-        let policy = if open_page { PagePolicy::Open } else { PagePolicy::Closed };
-        assert_engines_identical(&spec, policy, &entries, workers);
+        assert_engines_identical(&spec, &entries, workers);
     });
 }
 
@@ -207,13 +203,11 @@ fn event_engine_is_bit_identical_to_stepped() {
 fn refresh_heavy_streams_are_engine_invariant() {
     cases(16, |g| {
         let entries = g.vec(1..120, timed_request);
-        let (open_page, gap_idx) = (g.bool(), g.usize(0..3));
-        let gap_scale = [1u64, 64, 512][gap_idx];
+        let gap_scale = [1u64, 64, 512][g.usize(0..3)];
         let mut spec = DramSpec::lpddr5_6400(32, 512 << 20); // 2 channels
         spec.timing.refi = 200; // ~30x the normal refresh pressure
-        let policy = if open_page { PagePolicy::Open } else { PagePolicy::Closed };
         let entries: Vec<_> = entries.iter().map(|&(req, gap)| (req, gap * gap_scale)).collect();
-        assert_engines_identical(&spec, policy, &entries, 1);
+        assert_engines_identical(&spec, &entries, 1);
     });
 }
 
@@ -225,16 +219,10 @@ fn scheduler_output_is_jedec_legal() {
     cases(48, |g| {
         let reqs = channel_stream(g, 1..150);
         let spec = small_spec();
-        let mut ch = ChannelSim::new(&spec);
-        ch.enable_logging();
-        for r in reqs {
-            ch.push(r);
-        }
-        ch.run();
-        let log = ch.log().unwrap();
+        let (_, log) = run_logged(reqs);
         let t = spec.topology;
         let violations =
-            facil_dram::verify_log(log, &spec.timing, t.ranks, t.banks(), t.banks_per_group);
+            facil_dram::verify_log(&log, &spec.timing, t.ranks, t.banks(), t.banks_per_group);
         assert!(violations.is_empty(), "violations: {violations:?}");
     });
 }
@@ -248,13 +236,7 @@ fn verifier_catches_injected_violations() {
         let reqs = channel_stream(g, 8..64);
         let victim_frac = g.f64(0.0..1.0);
         let spec = small_spec();
-        let mut ch = ChannelSim::new(&spec);
-        ch.enable_logging();
-        for r in reqs {
-            ch.push(r);
-        }
-        ch.run();
-        let mut log = ch.log().unwrap().to_vec();
+        let (_, mut log) = run_logged(reqs);
         let t = spec.topology;
         // Pick a victim command that is not the first and yank it to cycle 0.
         let idx = 1 + ((log.len() - 1) as f64 * victim_frac) as usize % (log.len() - 1);

@@ -7,7 +7,7 @@
 //! checks this end to end on a small seeded decoder:
 //!
 //! * **FACIL path** — every linear is `pimalloc`ed, its fp16 weights written
-//!   through the mapped page table into a [`crate::BankedMemory`], its
+//!   through the mapped page table into a [`BankedMemory`], its
 //!   all-bank command stream traced once, and every GEMV executed by
 //!   [`crate::replay_gemv`] — the functional command interpreter.
 //! * **Conventional path** — the same fp16 bytes are written through
@@ -20,14 +20,13 @@
 //! agree *bit for bit* on every logit of every step — no epsilon.
 
 use facil_core::{DType, FacilSystem, MappingScheme, MatrixConfig, PimArch};
-use facil_dram::{CellStore, DramSpec, FnMapper};
+use facil_dram::{BankedMemory, DramSpec, FnMapper};
 use facil_llm::ModelConfig;
 use facil_pim::commands::CommandSequence;
 use facil_pim::f16::{decode_f16_le, encode_f16_le, f16_bits_to_f32, f32_to_f16_bits};
 use facil_pim::store_matrix;
 
 use crate::replay::{gemv_fixed_order, replay_gemv};
-use crate::store::BankedMemory;
 
 /// Outcome of one FACIL-vs-conventional token-equivalence run.
 #[derive(Debug, Clone, PartialEq, Eq)]

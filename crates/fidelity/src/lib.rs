@@ -5,9 +5,10 @@
 //! stream take?", this crate answers "does it compute the right bits?" —
 //! by actually executing the command stream over simulated DRAM cells:
 //!
-//! * [`BankedMemory`] — a bank-sliced DRAM content model (one row image per
-//!   touched row, per bank) that the existing `store_matrix` path populates
-//!   through any legal [`facil_core::MappingScheme`];
+//! * [`BankedMemory`] — `facil-dram`'s bank-sliced DRAM content model (one
+//!   row image per touched row, per bank), re-exported here; the
+//!   `store_matrix` path populates it through any legal
+//!   [`facil_core::MappingScheme`];
 //! * [`replay_gemv`] — a functional interpreter for the
 //!   [`facil_pim::CommandSequence`] the timing model emits: global-buffer
 //!   broadcast, per-bank MAC accumulation and the partition reduction tree,
@@ -46,8 +47,7 @@
 
 pub mod equiv;
 pub mod replay;
-pub mod store;
 
 pub use equiv::{token_equivalence, TokenEquivalenceReport};
+pub use facil_dram::BankedMemory;
 pub use replay::{cross_check, gemv_fixed_order, replay_gemv, FidelityReport};
-pub use store::BankedMemory;

@@ -1,7 +1,7 @@
 //! Functional interpreter for the all-bank PIM command stream.
 //!
 //! [`replay_gemv`] executes a [`CommandSequence`] command by command over a
-//! [`CellStore`]: `GB-load` stages input-vector transfers into the per-rank
+//! [`BankedMemory`]: `GB-load` stages input-vector transfers into the per-rank
 //! global buffer, `ACT-AB` opens the broadcast row, each `MAC-AB` beat makes
 //! every bank of the rank read one transfer of its open row and accumulate
 //! into its per-slot output register, `PRE-AB` closes the row. Registers
@@ -20,7 +20,7 @@
 use std::collections::{BTreeMap, HashMap};
 
 use facil_core::{FacilSystem, PimAllocation};
-use facil_dram::{CellStore, DramAddress};
+use facil_dram::{BankedMemory, DramAddress};
 use facil_pim::commands::{CommandSequence, PimCommand};
 use facil_pim::f16::{decode_f16_le, f32_to_f16_bits};
 
@@ -39,7 +39,7 @@ struct GbBuf {
 /// command stream is internally inconsistent (a MAC beat with no open row, a
 /// bank reading an unstaged global-buffer element) — [`CommandSequence`]
 /// construction guarantees neither happens.
-pub fn replay_gemv<S: CellStore>(mem: &S, seq: &CommandSequence, x: &[f32]) -> Vec<f32> {
+pub fn replay_gemv(mem: &BankedMemory, seq: &CommandSequence, x: &[f32]) -> Vec<f32> {
     let m = seq.matrix();
     assert_eq!(x.len() as u64, m.cols, "input length must match matrix columns");
     let topo = *seq.topology();
@@ -226,8 +226,8 @@ impl FidelityReport {
 ///
 /// Propagates [`CommandSequence::trace`] errors (invalid placements, freed
 /// allocations).
-pub fn cross_check<S: CellStore>(
-    mem: &S,
+pub fn cross_check(
+    mem: &BankedMemory,
     sys: &FacilSystem,
     alloc: &PimAllocation,
     x: &[f32],

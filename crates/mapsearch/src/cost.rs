@@ -30,7 +30,7 @@
 use crate::candidates::Candidate;
 use crate::profile::WorkloadProfile;
 use facil_core::{FacilError, MatrixConfig, PimArch, Result};
-use facil_dram::{run_trace, sequential_trace, DramSpec, DramStats, Op, TraceOptions};
+use facil_dram::{run_trace, sequential_trace, DramSpec, DramStats, Op};
 
 /// How many windows each evaluator samples from the matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -251,13 +251,12 @@ impl<'a> CostModel<'a> {
             let len = window.min(bytes - base);
             let trace =
                 sequential_trace(base, len / topo.transfer_bytes, topo.transfer_bytes, Op::Read);
-            let result = run_trace(self.spec, &decision.scheme, trace, TraceOptions::default())
-                .map_err(|fault| {
-                    FacilError::InvalidMapping(format!(
-                        "validated scheme '{}' faulted during replay: {fault:?}",
-                        decision.scheme.label()
-                    ))
-                })?;
+            let result = run_trace(self.spec, &decision.scheme, trace).map_err(|fault| {
+                FacilError::InvalidMapping(format!(
+                    "validated scheme '{}' faulted during replay: {fault:?}",
+                    decision.scheme.label()
+                ))
+            })?;
             cycles += result.stats.finish_cycle as f64;
             stats.merge(&result.stats);
         }

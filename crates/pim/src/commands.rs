@@ -7,7 +7,7 @@
 //! on, and records the per-wave structure — which bank MACs which matrix row
 //! against which global-buffer slice in which DRAM row. A functional
 //! interpreter (`facil-fidelity`) executes the sequence over a byte-accurate
-//! [`facil_dram::CellStore`]; [`CommandSequence::to_streams`] lowers it to
+//! [`facil_dram::BankedMemory`]; [`CommandSequence::to_streams`] lowers it to
 //! the exact [`facil_dram::PimStream`]s the timing model simulates, so one
 //! JEDEC-legality checker ([`facil_dram::verify_allbank_log`]) covers both.
 //!

@@ -1,4 +1,5 @@
-//! Functional (data-value) PIM execution over the byte-accurate DRAM model.
+//! Functional (data-value) PIM execution over the byte-accurate DRAM model,
+//! [`BankedMemory`].
 //!
 //! This is the end-to-end demonstration of FACIL's core claim: the SoC
 //! writes weights through plain row-major *virtual* addresses, and the PIM
@@ -7,7 +8,7 @@
 //! between.
 
 use facil_core::{FacilSystem, PimAllocation};
-use facil_dram::CellStore;
+use facil_dram::BankedMemory;
 
 use crate::f16::{decode_f16_le, encode_f16_le};
 
@@ -23,8 +24,8 @@ use crate::f16::{decode_f16_le, encode_f16_le};
 ///
 /// [`facil_core::FacilError::NotMapped`] if the allocation's VA range is no
 /// longer mapped (e.g. it was freed).
-pub fn store_matrix<S: CellStore>(
-    mem: &mut S,
+pub fn store_matrix(
+    mem: &mut BankedMemory,
     sys: &FacilSystem,
     alloc: &PimAllocation,
     values: &[f32],
@@ -47,8 +48,8 @@ pub fn store_matrix<S: CellStore>(
 ///
 /// [`facil_core::FacilError::NotMapped`] if the allocation's VA range is no
 /// longer mapped.
-pub fn load_matrix<S: CellStore>(
-    mem: &S,
+pub fn load_matrix(
+    mem: &BankedMemory,
     sys: &FacilSystem,
     alloc: &PimAllocation,
 ) -> facil_core::Result<Vec<f32>> {
@@ -74,8 +75,8 @@ pub fn load_matrix<S: CellStore>(
 ///
 /// Panics if `x.len() != cols`, or if the placement violates the PIM
 /// invariants (which would mean the mapping is broken).
-pub fn pim_gemv<S: CellStore>(
-    mem: &S,
+pub fn pim_gemv(
+    mem: &BankedMemory,
     sys: &FacilSystem,
     alloc: &PimAllocation,
     x: &[f32],
@@ -150,7 +151,7 @@ pub fn pim_gemv<S: CellStore>(
 mod tests {
     use super::*;
     use facil_core::{DType, MatrixConfig, PimArch};
-    use facil_dram::{DramSpec, FunctionalMemory};
+    use facil_dram::DramSpec;
 
     fn make_system() -> FacilSystem {
         let spec = DramSpec::lpddr5_6400(64, 8 << 30);
@@ -167,7 +168,7 @@ mod tests {
         let mut sys = make_system();
         let (rows, cols) = (64u64, 2048u64);
         let alloc = sys.pimalloc(MatrixConfig::new(rows, cols, DType::F16)).unwrap();
-        let mut mem = FunctionalMemory::new(sys.spec().topology);
+        let mut mem = BankedMemory::new(sys.spec().topology);
 
         // Deterministic small-magnitude weights (exact in fp16).
         let w: Vec<f32> = (0..rows * cols).map(|i| ((i % 7) as f32 - 3.0) * 0.25).collect();
@@ -185,7 +186,7 @@ mod tests {
     fn soc_view_reads_back_what_it_wrote() {
         let mut sys = make_system();
         let alloc = sys.pimalloc(MatrixConfig::new(16, 2048, DType::F16)).unwrap();
-        let mut mem = FunctionalMemory::new(sys.spec().topology);
+        let mut mem = BankedMemory::new(sys.spec().topology);
         let w: Vec<f32> = (0..16 * 2048).map(|i| (i % 11) as f32 * 0.125).collect();
         store_matrix(&mut mem, &sys, &alloc, &w).unwrap();
         assert_eq!(
@@ -203,7 +204,7 @@ mod tests {
         let mut sys = FacilSystem::new(spec, arch);
         let alloc = sys.pimalloc(MatrixConfig::new(8, 4096, DType::F16)).unwrap();
         assert_eq!(alloc.decision.partitions, 2);
-        let mut mem = FunctionalMemory::new(sys.spec().topology);
+        let mut mem = BankedMemory::new(sys.spec().topology);
         let w: Vec<f32> = (0..8 * 4096).map(|i| ((i % 3) as f32 - 1.0) * 0.5).collect();
         let x: Vec<f32> = (0..4096).map(|i| ((i % 4) as f32 - 1.5) * 0.25).collect();
         store_matrix(&mut mem, &sys, &alloc, &w).unwrap();
@@ -221,7 +222,7 @@ mod tests {
         let arch = PimArch::hbm_pim(&spec.topology);
         let mut sys = FacilSystem::new(spec, arch);
         let alloc = sys.pimalloc(MatrixConfig::new(64, 1024, DType::F16)).unwrap();
-        let mut mem = FunctionalMemory::new(sys.spec().topology);
+        let mut mem = BankedMemory::new(sys.spec().topology);
         let w: Vec<f32> = (0..64 * 1024).map(|i| ((i % 5) as f32 - 2.0) * 0.5).collect();
         let x: Vec<f32> = (0..1024).map(|i| ((i % 6) as f32 - 2.5) * 0.25).collect();
         store_matrix(&mut mem, &sys, &alloc, &w).unwrap();
@@ -237,7 +238,7 @@ mod tests {
     fn wrong_input_length_panics() {
         let mut sys = make_system();
         let alloc = sys.pimalloc(MatrixConfig::new(4, 2048, DType::F16)).unwrap();
-        let mem = FunctionalMemory::new(sys.spec().topology);
+        let mem = BankedMemory::new(sys.spec().topology);
         pim_gemv(&mem, &sys, &alloc, &[0.0; 16]);
     }
 }

@@ -9,9 +9,9 @@
 //! * [`gemv::PimEngine`] — command-level timing of all-bank
 //!   `ACT-AB / MAC-AB / PRE-AB` GEMV and GEMM streams over LPDDR5 timing,
 //!   including global-buffer loads, output drains and partition reductions;
-//! * [`functional`] — data-value PIM execution over the byte-accurate DRAM
-//!   model, proving that SoC-written row-major weights compute correctly
-//!   without re-layout;
+//! * [`functional`] — data-value PIM execution over the byte-accurate
+//!   [`facil_dram::BankedMemory`], proving that SoC-written row-major
+//!   weights compute correctly without re-layout;
 //! * [`commands::CommandSequence`] — the same all-bank stream as a validated,
 //!   *replayable* structure (waves, bank tasks, global-buffer slices) that
 //!   `facil-fidelity` executes functionally and the verifylog checker

@@ -19,7 +19,7 @@
 //!    not be sub-3%.
 
 use facil_core::{select_mapping_2mb, MappingScheme, MatrixConfig, PimArch};
-use facil_dram::{run_trace, AddressMapper, DramSpec, TraceEntry, TraceOptions};
+use facil_dram::{run_trace, AddressMapper, DramSpec, TraceEntry};
 
 /// Result of one layout-slowdown measurement.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -48,7 +48,7 @@ pub fn coalesced_burst_latency_ns<M: AddressMapper>(
 ) -> facil_core::Result<f64> {
     let tx = spec.topology.transfer_bytes;
     let trace = (0..bytes.div_ceil(tx)).map(|i| TraceEntry::read(base_pa + i * tx));
-    Ok(run_trace(spec, mapper, trace, TraceOptions::default())?.elapsed_ns)
+    Ok(run_trace(spec, mapper, trace)?.elapsed_ns)
 }
 
 /// Latency-hiding model: the fraction of extra memory latency a GPU/NPU
@@ -119,8 +119,8 @@ pub fn streaming_throughput_ratio(
     let conventional = MappingScheme::conventional(spec.topology);
     let region = sample_bytes.min(matrix.padded_bytes()).max(2 << 20);
     let trace = gemm_weight_trace(region, readers, spec.topology.transfer_bytes);
-    let conv = run_trace(spec, &conventional, trace.clone(), TraceOptions::default())?;
-    let pim = run_trace(spec, &decision.scheme, trace, TraceOptions::default())?;
+    let conv = run_trace(spec, &conventional, trace.clone())?;
+    let pim = run_trace(spec, &decision.scheme, trace)?;
     Ok(conv.elapsed_ns / pim.elapsed_ns)
 }
 

@@ -1,10 +1,10 @@
 //! Deterministic parallelism for the simulation crates, backed by a
 //! persistent work-stealing executor.
 //!
-//! The FACIL workspace simulates many *independent* units — LPDDR5 channels
-//! in [`ChannelSim`]-land, devices in a serving fleet, sweep points in the
-//! bench harness — whose results are merged in a fixed index order. This
-//! module provides the shared parallel entry points:
+//! The FACIL workspace simulates many *independent* units — the LPDDR5
+//! channels of a `facil_dram::DramSystem`, devices in a serving fleet,
+//! sweep points in the bench harness — whose results are merged in a fixed
+//! index order. This module provides the shared parallel entry points:
 //!
 //! * [`par_map`] / [`par_map_mut`] — map a closure over a slice on the
 //!   executor's long-lived workers, returning results **in input order**,
@@ -36,8 +36,6 @@
 //! nesting can neither deadlock nor grow the thread count past the
 //! configured parallelism. Either way the results are identical — the
 //! schedule never leaks into the output.
-//!
-//! [`ChannelSim`]: https://docs.rs/facil-dram
 //!
 //! ```
 //! use facil_telemetry::pool;

@@ -6,7 +6,7 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use facil::core::{DType, FacilSystem, MatrixConfig, PimArch};
-use facil::dram::{DramSpec, FunctionalMemory};
+use facil::dram::{BankedMemory, DramSpec};
 use facil::pim::{load_matrix, pim_gemv, store_matrix, PimEngine};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. The SoC stores the weights through ordinary row-major virtual
     //    addresses — no knowledge of the DRAM layout required.
-    let mut mem = FunctionalMemory::new(sys.spec().topology);
+    let mut mem = BankedMemory::new(sys.spec().topology);
     let weights: Vec<f32> =
         (0..matrix.rows * matrix.cols).map(|i| ((i % 13) as f32 - 6.0) * 0.125).collect();
     store_matrix(&mut mem, &sys, &w, &weights).expect("allocation is mapped");

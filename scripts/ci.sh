@@ -42,6 +42,12 @@ echo "== serving pins (release) =="
 # the debug run above checks the other one.
 cargo test --release --offline -q -p facil-serve --test pinned
 
+echo "== DRAM schedule pin (release) =="
+# One FNV-1a digest of a fixed request stream's SimResult and command
+# logs, on both engines (crates/dram/tests/pinned.rs); it holds in both
+# profiles, and the debug run above checks the other one.
+cargo test --release --offline -q -p facil-dram --test pinned
+
 echo "== executor stress (release) =="
 # Teardown-race probe: two million tiny two-worker batches, each followed
 # by a stack-sentinel check. The race needs an optimised build, so the
@@ -131,6 +137,18 @@ FACIL_DRAM_ENGINE=stepped cargo run --release -q --offline -p facil-bench --bin 
 FACIL_DRAM_ENGINE=event cargo run --release -q --offline -p facil-bench --bin serving_v2 -- --smoke --json > "$e2"
 diff "$e1" "$e2" && echo "serving_v2 stepped vs event engine: byte-identical"
 rm -f "$e1" "$e2"
+# A misspelt engine must fail, not silently compare the event engine with
+# itself: serving_v2 exits non-zero and names the variable.
+if err="$(FACIL_DRAM_ENGINE=steped cargo run --release -q --offline -p facil-bench --bin serving_v2 -- --smoke --json 2>&1 > /dev/null)"; then
+  echo "serving_v2 ran with FACIL_DRAM_ENGINE=steped instead of failing" >&2
+  exit 1
+fi
+if ! grep -q 'FACIL_DRAM_ENGINE="steped"' <<< "$err"; then
+  echo "serving_v2 failed with FACIL_DRAM_ENGINE=steped, but not on the engine name:" >&2
+  echo "$err" >&2
+  exit 1
+fi
+echo "serving_v2 with FACIL_DRAM_ENGINE=steped: rejected"
 
 echo "== mapsearch smoke =="
 # Mapping-search ablation: the JSONL must be well-formed (one SearchReport
@@ -282,6 +300,11 @@ for expected in ('ACT', 'GEMV', 'batch', 'admit'):
     assert expected in names, f'missing {expected} events: {sorted(names)}'
 print(f'trace export OK ({len(evs)} events, processes {sorted(procs)})')"
 rm -f "$trace_out"
+
+echo "== non-test Rust lines (informational) =="
+# Every .rs under crates/*/src and src/, each up to its unit-test module.
+# Printed for the record; no threshold.
+python3 scripts/loc.py
 
 echo "== benchmark smoke =="
 # The end-to-end benchmark (benchmark/, its own workspace) on shrunken

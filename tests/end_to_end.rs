@@ -3,7 +3,7 @@
 //! strategy-level evaluation on all four paper platforms.
 
 use facil::core::{DType, FacilSystem, MatrixConfig, PimArch, PlacementChecker};
-use facil::dram::{DramSpec, FunctionalMemory};
+use facil::dram::{BankedMemory, DramSpec};
 use facil::llm::ModelConfig;
 use facil::pim::{load_matrix, pim_gemv, store_matrix, PimEngine};
 use facil::sim::{InferenceSim, Strategy};
@@ -21,7 +21,7 @@ fn soc_writes_pim_computes_soc_reads() {
 
     let matrix = MatrixConfig::new(128, 2048, DType::F16);
     let alloc = sys.pimalloc(matrix).unwrap();
-    let mut mem = FunctionalMemory::new(sys.spec().topology);
+    let mut mem = BankedMemory::new(sys.spec().topology);
 
     let w: Vec<f32> =
         (0..matrix.rows * matrix.cols).map(|i| ((i % 9) as f32 - 4.0) * 0.5).collect();

@@ -99,10 +99,10 @@ fn all_models_place_on_iphone_memory() {
 #[test]
 fn bank_hashed_mapping_roundtrips_data() {
     use facil::core::MappingScheme;
-    use facil::dram::FunctionalMemory;
+    use facil::dram::BankedMemory;
     let spec = DramSpec::lpddr5_6400(64, 8 << 30);
     let scheme = MappingScheme::conventional(spec.topology).with_bank_hash();
-    let mut mem = FunctionalMemory::new(spec.topology);
+    let mut mem = BankedMemory::new(spec.topology);
     let data: Vec<u8> = (0..4096).map(|i| (i % 251) as u8).collect();
     mem.write_bytes(&scheme, 0x10_0000, &data).unwrap();
     assert_eq!(mem.read_bytes(&scheme, 0x10_0000, data.len()).unwrap(), data);

@@ -87,9 +87,9 @@ fn golden_jetson_relayout() {
 #[test]
 fn golden_dataset_headlines() {
     let ttft = headline_geomeans(&fig15_datasets(42, 128));
-    within(ttft[0].1, 2.79, 0.05, "fig15 alpaca-like");
-    within(ttft[1].1, 3.35, 0.05, "fig15 code-autocompletion-like");
+    within(ttft[0].1, 2.75, 0.05, "fig15 alpaca-like");
+    within(ttft[1].1, 3.50, 0.05, "fig15 code-autocompletion-like");
     let ttlt = headline_geomeans(&fig16_datasets(42, 128));
     within(ttlt[0].1, 1.10, 0.05, "fig16 alpaca-like");
-    within(ttlt[1].1, 1.27, 0.05, "fig16 code-autocompletion-like");
+    within(ttlt[1].1, 1.25, 0.05, "fig16 code-autocompletion-like");
 }

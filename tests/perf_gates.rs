@@ -142,7 +142,7 @@ fn dram_channels_run_in_parallel_with_serial_results() {
 fn event_engine_matches_stepped_and_is_5x_faster_on_a_sparse_trace() {
     let spec = lpddr5(4);
     let reqs = decode_stream(&spec, 150, 64, 30_000);
-    let engine = |engine| SchedConfig { engine, ..SchedConfig::default() };
+    let engine = |engine| SchedConfig { engine };
     let (stepped, stepped_s) = run_dram(&spec, engine(EngineKind::Stepped), &reqs, 1);
     let (event, event_s) = run_dram(&spec, engine(EngineKind::Event), &reqs, 1);
     assert_eq!(stepped, event, "next-event engine diverged from cycle-stepped");
