@@ -17,12 +17,15 @@
 //! (`event_engine_is_bit_identical_to_stepped`) and pinned in
 //! `tests/pinned.rs`.
 //!
-//! The decision procedure is allocation-free in steady state: the request
-//! queue is a flat buffer with tombstones (out-of-order FR-FCFS completions
-//! mark entries dead instead of shifting the queue), the per-step candidate
-//! set and lookahead window live in reused scratch buffers, and bank-level
-//! ACT/PRE dedup uses a stamp array instead of a per-step hash set.
+//! A decision reads the lookahead window and nothing else. The window holds
+//! the oldest [`WINDOW`] queued requests in arrival order and is refilled
+//! from the queue as column commands complete, so no decision walks
+//! completed requests or rebuilds the window. A decision is two passes over
+//! the window's arrived requests: row hits, then one ACT or PRE candidate
+//! per bank, marked in a per-bank stamp array instead of a per-step hash
+//! set. It allocates nothing.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use crate::bank::{BankState, RankState};
@@ -63,20 +66,13 @@ enum Touch {
     Conflict,
 }
 
+/// A request in the lookahead window.
 #[derive(Debug, Clone, Copy)]
 struct Pending {
     req: Request,
+    /// `None` (a row hit) until an ACT (a miss) or a PRE (a conflict)
+    /// issues on this request's behalf.
     touch: Option<Touch>,
-    /// Tombstone: the request completed but its slot has not been
-    /// reclaimed yet (reclaim happens when the queue head passes it).
-    dead: bool,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Action {
-    Column,
-    Activate,
-    Precharge,
 }
 
 /// Outcome of one scheduling decision at the current cycle (see
@@ -102,7 +98,8 @@ pub(crate) enum Decision {
 }
 
 /// Scheduling state of one DRAM channel: bank/rank timing state machines,
-/// the tombstone request queue, statistics and the command log.
+/// the request queue and its lookahead window, statistics and the command
+/// log.
 ///
 /// Both drive loops of [`crate::engine`] run the core to completion
 /// through this visiting contract, which is what makes them agree:
@@ -123,25 +120,18 @@ pub(crate) struct ChannelCore {
     last_data_end: u64,
     last_was_write: bool,
     now: u64,
-    /// Flat request queue with tombstones: requests arrive at the tail,
-    /// `head` skips reclaimed slots, and FR-FCFS completions in the middle
-    /// of the window are marked [`Pending::dead`] instead of being shifted
-    /// out (the old `VecDeque::remove` hot spot).
-    buf: Vec<Pending>,
-    /// First slot that may still be live; everything before it is dead.
-    head: usize,
-    /// Number of live (not yet completed) requests in `buf`.
-    live: usize,
+    /// Queued requests that have not entered the window yet, in arrival
+    /// order. Requests complete only from the window, so all are live.
+    queue: VecDeque<Request>,
+    /// The lookahead window: the oldest live requests, at most [`WINDOW`],
+    /// in arrival order.
+    window: Vec<Pending>,
     stats: DramStats,
     log: Option<Vec<LoggedCommand>>,
-    /// Scratch: buffer indices of the current lookahead window.
-    win: Vec<usize>,
-    /// Scratch: per-step candidate set (buffer index, action, ready).
-    cand: Vec<(usize, Action, u64)>,
-    /// Scratch: per-(rank, bank) claim stamps replacing a per-step hash
-    /// set — a bank is claimed this step iff its stamp equals `stamp`.
+    /// Per-(rank, bank) stamps: a bank is marked in the current decision
+    /// iff its stamp equals `stamp`.
     bank_stamp: Vec<u64>,
-    /// Current claim stamp (incremented every step; never reset).
+    /// Current decision's stamp (incremented every decision; never reset).
     stamp: u64,
 }
 
@@ -166,13 +156,10 @@ impl ChannelCore {
             last_data_end: 0,
             last_was_write: false,
             now: 0,
-            buf: Vec::new(),
-            head: 0,
-            live: 0,
+            queue: VecDeque::new(),
+            window: Vec::with_capacity(WINDOW),
             stats: DramStats::default(),
             log: None,
-            win: Vec::with_capacity(WINDOW),
-            cand: Vec::with_capacity(WINDOW),
             bank_stamp: vec![0; total_banks],
             stamp: 0,
         }
@@ -184,25 +171,21 @@ impl ChannelCore {
         }
     }
 
-    /// Enqueue a request. Requests must be pushed in non-decreasing
-    /// arrival order (checked in debug builds, as are the address fields).
+    /// Enqueue a request. [`crate::DramSystem::push`] has checked its
+    /// address and that it arrives no earlier than [`Self::last_arrival`].
     pub(crate) fn push(&mut self, req: Request) {
-        debug_assert!(req.addr.rank < self.spec.topology.ranks);
-        debug_assert!(req.addr.bank < self.spec.topology.banks());
-        debug_assert!(req.addr.row < self.spec.topology.rows);
-        debug_assert!(req.addr.column < self.spec.topology.columns());
-        debug_assert!(
-            self.buf.last().map(|p| p.req.arrival <= req.arrival).unwrap_or(true),
-            "requests must arrive in order"
-        );
-        self.buf.push(Pending { req, touch: None, dead: false });
-        self.live += 1;
+        self.queue.push_back(req);
+    }
+
+    /// Arrival cycle of the youngest queued request, if any.
+    pub(crate) fn last_arrival(&self) -> Option<u64> {
+        self.queue.back().or(self.window.last().map(|p| &p.req)).map(|r| r.arrival)
     }
 
     /// Number of requests still queued. A drive loop runs until this
     /// reaches zero.
     pub(crate) fn pending(&self) -> usize {
-        self.live
+        self.window.len() + self.queue.len()
     }
 
     /// Current simulated cycle.
@@ -220,11 +203,10 @@ impl ChannelCore {
     ///
     /// # Panics
     ///
-    /// Panics if the queue is empty (debug builds only); callers check
-    /// [`ChannelCore::pending`] first.
+    /// Panics if the window is empty; callers check
+    /// [`ChannelCore::pending`] and call [`ChannelCore::reclaim`] first.
     pub(crate) fn first_live_arrival(&self) -> u64 {
-        debug_assert!(self.live > 0);
-        self.buf[self.head].req.arrival
+        self.window[0].req.arrival
     }
 
     /// Advance the clock by one cycle.
@@ -332,52 +314,14 @@ impl ChannelCore {
         }
     }
 
-    /// Reclaim the dead prefix: advance `head` past tombstones and compact
-    /// the buffer once the reclaimed prefix dominates, keeping memory
-    /// proportional to the live queue (amortized O(1) per completion).
+    /// Refill the window: move queued requests, oldest first, into the
+    /// slots that completed requests freed (on the first visit, into the
+    /// empty window).
     pub(crate) fn reclaim(&mut self) {
-        while self.head < self.buf.len() && self.buf[self.head].dead {
-            self.head += 1;
+        while self.window.len() < WINDOW {
+            let Some(req) = self.queue.pop_front() else { break };
+            self.window.push(Pending { req, touch: None });
         }
-        if self.head > 64 && self.head * 2 > self.buf.len() {
-            self.buf.drain(..self.head);
-            self.head = 0;
-        }
-    }
-
-    /// Claim `(rank, bank)` for a bank-level command this step; the first
-    /// (oldest) claimant wins. Stamp comparison makes clearing free.
-    fn claim_bank(&mut self, rank: usize, bank: usize) -> bool {
-        let idx = rank * self.spec.topology.banks() as usize + bank;
-        if self.bank_stamp[idx] == self.stamp {
-            false
-        } else {
-            self.bank_stamp[idx] = self.stamp;
-            true
-        }
-    }
-
-    /// True if any arrived request among the first [`WINDOW`] live queue
-    /// entries targets `row` of `(rank, bank)`.
-    fn window_wants_row(&self, rank: usize, bank: usize, row: u64) -> bool {
-        let mut seen = 0;
-        let mut idx = self.head;
-        while seen < WINDOW && idx < self.buf.len() {
-            let p = &self.buf[idx];
-            idx += 1;
-            if p.dead {
-                continue;
-            }
-            seen += 1;
-            if p.req.arrival <= self.now
-                && p.req.addr.rank as usize == rank
-                && p.req.addr.bank as usize == bank
-                && p.req.addr.row == row
-            {
-                return true;
-            }
-        }
-        false
     }
 
     /// One scheduling decision at the current cycle: issue the best legal
@@ -388,155 +332,135 @@ impl ChannelCore {
     /// command-bus slot consumed by an issued command. How the clock moves
     /// between decisions is entirely the drive loop's business.
     pub(crate) fn decide(&mut self) -> Decision {
-        debug_assert!(self.live > 0);
-        let tm = self.spec.timing;
-        let bpg = self.spec.topology.banks_per_group as usize;
-
-        // Collect the lookahead window: buffer indices of the first
-        // `WINDOW` live requests, in arrival order.
-        let mut win = std::mem::take(&mut self.win);
-        win.clear();
-        {
-            let mut idx = self.head;
-            while win.len() < WINDOW && idx < self.buf.len() {
-                if !self.buf[idx].dead {
-                    win.push(idx);
-                }
-                idx += 1;
-            }
-        }
-
-        // Build the candidate set: (buffer index, action, ready cycle).
-        // Bank-level actions are deduplicated as they are generated: only
-        // the oldest request per bank may drive an ACT/PRE (younger ones
-        // would duplicate the same command).
-        let mut cand = std::mem::take(&mut self.cand);
-        cand.clear();
+        debug_assert!(!self.window.is_empty());
+        let now = self.now;
+        let per_rank = self.spec.topology.banks() as usize;
         self.stamp += 1;
-        let mut next_arrival_beyond: Option<u64> = None;
-        for &i in &win {
-            let p = self.buf[i];
-            if p.req.arrival > self.now {
-                next_arrival_beyond = Some(p.req.arrival);
+        let mut next_ready = u64::MAX;
+
+        // Pass 1, row hits, up to the first request that has not arrived
+        // (arrivals are in order, so no later one has either). The first
+        // ready hit is the oldest ready hit and issues at once. Every other
+        // arrived hit marks its bank: FR-FCFS serves hits before closing.
+        let mut arrived = self.window.len();
+        for i in 0..self.window.len() {
+            let Request { addr, op, arrival } = self.window[i].req;
+            if arrival > now {
+                arrived = i;
                 break;
             }
-            let rank = p.req.addr.rank as usize;
-            let bank = p.req.addr.bank as usize;
-            match self.banks[rank][bank].open_row {
-                Some(row) if row == p.req.addr.row => {
-                    cand.push((i, Action::Column, self.column_ready(rank, bank, p.req.op)));
+            let (rank, bank) = (addr.rank as usize, addr.bank as usize);
+            if self.banks[rank][bank].open_row == Some(addr.row) {
+                let ready = self.column_ready(rank, bank, op);
+                if ready <= now {
+                    return self.issue_column(i);
                 }
-                Some(open) => {
-                    // Only precharge if no earlier/other window request still
-                    // hits the open row of this bank (FR-FCFS serves hits
-                    // before closing).
-                    let hit_waiting = self.window_wants_row(rank, bank, open);
-                    if !hit_waiting && self.claim_bank(rank, bank) {
-                        cand.push((i, Action::Precharge, self.banks[rank][bank].next_pre));
-                    }
-                }
-                None => {
-                    let ready = self.banks[rank][bank]
-                        .next_act
-                        .max(self.ranks[rank].act_ready(bank / bpg, &tm));
-                    if self.claim_bank(rank, bank) {
-                        cand.push((i, Action::Activate, ready));
-                    }
-                }
+                next_ready = next_ready.min(ready);
+                self.bank_stamp[rank * per_rank + bank] = self.stamp;
             }
         }
 
-        // Pick the best issuable candidate: column (row hit) first, then
-        // activates, then precharges; oldest wins ties.
-        let now = self.now;
-        let issuable = |a: Action| {
-            cand.iter()
-                .filter(|(_, act, ready)| *act == a && *ready <= now)
-                .min_by_key(|(i, _, _)| *i)
-                .copied()
-        };
-        let chosen = issuable(Action::Column)
-            .or_else(|| issuable(Action::Activate))
-            .or_else(|| issuable(Action::Precharge));
-
-        let decision = match chosen {
-            Some((i, Action::Column, _)) => {
-                let p = self.buf[i];
-                let rank = p.req.addr.rank as usize;
-                let bank = p.req.addr.bank as usize;
-                let (lat, op) = match p.req.op {
-                    Op::Read => (tm.cl, Op::Read),
-                    Op::Write => (tm.cwl, Op::Write),
-                };
-                let data_start = self.now + lat;
-                debug_assert!(data_start >= self.bus_busy_until);
-                let data_end = data_start + tm.burst_cycles;
-                match op {
-                    Op::Read => {
-                        self.banks[rank][bank].read(self.now, &tm);
-                        self.stats.reads += 1;
-                        self.record(CommandKind::Rd, rank as u64, bank as u64, p.req.addr.column);
-                    }
-                    Op::Write => {
-                        self.banks[rank][bank].write(self.now, &tm);
-                        self.stats.writes += 1;
-                        self.record(CommandKind::Wr, rank as u64, bank as u64, p.req.addr.column);
-                    }
-                }
-                self.bus_busy_until = data_end;
-                self.last_data_end = data_end;
-                self.last_was_write = op == Op::Write;
-                match p.touch {
-                    None => self.stats.row_hits += 1,
-                    Some(Touch::Miss) => self.stats.row_misses += 1,
-                    Some(Touch::Conflict) => self.stats.row_conflicts += 1,
-                }
-                // Busy time is derived from the command's own data phase —
-                // bursts never overlap (`bus_busy_until` forbids it), so
-                // the sum over commands is exact whether the engine stepped
-                // through the burst or jumped over it.
-                self.stats.busy_cycles += tm.burst_cycles;
-                self.stats.finish_cycle = self.stats.finish_cycle.max(data_end);
-                self.buf[i].dead = true;
-                self.live -= 1;
-                self.now += 1;
-                Decision::Issued
+        // Pass 2, bank commands: the oldest arrived request of every bank
+        // not marked yet (by a hit, or by the bank's own candidate) is that
+        // bank's candidate, an ACT if the bank is closed and otherwise a
+        // PRE. The first ready ACT issues at once; the first ready PRE
+        // issues if no ACT is ready.
+        let mut precharge = None;
+        for i in 0..arrived {
+            let addr = self.window[i].req.addr;
+            let (rank, bank) = (addr.rank as usize, addr.bank as usize);
+            let stamp = &mut self.bank_stamp[rank * per_rank + bank];
+            if *stamp == self.stamp {
+                continue;
             }
-            Some((i, Action::Activate, _)) => {
-                let addr = self.buf[i].req.addr;
-                let rank = addr.rank as usize;
-                let bank = addr.bank as usize;
-                self.banks[rank][bank].activate(self.now, addr.row, &tm);
-                self.ranks[rank].record_act(self.now, bank / bpg);
-                self.stats.activates += 1;
-                self.record(CommandKind::Act, addr.rank, addr.bank, addr.row);
-                if self.buf[i].touch.is_none() {
-                    self.buf[i].touch = Some(Touch::Miss);
-                }
-                self.now += 1;
-                Decision::Issued
+            *stamp = self.stamp;
+            let b = &self.banks[rank][bank];
+            let closed = b.open_row.is_none();
+            let ready = if closed {
+                let group = bank / self.spec.topology.banks_per_group as usize;
+                b.next_act.max(self.ranks[rank].act_ready(group, &self.spec.timing))
+            } else {
+                b.next_pre
+            };
+            if ready > now {
+                next_ready = next_ready.min(ready);
+            } else if closed {
+                return self.issue_activate(i);
+            } else {
+                precharge.get_or_insert(i);
             }
-            Some((i, Action::Precharge, _)) => {
-                let addr = self.buf[i].req.addr;
-                let rank = addr.rank as usize;
-                let bank = addr.bank as usize;
-                self.banks[rank][bank].precharge(self.now, &tm);
-                self.stats.precharges += 1;
-                self.record(CommandKind::Pre, addr.rank, addr.bank, 0);
-                self.buf[i].touch = Some(Touch::Conflict);
-                self.now += 1;
-                Decision::Issued
-            }
+        }
+        match precharge {
+            Some(i) => self.issue_precharge(i),
             None => Decision::Blocked {
-                next_ready: cand.iter().map(|(_, _, r)| *r).min(),
-                next_arrival: next_arrival_beyond,
+                next_ready: (next_ready != u64::MAX).then_some(next_ready),
+                next_arrival: self.window.get(arrived).map(|p| p.req.arrival),
             },
-        };
+        }
+    }
 
-        // Hand the scratch buffers back for the next decision.
-        self.win = win;
-        self.cand = cand;
-        decision
+    /// Issue window slot `i`'s read or write and retire the request.
+    fn issue_column(&mut self, i: usize) -> Decision {
+        let tm = self.spec.timing;
+        let Pending { req, touch } = self.window.remove(i);
+        let (rank, bank) = (req.addr.rank as usize, req.addr.bank as usize);
+        let (lat, kind) = match req.op {
+            Op::Read => {
+                self.banks[rank][bank].read(self.now, &tm);
+                self.stats.reads += 1;
+                (tm.cl, CommandKind::Rd)
+            }
+            Op::Write => {
+                self.banks[rank][bank].write(self.now, &tm);
+                self.stats.writes += 1;
+                (tm.cwl, CommandKind::Wr)
+            }
+        };
+        self.record(kind, req.addr.rank, req.addr.bank, req.addr.column);
+        let data_start = self.now + lat;
+        debug_assert!(data_start >= self.bus_busy_until);
+        let data_end = data_start + tm.burst_cycles;
+        self.bus_busy_until = data_end;
+        self.last_data_end = data_end;
+        self.last_was_write = req.op == Op::Write;
+        match touch {
+            None => self.stats.row_hits += 1,
+            Some(Touch::Miss) => self.stats.row_misses += 1,
+            Some(Touch::Conflict) => self.stats.row_conflicts += 1,
+        }
+        // Busy time is derived from the command's own data phase — bursts
+        // never overlap (`bus_busy_until` forbids it), so the sum over
+        // commands is exact whether the engine stepped through the burst
+        // or jumped over it.
+        self.stats.busy_cycles += tm.burst_cycles;
+        self.stats.finish_cycle = self.stats.finish_cycle.max(data_end);
+        self.now += 1;
+        Decision::Issued
+    }
+
+    /// Issue an ACT to the row of window slot `i`'s request.
+    fn issue_activate(&mut self, i: usize) -> Decision {
+        let addr = self.window[i].req.addr;
+        let (rank, bank) = (addr.rank as usize, addr.bank as usize);
+        let group = bank / self.spec.topology.banks_per_group as usize;
+        self.banks[rank][bank].activate(self.now, addr.row, &self.spec.timing);
+        self.ranks[rank].record_act(self.now, group);
+        self.stats.activates += 1;
+        self.record(CommandKind::Act, addr.rank, addr.bank, addr.row);
+        self.window[i].touch.get_or_insert(Touch::Miss);
+        self.now += 1;
+        Decision::Issued
+    }
+
+    /// Issue a PRE to the bank of window slot `i`'s request.
+    fn issue_precharge(&mut self, i: usize) -> Decision {
+        let addr = self.window[i].req.addr;
+        self.banks[addr.rank as usize][addr.bank as usize].precharge(self.now, &self.spec.timing);
+        self.stats.precharges += 1;
+        self.record(CommandKind::Pre, addr.rank, addr.bank, 0);
+        self.window[i].touch = Some(Touch::Conflict);
+        self.now += 1;
+        Decision::Issued
     }
 
     /// Record every issued device command for later inspection and
@@ -553,10 +477,11 @@ impl ChannelCore {
     /// Drain the queue, scheduling every request to completion on
     /// `engine`, and return the statistics for this channel.
     pub(crate) fn run(&mut self, engine: EngineKind) -> DramStats {
+        let pending = self.pending();
         if let Some(log) = &mut self.log {
             // ~1 ACT per miss/conflict + 1 column per request is the common
             // shape; reserving twice the queue depth avoids log regrowth.
-            log.reserve(2 * self.live + 8);
+            log.reserve(2 * pending + 8);
         }
         engine.drive(self);
         // Everything up to the finish cycle that was not data-bus
@@ -701,6 +626,44 @@ mod tests {
     fn arrival_gaps_are_respected() {
         let stats = run(&small_spec(), [Request::read(addr(0, 0, 0, 0)).at(10_000)]);
         assert!(stats.finish_cycle >= 10_000);
+    }
+
+    /// The window is exactly [`WINDOW`] requests: a row-0 read holds row 0
+    /// open for a younger row-0 read only while that read is among the
+    /// first `WINDOW` queued requests.
+    #[test]
+    fn lookahead_window_is_exactly_window_requests() {
+        let spec = small_spec();
+        let stats = |n: u64| {
+            let reqs = std::iter::once(Request::read(addr(0, 0, 0, 0)))
+                .chain((0..n).map(|c| Request::read(addr(0, 0, 1, c))))
+                .chain([Request::read(addr(0, 0, 0, 1))]);
+            run(&spec, reqs)
+        };
+        let inside = stats(WINDOW as u64 - 1);
+        assert_eq!((inside.row_hits, inside.row_conflicts), (31, 1));
+        let outside = stats(WINDOW as u64);
+        assert_eq!((outside.row_hits, outside.row_conflicts), (31, 2));
+        assert_eq!(outside.precharges, 2);
+    }
+
+    /// Only an arrived row hit keeps its row open: a row-0 read that has
+    /// not arrived yet does not stop row 1's request from closing row 0.
+    #[test]
+    fn only_arrived_hits_hold_a_row_open() {
+        let spec = small_spec();
+        let stats = |late: u64| {
+            let reqs = [
+                Request::read(addr(0, 0, 0, 0)),
+                Request::read(addr(0, 0, 1, 0)),
+                Request::read(addr(0, 0, 0, 1)).at(late),
+            ];
+            run(&spec, reqs)
+        };
+        let arrived = stats(0);
+        assert_eq!((arrived.row_hits, arrived.row_misses, arrived.row_conflicts), (1, 1, 1));
+        let late = stats(10_000);
+        assert_eq!((late.row_hits, late.row_misses, late.row_conflicts), (0, 2, 1));
     }
 
     #[test]

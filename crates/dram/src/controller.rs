@@ -71,11 +71,20 @@ impl DramSystem {
     ///
     /// # Panics
     ///
-    /// Panics if the channel index is out of range.
+    /// Panics if any field of the address is out of range for the
+    /// topology, or if the request arrives before a request still queued
+    /// on its channel (each channel's arrivals must be non-decreasing).
     pub fn push(&mut self, req: Request) {
-        let ch = req.addr.channel as usize;
-        assert!(ch < self.channels.len(), "channel {ch} out of range");
-        self.channels[ch].push(req);
+        let (addr, topology) = (req.addr, &self.spec.topology);
+        assert!(addr.is_valid(topology), "DRAM address {addr} out of range for {topology:?}");
+        let ch = &mut self.channels[addr.channel as usize];
+        let last = ch.last_arrival().unwrap_or(0);
+        assert!(
+            req.arrival >= last,
+            "request to {addr} arrives at cycle {}, before a request queued at cycle {last}",
+            req.arrival
+        );
+        ch.push(req);
     }
 
     /// Total requests still queued across channels.
@@ -209,12 +218,49 @@ mod tests {
         assert!(two_ch.bandwidth_bytes_per_sec > 1.9 * one_ch.bandwidth_bytes_per_sec);
     }
 
+    const ORIGIN: DramAddress = DramAddress { channel: 0, rank: 0, bank: 0, row: 0, column: 0 };
+
+    /// Push `reqs` onto the 1-channel test system: 2 ranks of 16 banks,
+    /// 4,096 rows of 64 columns.
+    fn push_all(reqs: impl IntoIterator<Item = Request>) {
+        let mut sys = DramSystem::new(&DramSpec::lpddr5_6400(16, 256 << 20));
+        reqs.into_iter().for_each(|r| sys.push(r));
+    }
+
     #[test]
     #[should_panic(expected = "out of range")]
     fn rejects_out_of_range_channel() {
-        let spec = DramSpec::lpddr5_6400(16, 256 << 20);
-        let mut sys = DramSystem::new(&spec);
-        sys.push(Request::read(DramAddress { channel: 5, rank: 0, bank: 0, row: 0, column: 0 }));
+        push_all([Request::read(DramAddress { channel: 5, ..ORIGIN })]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn rejects_out_of_range_rank() {
+        push_all([Request::read(DramAddress { rank: 2, ..ORIGIN })]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn rejects_out_of_range_bank() {
+        push_all([Request::read(DramAddress { bank: 16, ..ORIGIN })]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn rejects_out_of_range_row() {
+        push_all([Request::read(DramAddress { row: 4_096, ..ORIGIN })]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn rejects_out_of_range_column() {
+        push_all([Request::read(DramAddress { column: 64, ..ORIGIN })]);
+    }
+
+    #[test]
+    #[should_panic(expected = "arrives at cycle 0, before")]
+    fn rejects_out_of_order_arrival() {
+        push_all([Request::read(ORIGIN).at(1_000), Request::read(ORIGIN).at(0)]);
     }
 
     #[test]

@@ -43,8 +43,14 @@ impl BankedMemory {
         self.banks.iter().map(HashMap::len).sum()
     }
 
+    /// Flat bank index of `addr`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is out of range: a bank or rank past the topology's
+    /// would otherwise alias another bank's cells.
     fn flat_bank(&self, addr: DramAddress) -> usize {
-        debug_assert!(addr.is_valid(&self.topo));
+        assert!(addr.is_valid(&self.topo), "DRAM address {addr} out of range for {:?}", self.topo);
         ((addr.channel * self.topo.ranks + addr.rank) * self.topo.banks() + addr.bank) as usize
     }
 
@@ -243,5 +249,16 @@ mod tests {
         assert_eq!(mem.load_transfer(DramAddress { bank: 0, ..addr }), vec![0u8; 32]);
         assert_eq!(mem.load_transfer(DramAddress { channel: 0, ..addr }), vec![0u8; 32]);
         assert_eq!(mem.touched_rows(), 1);
+    }
+
+    /// Bank 16 of a 16-bank rank would alias bank 0 of the next rank.
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn rejects_out_of_range_bank() {
+        let mut mem = BankedMemory::new(Topology::new(1, 2, 4, 4, 64, 256, 32));
+        mem.store_transfer(
+            DramAddress { channel: 0, rank: 0, bank: 16, row: 0, column: 0 },
+            &[1; 32],
+        );
     }
 }

@@ -55,20 +55,18 @@ pub fn run_trace<M: AddressMapper>(
 ///
 /// Propagates the first [`MapFault`] the mapper raises; already-pushed
 /// requests stay queued on `sys` in that case.
+///
+/// # Panics
+///
+/// Panics if the mapper produces an address out of range for `sys`'s
+/// topology (see [`DramSystem::push`]).
 pub fn replay_on<M: AddressMapper>(
     sys: &mut DramSystem,
     mapper: &M,
     trace: impl IntoIterator<Item = TraceEntry>,
 ) -> Result<SimResult, MapFault> {
-    let topology = sys.spec().topology;
     for e in trace {
-        let addr = mapper.map(e.pa)?;
-        debug_assert!(
-            addr.is_valid(&topology),
-            "mapper produced out-of-range address {addr} for pa {:#x}",
-            e.pa
-        );
-        sys.push(Request { addr, op: e.op, arrival: 0 });
+        sys.push(Request { addr: mapper.map(e.pa)?, op: e.op, arrival: 0 });
     }
     Ok(sys.run())
 }

@@ -34,6 +34,17 @@ PY
 echo "== build (release) =="
 cargo build --workspace --release --offline
 
+echo "== committed records (release) =="
+# BENCH_mapsearch.json, BENCH_fidelity.json and BENCH_cluster.json are the
+# full --json runs of their binaries, committed byte for byte: regenerate
+# each and compare. BENCH_mapsearch.json carries every searched tensor's
+# replayed hit rate, finish cycle and score, so a change to any FR-FCFS
+# decision on those replays fails here.
+for bin in mapsearch fidelity cluster; do
+  cargo run --release -q --offline -p facil-bench --bin "$bin" -- --json | cmp - "BENCH_$bin.json"
+  echo "$bin --json: byte-identical to BENCH_$bin.json"
+done
+
 echo "== tests =="
 cargo test --workspace -q --offline
 
@@ -44,9 +55,12 @@ cargo test --release --offline -q -p facil-serve --test pinned
 
 echo "== DRAM schedule pin (release) =="
 # One FNV-1a digest of a fixed request stream's SimResult and command
-# logs, on both engines (crates/dram/tests/pinned.rs); it holds in both
-# profiles, and the debug run above checks the other one.
+# logs, on both engines (crates/dram/tests/pinned.rs), and one of the four
+# platforms' re-layout profiles (crates/sim/tests/pinned.rs: every request
+# at cycle 0, 4 to 32 channels, two mappings). Both hold in both profiles,
+# and the debug run above checks the other one.
 cargo test --release --offline -q -p facil-dram --test pinned
+cargo test --release --offline -q -p facil-sim --test pinned
 
 echo "== executor stress (release) =="
 # Teardown-race probe: two million tiny two-worker batches, each followed
