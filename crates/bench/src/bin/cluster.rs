@@ -1,5 +1,5 @@
 //! Cluster-scale serving showcase: hierarchical cells, two-tier routing,
-//! tenant QoS, and chaos testing in the `facil-cluster` simulator, as
+//! tenant QoS, and chaos testing on `facil-serve`'s cluster driver, as
 //! reproducible experiments.
 //!
 //! 1. **Chaos matrix** — the same diurnal multi-day workload on the same
@@ -34,11 +34,10 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use facil_bench::{emit_run, print_table, BenchCli};
-use facil_cluster::{
+use facil_serve::{
     run_cluster, run_cluster_traced, AutoscalePolicy, ChaosEvent, ChaosPlan, ChaosRates,
-    ClusterConfig, ClusterReport, Tenant,
+    ClusterConfig, ClusterReport, DeviceSim, FaultKind, ServeConfig, Tenant,
 };
-use facil_serve::{DeviceSim, FaultKind, ServeConfig};
 use facil_sim::InferenceSim;
 use facil_soc::{Platform, PlatformId};
 use facil_telemetry::json::{escaped, fnv1a};

@@ -3,9 +3,16 @@
 //!
 //! 1. **Continuous batching vs FCFS** — TTFT percentiles across offered
 //!    rates for hybrid-static, hybrid-dynamic and FACIL+dynamic, each
-//!    served by the FCFS run-to-completion reference
-//!    (`facil_sim::serving::serve`) and by continuous batching on the same
-//!    arrival sample.
+//!    served by FCFS run-to-completion and by continuous batching on the
+//!    same arrival sample. FCFS is the same device scheduler with a batch
+//!    of one and whole-prefill chunks (`max_batch: 1`,
+//!    `chunk_tokens: u64::MAX`). Each `cb_vs_fcfs` JSON line carries the
+//!    continuous-batching report plus an `fcfs` block: TTFT p50/p95, TTLT
+//!    p50, utilization, `queue_peak` (the device's pending-queue peak: the
+//!    most requests waiting for admission, the one in service not
+//!    counted; records from the former standalone FCFS model counted
+//!    every request in the system, the one in service included), `shed`
+//!    and `mean_batch` (at most 1).
 //! 2. **Admission control** — bounding the admission queue keeps the
 //!    served tail flat past saturation, trading goodput for latency.
 //! 3. **Fleet mode** — sharding one stream across N devices under
@@ -28,7 +35,7 @@ use facil_serve::{
     run_fleet, run_fleet_with_faults_traced, FaultEvent, FaultKind, FaultPlan, FleetConfig,
     RetryPolicy, Routing, ServeConfig,
 };
-use facil_sim::{serve, InferenceSim, ServingConfig, Strategy};
+use facil_sim::{InferenceSim, Strategy};
 use facil_soc::{Platform, PlatformId};
 use facil_telemetry::json::{escaped, number};
 use facil_telemetry::{JsonWriter, RingSink, RunManifest};
@@ -104,7 +111,6 @@ fn main() {
     let mut rows = Vec::new();
     for s in [Strategy::HybridStatic, Strategy::HybridDynamic, strategy] {
         for &qps in rates {
-            let fcfs = serve(&sim, s, &dataset, ServingConfig { arrival_qps: qps, seed });
             let cfg = ServeConfig {
                 strategy: s,
                 seed,
@@ -112,16 +118,21 @@ fn main() {
                 fmfi: 0.0,
                 ..ServeConfig::default()
             };
+            let fcfs_cfg = ServeConfig { max_batch: 1, chunk_tokens: u64::MAX, ..cfg };
             let arrival = ArrivalProcess::Poisson { qps };
+            let fcfs = run_fleet(&sim, &dataset, &arrival, fcfs_cfg, FleetConfig::default())
+                .expect("serving run with a valid config");
             let cb = run_fleet(&sim, &dataset, &arrival, cfg, FleetConfig::default())
                 .expect("serving run with a valid config");
             let mut w = JsonWriter::with_capacity(256);
             w.begin_object()
-                .field_num("ttft_p50_ms", fcfs.ttft_p50_ms)
-                .field_num("ttft_p95_ms", fcfs.ttft_p95_ms)
-                .field_num("ttlt_p50_ms", fcfs.ttlt_p50_ms)
+                .field_num("ttft_p50_ms", fcfs.ttft_ms.p50)
+                .field_num("ttft_p95_ms", fcfs.ttft_ms.p95)
+                .field_num("ttlt_p50_ms", fcfs.ttlt_ms.p50)
                 .field_num("utilization", fcfs.utilization)
-                .field_uint("queue_peak", fcfs.queue_peak as u64)
+                .field_uint("queue_peak", fcfs.devices[0].queue_peak as u64)
+                .field_uint("shed", fcfs.shed as u64)
+                .field_num("mean_batch", fcfs.devices[0].mean_batch)
                 .end_object();
             let (name, fcfs_json) = (escaped(&s.to_string()), w.finish());
             let params = [("strategy", name.as_str()), ("qps", &number(qps)), ("fcfs", &fcfs_json)];
@@ -131,8 +142,8 @@ fn main() {
             rows.push(vec![
                 s.to_string(),
                 format!("{qps:.1}"),
-                format!("{:.0}", fcfs.ttft_p50_ms),
-                format!("{:.0}", fcfs.ttft_p95_ms),
+                format!("{:.0}", fcfs.ttft_ms.p50),
+                format!("{:.0}", fcfs.ttft_ms.p95),
                 format!("{:.0}", cb.ttft_ms.p50),
                 format!("{:.0}", cb.ttft_ms.p95),
                 format!("{:.2}", cb.goodput_qps),

@@ -1,7 +1,7 @@
 //! Cluster-scale chaos: correlated cell outages, network partitions,
 //! link-delay spikes, and device faults (slow-node gray failures among
 //! them), compiled down to the device-level [`FaultPlan`] plus
-//! router-visible windows ([`CompiledChaos`]).
+//! router-visible windows, the serving driver's own input.
 //!
 //! A [`ChaosPlan`] extends the device fault model one level up.
 //! Device-scope events (crashes, freezes, PIM/KV faults, gray slowdowns)
@@ -20,9 +20,11 @@
 //! fault plan that reproduces the chaos-free schedule exactly.
 
 use facil_core::{FacilError, Result};
-use facil_serve::faults::check_window;
-use facil_serve::{ClusterConfig, CompiledChaos, FaultEvent, FaultKind, FaultPlan, RetryPolicy};
 use facil_workloads::XorShift64Star;
+
+use crate::faults::{check_window, FaultEvent, FaultKind, FaultPlan, RetryPolicy};
+use crate::router::CompiledChaos;
+use crate::topology::ClusterConfig;
 
 /// One chaos event at cluster scope.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -203,8 +205,9 @@ impl ChaosPlan {
     ///
     /// # Errors
     ///
-    /// [`FacilError::InvalidRequest`] on a malformed window
-    /// ([`check_window`]) or device fault ([`FaultKind::validate`]), a
+    /// [`FacilError::InvalidRequest`] on a malformed window (negative or
+    /// non-finite start, non-positive or non-finite length) or device
+    /// fault ([`FaultKind::validate`]), a
     /// non-positive link-delay `extra_s` (deferral must make progress), or
     /// a malformed policy ([`RetryPolicy::validate`]);
     /// [`FacilError::DeviceUnavailable`] on an out-of-range cell or device
@@ -249,7 +252,7 @@ impl ChaosPlan {
     /// # Errors
     ///
     /// See [`ChaosPlan::validate`].
-    pub fn compile(&self, cfg: &ClusterConfig) -> Result<CompiledChaos> {
+    pub(crate) fn compile(&self, cfg: &ClusterConfig) -> Result<CompiledChaos> {
         self.validate(cfg)?;
         let mut fault_events = Vec::new();
         let mut partitions = vec![Vec::new(); cfg.cells];

@@ -6,8 +6,14 @@
 //! in-flight decoding request, costed by the [`InferenceSim`] timing oracle
 //! ([`InferenceSim::prefill_chunk_ns`] / [`InferenceSim::decode_batch_pim_ns`]).
 //! New requests therefore reach their first token without waiting for the
-//! whole backlog to finish decoding — the property the FCFS
-//! run-to-completion baseline (`facil_sim::serving::serve`) lacks.
+//! whole backlog to finish decoding. With `max_batch: 1` and
+//! `chunk_tokens: u64::MAX` the same scheduler *is* FCFS
+//! run-to-completion: each request runs its whole prefill, then every
+//! decode step, before the next one is admitted. The `facil-serve`
+//! acceptance test `batch_of_one_is_fcfs_run_to_completion` pins every
+//! request of such a run to the closed-form recurrence
+//! `start = max(arrival, previous finish)` over
+//! [`InferenceSim::run_query`].
 //!
 //! Admission control reserves the request's *entire* worst-case KV
 //! footprint (prefill + decode tokens) from a [`FacilSystem`] whose
@@ -41,7 +47,9 @@
 use std::collections::VecDeque;
 
 use facil_core::paging::LoadCostModel;
-use facil_core::{DType, FacilSystem, MatrixConfig, PagedKvCache, HUGE_PAGE_BYTES};
+use facil_core::{
+    DType, FacilError, FacilSystem, MatrixConfig, PagedKvCache, Result, HUGE_PAGE_BYTES,
+};
 use facil_sim::{InferenceSim, Strategy};
 use facil_telemetry::{ArgValue, NullSink, TraceSink, TrackId};
 use facil_workloads::Query;
@@ -70,6 +78,32 @@ pub struct ServeConfig {
     /// Free-memory fragmentation index the physical allocator is prepared
     /// at — KV slab allocations above 0 pay huge-page compaction.
     pub fmfi: f64,
+}
+
+impl ServeConfig {
+    /// Check the scheduler knobs. `queue_cap: 0` is legal: such a device
+    /// sheds every arrival (`QueueFull`).
+    ///
+    /// # Errors
+    ///
+    /// [`FacilError::InvalidRequest`] on a zero `max_batch` or
+    /// `chunk_tokens`, or an `fmfi` that is not a finite value in
+    /// `[0, 1]`.
+    pub fn validate(&self) -> Result<()> {
+        if self.max_batch == 0 || self.chunk_tokens == 0 {
+            return Err(FacilError::InvalidRequest(format!(
+                "max_batch {} and chunk_tokens {} must be at least 1",
+                self.max_batch, self.chunk_tokens
+            )));
+        }
+        if !(0.0..=1.0).contains(&self.fmfi) {
+            return Err(FacilError::InvalidRequest(format!(
+                "fmfi {} must be finite and in [0, 1]",
+                self.fmfi
+            )));
+        }
+        Ok(())
+    }
 }
 
 impl Default for ServeConfig {
@@ -215,6 +249,11 @@ impl<'a, S: TraceSink> DeviceSim<'a, S> {
     /// Build a device that records its scheduler decisions into `sink` on a
     /// `serve`-process track named `device<N>`. Tracing is observational:
     /// the schedule and every latency are identical to the untraced device.
+    ///
+    /// # Panics
+    ///
+    /// If `cfg` fails [`ServeConfig::validate`]; the serving driver
+    /// returns that error instead of building a device.
     pub fn with_faults_traced(
         sim: &'a InferenceSim,
         device: usize,
@@ -222,6 +261,9 @@ impl<'a, S: TraceSink> DeviceSim<'a, S> {
         plan: &FaultPlan,
         mut sink: S,
     ) -> Self {
+        if let Err(e) = cfg.validate() {
+            panic!("{e}");
+        }
         let track = if sink.enabled() {
             sink.track("serve", &format!("device{device}"))
         } else {
@@ -251,7 +293,7 @@ impl<'a, S: TraceSink> DeviceSim<'a, S> {
         } else {
             capacity.saturating_sub(cfg.kv_budget_bytes)
         };
-        sys.fragment_physical(occupied, cfg.fmfi.clamp(0.0, 1.0));
+        sys.fragment_physical(occupied, cfg.fmfi);
         let kv_budget = sys.free_bytes();
         let mut outages = Vec::new();
         let mut pim_windows = Vec::new();
@@ -512,7 +554,7 @@ impl<'a, S: TraceSink> DeviceSim<'a, S> {
     /// instead of admitted, and a KV-fault window pauses admission
     /// entirely.
     fn try_admit(&mut self) {
-        while self.active_count() < self.cfg.max_batch.max(1) {
+        while self.active_count() < self.cfg.max_batch {
             let Some(&front) = self.pending.front() else { return };
             if self.deadline_s > 0.0 && self.now_s > front.arrival_s + self.deadline_s {
                 self.pending.pop_front();
@@ -630,7 +672,7 @@ impl<'a, S: TraceSink> DeviceSim<'a, S> {
         };
         let chunk = self.prefilling.front().map(|r| {
             let total = r.query.prefill.max(1);
-            let len = self.cfg.chunk_tokens.max(1).min(total - r.prefill_done);
+            let len = self.cfg.chunk_tokens.min(total - r.prefill_done);
             (r.prefill_done, len, total)
         });
         let prefill_ns = chunk.map_or(0.0, |(start, len, total)| {

@@ -73,7 +73,7 @@ pub enum FaultKind {
 /// # Errors
 ///
 /// [`FacilError::InvalidRequest`] naming the offending value.
-pub fn check_window(at_s: f64, duration_s: f64) -> Result<()> {
+pub(crate) fn check_window(at_s: f64, duration_s: f64) -> Result<()> {
     if !at_s.is_finite() || at_s < 0.0 {
         return Err(FacilError::InvalidRequest(format!(
             "fault time {at_s} must be finite and non-negative"

@@ -64,23 +64,6 @@ impl Default for FleetConfig {
     }
 }
 
-impl FleetConfig {
-    /// Check the fleet shape before running.
-    ///
-    /// # Errors
-    ///
-    /// [`facil_core::FacilError::InvalidRequest`] if the fleet has no
-    /// devices.
-    pub fn validate(&self) -> facil_core::Result<()> {
-        if self.devices == 0 {
-            return Err(facil_core::FacilError::InvalidRequest(
-                "fleet needs at least one device".into(),
-            ));
-        }
-        Ok(())
-    }
-}
-
 /// Serve `dataset` with arrivals from `arrival` on a fleet of
 /// `fleet.devices` identical devices (each a [`crate::DeviceSim`] over
 /// `sim`), injecting the failures scheduled in `plan`.
@@ -97,7 +80,8 @@ impl FleetConfig {
 ///
 /// # Errors
 ///
-/// * [`FleetConfig::validate`] errors for an empty fleet;
+/// * [`ClusterConfig::validate`] errors for an empty fleet or a malformed
+///   [`ServeConfig`] ([`ServeConfig::validate`]);
 /// * [`FaultPlan::validate`] errors for a malformed plan.
 pub fn run_fleet_with_faults(
     sim: &InferenceSim,
@@ -138,7 +122,8 @@ pub fn run_fleet_with_faults_traced<S: TraceSink + Clone>(
 ///
 /// # Errors
 ///
-/// [`FleetConfig::validate`] errors for an empty fleet.
+/// [`ClusterConfig::validate`] errors for an empty fleet or a malformed
+/// [`ServeConfig`].
 pub fn run_fleet(
     sim: &InferenceSim,
     dataset: &Dataset,
@@ -159,7 +144,6 @@ fn run<S: TraceSink + Clone, E: Exec<S>>(
     plan: &FaultPlan,
     sink: S,
 ) -> facil_core::Result<ServeReport> {
-    fleet.validate()?;
     let cell = ClusterConfig {
         cells: 1,
         devices_per_cell: fleet.devices,
@@ -229,6 +213,53 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, FacilError::InvalidRequest(_)));
+    }
+
+    /// `bad` is rejected with `InvalidRequest` by both entry points of the
+    /// driver, before any device is built.
+    fn assert_rejected(bad: ServeConfig) {
+        let d = Dataset::code_autocompletion_like(3, 4);
+        let arrival = ArrivalProcess::Poisson { qps: 1.0 };
+        let err = run_fleet(sim(), &d, &arrival, bad, FleetConfig::default()).unwrap_err();
+        assert!(matches!(err, FacilError::InvalidRequest(_)), "run_fleet: {err:?}");
+        let cluster = ClusterConfig { serve: bad, ..ClusterConfig::default() };
+        let err = crate::run_cluster(sim(), &d, &arrival, &cluster, &crate::ChaosPlan::none())
+            .unwrap_err();
+        assert!(matches!(err, FacilError::InvalidRequest(_)), "run_cluster: {err:?}");
+    }
+
+    #[test]
+    fn nan_fmfi_is_rejected_not_a_panic() {
+        assert_rejected(ServeConfig { fmfi: f64::NAN, ..cfg() });
+    }
+
+    #[test]
+    fn fmfi_above_one_is_rejected() {
+        assert_rejected(ServeConfig { fmfi: 1.5, ..cfg() });
+    }
+
+    #[test]
+    fn negative_fmfi_is_rejected() {
+        assert_rejected(ServeConfig { fmfi: -1.0, ..cfg() });
+    }
+
+    #[test]
+    fn zero_max_batch_is_rejected() {
+        assert_rejected(ServeConfig { max_batch: 0, ..cfg() });
+    }
+
+    #[test]
+    fn zero_chunk_tokens_is_rejected() {
+        assert_rejected(ServeConfig { chunk_tokens: 0, ..cfg() });
+    }
+
+    #[test]
+    fn zero_queue_cap_is_legal_and_sheds_everything() {
+        let d = Dataset::code_autocompletion_like(3, 4);
+        let arrival = ArrivalProcess::Poisson { qps: 1.0 };
+        let none = ServeConfig { queue_cap: 0, ..cfg() };
+        let r = run_fleet(sim(), &d, &arrival, none, FleetConfig::default()).unwrap();
+        assert_eq!((r.completed, r.shed, r.shed_queue_full), (0, 4, 4));
     }
 
     #[test]

@@ -24,13 +24,23 @@
 //!   quiescence over cells of devices ([`ClusterConfig`]), with a
 //!   two-tier router (cell admission, then device dispatch under a
 //!   [`Routing`] policy), tenant QoS, a park queue for requests no device
-//!   can take yet, router-only partition and link-delay windows
-//!   ([`CompiledChaos`]) and SLO-burn autoscaling. [`run_cells`] rolls a
-//!   run up as a [`ClusterReport`]; the `facil-cluster` crate adds the
-//!   chaos model that compiles down to it.
+//!   can take yet, router-only partition and link-delay windows and
+//!   SLO-burn autoscaling.
+//! - [`ChaosPlan`] — the cluster-scale fault model layered on
+//!   [`FaultPlan`]: correlated cell outages, network partitions (a cell
+//!   keeps serving but admits nothing new), link-delay spikes (dispatches
+//!   defer or hedge to a clean cell) and device-scope faults;
+//!   [`ChaosPlan::seeded`] derives a whole schedule from a seed.
+//!   [`run_cluster`] compiles the plan to the driver's input and rolls the
+//!   run up as a [`ClusterReport`]: SLO attainment, goodput,
+//!   availability, the shed taxonomy, per-tenant and per-cell rollups and
+//!   the conservation invariant [`ClusterReport::conserved`].
 //! - [`run_fleet`] / [`run_fleet_with_faults`] — a fleet of N identical
 //!   devices sharing an arrival stream: the one-cell case of the same
-//!   driver, failing crashed devices' work over to survivors.
+//!   driver, failing crashed devices' work over to survivors. A device
+//!   with `max_batch: 1` and whole-prefill chunks is FCFS
+//!   run-to-completion, the baseline continuous batching is measured
+//!   against.
 //! - [`ServeReport`] — SLO and availability metrics: per-request
 //!   TTFT/TBT/TTLT with p50/p95/p99 [`facil_sim::Summary`] rollups,
 //!   goodput vs offered load, shed accounting, per-device utilization,
@@ -46,7 +56,7 @@
 //! # Observability
 //!
 //! The scheduler is instrumented through [`facil_telemetry`]:
-//! [`run_fleet_with_faults_traced`] and [`run_cells_traced`] record
+//! [`run_fleet_with_faults_traced`] and [`run_cluster_traced`] record
 //! admissions, sheds, batch formation, degraded-mode transitions,
 //! crashes/freezes, dispatches, parks, failovers and retries as trace
 //! events on per-device, router and per-cell tracks (simulated
@@ -58,6 +68,7 @@
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
+pub mod chaos;
 pub mod device;
 pub mod faults;
 pub mod fleet;
@@ -67,6 +78,7 @@ pub mod request;
 pub mod router;
 pub mod topology;
 
+pub use chaos::{ChaosEvent, ChaosPlan, ChaosRates};
 pub use device::{DeviceSim, EvictedReq, ServeConfig};
 pub use faults::{FaultEvent, FaultKind, FaultPlan, FaultRates, RetryPolicy};
 pub use fleet::{
@@ -75,5 +87,5 @@ pub use fleet::{
 pub use metrics::{DeviceReport, QueueSample, ServeReport};
 pub use report::{CellReport, ClusterReport, ClusterShedRecord, TenantReport};
 pub use request::{RequestRecord, ShedReason, ShedRecord};
-pub use router::{run_cells, run_cells_traced, CompiledChaos};
+pub use router::{run_cluster, run_cluster_traced};
 pub use topology::{AutoscalePolicy, ClusterConfig, Tenant};

@@ -49,11 +49,12 @@
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BTreeMap, BinaryHeap};
 
-use facil_core::{FacilError, Result};
+use facil_core::Result;
 use facil_sim::{InferenceSim, Summary};
 use facil_telemetry::{pool, ArgValue, NullSink, TraceSink, TrackId};
 use facil_workloads::{ArrivalProcess, Dataset, Query};
 
+use crate::chaos::ChaosPlan;
 use crate::device::{DeviceSim, EvictedReq};
 use crate::faults::{FaultKind, FaultPlan, RetryPolicy};
 use crate::fleet::Routing;
@@ -65,8 +66,10 @@ use crate::topology::{AutoscalePolicy, ClusterConfig};
 /// A fault schedule lowered to what the driver consumes: one device-level
 /// fault plan (with its retry/deadline policy) on global device indices,
 /// and per-cell partition / link-delay windows only the router sees.
+/// [`ChaosPlan::compile`] builds one for a cluster, `fleet::run` one for a
+/// fleet.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CompiledChaos {
+pub(crate) struct CompiledChaos {
     /// Device-level faults on global indices (each [`DeviceSim`] filters
     /// its own events).
     pub plan: FaultPlan,
@@ -124,19 +127,6 @@ impl CompiledChaos {
             }
         }
         best
-    }
-
-    /// Check the schedule against the cluster shape: one window list per
-    /// cell, and a valid fault plan over every slot.
-    fn validate(&self, cfg: &ClusterConfig) -> Result<()> {
-        if self.partitions.len() != cfg.cells || self.link_delays.len() != cfg.cells {
-            return Err(FacilError::InvalidRequest(format!(
-                "schedule has windows for {} cells, the cluster has {}",
-                self.partitions.len().min(self.link_delays.len()),
-                cfg.cells
-            )));
-        }
-        self.plan.validate(cfg.total_slots())
     }
 }
 
@@ -675,32 +665,33 @@ impl<S: TraceSink> RouterState<'_, S> {
     }
 }
 
-/// Serve `dataset` with arrivals from `arrival` on the cells `cfg`
-/// describes, under the compiled fault schedule `chaos`.
+/// Run `dataset` with arrivals from `arrival` on the cluster described by
+/// `cfg`, injecting the chaos scheduled in `plan`.
 ///
-/// Deterministic for a fixed seed and schedule: repeated runs serialize to
+/// Deterministic for a fixed seed and plan: repeated runs serialize to
 /// byte-identical [`ClusterReport::to_json`] output regardless of the
-/// `FACIL_THREADS` worker count. Every offered request reaches exactly one
+/// `FACIL_THREADS` worker count, and [`ChaosPlan::none`] reproduces the
+/// chaos-free schedule exactly. Every offered request reaches exactly one
 /// terminal state: `offered == completed + shed`
 /// ([`ClusterReport::conserved`]).
 ///
 /// # Errors
 ///
-/// * [`ClusterConfig::validate`] errors for a malformed cluster shape;
-/// * [`FacilError::InvalidRequest`] if `chaos` does not carry one window
-///   list per cell, and [`FaultPlan::validate`] errors for its plan.
-pub fn run_cells(
+/// * [`ChaosPlan::validate`] errors for a malformed chaos plan;
+/// * [`ClusterConfig::validate`] errors for a malformed cluster shape.
+pub fn run_cluster(
     sim: &InferenceSim,
     dataset: &Dataset,
     arrival: &ArrivalProcess,
     cfg: &ClusterConfig,
-    chaos: &CompiledChaos,
+    plan: &ChaosPlan,
 ) -> Result<ClusterReport> {
-    Ok(drive::<NullSink, ParallelExec>(sim, dataset, arrival, cfg, chaos, NullSink)?
+    let chaos = plan.compile(cfg)?;
+    Ok(drive::<NullSink, ParallelExec>(sim, dataset, arrival, cfg, &chaos, NullSink)?
         .cluster_report())
 }
 
-/// [`run_cells`] with every router and scheduler decision recorded into
+/// [`run_cluster`] with every router and scheduler decision recorded into
 /// `sink`: per-device `serve` tracks plus `cluster` tracks for the router
 /// and each cell (dispatches, parks, sheds, hedges, deferrals, failovers,
 /// retries, autoscaling). Tracing is observational — the report is
@@ -709,16 +700,17 @@ pub fn run_cells(
 ///
 /// # Errors
 ///
-/// See [`run_cells`].
-pub fn run_cells_traced<S: TraceSink + Clone>(
+/// See [`run_cluster`].
+pub fn run_cluster_traced<S: TraceSink + Clone>(
     sim: &InferenceSim,
     dataset: &Dataset,
     arrival: &ArrivalProcess,
     cfg: &ClusterConfig,
-    chaos: &CompiledChaos,
+    plan: &ChaosPlan,
     sink: S,
 ) -> Result<ClusterReport> {
-    Ok(drive::<S, SerialExec>(sim, dataset, arrival, cfg, chaos, sink)?.cluster_report())
+    let chaos = plan.compile(cfg)?;
+    Ok(drive::<S, SerialExec>(sim, dataset, arrival, cfg, &chaos, sink)?.cluster_report())
 }
 
 /// A finished run: final device state plus the router's books, ready to
@@ -740,7 +732,7 @@ pub(crate) fn drive<'a, 'c, S: TraceSink + Clone, E: Exec<S>>(
     mut sink: S,
 ) -> Result<Finished<'a, 'c, S>> {
     cfg.validate()?;
-    chaos.validate(cfg)?;
+    chaos.plan.validate(cfg.total_slots())?;
     let n = dataset.queries.len();
     let times = arrival.sample_times(cfg.serve.seed, n);
     let slots = cfg.total_slots();

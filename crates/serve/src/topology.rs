@@ -181,9 +181,10 @@ impl ClusterConfig {
     /// # Errors
     ///
     /// [`FacilError::InvalidRequest`] on an empty cluster, a
-    /// `max_devices_per_cell` below the initial size, no tenants,
-    /// non-positive tenant shares, a negative/non-finite hedge threshold,
-    /// or an invalid autoscale policy.
+    /// `max_devices_per_cell` below the initial size, invalid device knobs
+    /// ([`ServeConfig::validate`]), no tenants, non-positive tenant shares,
+    /// a negative/non-finite hedge threshold, or an invalid autoscale
+    /// policy.
     pub fn validate(&self) -> Result<()> {
         if self.cells == 0 || self.devices_per_cell == 0 {
             return Err(FacilError::InvalidRequest(
@@ -196,6 +197,7 @@ impl ClusterConfig {
                 self.max_devices_per_cell, self.devices_per_cell
             )));
         }
+        self.serve.validate()?;
         if self.tenants.is_empty() {
             return Err(FacilError::InvalidRequest("cluster needs at least one tenant".into()));
         }

@@ -1,13 +1,14 @@
-//! Acceptance tests for the serving subsystem: the claims the PR makes
-//! (continuous batching sustains more load than FCFS at equal tail
-//! latency; admission control bounds the tail past saturation) hold as
-//! executable checks, not just bench-output prose.
+//! Acceptance tests for the serving subsystem: its claims (continuous
+//! batching sustains more load than FCFS at equal tail latency; a batch
+//! of one is FCFS run-to-completion; admission control bounds the tail
+//! past saturation) hold as executable checks, not just bench-output
+//! prose.
 
 use facil_serve::{
     run_fleet, run_fleet_with_faults, FaultEvent, FaultKind, FaultPlan, FleetConfig, Routing,
     ServeConfig,
 };
-use facil_sim::{serve, InferenceSim, ServingConfig, Strategy};
+use facil_sim::{InferenceSim, Strategy};
 use facil_soc::{Platform, PlatformId};
 use facil_workloads::{ArrivalProcess, Dataset};
 use std::sync::OnceLock;
@@ -19,39 +20,33 @@ fn sim() -> &'static InferenceSim {
     })
 }
 
-/// Continuous batching sustains a strictly higher offered rate than the
-/// FCFS run-to-completion baseline at the same p95-TTFT budget.
+/// Continuous batching sustains a strictly higher offered rate than FCFS
+/// run-to-completion (the same scheduler with a batch of one and
+/// whole-prefill chunks) at the same p95-TTFT budget, on the same arrival
+/// stream.
 #[test]
 fn continuous_batching_sustains_higher_qps_than_fcfs() {
     let d = Dataset::code_autocompletion_like(42, 96);
     let strategy = Strategy::FacilDynamic;
+    // Unbounded queue: the comparison is pure scheduling, not shedding.
+    let cb =
+        ServeConfig { strategy, seed: 9, queue_cap: 1 << 20, fmfi: 0.0, ..ServeConfig::default() };
+    let fcfs = ServeConfig { max_batch: 1, chunk_tokens: u64::MAX, ..cb };
+    let p95 = |cfg: ServeConfig, qps: f64| {
+        let r = run_fleet(sim(), &d, &ArrivalProcess::Poisson { qps }, cfg, FleetConfig::default())
+            .unwrap();
+        assert_eq!(r.shed, 0, "unbounded queue must not shed");
+        r.ttft_ms.p95
+    };
     // SLO budget: 4x the essentially-unloaded FCFS tail.
-    let light = serve(sim(), strategy, &d, ServingConfig { arrival_qps: 0.2, seed: 9 });
-    let target_p95_ms = 4.0 * light.ttft_p95_ms;
+    let target_p95_ms = 4.0 * p95(fcfs, 0.2);
 
     let rates = [0.2, 0.4, 0.8, 1.6, 3.2, 6.4, 12.8, 25.6];
-    let fcfs_max = rates
-        .iter()
-        .copied()
-        .filter(|&qps| {
-            serve(sim(), strategy, &d, ServingConfig { arrival_qps: qps, seed: 9 }).ttft_p95_ms
-                <= target_p95_ms
-        })
-        .fold(0.0f64, f64::max);
-    // Unbounded queue: the comparison is pure scheduling, not shedding.
-    let cfg =
-        ServeConfig { strategy, seed: 9, queue_cap: 1 << 20, fmfi: 0.0, ..ServeConfig::default() };
-    let cb_max = rates
-        .iter()
-        .copied()
-        .filter(|&qps| {
-            let r =
-                run_fleet(sim(), &d, &ArrivalProcess::Poisson { qps }, cfg, FleetConfig::default())
-                    .unwrap();
-            assert_eq!(r.shed, 0, "unbounded queue must not shed");
-            r.ttft_ms.p95 <= target_p95_ms
-        })
-        .fold(0.0f64, f64::max);
+    let max_sustained = |cfg: ServeConfig| {
+        rates.iter().copied().filter(|&qps| p95(cfg, qps) <= target_p95_ms).fold(0.0f64, f64::max)
+    };
+    let fcfs_max = max_sustained(fcfs);
+    let cb_max = max_sustained(cb);
 
     assert!(fcfs_max > 0.0, "FCFS must sustain at least the lightest rate");
     assert!(
@@ -59,6 +54,65 @@ fn continuous_batching_sustains_higher_qps_than_fcfs() {
         "continuous batching sustained {cb_max} qps, FCFS {fcfs_max} qps, \
          at p95 TTFT <= {target_p95_ms:.0} ms"
     );
+}
+
+/// A device with a batch of one and whole-prefill chunks is FCFS
+/// run-to-completion: each request starts at `max(arrival, previous
+/// finish)` and then takes exactly its isolated `run_query` time. Checked
+/// request by request for three strategies, from an idle device to a
+/// saturated one.
+#[test]
+fn batch_of_one_is_fcfs_run_to_completion() {
+    let d = Dataset::code_autocompletion_like(5, 48);
+    let n = d.queries.len();
+    let rel = |a: f64, b: f64| (a - b).abs() / b.abs().max(1e-12);
+    for strategy in [Strategy::HybridStatic, Strategy::HybridDynamic, Strategy::FacilDynamic] {
+        let isolated: Vec<_> = d.queries.iter().map(|&q| sim().run_query(strategy, q)).collect();
+        let cfg = ServeConfig {
+            strategy,
+            seed: 3,
+            max_batch: 1,
+            chunk_tokens: u64::MAX,
+            queue_cap: 1 << 20,
+            fmfi: 0.0,
+            ..ServeConfig::default()
+        };
+        for qps in [1e-4, 0.1, 0.5, 2.0, 16.0] {
+            let times_s = ArrivalProcess::Poisson { qps }.sample_times(3, n);
+            let arrival = ArrivalProcess::Trace { times_s: times_s.clone() };
+            let r = run_fleet(sim(), &d, &arrival, cfg, FleetConfig::default()).unwrap();
+            assert_eq!(r.completed, n, "{strategy} at {qps} qps");
+            assert!(r.devices[0].mean_batch <= 1.0, "{strategy} at {qps} qps");
+            let mut free_s = 0.0f64;
+            let mut waited = 0;
+            for (id, (&arrival_s, iso)) in times_s.iter().zip(&isolated).enumerate() {
+                let start_s = arrival_s.max(free_s);
+                waited += usize::from(start_s > arrival_s);
+                free_s = start_s + iso.ttlt_ns / 1e9;
+                let ttft_ms = (start_s - arrival_s) * 1e3 + iso.ttft_ns / 1e6;
+                let ttlt_ms = (free_s - arrival_s) * 1e3;
+                let got = r.requests.iter().find(|q| q.id == id as u64).unwrap();
+                assert!(
+                    rel(got.ttft_ms, ttft_ms) < 1e-9,
+                    "{strategy} at {qps} qps, request {id}: TTFT {} ms, FCFS {ttft_ms} ms",
+                    got.ttft_ms
+                );
+                assert!(
+                    rel(got.ttlt_ms, ttlt_ms) < 1e-9,
+                    "{strategy} at {qps} qps, request {id}: TTLT {} ms, FCFS {ttlt_ms} ms",
+                    got.ttlt_ms
+                );
+            }
+            // The sweep spans both ends: nobody queues on the idle device,
+            // most requests queue on the saturated one.
+            if qps == 1e-4 {
+                assert_eq!(waited, 0, "{strategy}: an idle device must not queue");
+            }
+            if qps == 16.0 {
+                assert!(waited > n / 2, "{strategy}: only {waited} of {n} queued at {qps} qps");
+            }
+        }
+    }
 }
 
 /// With a bounded admission queue, pushing the offered rate far past

@@ -3,10 +3,10 @@
 //! tenant QoS, autoscaling) through a hand-built chaos plan and checks
 //! the report tells the right story.
 
-use facil_cluster::{
-    run_cluster, run_cluster_traced, AutoscalePolicy, ChaosEvent, ChaosPlan, ClusterConfig, Tenant,
+use facil_serve::{
+    run_cluster, run_cluster_traced, AutoscalePolicy, ChaosEvent, ChaosPlan, ClusterConfig,
+    FaultKind, ServeConfig, ShedReason, Tenant,
 };
-use facil_serve::{FaultKind, ServeConfig, ShedReason};
 use facil_sim::InferenceSim;
 use facil_soc::{Platform, PlatformId};
 use facil_telemetry::RingSink;

@@ -2,8 +2,10 @@
 //! determinism invariants under seeded chaos.
 
 use facil_check::cases;
-use facil_cluster::{run_cluster, ChaosEvent, ChaosPlan, ChaosRates, ClusterConfig, ClusterReport};
-use facil_serve::{run_fleet_with_faults, FaultPlan, FleetConfig, Routing, ServeConfig};
+use facil_serve::{
+    run_cluster, run_fleet_with_faults, ChaosEvent, ChaosPlan, ChaosRates, ClusterConfig,
+    ClusterReport, FaultPlan, FleetConfig, Routing, ServeConfig,
+};
 use facil_sim::InferenceSim;
 use facil_soc::{Platform, PlatformId};
 use facil_workloads::{ArrivalProcess, Dataset};

@@ -32,7 +32,6 @@ pub mod energy;
 pub mod engine;
 pub mod metrics;
 pub mod relayout;
-pub mod serving;
 /// Deterministic fork-join parallelism ([`pool::par_map`], the
 /// `FACIL_THREADS` knob) — lives in [`facil_telemetry`] so the DRAM layer
 /// below this crate can use the same pool; re-exported here as the
@@ -48,5 +47,4 @@ pub use energy::{decode_energy_per_token, TokenEnergy};
 pub use engine::{InferenceSim, QueryResult, Strategy};
 pub use metrics::{geomean_speedup, run_dataset, DatasetRun};
 pub use relayout::{RelayoutModel, RelayoutProfile};
-pub use serving::{serve, ServingConfig, ServingResult};
 pub use stats::{percentile, Summary};

@@ -1,6 +1,6 @@
 //! Shared latency statistics: nearest-rank percentiles and summary
-//! aggregates used by the serving paths (`facil_sim::serving`,
-//! `facil-serve`, `facil-bench`) and by [`crate::metrics`] histograms.
+//! aggregates used by the serving reports (`facil-serve`, `facil-bench`)
+//! and by [`crate::metrics`] histograms.
 //!
 //! Moved here from `facil_sim::stats` (which re-exports this module) so
 //! the lower layers can depend on it without a cycle. The estimator is the

@@ -130,6 +130,22 @@ crash = [o for o in runs if o["experiment"] == "crash_failover"]
 assert all(o["report"]["completed"] + o["report"]["shed"] == o["report"]["offered"] for o in crash)
 print(f"chaos smoke OK ({len(runs)} runs + manifest)")'
 
+echo "== serving_v2 smoke =="
+# The FCFS column of the continuous-batching comparison is the same device
+# scheduler with a batch of one and whole-prefill chunks on an unbounded
+# queue: every cb_vs_fcfs line's fcfs block must have shed nothing and
+# batched at most one request per iteration.
+cargo run --release -q --offline -p facil-bench --bin serving_v2 -- --smoke --json \
+  | python3 -c 'import json,sys
+lines = [json.loads(l) for l in sys.stdin if l.strip()]
+runs = [o for o in lines if o.get("experiment") == "cb_vs_fcfs"]
+assert runs, "serving_v2 --json produced no cb_vs_fcfs lines"
+for o in runs:
+    f = o["fcfs"]
+    assert f["shed"] == 0, ("FCFS shed", o["strategy"], o["qps"], f["shed"])
+    assert 0 < f["mean_batch"] <= 1, ("FCFS batched", o["strategy"], o["qps"], f["mean_batch"])
+print(f"serving_v2 smoke OK ({len(runs)} cb_vs_fcfs lines, FCFS batch of one, nothing shed)")'
+
 echo "== perf gates (release) =="
 # Wall-clock gates, each on provably equivalent work: serial == parallel
 # DRAM SimResults on 1/2/4/8 channels, stepped == next-event engine on a

@@ -15,11 +15,11 @@
 //!   autocompletion),
 //! * [`sim`] — end-to-end SoC-PIM inference strategies and TTFT/TTLT
 //!   metrics,
-//! * [`serve`] — discrete-event serving simulator: continuous batching,
-//!   admission control, SLO metrics, multi-device fleets,
-//! * [`cluster`] — fault-tolerant cluster serving: hierarchical cells,
-//!   two-tier routing, tenant QoS, cluster-scale chaos testing, and
-//!   SLO-burn autoscaling,
+//! * [`serve`] — discrete-event serving simulator: continuous batching
+//!   (FCFS run-to-completion is its batch-of-one configuration), admission
+//!   control, SLO metrics, multi-device fleets, and fault-tolerant cluster
+//!   serving with hierarchical cells, two-tier routing, tenant QoS,
+//!   cluster-scale chaos testing and SLO-burn autoscaling,
 //! * [`mapsearch`] — workload-profile-driven mapping search over the
 //!   MapID / PU-order candidate space, with an analytic cost model
 //!   cross-checked by cycle-accurate replays,
@@ -33,7 +33,6 @@
 //! See the `examples/` directory for runnable end-to-end scenarios and
 //! `crates/bench` for the experiment regenerators.
 
-pub use facil_cluster as cluster;
 pub use facil_core as core;
 pub use facil_dram as dram;
 pub use facil_fidelity as fidelity;

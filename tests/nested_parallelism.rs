@@ -13,8 +13,7 @@
 //! `pool::set_parallelism` knob and counts pool workers via
 //! `pool::shutdown`, both of which would race with unrelated tests.
 
-use facil::cluster::{run_cluster, ChaosEvent, ChaosPlan, ClusterConfig};
-use facil::serve::{FaultKind, ServeConfig};
+use facil::serve::{run_cluster, ChaosEvent, ChaosPlan, ClusterConfig, FaultKind, ServeConfig};
 use facil::sim::{InferenceSim, Strategy};
 use facil::soc::{Platform, PlatformId};
 use facil::telemetry::pool;
