@@ -62,7 +62,7 @@ impl std::fmt::Display for Field {
 }
 
 /// A run of consecutive PA bits feeding one field.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Segment {
     /// Target field.
     pub field: Field,
@@ -72,7 +72,7 @@ pub struct Segment {
 
 /// A complete PA-to-DA mapping: a permutation of physical-address bits into
 /// DRAM address fields, optionally followed by an XOR bank hash.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct MappingScheme {
     topo: Topology,
     /// Segments from PA LSB to MSB. Field widths sum to the topology bits.

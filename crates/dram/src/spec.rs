@@ -33,7 +33,7 @@ impl std::fmt::Display for DramKind {
 /// 8 beats on the DQ bus, so a BL16 burst (one 32-byte transfer on a 16-bit
 /// LPDDR5 channel) occupies exactly [`Timing::burst_cycles`] = 2 cycles, and
 /// back-to-back column commands at `tCCD = 2` sustain the full pin bandwidth.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Timing {
     /// Controller clock period in picoseconds.
     pub tck_ps: u64,
@@ -147,7 +147,7 @@ impl TimingNs {
 
 /// A complete DRAM memory-system specification: device kind, clocking,
 /// topology and timing.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct DramSpec {
     /// Device generation.
     pub kind: DramKind,

@@ -12,7 +12,9 @@
 //! * **Measured** — replays a sampled window through the cycle-accurate
 //!   [`DramSystem`](facil_dram::DramSystem) scheduler via its `run_trace` entry point and scores on real
 //!   `finish_cycle` plus the same reduction term. Expensive; the search
-//!   only runs it for the analytically top-ranked few.
+//!   only runs it for the analytically top-ranked few, and replays each
+//!   distinct (scheme, window) once per search, however many tensors
+//!   share it.
 //!
 //! GEMV passes place a barrier after every window (the SoC must reduce the
 //! window's partial sums before accumulating the next); GEMM passes
@@ -29,8 +31,14 @@
 
 use crate::candidates::Candidate;
 use crate::profile::WorkloadProfile;
-use facil_core::{FacilError, MatrixConfig, PimArch, Result};
+use facil_core::{FacilError, MappingScheme, MatrixConfig, PimArch, Result};
 use facil_dram::{run_trace, sequential_trace, DramSpec, DramStats, Op};
+use facil_telemetry::memo::Memo;
+
+/// Window replays already run in one search, keyed on (scheme, window
+/// base, window length). The spec is fixed for the search, so the key
+/// fixes the request stream and the replay's counters.
+pub(crate) type ReplayMemo = Memo<(MappingScheme, u64, u64), Result<DramStats>>;
 
 /// How many windows each evaluator samples from the matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -236,6 +244,16 @@ impl<'a> CostModel<'a> {
     /// scheduler (impossible for a validated scheme) is surfaced as
     /// [`FacilError::InvalidMapping`] rather than panicking.
     pub fn measured(&self, candidate: &Candidate) -> Result<MeasuredCost> {
+        self.measured_in(candidate, &ReplayMemo::default())
+    }
+
+    /// [`CostModel::measured`], replaying only the windows `replays` does
+    /// not hold yet.
+    pub(crate) fn measured_in(
+        &self,
+        candidate: &Candidate,
+        replays: &ReplayMemo,
+    ) -> Result<MeasuredCost> {
         let topo = self.spec.topology;
         let decision = candidate.decision(&self.matrix, topo, self.arch, self.page_bits)?;
         let bytes = self.matrix.padded_bytes();
@@ -249,16 +267,11 @@ impl<'a> CostModel<'a> {
             let w = s * n_windows / sampled;
             let base = w * window;
             let len = window.min(bytes - base);
-            let trace =
-                sequential_trace(base, len / topo.transfer_bytes, topo.transfer_bytes, Op::Read);
-            let result = run_trace(self.spec, &decision.scheme, trace).map_err(|fault| {
-                FacilError::InvalidMapping(format!(
-                    "validated scheme '{}' faulted during replay: {fault:?}",
-                    decision.scheme.label()
-                ))
-            })?;
-            cycles += result.stats.finish_cycle as f64;
-            stats.merge(&result.stats);
+            let key = (decision.scheme.clone(), base, len);
+            let window_stats =
+                replays.get_or_insert_with(key, || self.replay(&decision.scheme, base, len))?;
+            cycles += window_stats.finish_cycle as f64;
+            stats.merge(&window_stats);
         }
         let stream_cycles = cycles * n_windows as f64 / sampled as f64;
         let reduction = self.reduction_cycles(decision.partitions);
@@ -268,6 +281,20 @@ impl<'a> CostModel<'a> {
             stats,
             windows_sampled: sampled as usize,
         })
+    }
+
+    /// Replay the `len` bytes from `base` under `scheme` through the
+    /// cycle-accurate scheduler.
+    fn replay(&self, scheme: &MappingScheme, base: u64, len: u64) -> Result<DramStats> {
+        let tx = self.spec.topology.transfer_bytes;
+        let trace = sequential_trace(base, len / tx, tx, Op::Read);
+        let result = run_trace(self.spec, scheme, trace).map_err(|fault| {
+            FacilError::InvalidMapping(format!(
+                "validated scheme '{}' faulted during replay: {fault:?}",
+                scheme.label()
+            ))
+        })?;
+        Ok(result.stats)
     }
 }
 

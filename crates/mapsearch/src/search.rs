@@ -17,7 +17,7 @@
 //! (including under `FACIL_THREADS`).
 
 use crate::candidates::{Candidate, CandidateSpace};
-use crate::cost::{AnalyticCost, CostModel, MeasuredCost, SampleConfig};
+use crate::cost::{AnalyticCost, CostModel, MeasuredCost, ReplayMemo, SampleConfig};
 use crate::profile::{TensorSpec, WorkloadProfile};
 use facil_core::{select_mapping, MatrixConfig, PimArch, Result, HUGE_PAGE_BITS};
 use facil_dram::DramSpec;
@@ -146,6 +146,19 @@ pub fn search_matrix(
     profile: &WorkloadProfile,
     config: &SearchConfig,
 ) -> Result<MatrixSearchResult> {
+    search_tensor(spec, arch, tensor, profile, config, &ReplayMemo::default())
+}
+
+/// [`search_matrix`], replaying only the windows `replays` does not hold
+/// yet.
+fn search_tensor(
+    spec: &DramSpec,
+    arch: &PimArch,
+    tensor: &TensorSpec,
+    profile: &WorkloadProfile,
+    config: &SearchConfig,
+    replays: &ReplayMemo,
+) -> Result<MatrixSearchResult> {
     let topo = spec.topology;
     // No bank-hash variants: hashing spreads row conflicts for *any*
     // mapping in the cycle-accurate replay, so it would win measured
@@ -179,7 +192,7 @@ pub fn search_matrix(
 
     let measured: Vec<(usize, MeasuredCost)> =
         pool::par_map_with(workers, &ranked, |&i| -> Result<(usize, MeasuredCost)> {
-            Ok((i, model.measured(&space.candidates()[i])?))
+            Ok((i, model.measured_in(&space.candidates()[i], replays)?))
         })
         .into_iter()
         .collect::<Result<Vec<_>>>()?;
@@ -190,7 +203,7 @@ pub fn search_matrix(
         Some(m) => m,
         // Paper pick outside the enumerated space (cannot happen for the
         // PIM-optimized family, but stay total): replay it directly.
-        None => model.measured(&paper)?,
+        None => model.measured_in(&paper, replays)?,
     };
 
     // Epsilon incumbent rule: lowest measured score wins, but only a
@@ -242,7 +255,11 @@ pub fn search_matrix(
     })
 }
 
-/// Run [`search_matrix`] for every tensor in the profile, in order.
+/// Run [`search_matrix`] for every tensor in the profile, in order. The
+/// tensors share one replay memo for this call, so a window that several
+/// tensors' measured phases replay under the same scheme (every matrix
+/// larger than a window starts with the same one) is simulated once; the
+/// results equal the per-tensor searches' field for field.
 ///
 /// # Errors
 ///
@@ -253,7 +270,12 @@ pub fn search_workload(
     profile: &WorkloadProfile,
     config: &SearchConfig,
 ) -> Result<Vec<MatrixSearchResult>> {
-    profile.tensors.iter().map(|t| search_matrix(spec, arch, t, profile, config)).collect()
+    let replays = ReplayMemo::default();
+    profile
+        .tensors
+        .iter()
+        .map(|t| search_tensor(spec, arch, t, profile, config, &replays))
+        .collect()
 }
 
 #[cfg(test)]
@@ -316,6 +338,60 @@ mod tests {
         let c = search_matrix(&spec, &arch, &t, &p, &wide).unwrap();
         assert_eq!(a, b, "same inputs, same result");
         assert_eq!(a, c, "worker count must not affect results");
+    }
+
+    /// Three tensors whose paper pick is MapID 2: two larger than every
+    /// candidate's window, so both measured phases replay the pick's first
+    /// window, then one that half-fills it (same base, shorter length).
+    fn shared_window_profile() -> WorkloadProfile {
+        WorkloadProfile::decode_only(
+            "shared",
+            vec![
+                TensorSpec::new("qkv", MatrixConfig::new(2048, 4096, DType::F16)),
+                TensorSpec::new("ffn", MatrixConfig::new(8192, 4096, DType::F16)),
+                TensorSpec::new("moe-expert", MatrixConfig::new(64, 4096, DType::F16)),
+            ],
+        )
+    }
+
+    #[test]
+    fn workload_search_equals_per_tensor_searches() {
+        let (spec, arch) = iphone_spec();
+        let p = shared_window_profile();
+        for workers in [Some(1), Some(4)] {
+            let config = SearchConfig { workers, ..Default::default() };
+            let shared = search_workload(&spec, &arch, &p, &config).unwrap();
+            let alone: Vec<_> = p
+                .tensors
+                .iter()
+                .map(|t| search_matrix(&spec, &arch, t, &p, &config).unwrap())
+                .collect();
+            assert_eq!(shared, alone, "workers {workers:?}");
+        }
+    }
+
+    #[test]
+    fn replay_memo_replays_shared_windows_once() {
+        let (spec, arch) = iphone_spec();
+        let p = shared_window_profile();
+        let config = SearchConfig::default();
+        let replays = ReplayMemo::default();
+        let results: Vec<_> = p
+            .tensors
+            .iter()
+            .map(|t| search_tensor(&spec, &arch, t, &p, &config, &replays).unwrap())
+            .collect();
+        let requested: usize = results
+            .iter()
+            .flat_map(|r| &r.outcomes)
+            .filter_map(|o| o.measured.as_ref())
+            .map(|m| m.windows_sampled)
+            .sum();
+        assert!(
+            !replays.is_empty() && replays.len() < requested,
+            "{} distinct replays for {requested} requested",
+            replays.len()
+        );
     }
 
     #[test]

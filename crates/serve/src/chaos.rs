@@ -205,17 +205,19 @@ impl ChaosPlan {
     ///
     /// # Errors
     ///
-    /// [`FacilError::InvalidRequest`] on a malformed window (negative or
-    /// non-finite start, non-positive or non-finite length) or device
-    /// fault ([`FaultKind::validate`]), a
-    /// non-positive link-delay `extra_s` (deferral must make progress), or
-    /// a malformed policy ([`RetryPolicy::validate`]);
-    /// [`FacilError::DeviceUnavailable`] on an out-of-range cell or device
-    /// target.
+    /// [`FacilError::InvalidRequest`] on an out-of-range cell, a malformed
+    /// window (negative or non-finite start, non-positive or non-finite
+    /// length) or device fault ([`FaultKind::validate`]), a non-positive
+    /// link-delay `extra_s` (deferral must make progress), or a malformed
+    /// policy ([`RetryPolicy::validate`]);
+    /// [`FacilError::DeviceUnavailable`] on an out-of-range device target.
     pub fn validate(&self, cfg: &ClusterConfig) -> Result<()> {
         let check_cell = |cell: usize| {
             if cell >= cfg.cells {
-                return Err(FacilError::DeviceUnavailable { device: cell });
+                return Err(FacilError::InvalidRequest(format!(
+                    "chaos event targets cell {cell}, but the cluster has {} cells",
+                    cfg.cells
+                )));
             }
             Ok(())
         };
@@ -404,21 +406,37 @@ mod tests {
     #[test]
     fn out_of_range_targets_are_rejected() {
         let shape = cfg();
-        for ev in [
-            ChaosEvent::CellOutage { cell: 2, at_s: 0.0, duration_s: 1.0 },
-            ChaosEvent::Partition { cell: 9, at_s: 0.0, duration_s: 1.0 },
-            ChaosEvent::Device {
-                device: 6,
-                at_s: 0.0,
-                kind: FaultKind::Slow { duration_s: 1.0, factor: 2.0 },
-            },
-            ChaosEvent::Device {
-                device: 100,
-                at_s: 0.0,
-                kind: FaultKind::Freeze { duration_s: 1.0 },
-            },
+        let bad_cell = |cell| {
+            FacilError::InvalidRequest(format!(
+                "chaos event targets cell {cell}, but the cluster has 2 cells"
+            ))
+        };
+        for (ev, want) in [
+            (ChaosEvent::CellOutage { cell: 2, at_s: 0.0, duration_s: 1.0 }, bad_cell(2)),
+            (ChaosEvent::Partition { cell: 9, at_s: 0.0, duration_s: 1.0 }, bad_cell(9)),
+            (
+                ChaosEvent::LinkDelay { cell: 3, at_s: 0.0, duration_s: 1.0, extra_s: 0.1 },
+                bad_cell(3),
+            ),
+            (
+                ChaosEvent::Device {
+                    device: 6,
+                    at_s: 0.0,
+                    kind: FaultKind::Slow { duration_s: 1.0, factor: 2.0 },
+                },
+                FacilError::DeviceUnavailable { device: 6 },
+            ),
+            (
+                ChaosEvent::Device {
+                    device: 100,
+                    at_s: 0.0,
+                    kind: FaultKind::Freeze { duration_s: 1.0 },
+                },
+                FacilError::DeviceUnavailable { device: 100 },
+            ),
         ] {
             let plan = ChaosPlan { events: vec![ev], ..ChaosPlan::none() };
+            assert_eq!(plan.validate(&shape), Err(want), "{ev:?}");
             assert!(plan.compile(&shape).is_err(), "{ev:?}");
         }
         let bad_delay = ChaosPlan {

@@ -199,7 +199,11 @@ impl InferenceSim {
     }
 
     /// Re-layout time of all weights (the baseline's per-prefill penalty),
-    /// ns.
+    /// ns. The first call simulates the representative slice only if no
+    /// model in this process has simulated it for this memory system yet
+    /// ([`RelayoutModel`]'s process-wide memo): the slice is simulated once
+    /// per process per (spec, architecture, slice size), not once per
+    /// `InferenceSim`.
     pub fn relayout_ns(&self) -> f64 {
         self.relayout.cost_ns(self.weight_bytes())
     }

@@ -5,7 +5,8 @@
 //!
 //! * [`relayout::RelayoutModel`] — DRAM-simulated cost of converting
 //!   weights between the PIM-optimized and conventional layouts (the
-//!   baseline's per-prefill penalty, paper Fig. 6);
+//!   baseline's per-prefill penalty, paper Fig. 6), simulated once per
+//!   process per memory system;
 //! * [`engine::InferenceSim`] — the five execution strategies (SoC-only,
 //!   hybrid-static, hybrid-dynamic, FACIL, FACIL+dynamic) with TTFT/TTLT
 //!   accounting over any (platform, model, query);

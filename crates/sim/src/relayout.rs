@@ -9,10 +9,17 @@
 //! steady-state, the measured cost-per-byte of a representative slice
 //! scales linearly to any matrix size (validated by tests).
 
-use std::sync::OnceLock;
+use std::sync::{LazyLock, OnceLock};
 
 use facil_core::{select_mapping_2mb, DType, MappingScheme, MatrixConfig, PimArch};
 use facil_dram::{DramSpec, DramSystem, Op, Request};
+use facil_telemetry::memo::Memo;
+
+/// Every profile simulated in this process, keyed on everything
+/// `simulate_slice` reads: the whole spec, the PIM architecture and the
+/// slice size.
+static PROFILES: LazyLock<Memo<(DramSpec, PimArch, u64), RelayoutProfile>> =
+    LazyLock::new(Memo::default);
 
 /// Measured re-layout characteristics of one memory system.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -26,6 +33,10 @@ pub struct RelayoutProfile {
 }
 
 /// Re-layout cost model for one platform's memory system.
+///
+/// The representative slice is simulated once per process per (spec,
+/// architecture, slice size), not once per model: every model built for the
+/// same memory system shares the first one's profile, bit for bit.
 ///
 /// ```no_run
 /// use facil_core::PimArch;
@@ -49,7 +60,8 @@ pub struct RelayoutModel {
 }
 
 impl RelayoutModel {
-    /// Create a model (the DRAM simulation runs lazily on first use).
+    /// Create a model (the slice is simulated lazily, on first use, unless
+    /// this process already holds its profile).
     pub fn new(spec: DramSpec, arch: PimArch) -> Self {
         RelayoutModel { spec, arch, profile: OnceLock::new(), sample_bytes: 2 << 20 }
     }
@@ -60,10 +72,14 @@ impl RelayoutModel {
         self
     }
 
-    /// The measured profile (simulating the representative slice on first
-    /// call).
+    /// The measured profile. The representative slice is simulated only if
+    /// no model in this process has simulated it for the same spec,
+    /// architecture and slice size.
     pub fn profile(&self) -> RelayoutProfile {
-        *self.profile.get_or_init(|| self.simulate_slice())
+        *self.profile.get_or_init(|| {
+            let key = (self.spec.clone(), self.arch, self.sample_bytes);
+            PROFILES.get_or_insert_with(key, || self.simulate_slice())
+        })
     }
 
     /// Re-layout cost for `bytes` of weights, nanoseconds.
@@ -120,6 +136,7 @@ impl RelayoutModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool;
 
     fn iphone_model() -> RelayoutModel {
         let spec = DramSpec::lpddr5_6400(64, 8 << 30);
@@ -155,6 +172,40 @@ mod tests {
         let b = RelayoutModel::new(spec, arch).with_sample_bytes(2 << 20).profile();
         let ratio = a.ns_per_byte / b.ns_per_byte;
         assert!((0.9..1.1).contains(&ratio), "per-byte cost not steady: {ratio}");
+    }
+
+    /// Slice size of the memo tests: no other test in this binary asks for
+    /// it, so their first lookups miss the process-wide memo.
+    const MEMO_SAMPLE: u64 = 96 << 10;
+
+    fn bits(p: RelayoutProfile) -> [u64; 3] {
+        [p.ns_per_byte.to_bits(), p.copy_bandwidth.to_bits(), p.efficiency.to_bits()]
+    }
+
+    #[test]
+    fn profile_memo_key_covers_timing_and_sample_bytes() {
+        let spec = DramSpec::lpddr5_6400(64, 8 << 30);
+        let arch = PimArch::aim(&spec.topology);
+        let profile = |spec: &DramSpec, bytes: u64| {
+            RelayoutModel::new(spec.clone(), arch).with_sample_bytes(bytes).profile()
+        };
+        let first = profile(&spec, MEMO_SAMPLE);
+        let mut retimed = spec.clone();
+        retimed.timing.rcd += 8;
+        assert_ne!(bits(profile(&retimed, MEMO_SAMPLE)), bits(first), "tRCD left out of the key");
+        assert_ne!(bits(profile(&spec, 2 * MEMO_SAMPLE)), bits(first), "slice size left out");
+        assert_eq!(bits(profile(&spec, MEMO_SAMPLE)), bits(first));
+    }
+
+    #[test]
+    fn concurrent_profiles_equal_serial_simulations() {
+        let models: Vec<RelayoutModel> = facil_soc::Platform::all()
+            .into_iter()
+            .map(|p| RelayoutModel::new(p.dram, p.pim_arch).with_sample_bytes(MEMO_SAMPLE / 2))
+            .collect();
+        let concurrent = pool::par_map_with(4, &models, |m| bits(m.profile()));
+        let serial: Vec<_> = models.iter().map(|m| bits(m.simulate_slice())).collect();
+        assert_eq!(concurrent, serial);
     }
 
     #[test]

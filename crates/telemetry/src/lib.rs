@@ -18,6 +18,9 @@
 //!   bench binaries;
 //! * [`manifest`] — a [`RunManifest`] emitter so every bench binary writes
 //!   one schema-versioned JSONL record (config, seed, results);
+//! * [`memo`] — a thread-safe [`memo::Memo`] that computes each key once,
+//!   without holding its lock while a value is computed (the re-layout
+//!   profile and mapping-search replay memos);
 //! * [`pool`] — deterministic parallel helpers ([`pool::par_map`],
 //!   [`pool::par_map_mut`], [`pool::join`]) on a persistent work-stealing
 //!   executor, with the `FACIL_THREADS` worker-count knob, used to run
@@ -46,6 +49,7 @@
 mod executor;
 pub mod json;
 pub mod manifest;
+pub mod memo;
 pub mod metrics;
 pub mod pool;
 pub mod stats;

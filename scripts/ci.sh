@@ -35,12 +35,14 @@ echo "== build (release) =="
 cargo build --workspace --release --offline
 
 echo "== committed records (release) =="
-# BENCH_mapsearch.json, BENCH_fidelity.json and BENCH_cluster.json are the
-# full --json runs of their binaries, committed byte for byte: regenerate
-# each and compare. BENCH_mapsearch.json carries every searched tensor's
-# replayed hit rate, finish cycle and score, so a change to any FR-FCFS
-# decision on those replays fails here.
-for bin in mapsearch fidelity cluster; do
+# BENCH_mapsearch.json, BENCH_fidelity.json, BENCH_cluster.json and
+# BENCH_report.json are the full --json runs of their binaries, committed
+# byte for byte: regenerate each and compare. BENCH_mapsearch.json carries
+# every searched tensor's replayed hit rate, finish cycle and score, so a
+# change to any FR-FCFS decision on those replays fails here;
+# BENCH_report.json carries every paper figure and table number, the
+# re-layout profiles' share included.
+for bin in mapsearch fidelity cluster report; do
   cargo run --release -q --offline -p facil-bench --bin "$bin" -- --json | cmp - "BENCH_$bin.json"
   echo "$bin --json: byte-identical to BENCH_$bin.json"
 done
