@@ -134,15 +134,16 @@ impl PagedKvCache {
     }
 
     /// Release every slab back to the system.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a slab is not live in `sys`, i.e. `sys` is not the system
+    /// the cache was appended into.
     pub fn free(&mut self, sys: &mut FacilSystem) {
-        for layer in &self.slabs {
-            for a in layer.k.iter().chain(&layer.v) {
-                sys.free(a);
-            }
-        }
         for layer in &mut self.slabs {
-            layer.k.clear();
-            layer.v.clear();
+            for a in layer.k.drain(..).chain(layer.v.drain(..)) {
+                sys.free(&a).unwrap_or_else(|e| panic!("KV slab not live in this system: {e}"));
+            }
         }
         self.len = 0;
     }
@@ -207,6 +208,7 @@ mod tests {
         kv.free(&mut sys);
         assert_eq!(sys.free_bytes(), before);
         assert!(kv.is_empty());
+        assert_eq!(sys.page_table().table_frames(), 1, "the slabs' page tables are freed too");
     }
 
     #[test]

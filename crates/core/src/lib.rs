@@ -8,8 +8,10 @@
 //!   **MapID**, for both AiM-style and HBM-PIM-style chunk geometries;
 //! * [`select`] — the user-level mapping selector (Fig. 9), including the
 //!   column-partitioned large-row case (Fig. 10);
-//! * [`paging`] — OS support: MapID stored in unused huge-page PTE bits
-//!   (Fig. 11), an unmodified TLB that caches it for free, and a
+//! * [`paging`] — OS support: MapID stored in unused huge-page PDE bits
+//!   (Fig. 11) of a 4-level radix page table, under the FACIL-extended
+//!   `mmap` address space that every [`FacilSystem`] runs on; an
+//!   unmodified TLB that caches the MapID for free; and a
 //!   fragmentation-aware physical allocator (the Table I mechanism);
 //! * [`frontend`] — the memory-controller frontend with the N-to-1 mapping
 //!   mux (Fig. 12);

@@ -3,17 +3,17 @@
 //! mappings may carry a MapID — exactly the one-argument extension the
 //! paper adds to `mmap`.
 //!
-//! This is the standalone OS-layer model built on the structural
-//! [`RadixPageTable`]; [`crate::pimalloc::FacilSystem`] is the
-//! whole-system fast path. Their translation semantics agree (tested).
+//! This is the simulator's one OS model: each
+//! [`crate::pimalloc::FacilSystem`] holds an [`AddressSpace`], so every page
+//! that `pimalloc`, serving, PIM tracing and fidelity map is installed here,
+//! in the structural [`RadixPageTable`], and every access walks it.
 
 use std::collections::{BTreeMap, HashMap};
 
 use crate::error::{FacilError, Result};
 use crate::paging::phys::{AllocStats, PhysicalMemory};
-use crate::paging::pte::{BASE_PAGE_BITS, HUGE_PAGE_BITS};
+use crate::paging::pte::{Translation, BASE_PAGE_BITS, HUGE_PAGE_BITS};
 use crate::paging::radix::RadixPageTable;
-use crate::paging::table::Translation;
 use crate::select::MapId;
 
 /// Flags of one `mmap` call.
@@ -39,11 +39,14 @@ pub struct AddressSpace {
     table: RadixPageTable,
     phys: PhysicalMemory,
     regions: BTreeMap<u64, Region>,
+    /// Live regions of 4 KB pages. While there are none, no page sits on a
+    /// frame compaction can move, so huge-page `mmap`s collect no moves.
+    base_regions: usize,
     next_va: u64,
 }
 
-/// mmap region base (kept away from 0).
-const MMAP_BASE: u64 = 0x20_0000_0000;
+/// Base of the mmap area (page aligned, away from 0 to catch null-ish bugs).
+const VA_BASE: u64 = 0x10_0000_0000;
 
 impl AddressSpace {
     /// Create an address space over `phys_bytes` of physical memory.
@@ -56,7 +59,8 @@ impl AddressSpace {
             table: RadixPageTable::new(),
             phys: PhysicalMemory::new(phys_bytes),
             regions: BTreeMap::new(),
-            next_va: MMAP_BASE,
+            base_regions: 0,
+            next_va: VA_BASE,
         }
     }
 
@@ -82,36 +86,30 @@ impl AddressSpace {
         let pages = len.div_ceil(page);
         // Align the base to the page size.
         let va = (self.next_va + page - 1) & !(page - 1);
-        let mut mapped = Vec::new();
-        let mut moves = Vec::new();
         for i in 0..pages {
             let page_va = va + i * page;
             let res = if flags.huge {
-                let h = self.phys.alloc_huge_with_moves(&mut moves);
-                self.follow(&moves);
-                moves.clear();
-                h.map(|h| {
-                    self.table.map_huge(page_va, h.pa, flags.map_id);
-                    h.pa
-                })
+                let h = if self.base_regions == 0 {
+                    self.phys.alloc_huge()
+                } else {
+                    let mut moves = Vec::new();
+                    let h = self.phys.alloc_huge_with_moves(&mut moves);
+                    self.follow(&moves);
+                    h
+                };
+                h.map(|h| self.table.map_huge(page_va, h.pa, flags.map_id))
             } else {
-                self.phys.alloc_base().inspect(|pa| {
-                    self.table.map_base(page_va, *pa);
-                })
+                self.phys.alloc_base().map(|pa| self.table.map_base(page_va, pa))
             };
-            match res {
-                Ok(pa) => mapped.push((page_va, pa)),
-                Err(e) => {
-                    for (v, pa) in mapped {
-                        self.table.unmap(v);
-                        self.free_page(pa, flags.huge);
-                    }
-                    return Err(e);
-                }
+            if let Err(e) = res {
+                // Roll back the pages installed so far.
+                self.unmap_pages(va, i * page, flags.huge);
+                return Err(e);
             }
         }
         self.next_va = va + pages * page;
         self.regions.insert(va, Region { len: pages * page, flags });
+        self.base_regions += usize::from(!flags.huge);
         Ok(va)
     }
 
@@ -119,22 +117,33 @@ impl AddressSpace {
     ///
     /// # Errors
     ///
-    /// [`FacilError::NotMapped`] if `va` is not a region base.
+    /// [`FacilError::NotMapped`] if `va` is not the base of a live region
+    /// (say, one unmapped already); nothing is unmapped then.
     pub fn munmap(&mut self, va: u64) -> Result<()> {
         let region = self.regions.remove(&va).ok_or(FacilError::NotMapped { va })?;
-        let page_bits = if region.flags.huge { HUGE_PAGE_BITS } else { BASE_PAGE_BITS };
-        let page = 1u64 << page_bits;
-        for i in 0..region.len / page {
-            let page_va = va + i * page;
-            let pa = self.table.translate(page_va)?.0.pa & !(page - 1);
-            self.free_page(pa, region.flags.huge);
-            self.table.unmap(page_va);
-        }
+        self.unmap_pages(va, region.len, region.flags.huge);
+        self.base_regions -= usize::from(!region.flags.huge);
         Ok(())
     }
 
+    /// Unmap the `len` bytes of pages from `va` and give their frames back
+    /// to the physical allocator.
+    fn unmap_pages(&mut self, va: u64, len: u64, huge: bool) {
+        let page = 1u64 << if huge { HUGE_PAGE_BITS } else { BASE_PAGE_BITS };
+        for page_va in (va..va + len).step_by(page as usize) {
+            if let Some(pte) = self.table.unmap(page_va) {
+                if huge {
+                    self.phys.free_huge(pte.pa());
+                } else {
+                    self.phys.free_base(pte.pa());
+                }
+            }
+        }
+    }
+
     /// Point every 4 KB page whose frame compaction moved at the frame's new
-    /// place. Compaction only moves the 4 KB frames of live regions.
+    /// place. A moved frame no page maps is filler of a prepared
+    /// fragmentation state ([`Self::fragment_physical`]) and needs nothing.
     fn follow(&mut self, moves: &[(u64, u64)]) {
         if moves.is_empty() {
             return;
@@ -142,7 +151,7 @@ impl AddressSpace {
         let moved: HashMap<u64, u64> = moves.iter().copied().collect();
         for (&va, region) in self.regions.iter().filter(|(_, r)| !r.flags.huge) {
             for page_va in (va..va + region.len).step_by(1 << BASE_PAGE_BITS) {
-                if let Ok((t, _)) = self.table.translate(page_va) {
+                if let Ok(t) = self.table.translate(page_va) {
                     if let Some(&to) = moved.get(&t.pa) {
                         self.table.map_base(page_va, to);
                     }
@@ -151,13 +160,18 @@ impl AddressSpace {
         }
     }
 
-    /// Return one page's physical frames.
-    fn free_page(&mut self, pa: u64, huge: bool) {
-        if huge {
-            self.phys.free_huge(pa);
-        } else {
-            self.phys.free_base(pa);
-        }
+    /// Prepare physical memory at a (utilization, FMFI) state, as
+    /// [`PhysicalMemory::fragment_to`] does, and reset the allocator
+    /// statistics.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any region is live: the prepared state marks frames used
+    /// or free whoever holds them, so a later `mmap` could be handed a live
+    /// region's frames. Panics also as [`PhysicalMemory::fragment_to`] does.
+    pub fn fragment_physical(&mut self, used_bytes: u64, fmfi: f64) {
+        assert!(self.regions.is_empty(), "cannot fragment physical memory under live regions");
+        self.phys.fragment_to(used_bytes, fmfi);
     }
 
     /// Translate a virtual address (page walk).
@@ -166,7 +180,7 @@ impl AddressSpace {
     ///
     /// [`FacilError::NotMapped`] for unmapped addresses.
     pub fn translate(&self, va: u64) -> Result<Translation> {
-        Ok(self.table.translate(va)?.0)
+        self.table.translate(va)
     }
 
     /// The underlying structural page table.

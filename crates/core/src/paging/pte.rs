@@ -27,6 +27,18 @@ const PFN_MASK: u64 = ((1 << PA_BITS) - 1) & !((1 << BASE_PAGE_BITS) - 1);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Pte(u64);
 
+/// Result of a translation: physical address plus the MapID the memory
+/// controller must apply (None = conventional mapping).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Translation {
+    /// Translated physical address.
+    pub pa: u64,
+    /// Mapping the frontend must apply for this access.
+    pub map_id: Option<MapId>,
+    /// Whether a huge-page entry served the translation.
+    pub huge: bool,
+}
+
 impl Pte {
     /// An invalid (not-present) entry.
     pub fn invalid() -> Self {
@@ -98,6 +110,14 @@ impl Pte {
     /// Raw 64-bit representation.
     pub fn bits(self) -> u64 {
         self.0
+    }
+
+    /// The translation of `va` through this leaf entry: the frame base plus
+    /// `va`'s offset within the page, and the entry's MapID.
+    pub fn translate(self, va: u64) -> Translation {
+        let offset_bits = if self.is_huge() { HUGE_PAGE_BITS } else { BASE_PAGE_BITS };
+        let offset = va & ((1u64 << offset_bits) - 1);
+        Translation { pa: self.pa() + offset, map_id: self.map_id(), huge: self.is_huge() }
     }
 
     /// Reconstruct from raw bits (structural page-table storage).

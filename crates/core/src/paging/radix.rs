@@ -1,22 +1,23 @@
 //! Four-level radix page table (x86-64-style) with FACIL's MapID-carrying
-//! huge-page entries.
+//! huge-page entries: the simulator's one page table. Every
+//! [`super::AddressSpace`], and so every [`crate::FacilSystem`], installs
+//! into one and translates through it.
 //!
-//! The flat [`super::table::PageTable`] is the fast functional model; this
-//! module is the structural one: table pages are real 512-entry frames, a
-//! translation walks PML4 → PDPT → PD (→ PT), huge pages terminate at the
-//! PD level with the PS bit set, and — the FACIL point — the MapID rides in
-//! the huge-page PDE's unused bits, so the table layout, size and walk
-//! depth are *identical* to an unmodified OS (asserted by tests).
-
-use std::collections::HashMap;
+//! Table pages are real 512-entry frames, a translation walks PML4 → PDPT →
+//! PD (→ PT), huge pages terminate at the PD level with the PS bit set, and
+//! — the FACIL point — the MapID rides in the huge-page PDE's unused bits,
+//! so the table layout, size and walk depth are *identical* to an
+//! unmodified OS (asserted by tests).
 
 use crate::error::{FacilError, Result};
-use crate::paging::pte::{Pte, BASE_PAGE_BITS, HUGE_PAGE_BITS};
-use crate::paging::table::Translation;
+use crate::paging::pte::{Pte, Translation, BASE_PAGE_BITS, HUGE_PAGE_BITS};
 use crate::select::MapId;
 
 const LEVEL_BITS: u32 = 9;
 const ENTRIES: usize = 1 << LEVEL_BITS;
+/// Virtual-address bits the four levels index (48); a VA with any bit above
+/// them set has no entry, so it cannot alias a lower one.
+const VA_BITS: u32 = BASE_PAGE_BITS + 4 * LEVEL_BITS;
 /// Marks a slot as a leaf PTE (bit 62: above the 48-bit PA, below NX-style
 /// bits — mirrors how real tables distinguish PS/leaf entries per level).
 const LEAF: u64 = 1 << 62;
@@ -27,86 +28,91 @@ fn level_index(va: u64, level: u32) -> usize {
     ((va >> shift) & ((1 << LEVEL_BITS) - 1)) as usize
 }
 
-/// Statistics of one translation walk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WalkStats {
-    /// Table levels touched (memory accesses a hardware walker would make).
-    pub levels: u32,
-    /// Whether the walk ended at a huge-page entry.
-    pub huge: bool,
+/// One 4 KB table page: 512 raw entries, and what unlinking it needs.
+#[derive(Debug)]
+struct Frame {
+    /// Either leaf [`Pte`] bits with `LEAF` set or `(frame_id << 12) | 1`
+    /// pointers.
+    entries: [u64; ENTRIES],
+    /// Non-zero entries.
+    live: u16,
+    /// The frame and entry index pointing at this one (the root has none).
+    parent: (usize, usize),
 }
 
 /// A structural 4-level page table. Table pages are tracked as simulated
 /// frames so the model-table memory overhead is measurable.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct RadixPageTable {
-    /// Table frames by id; each holds 512 raw entries. Entry values are
-    /// either leaf [`Pte`] bits or `(frame_id << 12) | 1` pointers.
-    frames: HashMap<u64, Box<[u64; ENTRIES]>>,
-    next_frame: u64,
-    root: u64,
+    /// Table frames indexed by frame id, the root first. A frame other than
+    /// the root that an unmap leaves empty is unlinked, as an OS frees page
+    /// tables on `munmap`, so the table holds only what live mappings need
+    /// however many addresses were mapped before.
+    frames: Vec<Frame>,
+    /// Ids of unlinked (all-zero) frames, reused before the table grows.
+    free: Vec<usize>,
+}
+
+impl Default for RadixPageTable {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl RadixPageTable {
     /// An empty table (one root frame).
     pub fn new() -> Self {
-        let mut t = RadixPageTable { frames: HashMap::new(), next_frame: 1, root: 0 };
-        t.frames.insert(0, Box::new([0u64; ENTRIES]));
-        t
+        let root = Frame { entries: [0; ENTRIES], live: 0, parent: (0, 0) };
+        RadixPageTable { frames: vec![root], free: Vec::new() }
     }
 
     /// Number of table frames (4 KB pages of table memory) in use.
     pub fn table_frames(&self) -> usize {
-        self.frames.len()
+        self.frames.len() - self.free.len()
     }
 
-    fn alloc_frame(&mut self) -> u64 {
-        let id = self.next_frame;
-        self.next_frame += 1;
-        self.frames.insert(id, Box::new([0u64; ENTRIES]));
-        id
+    /// Write one entry, keeping its frame's count of non-zero entries.
+    fn set(&mut self, frame: usize, idx: usize, entry: u64) {
+        let f = &mut self.frames[frame];
+        f.live = f.live + u16::from(entry != 0) - u16::from(f.entries[idx] != 0);
+        f.entries[idx] = entry;
     }
 
     /// Walk down to `target_level`, allocating interior frames as needed,
-    /// and return the frame id holding the entry for `va` at that level.
-    fn descend_mut(&mut self, va: u64, target_level: u32) -> u64 {
-        let mut frame = self.root;
-        let mut level = 4;
-        while level > target_level {
+    /// and return the id of the frame holding the entry for `va` there.
+    fn descend_mut(&mut self, va: u64, target_level: u32) -> usize {
+        assert_eq!(va >> VA_BITS, 0, "{va:#x} is beyond the {VA_BITS}-bit address space");
+        let mut frame = 0;
+        for level in (target_level + 1..=4).rev() {
             let idx = level_index(va, level);
-            let slot = self.frames[&frame][idx];
-            let next = if slot & 1 == 1 && slot & LEAF == 0 {
-                slot >> BASE_PAGE_BITS
+            let slot = self.frames[frame].entries[idx];
+            frame = if slot & 1 == 1 && slot & LEAF == 0 {
+                (slot >> BASE_PAGE_BITS) as usize
             } else {
                 assert_eq!(slot, 0, "remapping over an existing leaf at level {level}");
-                let id = self.alloc_frame();
-                // `frame` came from the walk above, so its table exists.
-                #[allow(clippy::expect_used)]
-                let table = self.frames.get_mut(&frame).expect("frame exists");
-                table[idx] = (id << BASE_PAGE_BITS) | 1;
+                let id = self.free.pop().unwrap_or_else(|| {
+                    self.frames.push(Frame { entries: [0; ENTRIES], live: 0, parent: (0, 0) });
+                    self.frames.len() - 1
+                });
+                self.frames[id].parent = (frame, idx);
+                self.set(frame, idx, ((id as u64) << BASE_PAGE_BITS) | 1);
                 id
             };
-            frame = next;
-            level -= 1;
         }
         frame
     }
 
-    /// Install a 4 KB leaf.
+    /// Install a 4 KB leaf. A 4 KB leaf already at `va` is replaced: this
+    /// is how a page follows its frame when compaction moves it.
     ///
     /// # Panics
     ///
-    /// Panics if `va`/`pa` are unaligned or the slot holds a conflicting
-    /// mapping.
+    /// Panics if `va`/`pa` are unaligned, `va` is beyond 48 bits, or a huge
+    /// page covers `va`.
     pub fn map_base(&mut self, va: u64, pa: u64) {
         assert_eq!(va & ((1 << BASE_PAGE_BITS) - 1), 0);
         let frame = self.descend_mut(va, 1);
-        let idx = level_index(va, 1);
-        let entry = Pte::base_page(pa).bits() | LEAF;
-        // `descend_mut` just returned this frame id, so its table exists.
-        #[allow(clippy::expect_used)]
-        let table = self.frames.get_mut(&frame).expect("frame exists");
-        table[idx] = entry;
+        self.set(frame, level_index(va, 1), Pte::base_page(pa).bits() | LEAF);
     }
 
     /// Install a 2 MB huge-page leaf at the PD level, optionally carrying a
@@ -114,85 +120,77 @@ impl RadixPageTable {
     ///
     /// # Panics
     ///
-    /// Panics on misalignment or conflicting mappings.
+    /// Panics on misalignment, if `va` is beyond 48 bits, or if the PD
+    /// entry for `va` is not empty (a huge page or a 4 KB page table is
+    /// there already).
     pub fn map_huge(&mut self, va: u64, pa: u64, map_id: Option<MapId>) {
         assert_eq!(va & ((1 << HUGE_PAGE_BITS) - 1), 0);
         let frame = self.descend_mut(va, 2);
-        let idx = level_index(va, 2);
         let pte = match map_id {
             Some(id) => Pte::pim_huge_page(pa, id),
             None => Pte::huge_page(pa),
         };
-        // `descend_mut` just returned this frame id, so its table exists.
-        #[allow(clippy::expect_used)]
-        let table = self.frames.get_mut(&frame).expect("frame exists");
-        table[idx] = pte.bits() | LEAF;
+        let idx = level_index(va, 2);
+        let entry = self.frames[frame].entries[idx];
+        assert_eq!(entry, 0, "mapping a huge page at {va:#x} over a live PD entry");
+        self.set(frame, idx, pte.bits() | LEAF);
     }
 
-    /// Remove the mapping covering `va` (leaf only; interior frames are
-    /// kept, as real kernels usually do).
-    pub fn unmap(&mut self, va: u64) {
-        let mut frame = self.root;
-        let mut level = 4;
-        loop {
-            let idx = level_index(va, level);
-            let slot = self.frames[&frame][idx];
-            if slot & 1 == 1 && slot & LEAF == 0 {
-                frame = slot >> BASE_PAGE_BITS;
-                level -= 1;
-                continue;
-            }
-            if slot & LEAF != 0 {
-                // The walk reached this frame through a live entry.
-                #[allow(clippy::expect_used)]
-                let table = self.frames.get_mut(&frame).expect("frame exists");
-                table[idx] = 0;
-            }
-            return;
+    /// The frame id and index of the leaf entry covering `va`, and the
+    /// levels walked to reach it.
+    fn leaf(&self, va: u64) -> Option<(usize, usize, u32)> {
+        if va >> VA_BITS != 0 {
+            return None;
         }
+        let mut frame = 0;
+        for level in (1..=4).rev() {
+            let idx = level_index(va, level);
+            let slot = self.frames[frame].entries[idx];
+            if slot & LEAF != 0 {
+                return Some((frame, idx, 5 - level));
+            }
+            if slot & 1 == 0 {
+                return None;
+            }
+            frame = (slot >> BASE_PAGE_BITS) as usize;
+        }
+        None
     }
 
-    /// Translate `va`, returning the translation and the walk statistics.
+    /// Remove the mapping covering `va` and return its leaf entry, if any.
+    /// Each table frame the removal leaves empty is unlinked from its parent
+    /// and freed; the root stays.
+    pub fn unmap(&mut self, va: u64) -> Option<Pte> {
+        let (mut frame, idx, _) = self.leaf(va)?;
+        let pte = Pte::from_raw(self.frames[frame].entries[idx] & !LEAF);
+        self.set(frame, idx, 0);
+        while frame != 0 && self.frames[frame].live == 0 {
+            let (parent, idx) = self.frames[frame].parent;
+            self.set(parent, idx, 0);
+            self.free.push(frame);
+            frame = parent;
+        }
+        Some(pte)
+    }
+
+    /// Walk the table for `va`, returning the leaf entry and the number of
+    /// table levels touched (the memory accesses a hardware walker makes).
     ///
     /// # Errors
     ///
     /// [`FacilError::NotMapped`] when no leaf covers `va`.
-    pub fn translate(&self, va: u64) -> Result<(Translation, WalkStats)> {
-        let mut frame = self.root;
-        let mut level = 4u32;
-        let mut touched = 0;
-        loop {
-            touched += 1;
-            let idx = level_index(va, level);
-            let slot = self.frames[&frame][idx];
-            if slot & LEAF != 0 {
-                // Leaf.
-                let pte = Pte::from_bits(slot & !LEAF);
-                let huge = pte.is_huge();
-                if huge && level != 2 {
-                    return Err(FacilError::NotMapped { va });
-                }
-                let offset_bits = if huge { HUGE_PAGE_BITS } else { BASE_PAGE_BITS };
-                let offset = va & ((1u64 << offset_bits) - 1);
-                return Ok((
-                    Translation { pa: pte.pa() + offset, map_id: pte.map_id(), huge },
-                    WalkStats { levels: touched, huge },
-                ));
-            }
-            if slot & 1 == 1 && level > 1 {
-                frame = slot >> BASE_PAGE_BITS;
-                level -= 1;
-                continue;
-            }
-            return Err(FacilError::NotMapped { va });
-        }
+    pub fn walk(&self, va: u64) -> Result<(Pte, u32)> {
+        let (frame, idx, levels) = self.leaf(va).ok_or(FacilError::NotMapped { va })?;
+        Ok((Pte::from_raw(self.frames[frame].entries[idx] & !LEAF), levels))
     }
-}
 
-impl Pte {
-    /// Reconstruct a PTE from raw bits (structural-table storage).
-    pub fn from_bits(bits: u64) -> Pte {
-        Pte::from_raw(bits)
+    /// Translate `va` (a [`Self::walk`] through to the physical address).
+    ///
+    /// # Errors
+    ///
+    /// [`FacilError::NotMapped`] when no leaf covers `va`.
+    pub fn translate(&self, va: u64) -> Result<Translation> {
+        Ok(self.walk(va)?.0.translate(va))
     }
 }
 
@@ -204,11 +202,12 @@ mod tests {
     fn base_page_walks_four_levels() {
         let mut t = RadixPageTable::new();
         t.map_base(0x7f12_3456_7000, 0x8_8000_1000);
-        let (tr, w) = t.translate(0x7f12_3456_7abc).unwrap();
+        let tr = t.translate(0x7f12_3456_7abc).unwrap();
         assert_eq!(tr.pa, 0x8_8000_1abc);
         assert_eq!(tr.map_id, None);
-        assert_eq!(w.levels, 4);
-        assert!(!w.huge);
+        let (pte, levels) = t.walk(0x7f12_3456_7abc).unwrap();
+        assert_eq!(levels, 4);
+        assert!(!pte.is_huge());
         // PML4 + PDPT + PD + PT = 4 frames.
         assert_eq!(t.table_frames(), 4);
     }
@@ -218,11 +217,12 @@ mod tests {
         let mut t = RadixPageTable::new();
         let va = 0x40_0000_0000u64;
         t.map_huge(va, 0x2_0000_0000, Some(MapId(5)));
-        let (tr, w) = t.translate(va + 0x12_3456).unwrap();
+        let tr = t.translate(va + 0x12_3456).unwrap();
         assert_eq!(tr.pa, 0x2_0012_3456);
         assert_eq!(tr.map_id, Some(MapId(5)));
         assert!(tr.huge);
-        assert_eq!(w.levels, 3, "huge pages shorten the walk by one level");
+        let (_, levels) = t.walk(va + 0x12_3456).unwrap();
+        assert_eq!(levels, 3, "huge pages shorten the walk by one level");
         // PML4 + PDPT + PD only.
         assert_eq!(t.table_frames(), 3);
     }
@@ -249,7 +249,7 @@ mod tests {
         assert!(matches!(t.translate(0x100), Err(FacilError::NotMapped { .. })));
         // Remap works after unmap.
         t.map_huge(0, 1 << HUGE_PAGE_BITS, None);
-        assert_eq!(t.translate(0).unwrap().0.pa, 1 << HUGE_PAGE_BITS);
+        assert_eq!(t.translate(0).unwrap().pa, 1 << HUGE_PAGE_BITS);
     }
 
     #[test]
@@ -261,36 +261,65 @@ mod tests {
         }
         t.map_huge(0x7fff_ffe0_0000, 0x3_0000_0000, Some(MapId(2)));
         for i in 0..64u64 {
-            let (tr, _) = t.translate(0x1000_0000 + (i << 12) + 5).unwrap();
+            let tr = t.translate(0x1000_0000 + (i << 12) + 5).unwrap();
             assert_eq!(tr.pa, 0x2000_0000 + (i << 12) + 5);
         }
-        let (tr, _) = t.translate(0x7fff_ffe0_1234).unwrap();
+        let tr = t.translate(0x7fff_ffe0_1234).unwrap();
         assert_eq!(tr.map_id, Some(MapId(2)));
     }
 
+    /// Unmapping the last page under a table frame frees the frame, so the
+    /// table holds only what live mappings need, and freed frames are
+    /// reused before the table grows.
     #[test]
-    fn agrees_with_flat_table() {
-        use crate::paging::table::PageTable;
-        let mut flat = PageTable::new();
-        let mut radix = RadixPageTable::new();
-        let cases =
-            [(0u64, 0u64, Some(MapId(1))), (4 << HUGE_PAGE_BITS, 8 << HUGE_PAGE_BITS, None)];
-        for (va, pa, id) in cases {
-            match id {
-                Some(id) => {
-                    flat.map_huge_pim(va, pa, id);
-                    radix.map_huge(va, pa, Some(id));
-                }
-                None => {
-                    flat.map_huge(va, pa);
-                    radix.map_huge(va, pa, None);
-                }
-            }
+    fn unmap_frees_emptied_table_frames() {
+        let mut t = RadixPageTable::new();
+        t.map_base(0x1000, 0x5000);
+        t.map_base(0x2000, 0x6000);
+        t.map_huge(1 << HUGE_PAGE_BITS, 0, Some(MapId(1)));
+        assert_eq!(t.table_frames(), 4);
+        assert_eq!(t.unmap(0x1000).map(Pte::pa), Some(0x5000));
+        assert_eq!(t.table_frames(), 4, "the PT still maps 0x2000");
+        t.unmap(0x2000);
+        assert_eq!(t.table_frames(), 3, "the emptied PT is freed");
+        // With its 4 KB page table gone, the PD entry takes a huge page.
+        t.map_huge(0, 4 << 20, None);
+        t.unmap(0);
+        assert_eq!(t.unmap(1 << HUGE_PAGE_BITS).map(|p| p.map_id()), Some(Some(MapId(1))));
+        assert_eq!(t.table_frames(), 1, "only the root is left");
+        assert_eq!(t.translate(1 << HUGE_PAGE_BITS), Err(FacilError::NotMapped { va: 1 << 21 }));
+        // Far-apart mappings reuse the freed frames.
+        for i in 0..64u64 {
+            t.map_huge(i << 39, 0, None);
+            t.unmap(i << 39);
         }
-        for (va, _, _) in cases {
-            for off in [0u64, 0x1234, 0x1F_FFFF] {
-                assert_eq!(flat.translate(va + off).unwrap(), radix.translate(va + off).unwrap().0);
-            }
+        assert_eq!((t.table_frames(), t.frames.len()), (1, 4));
+    }
+
+    /// The four levels index VA bits 12..48 only; a VA above them must
+    /// fault rather than wrap onto the entry of its low 48 bits.
+    #[test]
+    fn vas_beyond_48_bits_do_not_alias() {
+        let mut t = RadixPageTable::new();
+        t.map_huge(0, 4 << 20, Some(MapId(1)));
+        for va in [1u64 << 48, (1 << 48) + 0x1234, u64::MAX] {
+            assert_eq!(t.translate(va), Err(FacilError::NotMapped { va }));
         }
+        let map = |f: fn(&mut RadixPageTable)| {
+            let mut t = RadixPageTable::new();
+            std::panic::catch_unwind(move || f(&mut t)).is_err()
+        };
+        assert!(map(|t| t.map_huge(1 << 48, 0, None)), "map_huge beyond 48 bits");
+        assert!(map(|t| t.map_base(1 << 48, 0)), "map_base beyond 48 bits");
+    }
+
+    /// A huge page over a live 4 KB page table would shadow its pages and
+    /// orphan the table frame.
+    #[test]
+    #[should_panic(expected = "over a live PD entry")]
+    fn huge_page_over_base_pages_panics() {
+        let mut t = RadixPageTable::new();
+        t.map_base(0x1000, 0x5000);
+        t.map_huge(0, 8 << 20, None);
     }
 }

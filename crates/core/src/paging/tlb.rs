@@ -1,15 +1,16 @@
-//! A set-associative TLB model.
+//! A set-associative TLB model in front of the [`RadixPageTable`].
 //!
 //! The paper's point (Section V-A) is that FACIL needs **no TLB changes**:
 //! the MapID rides in PTE bits that a huge-page TLB entry already has spare,
 //! so a TLB entry caches (PFN, flags, MapID) exactly as it caches an
 //! ordinary PTE. This model demonstrates that: entries store the whole
-//! [`Pte`] and hit/miss behaviour is independent of whether a MapID is
-//! present.
+//! [`Pte`] a walk found, and hit/miss behaviour is independent of whether a
+//! MapID is present. It is a model only: `FacilSystem::translate_va` walks
+//! the table directly.
 
 use crate::error::Result;
-use crate::paging::pte::{Pte, BASE_PAGE_BITS, HUGE_PAGE_BITS};
-use crate::paging::table::{PageTable, Translation};
+use crate::paging::pte::{Pte, Translation, BASE_PAGE_BITS, HUGE_PAGE_BITS};
+use crate::paging::radix::RadixPageTable;
 
 /// TLB access statistics.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -35,7 +36,6 @@ impl TlbStats {
 #[derive(Debug, Clone, Copy)]
 struct TlbEntry {
     vpn: u64,
-    huge: bool,
     pte: Pte,
     lru: u64,
 }
@@ -66,12 +66,13 @@ impl Tlb {
         (vpn as usize) & (self.sets.len() - 1)
     }
 
-    /// Translate `va`, filling from `table` on miss.
+    /// Translate `va`, filling from `table`'s walk on a miss. A fill caches
+    /// the leaf PTE as the walk found it, MapID bits included.
     ///
     /// # Errors
     ///
     /// Propagates [`crate::error::FacilError::NotMapped`] from the table walk.
-    pub fn translate(&mut self, va: u64, table: &PageTable) -> Result<Translation> {
+    pub fn translate(&mut self, va: u64, table: &RadixPageTable) -> Result<Translation> {
         self.tick += 1;
         let base_vpn = va >> BASE_PAGE_BITS;
         let huge_vpn = va >> HUGE_PAGE_BITS;
@@ -80,7 +81,7 @@ impl Tlb {
         for idx in [self.index(base_vpn), self.index(huge_vpn)] {
             let tick = self.tick;
             if let Some(e) = self.sets[idx].iter_mut().find(|e| {
-                if e.huge {
+                if e.pte.is_huge() {
                     e.vpn == huge_vpn
                 } else {
                     e.vpn == base_vpn
@@ -88,23 +89,13 @@ impl Tlb {
             }) {
                 e.lru = tick;
                 self.stats.hits += 1;
-                let offset_bits = if e.huge { HUGE_PAGE_BITS } else { BASE_PAGE_BITS };
-                let offset = va & ((1u64 << offset_bits) - 1);
-                return Ok(Translation {
-                    pa: e.pte.pa() + offset,
-                    map_id: e.pte.map_id(),
-                    huge: e.huge,
-                });
+                return Ok(e.pte.translate(va));
             }
         }
         // Miss: walk, then fill.
         self.stats.misses += 1;
-        let t = table.translate(va)?;
-        let (vpn, huge, pte) = if t.huge {
-            (huge_vpn, true, Pte::pim_or_plain(t.pa & !((1 << HUGE_PAGE_BITS) - 1), t.map_id))
-        } else {
-            (base_vpn, false, Pte::base_page(t.pa & !((1 << BASE_PAGE_BITS) - 1)))
-        };
+        let (pte, _) = table.walk(va)?;
+        let vpn = if pte.is_huge() { huge_vpn } else { base_vpn };
         let idx = self.index(vpn);
         let tick = self.tick;
         let set = &mut self.sets[idx];
@@ -119,8 +110,8 @@ impl Tlb {
                 .expect("nonempty set");
             set.swap_remove(victim);
         }
-        set.push(TlbEntry { vpn, huge, pte, lru: tick });
-        Ok(t)
+        set.push(TlbEntry { vpn, pte, lru: tick });
+        Ok(pte.translate(va))
     }
 
     /// Flush all entries.
@@ -136,16 +127,6 @@ impl Tlb {
     }
 }
 
-impl Pte {
-    /// Helper for TLB fills: huge PTE with or without a MapID.
-    fn pim_or_plain(pa: u64, map_id: Option<crate::select::MapId>) -> Pte {
-        match map_id {
-            Some(id) => Pte::pim_huge_page(pa, id),
-            None => Pte::huge_page(pa),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,8 +134,8 @@ mod tests {
 
     #[test]
     fn hit_after_fill() {
-        let mut pt = PageTable::new();
-        pt.map_huge_pim(0, 0, MapId(2));
+        let mut pt = RadixPageTable::new();
+        pt.map_huge(0, 0, Some(MapId(2)));
         let mut tlb = Tlb::new(16, 4);
         let a = tlb.translate(0x1234, &pt).unwrap();
         let b = tlb.translate(0x5678, &pt).unwrap();
@@ -166,8 +147,8 @@ mod tests {
 
     #[test]
     fn one_huge_entry_covers_whole_page() {
-        let mut pt = PageTable::new();
-        pt.map_huge(0, 0);
+        let mut pt = RadixPageTable::new();
+        pt.map_huge(0, 0, None);
         let mut tlb = Tlb::new(16, 4);
         for i in 0..512u64 {
             tlb.translate(i << BASE_PAGE_BITS, &pt).unwrap();
@@ -178,7 +159,7 @@ mod tests {
 
     #[test]
     fn lru_eviction() {
-        let mut pt = PageTable::new();
+        let mut pt = RadixPageTable::new();
         for i in 0..3u64 {
             pt.map_base(i << BASE_PAGE_BITS, i << BASE_PAGE_BITS);
         }
@@ -195,7 +176,7 @@ mod tests {
 
     #[test]
     fn flush_clears() {
-        let mut pt = PageTable::new();
+        let mut pt = RadixPageTable::new();
         pt.map_base(0, 0);
         let mut tlb = Tlb::new(2, 2);
         tlb.translate(0, &pt).unwrap();
@@ -206,7 +187,7 @@ mod tests {
 
     #[test]
     fn miss_on_unmapped_propagates() {
-        let pt = PageTable::new();
+        let pt = RadixPageTable::new();
         let mut tlb = Tlb::new(2, 2);
         assert!(tlb.translate(0x9999, &pt).is_err());
     }

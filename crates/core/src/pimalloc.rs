@@ -5,8 +5,9 @@
 //! 1. the user supplies a [`MatrixConfig`] (dimensions + dtype);
 //! 2. the user-level *mapping selector* picks the MapID
 //!    ([`crate::select::select_mapping`]);
-//! 3. the OS allocator takes huge pages from [`PhysicalMemory`] and records
-//!    (PFN, MapID) in the [`PageTable`];
+//! 3. the OS maps the matrix with the FACIL-extended `mmap`
+//!    ([`AddressSpace::mmap`]): huge pages from the physical allocator, each
+//!    recorded as (PFN, MapID) in a huge-page PDE of the radix page table;
 //! 4. the memory-controller [`Frontend`] gains the selected scheme in one of
 //!    its mux slots;
 //! 5. the user gets back a contiguous *virtual* address — SoC processors
@@ -16,12 +17,13 @@
 use facil_dram::{AddressMapper, DramAddress, DramSpec, MapFault};
 
 use crate::arch::PimArch;
-use crate::error::{FacilError, Result};
+#[cfg(doc)]
+use crate::error::FacilError;
+use crate::error::Result;
 use crate::frontend::Frontend;
 use crate::matrix::MatrixConfig;
-use crate::paging::phys::PhysicalMemory;
-use crate::paging::table::PageTable;
-use crate::scheme::HUGE_PAGE_BITS;
+use crate::paging::{AddressSpace, AllocStats, MmapFlags, RadixPageTable};
+use crate::scheme::{HUGE_PAGE_BITS, HUGE_PAGE_BYTES};
 use crate::select::{select_mapping, MapId, MappingDecision};
 
 /// Handle to a matrix placed by [`FacilSystem::pimalloc`].
@@ -66,14 +68,8 @@ pub struct FacilSystem {
     spec: DramSpec,
     arch: PimArch,
     frontend: Frontend,
-    page_table: PageTable,
-    phys: PhysicalMemory,
-    next_va: u64,
+    space: AddressSpace,
 }
-
-/// Virtual address space base for pimalloc'd regions (arbitrary, page
-/// aligned, away from 0 to catch null-ish bugs).
-const VA_BASE: u64 = 0x10_0000_0000;
 
 impl FacilSystem {
     /// Create a system over the given memory spec and PIM architecture with
@@ -87,9 +83,7 @@ impl FacilSystem {
         let topo = spec.topology;
         FacilSystem {
             frontend: Frontend::new(topo, arch, HUGE_PAGE_BITS, slots),
-            page_table: PageTable::new(),
-            phys: PhysicalMemory::new(topo.capacity_bytes()),
-            next_va: VA_BASE,
+            space: AddressSpace::new(topo.capacity_bytes()),
             spec,
             arch,
         }
@@ -111,22 +105,23 @@ impl FacilSystem {
     }
 
     /// The page table (read-only).
-    pub fn page_table(&self) -> &PageTable {
-        &self.page_table
+    pub fn page_table(&self) -> &RadixPageTable {
+        self.space.page_table()
     }
 
     /// Free physical bytes.
     pub fn free_bytes(&self) -> u64 {
-        self.phys.free_bytes()
+        self.space.free_bytes()
     }
 
     /// Pre-fragment physical memory (for Table I style experiments).
     ///
     /// # Panics
     ///
-    /// See [`PhysicalMemory::fragment_to`].
+    /// Panics while any allocation is live, and as
+    /// [`AddressSpace::fragment_physical`] does otherwise.
     pub fn fragment_physical(&mut self, used_bytes: u64, fmfi: f64) {
-        self.phys.fragment_to(used_bytes, fmfi);
+        self.space.fragment_physical(used_bytes, fmfi);
     }
 
     /// Physical-allocator statistics since construction (or the last
@@ -134,15 +129,8 @@ impl FacilSystem {
     /// minted directly vs via compaction, and 4 KB frames moved. This is
     /// the fragmentation cost signal consumers like `facil-serve` report
     /// for allocations made under a prepared FMFI state.
-    pub fn alloc_stats(&self) -> crate::paging::AllocStats {
-        self.phys.stats()
-    }
-
-    fn take_va(&mut self, bytes: u64) -> u64 {
-        let pages = bytes.div_ceil(1 << HUGE_PAGE_BITS);
-        let va = self.next_va;
-        self.next_va += pages << HUGE_PAGE_BITS;
-        va
+    pub fn alloc_stats(&self) -> AllocStats {
+        self.space.alloc_stats()
     }
 
     /// Allocate and map a weight matrix with a PIM-optimized mapping
@@ -156,7 +144,7 @@ impl FacilSystem {
     pub fn pimalloc(&mut self, matrix: MatrixConfig) -> Result<PimAllocation> {
         // Step 1-2: user-level mapping selector.
         let decision = select_mapping(&matrix, self.spec.topology, &self.arch, HUGE_PAGE_BITS)?;
-        // Step 3: install the scheme in a frontend slot (no-op if present).
+        // Step 4: install the scheme in a frontend slot (no-op if present).
         self.frontend.ensure_slot(decision.map_id)?;
         self.map_allocation(matrix, decision)
     }
@@ -180,32 +168,18 @@ impl FacilSystem {
         self.map_allocation(matrix, decision)
     }
 
-    /// Steps 4-5 of `pimalloc`: huge pages + (PFN, MapID) PTEs.
+    /// Step 3 of `pimalloc`: one huge-page region whose PDEs carry the
+    /// decision's MapID.
     fn map_allocation(
         &mut self,
         matrix: MatrixConfig,
         decision: MappingDecision,
     ) -> Result<PimAllocation> {
         let bytes = matrix.padded_bytes();
-        let n_pages = bytes.div_ceil(1 << HUGE_PAGE_BITS);
-        let va = self.take_va(bytes);
-        let mut pages = Vec::with_capacity(n_pages as usize);
-        for i in 0..n_pages {
-            let page = match self.phys.alloc_huge() {
-                Ok(p) => p,
-                Err(e) => {
-                    // Roll back pages taken so far.
-                    for (j, pa) in pages.iter().enumerate() {
-                        self.phys.free_huge(*pa);
-                        self.page_table.unmap(va + ((j as u64) << HUGE_PAGE_BITS));
-                    }
-                    return Err(e);
-                }
-            };
-            let page_va = va + (i << HUGE_PAGE_BITS);
-            self.page_table.map_huge_pim(page_va, page.pa, decision.map_id);
-            pages.push(page.pa);
-        }
+        let va = self.space.mmap(bytes, MmapFlags { huge: true, map_id: Some(decision.map_id) })?;
+        let pages = (0..bytes.div_ceil(HUGE_PAGE_BYTES))
+            .map(|i| self.space.translate(va + i * HUGE_PAGE_BYTES).map(|t| t.pa))
+            .collect::<Result<_>>()?;
         Ok(PimAllocation { va, matrix, decision, pages })
     }
 
@@ -214,26 +188,23 @@ impl FacilSystem {
     ///
     /// # Errors
     ///
-    /// [`FacilError::OutOfMemory`] if physical memory is exhausted.
+    /// [`FacilError::InvalidRequest`] for zero bytes, and
+    /// [`FacilError::OutOfMemory`] if physical memory is exhausted (pages
+    /// already taken are rolled back).
     pub fn alloc_conventional(&mut self, bytes: u64) -> Result<u64> {
-        if bytes == 0 {
-            return Err(FacilError::InvalidRequest("zero-byte allocation".into()));
-        }
-        let n_pages = bytes.div_ceil(1 << HUGE_PAGE_BITS);
-        let va = self.take_va(bytes);
-        for i in 0..n_pages {
-            let page = self.phys.alloc_huge()?;
-            self.page_table.map_huge(va + (i << HUGE_PAGE_BITS), page.pa);
-        }
-        Ok(va)
+        self.space.mmap(bytes, MmapFlags { huge: true, map_id: None })
     }
 
-    /// Release a pimalloc'd matrix.
-    pub fn free(&mut self, alloc: &PimAllocation) {
-        for (i, pa) in alloc.pages.iter().enumerate() {
-            self.phys.free_huge(*pa);
-            self.page_table.unmap(alloc.va + ((i as u64) << HUGE_PAGE_BITS));
-        }
+    /// Release a pimalloc'd matrix: unmap its region and return its huge
+    /// pages.
+    ///
+    /// # Errors
+    ///
+    /// [`FacilError::NotMapped`] if `alloc` is not live in this system (it
+    /// was freed already). Nothing is freed then, so a stale handle cannot
+    /// release pages a later allocation owns.
+    pub fn free(&mut self, alloc: &PimAllocation) -> Result<()> {
+        self.space.munmap(alloc.va)
     }
 
     /// Full VA → DA translation: page table walk, then the frontend mux with
@@ -244,7 +215,7 @@ impl FacilSystem {
     ///
     /// [`FacilError::NotMapped`] for unmapped VAs.
     pub fn translate_va(&self, va: u64) -> Result<DramAddress> {
-        let t = self.page_table.translate(va)?;
+        let t = self.space.translate(va)?;
         self.frontend.translate(t.pa, t.map_id)
     }
 
@@ -274,6 +245,7 @@ impl AddressMapper for VaMapper<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::FacilError;
     use crate::matrix::DType;
 
     fn system() -> FacilSystem {
@@ -350,9 +322,34 @@ mod tests {
         let before = sys.free_bytes();
         let a = sys.pimalloc(MatrixConfig::new(2048, 2048, DType::F16)).unwrap();
         assert!(sys.free_bytes() < before);
-        sys.free(&a);
+        sys.free(&a).unwrap();
         assert_eq!(sys.free_bytes(), before);
         assert!(sys.translate_va(a.va).is_err());
+    }
+
+    /// A second `free` of a handle must not release the huge pages that a
+    /// later allocation of the same shape was given.
+    #[test]
+    fn stale_free_frees_nothing() {
+        let mut sys = system();
+        let total = sys.free_bytes();
+        let m = MatrixConfig::new(2048, 2048, DType::F16);
+        let a = sys.pimalloc(m).unwrap();
+        sys.free(&a).unwrap();
+        let b = sys.pimalloc(m).unwrap();
+        assert_eq!(sys.free(&a), Err(FacilError::NotMapped { va: a.va }));
+        assert_eq!(sys.free_bytes(), total - b.reserved_bytes());
+        sys.translate_va(b.va).unwrap();
+    }
+
+    /// Preparing a fragmentation state rewrites every frame's state, so
+    /// under a live allocation the next `pimalloc` could get its pages.
+    #[test]
+    #[should_panic(expected = "live regions")]
+    fn fragmenting_under_a_live_allocation_panics() {
+        let mut sys = system();
+        sys.pimalloc(MatrixConfig::new(2048, 2048, DType::F16)).unwrap();
+        sys.fragment_physical(4 << 30, 0.5);
     }
 
     #[test]

@@ -1,11 +1,8 @@
-//! Property-based tests for the structural paging stack: random
-//! mmap/munmap sequences against a reference model, and radix/flat table
-//! agreement under random mapping programs.
-
-use std::collections::BTreeMap;
+//! Property-based tests for the paging stack every `FacilSystem` runs on:
+//! random mmap/munmap sequences against a reference model.
 
 use facil_check::{cases, Gen};
-use facil_core::paging::{AddressSpace, MmapFlags, PageTable, RadixPageTable};
+use facil_core::paging::{AddressSpace, MmapFlags};
 use facil_core::MapId;
 
 #[derive(Debug, Clone)]
@@ -109,44 +106,4 @@ fn address_space_matches_model() {
         compacted += usize::from(space.alloc_stats().pages_compacted > 0);
     });
     assert!(compacted >= 8, "only {compacted} of 64 programs compacted");
-}
-
-/// The radix table agrees with the flat table on random huge-page
-/// mapping programs.
-#[test]
-fn radix_agrees_with_flat() {
-    cases(64, |g| {
-        let map: BTreeMap<u64, (u64, Option<u8>)> = g
-            .vec(1..32, |g| (g.u64(0..512), (g.u64(0..1024), g.bool().then(|| g.u8(0..16)))))
-            .into_iter()
-            .collect();
-        let probes = g.vec(1..64, |g| (g.u64(0..512), g.u64(0..(2 << 20))));
-        let mut flat = PageTable::new();
-        let mut radix = RadixPageTable::new();
-        for (vpn, (pfn, id)) in &map {
-            let va = vpn << 21;
-            let pa = pfn << 21;
-            match id {
-                Some(id) => {
-                    flat.map_huge_pim(va, pa, MapId(*id));
-                    radix.map_huge(va, pa, Some(MapId(*id)));
-                }
-                None => {
-                    flat.map_huge(va, pa);
-                    radix.map_huge(va, pa, None);
-                }
-            }
-        }
-        for (vpn, offset) in probes {
-            let va = (vpn << 21) + offset;
-            match (flat.translate(va), radix.translate(va)) {
-                (Ok(a), Ok((b, w))) => {
-                    assert_eq!(a, b);
-                    assert_eq!(w.levels, 3);
-                }
-                (Err(_), Err(_)) => {}
-                (a, b) => panic!("disagree at {va:#x}: {a:?} vs {b:?}"),
-            }
-        }
-    });
 }

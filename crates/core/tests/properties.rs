@@ -4,7 +4,7 @@
 use std::collections::HashSet;
 
 use facil_check::{cases, Gen};
-use facil_core::paging::{PageTable, PhysicalMemory, Tlb};
+use facil_core::paging::{PhysicalMemory, RadixPageTable, Tlb};
 use facil_core::{
     select_mapping_2mb, DType, MapId, MappingScheme, MatrixConfig, PimArch, PimStyle,
     PlacementChecker, HUGE_PAGE_BITS,
@@ -144,10 +144,12 @@ fn tlb_is_transparent() {
     cases(128, |g| {
         let pages = g.vec(1..16, |g| g.u64(0..64));
         let lookups = g.vec(1..64, |g| (g.u64(0..16), g.u64(0..(1 << 21))));
-        let mut pt = PageTable::new();
+        let mut pt = RadixPageTable::new();
         let installed: Vec<u64> = pages.iter().take(16).copied().collect();
         for (i, p) in installed.iter().enumerate() {
-            pt.map_huge_pim(*p << 21, (i as u64) << 21, MapId((i % 16) as u8));
+            // A page drawn twice is remapped: the last mapping wins.
+            pt.unmap(*p << 21);
+            pt.map_huge(*p << 21, (i as u64) << 21, Some(MapId((i % 16) as u8)));
         }
         let mut tlb = Tlb::new(8, 2);
         for (pi, offset) in lookups {

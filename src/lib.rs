@@ -44,3 +44,9 @@ pub use facil_sim as sim;
 pub use facil_soc as soc;
 pub use facil_telemetry as telemetry;
 pub use facil_workloads as workloads;
+
+/// Compiles and runs the README's Rust example as a doctest, so the README
+/// cannot drift from the API it shows.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;

@@ -58,7 +58,7 @@ fn all_paper_models_place_on_their_platforms() {
             let checker = PlacementChecker::new(&matrix, &alloc.decision, &platform.pim_arch, 0);
             let report = checker.check_all().unwrap_or_else(|e| panic!("{id}/{}: {e}", op.name));
             assert_eq!(report.pus_per_row, alloc.decision.partitions, "{id}/{}", op.name);
-            sys.free(&alloc);
+            sys.free(&alloc).unwrap();
         }
         assert!(
             distinct.len() <= 3,

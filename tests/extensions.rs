@@ -1,9 +1,12 @@
 //! Integration tests of the beyond-paper extensions: paged KV cache +
-//! attention-on-PIM, the structural paging stack, serving under load, and
-//! cross-model placement.
+//! attention-on-PIM, the structural page table under `pimalloc`, serving
+//! under load, and cross-model placement.
 
-use facil::core::paging::{AddressSpace, MmapFlags};
-use facil::core::{DType, FacilSystem, KvHalf, MapId, MatrixConfig, PagedKvCache, PimArch};
+use std::collections::BTreeSet;
+
+use facil::core::{
+    DType, FacilSystem, KvHalf, MapId, MatrixConfig, PagedKvCache, PimArch, HUGE_PAGE_BYTES,
+};
 use facil::dram::DramSpec;
 use facil::llm::ModelConfig;
 use facil::serve::{run_fleet, FleetConfig, ServeConfig};
@@ -40,24 +43,33 @@ fn kv_cache_supports_attention_on_pim() {
     assert!(sim.decode_step_pim_attention_ns(32768) < sim.decode_step_pim_ns(32768));
 }
 
-/// The structural mmap/radix stack and the fast FacilSystem agree on what a
-/// PIM mapping looks like to software.
+/// Paper Fig. 11 on the stack that serving and fidelity run: every page
+/// `pimalloc` maps is a huge-page PDE, three levels down, carrying its
+/// matrix's MapID, and the page table is exactly as large as for the same
+/// sizes mapped conventionally. The Llama 3 LM head (1 GB) takes the
+/// mappings across a 1 GB boundary, so the table needs a second PD frame.
 #[test]
-fn structural_and_fast_paths_agree() {
+fn mapid_rides_in_huge_pdes_at_no_table_cost() {
     let spec = DramSpec::lpddr5_6400(64, 8 << 30);
     let arch = PimArch::aim(&spec.topology);
-    let mut fast = FacilSystem::new(spec, arch);
-    let alloc = fast.pimalloc(MatrixConfig::new(64, 2048, DType::F16)).unwrap();
-
-    let mut os = AddressSpace::new(64 << 20);
-    let va = os.mmap(2 << 20, MmapFlags { huge: true, map_id: Some(alloc.map_id()) }).unwrap();
-    let t = os.translate(va + 0x1234).unwrap();
-    assert_eq!(t.map_id, Some(alloc.map_id()));
-    assert!(t.huge);
-    // Both stacks report the same MapID for the same matrix shape, so the
-    // memory controller mux would behave identically.
-    let t2 = fast.page_table().translate(alloc.va + 0x1234).unwrap();
-    assert_eq!(t2.map_id, t.map_id);
+    let mut facil = FacilSystem::new(spec.clone(), arch);
+    let mut plain = FacilSystem::new(spec, arch);
+    let mut ids = BTreeSet::new();
+    for (rows, cols) in [(1024, 2048), (4096, 4096), (128_256, 4096)] {
+        let alloc = facil.pimalloc(MatrixConfig::new(rows, cols, DType::F16)).unwrap();
+        plain.alloc_conventional(alloc.reserved_bytes()).unwrap();
+        ids.insert(alloc.map_id());
+        for (i, &pa) in alloc.pages.iter().enumerate() {
+            let va = alloc.va + i as u64 * HUGE_PAGE_BYTES;
+            let (pte, levels) = facil.page_table().walk(va).unwrap();
+            assert_eq!((levels, pte.is_huge(), pte.pa()), (3, true, pa), "{va:#x}");
+            assert_eq!(pte.map_id(), Some(alloc.map_id()), "{va:#x}");
+        }
+    }
+    assert!(ids.len() >= 2, "only MapIDs {ids:?}");
+    // Root, PDPT and two PDs; a MapID costs no table memory.
+    assert_eq!(facil.page_table().table_frames(), 4);
+    assert_eq!(facil.page_table().table_frames(), plain.page_table().table_frames());
 }
 
 /// Serving under load preserves the paper-level ordering: FACIL >=

@@ -1,9 +1,10 @@
-//! Integration tests of the OS/hardware path: extended mmap semantics,
-//! TLB transparency with MapIDs, frontend mux limits, and mixing PIM and
-//! conventional allocations in one address space.
+//! Integration tests of the OS/hardware path through `FacilSystem`: TLB
+//! transparency with MapIDs, frontend mux limits, out-of-memory rollback,
+//! faults on unmapped addresses, and mixing PIM and conventional
+//! allocations in one address space.
 
-use facil::core::paging::{PageTable, Tlb};
-use facil::core::{DType, FacilError, FacilSystem, MapId, MatrixConfig, PimArch};
+use facil::core::paging::Tlb;
+use facil::core::{DType, FacilError, FacilSystem, MatrixConfig, PimArch};
 use facil::dram::DramSpec;
 
 fn iphone_system() -> FacilSystem {
@@ -16,17 +17,19 @@ fn iphone_system() -> FacilSystem {
 /// pimalloc'd regions — FACIL needs no TLB changes (paper Section V-A).
 #[test]
 fn tlb_serves_mapid_translations_unchanged() {
-    let mut pt = PageTable::new();
-    pt.map_huge_pim(0x4000_0000, 0x1200_0000, MapId(2));
-    pt.map_huge(0x4020_0000, 0x1240_0000);
+    let mut sys = iphone_system();
+    let w = sys.pimalloc(MatrixConfig::new(64, 4096, DType::F16)).unwrap();
+    let scratch = sys.alloc_conventional(2 << 20).unwrap();
+    let pt = sys.page_table();
     let mut tlb = Tlb::new(16, 4);
     for offset in [0u64, 0x1234, 0x1F_FFFF] {
-        for base in [0x4000_0000u64, 0x4020_0000] {
+        for base in [w.va, scratch] {
             let direct = pt.translate(base + offset).unwrap();
-            let cached = tlb.translate(base + offset, &pt).unwrap();
+            let cached = tlb.translate(base + offset, pt).unwrap();
             assert_eq!(direct, cached);
         }
     }
+    assert_eq!(pt.translate(w.va).unwrap().map_id, Some(w.map_id()));
     assert!(tlb.stats().hits >= 4, "huge-page entries must be reused");
 }
 
@@ -44,7 +47,7 @@ fn mixed_address_space_accounting() {
     // Both regions translate.
     sys.translate_va(w.va + 4096).unwrap();
     sys.translate_va(scratch + 4096).unwrap();
-    sys.free(&w);
+    sys.free(&w).unwrap();
     assert_eq!(sys.free_bytes(), total - (6 << 20));
 }
 
