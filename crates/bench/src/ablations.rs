@@ -75,9 +75,9 @@ pub fn ablation_mapping_flexibility(id: PlatformId) -> Vec<FlexRow> {
 
 /// Re-layout policy (paper footnote 2): TTLT of on-demand vs all-at-once,
 /// per platform, for one P/D point. Platforms run concurrently on the
-/// [`facil_sim::pool`] workers with serial-identical results.
+/// [`facil_telemetry::pool`] workers with serial-identical results.
 pub fn ablation_relayout_policy(q: Query) -> Vec<(PlatformId, f64, f64)> {
-    facil_sim::pool::par_map(&PlatformId::all(), |&id| {
+    facil_telemetry::pool::par_map(&PlatformId::all(), |&id| {
         // Stock platforms are sized for the default model by construction.
         #[allow(clippy::expect_used)]
         let sim =
@@ -133,10 +133,10 @@ pub fn ablation_pim_microarch() -> Vec<(bool, u64, f64)> {
 }
 
 /// DRAM-side decode energy per token: (platform, soc_uj, pim_uj, ratio).
-/// Platforms run concurrently on the [`facil_sim::pool`] workers.
+/// Platforms run concurrently on the [`facil_telemetry::pool`] workers.
 pub fn ablation_energy(ctx: u64) -> Vec<(PlatformId, f64, f64, f64)> {
     let e = EnergyModel::default();
-    facil_sim::pool::par_map(&PlatformId::all(), |&id| {
+    facil_telemetry::pool::par_map(&PlatformId::all(), |&id| {
         let p = Platform::get(id);
         let m = ModelConfig::by_name(p.model_name);
         let t = decode_energy_per_token(&p, &m, ctx, &e);
@@ -184,7 +184,7 @@ pub fn ablation_quantized_e2e(id: PlatformId) -> Vec<(DType, f64, f64, f64, f64)
                 sim.relayout_ns() / 1e6,
                 facil / 1e6,
                 base / facil,
-                sim.decode_step_pim_ns(64) / 1e6,
+                sim.decode_batch_ns(Strategy::FacilStatic, false, &[64]) / 1e6,
             )
         })
         .collect()

@@ -12,9 +12,8 @@
 //! * `--seed <n>` — dataset sampling seed of Figs. 15 and 16 (default 42).
 
 use facil_bench::*;
-use facil_sim::pool;
 use facil_soc::PlatformId;
-use facil_telemetry::{JsonWriter, RunManifest};
+use facil_telemetry::{pool, JsonWriter, RunManifest};
 
 fn main() {
     let (cli, _) = BenchCli::parse();

@@ -35,8 +35,9 @@ pub use cli::{emit_run, BenchCli};
 use facil_core::paging::{LoadCostModel, PhysicalMemory};
 use facil_core::{DType, MatrixConfig};
 use facil_llm::ModelConfig;
-use facil_sim::{geomean_speedup, pool, run_dataset, InferenceSim, Strategy};
+use facil_sim::{geomean_speedup, run_dataset, InferenceSim, Strategy};
 use facil_soc::{gemm_layout_slowdown, Platform, PlatformId};
+use facil_telemetry::pool;
 use facil_workloads::{geomean, Dataset};
 
 /// Pretty-print a table with a header row.
@@ -175,9 +176,9 @@ pub fn fig03_pim_speedup(tokens: u64) -> Fig03Result {
     let mut pim = 0.0;
     for i in 0..tokens {
         let ctx = tokens + i;
-        soc += sim.decode_step_soc_ns(ctx);
+        soc += sim.decode_batch_ns(Strategy::SocOnly, false, &[ctx]);
         npu += sim.decode_step_ideal_npu_ns(ctx);
-        pim += sim.decode_step_pim_ns(ctx);
+        pim += sim.decode_batch_ns(Strategy::FacilStatic, false, &[ctx]);
     }
     Fig03Result {
         soc_ms: soc / 1e6,

@@ -128,8 +128,25 @@ impl ChaosPlan {
 
     /// Sample a chaos schedule over `span_s` seconds for the cluster shape
     /// `cfg`, deterministically under `seed`. Event times are Poisson per
-    /// class; targets are uniform over cells/devices.
+    /// class; targets are uniform over cells/devices. A shape with no cell
+    /// or no device per cell gets no events, so running it reports the
+    /// shape's [`ClusterConfig::validate`] error.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `span_s` or a rate is not finite: the per-class event
+    /// bound would overflow, and arrivals never reach an infinite span.
     pub fn seeded(seed: u64, cfg: &ClusterConfig, span_s: f64, rates: &ChaosRates) -> ChaosPlan {
+        assert!(span_s.is_finite(), "chaos span_s must be finite, got {span_s}");
+        for (name, per_h) in [
+            ("cell_outages_per_h", rates.cell_outages_per_h),
+            ("partitions_per_h", rates.partitions_per_h),
+            ("link_delays_per_h", rates.link_delays_per_h),
+            ("gray_failures_per_h", rates.gray_failures_per_h),
+            ("crashes_per_h", rates.crashes_per_h),
+        ] {
+            assert!(per_h.is_finite(), "chaos rate {name} must be finite, got {per_h}");
+        }
         let mut rng = XorShift64Star::new(seed ^ 0xC1A0_5C1A_05C1_A05C);
         let mut events = Vec::new();
         let hours = span_s / 3600.0;
@@ -137,6 +154,9 @@ impl ChaosPlan {
             .flat_map(|c| (0..cfg.devices_per_cell).map(move |s| (c, s)))
             .map(|(c, s)| cfg.global_index(c, s))
             .collect();
+        if initial_slots.is_empty() {
+            return ChaosPlan::none();
+        }
         type EventCtor<'a> = Box<dyn FnMut(&mut XorShift64Star, f64) -> ChaosEvent + 'a>;
         let mut sample = |per_h: f64, mut mk: EventCtor<'_>| {
             if per_h <= 0.0 {
@@ -463,5 +483,38 @@ mod tests {
         assert!(!a.events.is_empty());
         a.validate(&shape).unwrap();
         a.compile(&shape).unwrap();
+    }
+
+    /// Each non-finite input panics naming its field. An infinite rate or
+    /// span used to overflow the per-class event bound (a panic in debug,
+    /// a wrap to ~1.8e19 in release, where sampling then never ended).
+    #[test]
+    fn seeded_rejects_non_finite_span_and_rates() {
+        let rates = ChaosRates::default();
+        let cases = [
+            (f64::INFINITY, rates, "span_s"),
+            (f64::NAN, rates, "span_s"),
+            (60.0, ChaosRates { partitions_per_h: f64::INFINITY, ..rates }, "partitions_per_h"),
+            (60.0, ChaosRates { crashes_per_h: f64::NAN, ..rates }, "crashes_per_h"),
+        ];
+        for (span_s, rates, field) in cases {
+            let panic = std::panic::catch_unwind(|| ChaosPlan::seeded(7, &cfg(), span_s, &rates))
+                .expect_err("non-finite input must panic");
+            let msg = panic.downcast_ref::<String>().expect("formatted panic message");
+            assert!(msg.contains(field), "{field}: {msg}");
+        }
+    }
+
+    /// An empty shape samples nothing (it used to divide by zero picking a
+    /// target), and its run reports the shape error.
+    #[test]
+    fn seeded_plan_of_an_empty_shape_is_empty() {
+        for shape in
+            [ClusterConfig { cells: 0, ..cfg() }, ClusterConfig { devices_per_cell: 0, ..cfg() }]
+        {
+            let plan = ChaosPlan::seeded(7, &shape, 3600.0, &ChaosRates::default());
+            assert_eq!(plan, ChaosPlan::none());
+            assert!(matches!(shape.validate(), Err(FacilError::InvalidRequest(_))));
+        }
     }
 }

@@ -4,7 +4,8 @@
 //! scheduling): each iteration executes one prefill chunk of the oldest
 //! admitted-but-unprefetched request plus one batched decode step for every
 //! in-flight decoding request, costed by the [`InferenceSim`] timing oracle
-//! ([`InferenceSim::prefill_chunk_ns`] / [`InferenceSim::decode_batch_pim_ns`]).
+//! with one call per phase ([`InferenceSim::prefill_chunk_ns`] and
+//! [`InferenceSim::decode_batch_ns`], both told whether the PIM is down).
 //! New requests therefore reach their first token without waiting for the
 //! whole backlog to finish decoding. With `max_batch: 1` and
 //! `chunk_tokens: u64::MAX` the same scheduler *is* FCFS
@@ -661,26 +662,14 @@ impl<'a, S: TraceSink> DeviceSim<'a, S> {
         }
         let ctxs: Vec<u64> =
             self.decoding.iter().map(|r| r.query.prefill.max(1) + r.decoded).collect();
-        let decode_ns = if ctxs.is_empty() {
-            0.0
-        } else if degraded {
-            self.sim.decode_batch_degraded_ns(self.cfg.strategy, &ctxs)
-        } else if self.cfg.strategy == Strategy::SocOnly {
-            self.sim.decode_batch_soc_ns(&ctxs)
-        } else {
-            self.sim.decode_batch_pim_ns(&ctxs)
-        };
+        let decode_ns = self.sim.decode_batch_ns(self.cfg.strategy, degraded, &ctxs);
         let chunk = self.prefilling.front().map(|r| {
             let total = r.query.prefill.max(1);
             let len = self.cfg.chunk_tokens.min(total - r.prefill_done);
             (r.prefill_done, len, total)
         });
         let prefill_ns = chunk.map_or(0.0, |(start, len, total)| {
-            if degraded {
-                self.sim.prefill_chunk_degraded_ns(self.cfg.strategy, start, len, total)
-            } else {
-                self.sim.prefill_chunk_ns(self.cfg.strategy, start, len, total)
-            }
+            self.sim.prefill_chunk_ns(self.cfg.strategy, degraded, start, len, total)
         });
         // Gray failure: a slow node keeps serving, but every iteration takes
         // `factor`× its healthy time while the window is open.

@@ -239,11 +239,21 @@ impl FaultPlan {
     /// at the configured rate, with exponentially-distributed outage
     /// lengths around `rates.mean_outage_s`. Deterministic for a fixed
     /// seed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `span_s` or a rate is not finite: arrivals never reach an
+    /// infinite or NaN span, and an infinite rate draws zero-length gaps, so
+    /// the sampler would push events until memory ran out.
     pub fn random(seed: u64, devices: usize, span_s: f64, rates: FaultRates) -> Self {
+        assert!(span_s.is_finite(), "fault plan span_s must be finite, got {span_s}");
+        let classes = [(rates.crash_per_s, 0u8), (rates.pim_per_s, 1u8), (rates.kv_per_s, 2u8)];
+        for ((rate, _), name) in classes.iter().zip(["crash_per_s", "pim_per_s", "kv_per_s"]) {
+            assert!(rate.is_finite(), "fault rate {name} must be finite, got {rate}");
+        }
         let mut rng = XorShift64Star::new(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0xc4a0);
         let mut events = Vec::new();
         for device in 0..devices {
-            let classes = [(rates.crash_per_s, 0u8), (rates.pim_per_s, 1u8), (rates.kv_per_s, 2u8)];
             for (rate, class) in classes {
                 if rate <= 0.0 {
                     continue;
@@ -289,6 +299,28 @@ impl FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Each non-finite input panics naming its field. At a NaN or infinite
+    /// span, or an infinite rate, the sampler used to push events until
+    /// memory ran out.
+    #[test]
+    fn random_rejects_non_finite_span_and_rates() {
+        let rates =
+            FaultRates { crash_per_s: 0.1, pim_per_s: 0.1, kv_per_s: 0.1, mean_outage_s: 1.0 };
+        let cases = [
+            (f64::NAN, rates, "span_s"),
+            (f64::INFINITY, rates, "span_s"),
+            (10.0, FaultRates { crash_per_s: f64::INFINITY, ..rates }, "crash_per_s"),
+            (10.0, FaultRates { pim_per_s: f64::INFINITY, ..rates }, "pim_per_s"),
+            (10.0, FaultRates { kv_per_s: f64::NAN, ..rates }, "kv_per_s"),
+        ];
+        for (span_s, rates, field) in cases {
+            let panic = std::panic::catch_unwind(|| FaultPlan::random(3, 2, span_s, rates))
+                .expect_err("non-finite input must panic");
+            let msg = panic.downcast_ref::<String>().expect("formatted panic message");
+            assert!(msg.contains(field), "{field}: {msg}");
+        }
+    }
 
     #[test]
     fn none_plan_is_empty_and_valid() {

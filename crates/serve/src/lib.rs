@@ -42,7 +42,7 @@
 //!   run-to-completion, the baseline continuous batching is measured
 //!   against.
 //! - [`ServeReport`] — SLO and availability metrics: per-request
-//!   TTFT/TBT/TTLT with p50/p95/p99 [`facil_sim::Summary`] rollups,
+//!   TTFT/TBT/TTLT with p50/p95/p99 [`facil_telemetry::Summary`] rollups,
 //!   goodput vs offered load, shed accounting, per-device utilization,
 //!   uptime and degraded-mode time, failover/retry counts,
 //!   deadline-violation rate, and queue/KV time series; serialized by a

@@ -9,8 +9,8 @@
 //! gauges and latency histograms into a shared
 //! [`facil_telemetry::MetricsRegistry`].
 
-use facil_sim::{Strategy, Summary};
-use facil_telemetry::{JsonWriter, MetricsRegistry, TraceSink};
+use facil_sim::Strategy;
+use facil_telemetry::{JsonWriter, MetricsRegistry, Summary, TraceSink};
 
 use crate::device::DeviceSim;
 use crate::fleet::Routing;

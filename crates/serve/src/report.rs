@@ -8,8 +8,7 @@
 //! [`MetricsRegistry`], and zero-span rate metrics reported as 0.0 — never
 //! `NaN` — matching `DramStats::hit_rate`.
 
-use facil_sim::Summary;
-use facil_telemetry::{JsonWriter, MetricsRegistry};
+use facil_telemetry::{JsonWriter, MetricsRegistry, Summary};
 
 use crate::metrics::ServeReport;
 use crate::request::ShedReason;

@@ -50,8 +50,8 @@ use std::cmp::{Ordering, Reverse};
 use std::collections::{BTreeMap, BinaryHeap};
 
 use facil_core::Result;
-use facil_sim::{InferenceSim, Summary};
-use facil_telemetry::{pool, ArgValue, NullSink, TraceSink, TrackId};
+use facil_sim::InferenceSim;
+use facil_telemetry::{pool, ArgValue, NullSink, Summary, TraceSink, TrackId};
 use facil_workloads::{ArrivalProcess, Dataset, Query};
 
 use crate::chaos::ChaosPlan;

@@ -114,11 +114,11 @@ fn worker_count_never_changes_the_report() {
         };
         let plan = ChaosPlan::seeded(chaos_seed, &cfg, 60.0, &hot_rates());
         let arrival = ArrivalProcess::Poisson { qps };
-        facil_sim::pool::set_parallelism(1);
+        facil_telemetry::pool::set_parallelism(1);
         let serial = run_cluster(sim(), &d, &arrival, &cfg, &plan).unwrap();
-        facil_sim::pool::set_parallelism(8);
+        facil_telemetry::pool::set_parallelism(8);
         let wide = run_cluster(sim(), &d, &arrival, &cfg, &plan).unwrap();
-        facil_sim::pool::set_parallelism(0);
+        facil_telemetry::pool::set_parallelism(0);
         assert!(serial.conserved());
         assert_eq!(&serial, &wide);
         assert_eq!(serial.to_json(), wide.to_json());

@@ -325,11 +325,11 @@ fn worker_count_never_changes_the_report() {
         plan.policy.max_retries = 3;
         plan.policy.retry_backoff_s = 0.05;
         let run = || run_fleet_with_faults(sim(), &d, &arrival, cfg, fleet, &plan).unwrap();
-        facil_sim::pool::set_parallelism(1);
+        facil_telemetry::pool::set_parallelism(1);
         let serial = run();
-        facil_sim::pool::set_parallelism(8);
+        facil_telemetry::pool::set_parallelism(8);
         let parallel = run();
-        facil_sim::pool::set_parallelism(0); // back to the default
+        facil_telemetry::pool::set_parallelism(0); // back to the default
         assert_eq!(&serial, &parallel);
         assert_eq!(serial.to_json(), parallel.to_json());
     });

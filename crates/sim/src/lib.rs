@@ -9,7 +9,11 @@
 //!   process per memory system;
 //! * [`engine::InferenceSim`] — the five execution strategies (SoC-only,
 //!   hybrid-static, hybrid-dynamic, FACIL, FACIL+dynamic) with TTFT/TTLT
-//!   accounting over any (platform, model, query);
+//!   accounting over any (platform, model, query). The strategies differ in
+//!   four [`Strategy`] predicates (decodes on the PIM, re-lays weights out
+//!   for the SoC, SoC reads in place, may offload short prefills), and two
+//!   functions price every phase from them:
+//!   [`InferenceSim::prefill_chunk_ns`] and [`InferenceSim::decode_batch_ns`];
 //! * [`metrics`] — dataset-level geometric-mean speedups (Figs. 13-16).
 //!
 //! ```no_run
@@ -33,19 +37,9 @@ pub mod energy;
 pub mod engine;
 pub mod metrics;
 pub mod relayout;
-/// Deterministic fork-join parallelism ([`pool::par_map`], the
-/// `FACIL_THREADS` knob) — lives in [`facil_telemetry`] so the DRAM layer
-/// below this crate can use the same pool; re-exported here as the
-/// documented `facil_sim::pool` entry point.
-pub use facil_telemetry::pool;
-/// Latency statistics — moved to [`facil_telemetry::stats`] so the whole
-/// workspace shares one percentile definition; re-exported here for the
-/// existing `facil_sim::stats` paths.
-pub use facil_telemetry::stats;
 
 pub use cosched::{run_cosched, run_cosched_traced, CoschedConfig, CoschedPolicy, CoschedResult};
 pub use energy::{decode_energy_per_token, TokenEnergy};
 pub use engine::{InferenceSim, QueryResult, Strategy};
 pub use metrics::{geomean_speedup, run_dataset, DatasetRun};
 pub use relayout::{RelayoutModel, RelayoutProfile};
-pub use stats::{percentile, Summary};

@@ -136,7 +136,7 @@ impl RelayoutModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool;
+    use facil_telemetry::pool;
 
     fn iphone_model() -> RelayoutModel {
         let spec = DramSpec::lpddr5_6400(64, 8 << 30);

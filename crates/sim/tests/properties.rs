@@ -72,7 +72,9 @@ fn ttlt_decomposition() {
         let decode_a = a.ttlt_ns - a.ttft_ns;
         let decode_b = b.ttlt_ns - b.ttft_ns;
         assert!((decode_a - decode_b).abs() < 1.0, "{decode_a} vs {decode_b}");
-        let manual: f64 = (0..decode).map(|i| sim().decode_step_pim_ns(prefill + i)).sum();
+        let manual: f64 = (0..decode)
+            .map(|i| sim().decode_batch_ns(Strategy::FacilStatic, false, &[prefill + i]))
+            .sum();
         assert!((decode_a - manual).abs() < 1.0);
     });
 }

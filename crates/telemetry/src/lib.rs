@@ -29,8 +29,7 @@
 //!   execution for any worker count — nested calls run inline on the
 //!   invoking worker, so parallel layers compose without oversubscribing;
 //! * [`stats`] — nearest-rank percentiles and [`stats::Summary`]
-//!   aggregates (moved here from `facil_sim::stats`, which re-exports
-//!   them).
+//!   aggregates, shared by every crate that reports latencies.
 //!
 //! ```
 //! use facil_telemetry::{ArgValue, RingSink, TraceSink};

@@ -2,8 +2,8 @@
 //! aggregates used by the serving reports (`facil-serve`, `facil-bench`)
 //! and by [`crate::metrics`] histograms.
 //!
-//! Moved here from `facil_sim::stats` (which re-exports this module) so
-//! the lower layers can depend on it without a cycle. The estimator is the
+//! It lives here, below every crate that reports latencies, so the lower
+//! layers can depend on it without a cycle. The estimator is the
 //! standard nearest-rank definition `idx = ceil(p * n) - 1`; the previous
 //! per-module helper computed `((n - 1) * p).round()`, which over-/
 //! under-shoots for small samples (for ten samples it returns the 6th

@@ -8,14 +8,17 @@ cd "$(dirname "$0")/.."
 echo "== std-only guard =="
 # Nothing outside this repository may enter the build: the lock file names
 # no registry or git source, and every dependency in every manifest is a
-# path dependency (directly or through [workspace.dependencies]).
+# path dependency (directly or through [workspace.dependencies]). No
+# package keeps a workspace crate it does not use: every facil-* key under
+# a package's [dependencies] or [dev-dependencies] must appear as facil_*
+# on a non-comment line of its src/, tests/, benches/ or examples/.
 if grep -n '^source = ' Cargo.lock; then
   echo "Cargo.lock names a package from outside the repository" >&2
   exit 1
 fi
 python3 - Cargo.toml crates/*/Cargo.toml <<'PY'
-import sys, tomllib
-bad = []
+import os, re, sys, tomllib
+bad, unused = [], []
 for path in sys.argv[1:]:
     with open(path, "rb") as f:
         m = tomllib.load(f)
@@ -27,8 +30,19 @@ for path in sys.argv[1:]:
         for name, spec in deps.items():
             if not (isinstance(spec, dict) and ("path" in spec or spec.get("workspace") is True)):
                 bad.append(f"{path}: {name}")
+    code = []
+    for sub in ("src", "tests", "benches", "examples"):
+        for top, _, files in os.walk(os.path.join(os.path.dirname(path), sub)):
+            for rs in (f for f in files if f.endswith(".rs")):
+                with open(os.path.join(top, rs)) as f:
+                    code += [line for line in f if not line.lstrip().startswith("//")]
+    code = "".join(code)
+    for name in (n for k in kinds[:2] for n in m.get(k, {}) if n.startswith("facil-")):
+        if not re.search(r"\b" + name.replace("-", "_") + r"\b", code):
+            unused.append(f"{path}: {name}")
 assert not bad, "non-path dependencies: " + ", ".join(bad)
-print(f"std-only OK ({len(sys.argv) - 1} manifests, path dependencies only)")
+assert not unused, "unused facil-* dependencies: " + ", ".join(unused)
+print(f"std-only OK ({len(sys.argv) - 1} manifests, path dependencies only, all used)")
 PY
 
 echo "== build (release) =="
@@ -55,12 +69,15 @@ echo "== serving pins (release) =="
 # the debug run above checks the other one.
 cargo test --release --offline -q -p facil-serve --test pinned
 
-echo "== DRAM schedule pin (release) =="
+echo "== DRAM schedule and strategy cost pins (release) =="
 # One FNV-1a digest of a fixed request stream's SimResult and command
-# logs, on both engines (crates/dram/tests/pinned.rs), and one of the four
+# logs, on both engines (crates/dram/tests/pinned.rs), one of the four
 # platforms' re-layout profiles (crates/sim/tests/pinned.rs: every request
-# at cycle 0, 4 to 32 channels, two mappings). Both hold in both profiles,
-# and the debug run above checks the other one.
+# at cycle 0, 4 to 32 channels, two mappings), and one of every strategy
+# cost InferenceSim prices on those platforms (the same file's
+# strategy_costs_are_pinned: prefill chunks, whole prefills, queries and
+# decode batches, healthy and degraded). All hold in both profiles, and
+# the debug run above checks the other one.
 cargo test --release --offline -q -p facil-dram --test pinned
 cargo test --release --offline -q -p facil-sim --test pinned
 

@@ -40,7 +40,8 @@ fn kv_cache_supports_attention_on_pim() {
     // And the engine-side model agrees attention-on-PIM exists and crosses
     // over at long contexts.
     let sim = InferenceSim::new(Platform::get(PlatformId::Iphone)).unwrap();
-    assert!(sim.decode_step_pim_attention_ns(32768) < sim.decode_step_pim_ns(32768));
+    let pim_step = sim.decode_batch_ns(Strategy::FacilStatic, false, &[32768]);
+    assert!(sim.decode_step_pim_attention_ns(32768) < pim_step);
 }
 
 /// Paper Fig. 11 on the stack that serving and fidelity run: every page

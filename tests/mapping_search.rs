@@ -9,7 +9,7 @@ use facil::llm::ModelConfig;
 use facil::mapsearch::{
     search_workload, PuOrder, SearchConfig, SearchReport, TensorSpec, WorkloadProfile,
 };
-use facil::sim::InferenceSim;
+use facil::sim::{InferenceSim, Strategy};
 use facil::soc::{Platform, PlatformId};
 
 /// Distinct weight shapes of the platform's paper model (instance counts
@@ -105,8 +105,8 @@ fn selector_adapter_drives_inference_sim() {
     let paper = InferenceSim::new(platform).unwrap();
     for ctx in [128, 2048, 32768] {
         assert_eq!(
-            searched.decode_step_pim_ns(ctx),
-            paper.decode_step_pim_ns(ctx),
+            searched.decode_batch_ns(Strategy::FacilStatic, false, &[ctx]),
+            paper.decode_batch_ns(Strategy::FacilStatic, false, &[ctx]),
             "paper-shaped weights must simulate identically under the searched selector"
         );
     }
