@@ -120,11 +120,7 @@ pub fn ablation_pim_microarch() -> Vec<(bool, u64, f64)> {
             let engine = PimEngine::with_config(
                 platform.dram.clone(),
                 platform.pim_arch,
-                PimTimingConfig {
-                    mac_interval,
-                    gb_double_buffer: double_buffer,
-                    ..Default::default()
-                },
+                PimTimingConfig { mac_interval, gb_double_buffer: double_buffer },
             );
             out.push((double_buffer, mac_interval, engine.gemv(&m, &d).time_ns / 1e3));
         }

@@ -7,10 +7,13 @@
 //! mapping; the others are PIM-optimized schemes selected by MapID. The
 //! hardware cost is five N-to-1 multiplexers (channel, rank, bank, column,
 //! row) — pure combinational logic, which [`Frontend::mux_inputs`] reports.
+//!
+//! A slot is filled one way, [`Frontend::install_scheme`], with the scheme an
+//! allocation's [`crate::MappingDecision`] carries, so every allocation is
+//! translated through the scheme its decision names.
 
 use facil_dram::{AddressMapper, DramAddress, MapFault, Topology};
 
-use crate::arch::PimArch;
 use crate::error::{FacilError, Result};
 use crate::scheme::MappingScheme;
 use crate::select::MapId;
@@ -18,9 +21,7 @@ use crate::select::MapId;
 /// The FACIL-augmented PA-to-DA translation stage.
 #[derive(Debug)]
 pub struct Frontend {
-    topo: Topology,
-    arch: PimArch,
-    page_bits: u32,
+    /// Slot ∅, whose topology every installed scheme must share.
     conventional: MappingScheme,
     /// Installed PIM-optimized schemes, keyed by their MapID.
     slots: Vec<Option<MappingScheme>>,
@@ -30,18 +31,15 @@ pub struct Frontend {
 }
 
 impl Frontend {
-    /// Create a frontend for `topo`/`arch` with `max_slots` PIM mapping
-    /// slots (the paper's example hardware supports 3 PIM + 1 conventional).
+    /// Create a frontend for `topo` with `max_slots` PIM mapping slots (the
+    /// paper's example hardware supports 3 PIM + 1 conventional).
     ///
     /// # Panics
     ///
     /// Panics if `max_slots` is 0 or exceeds 15 (4 PTE bits).
-    pub fn new(topo: Topology, arch: PimArch, page_bits: u32, max_slots: usize) -> Self {
+    pub fn new(topo: Topology, max_slots: usize) -> Self {
         assert!(max_slots > 0 && max_slots <= 15, "MapID field is 4 bits");
         Frontend {
-            topo,
-            arch,
-            page_bits,
             conventional: MappingScheme::conventional(topo),
             slots: vec![None; 16],
             max_slots,
@@ -58,36 +56,9 @@ impl Frontend {
         self.slots.iter().filter(|s| s.is_some()).count()
     }
 
-    /// Ensure the PIM-optimized scheme for `map_id` is installed, building
-    /// it on first use.
-    ///
-    /// # Errors
-    ///
-    /// * [`FacilError::FrontendFull`] if a new slot is needed but all
-    ///   `max_slots` are taken;
-    /// * mapping-construction errors from
-    ///   [`MappingScheme::pim_optimized`].
-    pub fn ensure_slot(&mut self, map_id: MapId) -> Result<&MappingScheme> {
-        let idx = map_id.0 as usize;
-        if idx >= self.slots.len() {
-            return Err(FacilError::MapIdOutOfRange { requested: map_id.0, max: 15 });
-        }
-        if self.slots[idx].is_none() {
-            if self.installed() >= self.max_slots {
-                return Err(FacilError::FrontendFull { slots: self.max_slots });
-            }
-            let scheme =
-                MappingScheme::pim_optimized(self.topo, &self.arch, map_id.0, self.page_bits)?;
-            self.slots[idx] = Some(scheme);
-        }
-        // The branch above guarantees the slot is occupied.
-        #[allow(clippy::expect_used)]
-        Ok(self.slots[idx].as_ref().expect("just installed"))
-    }
-
-    /// Install a *caller-supplied* scheme into the slot for `map_id` (e.g. a
-    /// mapsearch candidate with a non-default PU order or bank hash, rather
-    /// than the paper-default scheme [`Frontend::ensure_slot`] would build).
+    /// Install `scheme` into the slot for `map_id` — the one way a slot is
+    /// filled, whether the scheme is the selector's pick or a mapsearch
+    /// candidate with a non-default PU order.
     ///
     /// Installing an identical scheme into an occupied slot is a no-op;
     /// installing a *different* scheme into an occupied slot is rejected —
@@ -107,7 +78,7 @@ impl Frontend {
         if idx >= self.slots.len() {
             return Err(FacilError::MapIdOutOfRange { requested: map_id.0, max: 15 });
         }
-        if scheme.topology() != &self.topo {
+        if scheme.topology() != self.conventional.topology() {
             return Err(FacilError::InvalidMapping(format!(
                 "scheme topology does not match frontend topology for MapID {map_id}"
             )));
@@ -187,6 +158,7 @@ impl AddressMapper for PinnedMapper<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arch::PimArch;
     use crate::scheme::HUGE_PAGE_BITS;
 
     fn topo() -> Topology {
@@ -194,8 +166,13 @@ mod tests {
     }
 
     fn frontend(slots: usize) -> Frontend {
+        Frontend::new(topo(), slots)
+    }
+
+    /// The paper scheme for `map_id` on [`topo`].
+    fn paper(map_id: u8) -> MappingScheme {
         let t = topo();
-        Frontend::new(t, PimArch::aim(&t), HUGE_PAGE_BITS, slots)
+        MappingScheme::pim_optimized(t, &PimArch::aim(&t), map_id, HUGE_PAGE_BITS).unwrap()
     }
 
     #[test]
@@ -208,7 +185,7 @@ mod tests {
     #[test]
     fn install_and_translate_pim() {
         let mut f = frontend(3);
-        f.ensure_slot(MapId(1)).unwrap();
+        f.install_scheme(MapId(1), &paper(1)).unwrap();
         let a = f.translate(32, Some(MapId(1))).unwrap();
         // PIM mapping keeps consecutive transfers in one bank.
         assert_eq!(a.channel, 0);
@@ -219,32 +196,27 @@ mod tests {
     #[test]
     fn slots_are_limited_like_hardware() {
         let mut f = frontend(2);
-        f.ensure_slot(MapId(0)).unwrap();
-        f.ensure_slot(MapId(1)).unwrap();
-        // Re-ensuring an installed slot is free.
-        f.ensure_slot(MapId(1)).unwrap();
-        let err = f.ensure_slot(MapId(2)).unwrap_err();
+        f.install_scheme(MapId(0), &paper(0)).unwrap();
+        f.install_scheme(MapId(1), &paper(1)).unwrap();
+        // Re-installing an installed scheme is free.
+        f.install_scheme(MapId(1), &paper(1)).unwrap();
+        let err = f.install_scheme(MapId(2), &paper(2)).unwrap_err();
         assert_eq!(err, FacilError::FrontendFull { slots: 2 });
     }
 
     #[test]
     fn install_scheme_accepts_custom_and_rejects_conflicts() {
-        let t = topo();
         let mut f = frontend(3);
         // A custom scheme (bank hash on) in a fresh slot.
-        let custom = MappingScheme::pim_optimized(t, &PimArch::aim(&t), 1, HUGE_PAGE_BITS)
-            .unwrap()
-            .with_bank_hash();
+        let custom = paper(1).with_bank_hash();
         f.install_scheme(MapId(1), &custom).unwrap();
         assert_eq!(f.scheme(MapId(1)), Some(&custom));
         // Re-installing the identical scheme is a no-op.
         f.install_scheme(MapId(1), &custom).unwrap();
         assert_eq!(f.installed(), 1);
         // A different scheme under the same MapID is a conflict.
-        let default_1 =
-            MappingScheme::pim_optimized(t, &PimArch::aim(&t), 1, HUGE_PAGE_BITS).unwrap();
         assert!(matches!(
-            f.install_scheme(MapId(1), &default_1),
+            f.install_scheme(MapId(1), &paper(1)),
             Err(FacilError::InvalidMapping(_))
         ));
         // A scheme built for another topology is rejected.
@@ -256,10 +228,8 @@ mod tests {
         // Slot capacity still applies.
         let mut small = frontend(1);
         small.install_scheme(MapId(1), &custom).unwrap();
-        let default_0 =
-            MappingScheme::pim_optimized(t, &PimArch::aim(&t), 0, HUGE_PAGE_BITS).unwrap();
         assert_eq!(
-            small.install_scheme(MapId(0), &default_0),
+            small.install_scheme(MapId(0), &paper(0)),
             Err(FacilError::FrontendFull { slots: 1 })
         );
         // Out-of-range MapID.
@@ -278,7 +248,7 @@ mod tests {
     #[test]
     fn pinned_mapper_adapts_to_trait() {
         let mut f = frontend(3);
-        f.ensure_slot(MapId(0)).unwrap();
+        f.install_scheme(MapId(0), &paper(0)).unwrap();
         let conv = PinnedMapper::new(&f, None);
         let pim = PinnedMapper::new(&f, Some(MapId(0)));
         assert_ne!(conv.map(32), pim.map(32));

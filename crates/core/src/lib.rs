@@ -16,9 +16,12 @@
 //! * [`frontend`] — the memory-controller frontend with the N-to-1 mapping
 //!   mux (Fig. 12);
 //! * [`pimalloc`] — [`pimalloc::FacilSystem`], gluing selector, paging and
-//!   frontend into the `pimalloc()` allocation path of Fig. 7;
-//! * [`verify`] — placement validators for the PIM-optimality properties of
-//!   §II-C (chunk contiguity, row-to-PU ownership, lock-step alignment).
+//!   frontend into the `pimalloc()` allocation path of Fig. 7.
+//!
+//! The PIM-optimality properties of §II-C (chunk contiguity, row-to-PU
+//! ownership, lock-step alignment) are checked where the placement is
+//! executed: `facil_pim::CommandSequence::trace` walks every chunk of an
+//! allocation and rejects a placement that violates one.
 //!
 //! ## Quick example
 //!
@@ -55,7 +58,6 @@ pub mod paging;
 pub mod pimalloc;
 pub mod scheme;
 pub mod select;
-pub mod verify;
 
 pub use arch::{PimArch, PimStyle};
 pub use error::{FacilError, Result};
@@ -64,9 +66,8 @@ pub use kvcache::{KvHalf, PagedKvCache};
 pub use matrix::{DType, MatrixConfig};
 pub use pimalloc::{FacilSystem, PimAllocation, VaMapper};
 pub use scheme::{
-    max_map_id_bound, Field, MappingScheme, Segment, HUGE_PAGE_BITS, HUGE_PAGE_BYTES,
+    max_map_id_bound, Field, MappingScheme, PuOrder, Segment, HUGE_PAGE_BITS, HUGE_PAGE_BYTES,
 };
 pub use select::{
     decision_with_map_id, select_mapping, select_mapping_2mb, MapId, MappingDecision,
 };
-pub use verify::{PlacementChecker, PlacementReport};

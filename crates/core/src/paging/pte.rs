@@ -10,7 +10,7 @@ use crate::select::MapId;
 pub const PA_BITS: u32 = 48;
 /// Base page size: 4 KB.
 pub const BASE_PAGE_BITS: u32 = 12;
-/// Huge page size: 2 MB.
+/// Huge page size: 2 MB, the default assumed throughout the paper.
 pub const HUGE_PAGE_BITS: u32 = 21;
 
 const VALID_BIT: u64 = 1 << 0;

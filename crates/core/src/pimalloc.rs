@@ -9,7 +9,8 @@
 //!    ([`AddressSpace::mmap`]): huge pages from the physical allocator, each
 //!    recorded as (PFN, MapID) in a huge-page PDE of the radix page table;
 //! 4. the memory-controller [`Frontend`] gains the selected scheme in one of
-//!    its mux slots;
+//!    its mux slots ([`Frontend::install_scheme`], which refuses a slot that
+//!    already holds a different scheme);
 //! 5. the user gets back a contiguous *virtual* address — SoC processors
 //!    access the matrix through plain row-major virtual addresses while the
 //!    controller applies the PIM-optimized device mapping underneath.
@@ -82,7 +83,7 @@ impl FacilSystem {
     pub fn with_slots(spec: DramSpec, arch: PimArch, slots: usize) -> Self {
         let topo = spec.topology;
         FacilSystem {
-            frontend: Frontend::new(topo, arch, HUGE_PAGE_BITS, slots),
+            frontend: Frontend::new(topo, slots),
             space: AddressSpace::new(topo.capacity_bytes()),
             spec,
             arch,
@@ -134,47 +135,37 @@ impl FacilSystem {
     }
 
     /// Allocate and map a weight matrix with a PIM-optimized mapping
-    /// (the paper's `pimalloc`).
+    /// (the paper's `pimalloc`): [`FacilSystem::pimalloc_with`] the
+    /// selector's decision.
     ///
     /// # Errors
     ///
-    /// Propagates selector errors, [`FacilError::FrontendFull`] when the
-    /// hardware mux cannot host another distinct MapID, and
-    /// [`FacilError::OutOfMemory`] from the physical allocator.
+    /// Propagates selector errors and those of
+    /// [`FacilSystem::pimalloc_with`].
     pub fn pimalloc(&mut self, matrix: MatrixConfig) -> Result<PimAllocation> {
-        // Step 1-2: user-level mapping selector.
         let decision = select_mapping(&matrix, self.spec.topology, &self.arch, HUGE_PAGE_BITS)?;
-        // Step 4: install the scheme in a frontend slot (no-op if present).
-        self.frontend.ensure_slot(decision.map_id)?;
-        self.map_allocation(matrix, decision)
+        self.pimalloc_with(matrix, decision)
     }
 
-    /// Allocate and map a weight matrix under a *caller-supplied*
-    /// [`MappingDecision`] (e.g. a mapsearch candidate), bypassing the
-    /// paper-default selector. The decision's scheme is installed in the
-    /// frontend slot for its MapID via [`Frontend::install_scheme`], so two
-    /// different schemes cannot share a slot.
+    /// Allocate and map a weight matrix under `decision` (the selector's, or
+    /// e.g. a mapsearch candidate's): install its scheme in the frontend
+    /// slot for its MapID, then map one huge-page region whose PDEs carry
+    /// that MapID.
     ///
     /// # Errors
     ///
-    /// Propagates [`Frontend::install_scheme`] errors and
-    /// [`FacilError::OutOfMemory`] from the physical allocator.
+    /// * [`FacilError::InvalidMapping`] if the slot already holds a
+    ///   different scheme (one an earlier allocation translates through),
+    ///   and the other [`Frontend::install_scheme`] errors, such as
+    ///   [`FacilError::FrontendFull`] when the hardware mux cannot host
+    ///   another distinct MapID;
+    /// * [`FacilError::OutOfMemory`] from the physical allocator.
     pub fn pimalloc_with(
         &mut self,
         matrix: MatrixConfig,
         decision: MappingDecision,
     ) -> Result<PimAllocation> {
         self.frontend.install_scheme(decision.map_id, &decision.scheme)?;
-        self.map_allocation(matrix, decision)
-    }
-
-    /// Step 3 of `pimalloc`: one huge-page region whose PDEs carry the
-    /// decision's MapID.
-    fn map_allocation(
-        &mut self,
-        matrix: MatrixConfig,
-        decision: MappingDecision,
-    ) -> Result<PimAllocation> {
         let bytes = matrix.padded_bytes();
         let va = self.space.mmap(bytes, MmapFlags { huge: true, map_id: Some(decision.map_id) })?;
         let pages = (0..bytes.div_ceil(HUGE_PAGE_BYTES))
@@ -314,6 +305,9 @@ mod tests {
         let plain =
             decision_with_map_id(&m, sys.spec().topology, sys.arch(), 2, HUGE_PAGE_BITS).unwrap();
         assert!(matches!(sys.pimalloc_with(m, plain), Err(FacilError::InvalidMapping(_))));
+        // So does pimalloc, whose pick for 4096 columns is MapID 2 too.
+        let pick = sys.pimalloc(MatrixConfig::new(64, 4096, DType::F16));
+        assert!(matches!(pick, Err(FacilError::InvalidMapping(_))), "{pick:?}");
     }
 
     #[test]

@@ -18,15 +18,16 @@
 //!   *PU-changing* bits (bank, rank, channel), then the remaining row bits.
 //!   Only page-offset bits are permuted; bits above the huge-page offset
 //!   keep the conventional assignment, so the OS can mix mapped and normal
-//!   pages freely.
+//!   pages freely. [`MappingScheme::pim_optimized_ordered`] builds the same
+//!   family with the PU-changing segments in any [`PuOrder`]; it is the one
+//!   place the segment layout and its geometry checks are stated.
 
 use facil_dram::{AddressMapper, DramAddress, MapFault, Topology};
 
 use crate::arch::PimArch;
 use crate::error::{FacilError, Result};
+pub use crate::paging::pte::HUGE_PAGE_BITS;
 
-/// Default huge-page size assumed throughout the paper: 2 MB.
-pub const HUGE_PAGE_BITS: u32 = 21;
 /// Default huge-page size in bytes.
 pub const HUGE_PAGE_BYTES: u64 = 1 << HUGE_PAGE_BITS;
 
@@ -68,6 +69,37 @@ pub struct Segment {
     pub field: Field,
     /// Number of bits.
     pub width: u32,
+}
+
+/// Order of the PU-changing bit segments of a PIM-optimized scheme, from
+/// PA LSB to MSB.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct PuOrder(pub [Field; 3]);
+
+impl PuOrder {
+    /// The paper's order (Fig. 8): bank, then rank, then channel.
+    pub const fn paper() -> Self {
+        PuOrder([Field::Bank, Field::Rank, Field::Channel])
+    }
+
+    /// All six permutations, paper order first (enumeration is
+    /// deterministic, so search results are too).
+    pub const fn all() -> [PuOrder; 6] {
+        use Field::{Bank, Channel, Rank};
+        [
+            PuOrder([Bank, Rank, Channel]),
+            PuOrder([Bank, Channel, Rank]),
+            PuOrder([Rank, Bank, Channel]),
+            PuOrder([Rank, Channel, Bank]),
+            PuOrder([Channel, Bank, Rank]),
+            PuOrder([Channel, Rank, Bank]),
+        ]
+    }
+
+    /// Compact label, e.g. `"ba-rk-ch"`.
+    pub fn short(&self) -> String {
+        format!("{}-{}-{}", self.0[0], self.0[1], self.0[2])
+    }
 }
 
 /// A complete PA-to-DA mapping: a permutation of physical-address bits into
@@ -184,21 +216,41 @@ impl MappingScheme {
 
     /// A PIM-optimized mapping for `arch` with the given paper MapID
     /// (number of DRAM row bits between the chunk-column bits and the
-    /// PU-changing bits; paper Fig. 8).
+    /// PU-changing bits; paper Fig. 8), PU-changing bits in the paper's
+    /// [`PuOrder::paper`] order.
     ///
     /// `map_id == max` places the PU-changing bits at the MSB of the page
     /// offset, which is the column-partitioned mapping of Fig. 10.
     ///
     /// # Errors
     ///
-    /// * [`FacilError::InvalidMapping`] if the interleaving bits do not fit
-    ///   in the page offset or the chunk does not tile the DRAM row;
-    /// * [`FacilError::MapIdOutOfRange`] if `map_id` exceeds the maximum for
-    ///   this topology/page size.
+    /// As [`MappingScheme::pim_optimized_ordered`].
     pub fn pim_optimized(
         topo: Topology,
         arch: &PimArch,
         map_id: u8,
+        page_bits: u32,
+    ) -> Result<Self> {
+        Self::pim_optimized_ordered(topo, arch, map_id, PuOrder::paper(), page_bits)
+    }
+
+    /// The whole PIM-optimized family: [`MappingScheme::pim_optimized`]
+    /// with the PU-changing segments in `pu_order`. The label is
+    /// `"<style> MapID=<id>"`, followed by `" PU=<order>"` unless the order
+    /// is the paper's.
+    ///
+    /// # Errors
+    ///
+    /// * [`FacilError::InvalidMapping`] if the chunk does not tile the DRAM
+    ///   row, `pu_order` is not a permutation of bank, rank and channel, or
+    ///   the interleaving bits do not fit in the page offset;
+    /// * [`FacilError::MapIdOutOfRange`] if `map_id` exceeds the maximum for
+    ///   this topology/page size.
+    pub fn pim_optimized_ordered(
+        topo: Topology,
+        arch: &PimArch,
+        map_id: u8,
+        pu_order: PuOrder,
         page_bits: u32,
     ) -> Result<Self> {
         if !arch.tiles_row(&topo) {
@@ -207,19 +259,31 @@ impl MappingScheme {
                 arch.chunk_rows, arch.chunk_row_bytes, topo.row_bytes
             )));
         }
+        if !PuOrder::all().contains(&pu_order) {
+            return Err(FacilError::InvalidMapping(format!(
+                "PU order {} is not a permutation of ba, rk and ch",
+                pu_order.short()
+            )));
+        }
         let in_page_rows = Self::in_page_row_bits(&topo, page_bits)?;
         if u32::from(map_id) > in_page_rows {
             return Err(FacilError::MapIdOutOfRange { requested: map_id, max: in_page_rows as u8 });
         }
         let mid = u32::from(map_id);
+        let pu_width = |field| match field {
+            Field::Bank => topo.bank_bits(),
+            Field::Rank => topo.rank_bits(),
+            _ => topo.channel_bits(),
+        };
+        let pu = pu_order.0.map(|field| Segment { field, width: pu_width(field) });
         let segments = vec![
             Segment { field: Field::Tx, width: topo.tx_bits() },
             Segment { field: Field::Column, width: arch.chunk_col_bits(&topo) },
             Segment { field: Field::Row, width: mid },
             Segment { field: Field::Column, width: arch.chunk_row_bits() },
-            Segment { field: Field::Bank, width: topo.bank_bits() },
-            Segment { field: Field::Rank, width: topo.rank_bits() },
-            Segment { field: Field::Channel, width: topo.channel_bits() },
+            pu[0],
+            pu[1],
+            pu[2],
             // Row bits left inside the page offset, then the bits above the
             // page offset (always row bits, in the same order as the
             // conventional scheme, so the OS page frame number behaves
@@ -227,7 +291,12 @@ impl MappingScheme {
             Segment { field: Field::Row, width: in_page_rows - mid },
             Segment { field: Field::Row, width: topo.row_bits() - in_page_rows },
         ];
-        Self::from_segments(topo, segments, format!("{} MapID={map_id}", arch.style))
+        let label = if pu_order == PuOrder::paper() {
+            format!("{} MapID={map_id}", arch.style)
+        } else {
+            format!("{} MapID={map_id} PU={}", arch.style, pu_order.short())
+        };
+        Self::from_segments(topo, segments, label)
     }
 
     /// Enable DRAMA-style bank hashing: the bank index is XOR-ed with the

@@ -66,9 +66,14 @@ pub struct MappingDecision {
 ///
 /// # Errors
 ///
-/// Returns an error if the topology cannot support PIM-optimized mapping at
-/// this page size (interleaving bits outside the page offset) or the chunk
-/// does not tile the DRAM row.
+/// * [`FacilError::InvalidRequest`] if a matrix row is narrower than one
+///   chunk row, wider than one huge page (it would need more PUs than a page
+///   spreads over), or needs column partitioning on a multi-row-chunk
+///   (HBM-PIM-style) architecture;
+/// * scheme-construction errors from [`MappingScheme::pim_optimized`] if the
+///   topology cannot support PIM-optimized mapping at this page size
+///   (interleaving bits outside the page offset) or the chunk does not tile
+///   the DRAM row.
 pub fn select_mapping(
     matrix: &MatrixConfig,
     topo: Topology,
@@ -76,28 +81,13 @@ pub fn select_mapping(
     page_bits: u32,
 ) -> Result<MappingDecision> {
     let row_bytes = matrix.padded_row_bytes();
-    if row_bytes < arch.chunk_row_bytes {
-        return Err(FacilError::InvalidRequest(format!(
-            "matrix row ({row_bytes} B) smaller than one chunk row ({} B); \
-             pad the matrix columns to at least the chunk width",
-            arch.chunk_row_bytes
-        )));
-    }
-    let hpage = 1u64 << page_bits;
-    let memory_per_bank = hpage / topo.total_banks();
-    if memory_per_bank < arch.chunk_row_bytes {
-        return Err(FacilError::InvalidMapping(format!(
-            "per-bank page slice ({memory_per_bank} B) below one chunk row ({} B)",
-            arch.chunk_row_bytes
-        )));
-    }
     // Paper Fig. 9: map_id = log2(need_partition ? memory_per_bank : row_size)
     //               - log2(chunk bytes).
     // The pseudocode assumes AiM (chunk_rows == 1); generalized here: one
     // bank stores `chunk_rows` matrix rows per tile, so the largest matrix
     // row a single PU can own within one huge page is
     // `memory_per_bank / chunk_rows`.
-    let max_row_per_pu = memory_per_bank / arch.chunk_rows;
+    let max_row_per_pu = (1u64 << page_bits) / topo.total_banks() / arch.chunk_rows;
     let need_partition = max_row_per_pu < row_bytes;
     if need_partition && arch.chunk_rows > 1 {
         // The paper defines column partitioning (Fig. 10) for AiM-style PIM
@@ -111,9 +101,7 @@ pub fn select_mapping(
     }
     let selected_bytes = if need_partition { max_row_per_pu } else { row_bytes };
     let map_id = (selected_bytes / arch.chunk_row_bytes).trailing_zeros() as u8;
-    let partitions = if need_partition { row_bytes / max_row_per_pu } else { 1 };
-    let scheme = MappingScheme::pim_optimized(topo, arch, map_id, page_bits)?;
-    Ok(MappingDecision { map_id: MapId(map_id), partitions, scheme, memory_per_bank })
+    decision_with_map_id(matrix, topo, arch, map_id, page_bits)
 }
 
 /// Convenience wrapper using the default 2 MB huge page.
@@ -125,17 +113,20 @@ pub fn select_mapping_2mb(
     select_mapping(matrix, topo, arch, HUGE_PAGE_BITS)
 }
 
-/// Build the decision for a *forced* MapID instead of the selector's
-/// choice — the "one global PIM mapping for every tensor" configuration of
-/// IANUS-style systems, used by the mapping-flexibility ablation. A MapID
-/// smaller than the matrix needs scatters each row over
+/// The decision for `matrix` at a given MapID: the one decision path, which
+/// [`select_mapping`] takes at its own pick. Forcing a MapID is the "one
+/// global PIM mapping for every tensor" configuration of IANUS-style
+/// systems, used by the mapping-flexibility ablation. A MapID smaller than
+/// the matrix needs scatters each row over
 /// `row_bytes / (chunk_row_bytes << map_id)` PUs, forcing partial-sum
 /// reductions the flexible selector avoids.
 ///
 /// # Errors
 ///
-/// Propagates scheme-construction errors; rejects matrices narrower than a
-/// chunk row like [`select_mapping`].
+/// * [`FacilError::InvalidRequest`] if a matrix row is narrower than one
+///   chunk row, or would be split over more PUs than one huge page spreads
+///   over (Fig. 10 splits a row over at most every PU of a page);
+/// * scheme-construction errors from [`MappingScheme::pim_optimized`].
 pub fn decision_with_map_id(
     matrix: &MatrixConfig,
     topo: Topology,
@@ -146,15 +137,20 @@ pub fn decision_with_map_id(
     let row_bytes = matrix.padded_row_bytes();
     if row_bytes < arch.chunk_row_bytes {
         return Err(FacilError::InvalidRequest(format!(
-            "matrix row ({row_bytes} B) smaller than one chunk row ({} B)",
+            "matrix row ({row_bytes} B) smaller than one chunk row ({} B); \
+             pad the matrix columns to at least the chunk width",
             arch.chunk_row_bytes
         )));
     }
-    let hpage = 1u64 << page_bits;
-    let memory_per_bank = hpage / topo.total_banks();
     let scheme = MappingScheme::pim_optimized(topo, arch, map_id, page_bits)?;
-    let per_pu_row_bytes = arch.chunk_row_bytes << map_id;
-    let partitions = (row_bytes / per_pu_row_bytes).max(1).min(topo.total_banks());
+    let partitions = (row_bytes / (arch.chunk_row_bytes << map_id)).max(1);
+    if partitions > topo.total_banks() {
+        return Err(FacilError::InvalidRequest(format!(
+            "matrix row ({row_bytes} B) would span {partitions} of the {} PUs of a page",
+            topo.total_banks()
+        )));
+    }
+    let memory_per_bank = (1u64 << page_bits) / topo.total_banks();
     Ok(MappingDecision { map_id: MapId(map_id), partitions, scheme, memory_per_bank })
 }
 
@@ -219,6 +215,12 @@ mod tests {
         let d4 = select_mapping_2mb(&MatrixConfig::new(64, 16384, DType::F16), t, &arch).unwrap();
         assert_eq!(d4.map_id, MapId(3));
         assert_eq!(d4.partitions, 2);
+        // A 2 MB row spreads over every one of the 128 PUs of a page; a
+        // 4 MB row would need 256 of them.
+        let page = select_mapping_2mb(&MatrixConfig::new(4, 1 << 20, DType::F16), t, &arch);
+        assert_eq!(page.unwrap().partitions, 128);
+        let wide = select_mapping_2mb(&MatrixConfig::new(4, 1 << 21, DType::F16), t, &arch);
+        assert!(matches!(wide, Err(FacilError::InvalidRequest(_))), "{wide:?}");
     }
 
     #[test]

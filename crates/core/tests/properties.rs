@@ -1,14 +1,12 @@
-//! Property-based tests for the FACIL mapping formulation, selector,
-//! paging and allocator.
+//! Property-based tests for the FACIL mapping formulation, paging and
+//! allocator. (The selector's placements are checked under the tracer in
+//! facil-pim's property tests.)
 
 use std::collections::HashSet;
 
 use facil_check::{cases, Gen};
 use facil_core::paging::{PhysicalMemory, RadixPageTable, Tlb};
-use facil_core::{
-    select_mapping_2mb, DType, MapId, MappingScheme, MatrixConfig, PimArch, PimStyle,
-    PlacementChecker, HUGE_PAGE_BITS,
-};
+use facil_core::{MapId, MappingScheme, PimArch, HUGE_PAGE_BITS};
 use facil_dram::Topology;
 
 /// Realistic edge-device topologies (powers of two, 2 KB rows, 32 B
@@ -67,50 +65,6 @@ fn page_offset_permutation_is_injective() {
                 assert!((0..i).any(|j| (j * 37 % (1 << (HUGE_PAGE_BITS - 5))) << 5 == pa));
             }
         }
-    });
-}
-
-/// The selector's output for one topology and matrix shape is placeable:
-/// MapID within range, partition count a power of two, and a scheme that
-/// passes all placement checks.
-fn check_selector(topo: Topology, arch: PimArch, rows_log: u32, cols_log: u32) {
-    let m = MatrixConfig::new(1 << rows_log, 1 << cols_log, DType::F16);
-    if (1u64 << cols_log) * 2 < arch.chunk_row_bytes {
-        return; // narrower than a chunk: selector rejects, fine
-    }
-    let d = match select_mapping_2mb(&m, topo, &arch) {
-        Ok(d) => d,
-        // HBM-PIM-style architectures reject the partitioned case
-        // (paper defines Fig. 10 partitioning for AiM only).
-        Err(facil_core::FacilError::InvalidRequest(_)) => return,
-        Err(e) => panic!("selector failed: {e}"),
-    };
-    assert!(d.partitions.is_power_of_two());
-    let max = MappingScheme::in_page_row_bits(&topo, HUGE_PAGE_BITS).unwrap();
-    assert!(u32::from(d.map_id.0) <= max);
-    let checker = PlacementChecker::new(&m, &d, &arch, 0);
-    let report = checker.check_all().unwrap();
-    assert_eq!(report.pus_per_row, d.partitions);
-}
-
-/// The selector always returns a placeable mapping.
-#[test]
-fn selector_output_is_always_placeable() {
-    // A failure random search once found: HBM-PIM on 4 channels with a
-    // 16 x 8192 matrix.
-    let topo = Topology::new(4, 1, 4, 2, 256, 2048, 32);
-    let hbm = PimArch {
-        style: PimStyle::HbmPim,
-        chunk_rows: 8,
-        chunk_row_bytes: 256,
-        macs_per_cycle: 16,
-    };
-    assert_eq!(hbm, PimArch::hbm_pim(&topo));
-    check_selector(topo, hbm, 4, 13);
-    cases(128, |g| {
-        let topo = topology(g);
-        let arch = arch(g, &topo);
-        check_selector(topo, arch, g.u32(4..=10), g.u32(10..=14));
     });
 }
 

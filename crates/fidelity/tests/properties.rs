@@ -1,10 +1,11 @@
 //! Property tests: the functional command replay is bit-exact against the
-//! `pim_gemv` reference for *every* legal mapping candidate — MapIDs, PU
-//! orders and the bank hash, across all four paper platforms — and every
-//! illegal (bank-unstable) candidate is rejected at trace time.
+//! `pim_gemv` reference for *every* legal mapping candidate — MapIDs and PU
+//! orders, each with and without a bank hash, across all four paper
+//! platforms — and every illegal (bank-unstable) candidate is rejected at
+//! trace time.
 
 use facil_check::cases;
-use facil_core::{DType, FacilSystem, MatrixConfig, PimArch, HUGE_PAGE_BITS};
+use facil_core::{DType, FacilSystem, MappingDecision, MatrixConfig, PimArch, HUGE_PAGE_BITS};
 use facil_dram::DramSpec;
 use facil_fidelity::{replay_gemv, BankedMemory};
 use facil_mapsearch::{Candidate, PuOrder};
@@ -44,12 +45,15 @@ fn replay_is_bit_exact_for_every_legal_candidate() {
         let cols = [1024u64, 2048, 4096][cols_sel];
         let hash = hash_sel == 1;
         let m = MatrixConfig::new(rows, cols, DType::F16);
-        let cand = Candidate { map_id, pu_order: PuOrder::all()[pu_idx], bank_hash: hash };
+        let cand = Candidate { map_id, pu_order: PuOrder::all()[pu_idx] };
         // Candidates the geometry rejects outright (MapID beyond the page)
         // are out of scope here — `CandidateSpace` never enumerates them.
-        let Ok(d) = cand.decision(&m, topo, &arch, HUGE_PAGE_BITS) else {
+        let Ok(mut d) = cand.decision(&m, topo, &arch, HUGE_PAGE_BITS) else {
             return;
         };
+        if hash {
+            d = MappingDecision { scheme: d.scheme.clone().with_bank_hash(), ..d };
+        }
         let mut sys = FacilSystem::new(spec, arch);
         let alloc = sys.pimalloc_with(m, d).expect("allocation must fit");
 
@@ -69,13 +73,13 @@ fn replay_is_bit_exact_for_every_legal_candidate() {
         let unstable = hash && map_id > 0 && chunks > 1;
         match CommandSequence::trace(&sys, &alloc) {
             Err(e) => {
-                assert!(overwide || unstable, "legal candidate {cand:?} rejected: {e}");
+                assert!(overwide || unstable, "legal {cand:?} (hash {hash}) rejected: {e}");
                 if unstable && !overwide {
                     assert!(e.to_string().contains("bank-stable"), "{e}");
                 }
             }
             Ok(seq) => {
-                assert!(!overwide && !unstable, "illegal candidate {cand:?} traced");
+                assert!(!overwide && !unstable, "illegal {cand:?} (hash {hash}) traced");
                 let got = replay_gemv(&mem, &seq, &x);
                 let want = pim_gemv(&mem, &sys, &alloc, &x);
                 assert_eq!(got.len(), want.len());

@@ -1,14 +1,33 @@
 //! `store_matrix` / `load_matrix` round-trips — and bit-exact replays —
-//! under *every* mapping scheme the `CandidateSpace` enumerates.
+//! under *every* mapping scheme the `CandidateSpace` enumerates, with and
+//! without a DRAMA-style bank hash.
 
-use facil_core::{DType, FacilSystem, MatrixConfig, PimArch, HUGE_PAGE_BITS};
-use facil_dram::DramSpec;
+use facil_core::{DType, FacilSystem, MappingDecision, MatrixConfig, PimArch, HUGE_PAGE_BITS};
+use facil_dram::{DramSpec, Topology};
 use facil_fidelity::{cross_check, BankedMemory};
-use facil_mapsearch::CandidateSpace;
+use facil_mapsearch::{Candidate, CandidateSpace};
 use facil_pim::{load_matrix, store_matrix};
 
 fn grid(i: u64) -> f32 {
     ((i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40) % 15) as f32 * 0.0625 - 0.4375
+}
+
+/// Every enumerated candidate's decision for `m`, plain and bank-hashed.
+fn decisions(
+    topo: Topology,
+    arch: &PimArch,
+    m: &MatrixConfig,
+) -> Vec<(Candidate, bool, MappingDecision)> {
+    let space = CandidateSpace::enumerate(topo, arch, HUGE_PAGE_BITS).unwrap();
+    assert!(space.len() > 20, "candidate space unexpectedly small: {}", space.len());
+    let mut out = Vec::new();
+    for cand in space.candidates() {
+        let d = cand.decision(m, topo, arch, HUGE_PAGE_BITS).unwrap();
+        let hashed = MappingDecision { scheme: d.scheme.clone().with_bank_hash(), ..d.clone() };
+        out.push((*cand, false, d));
+        out.push((*cand, true, hashed));
+    }
+    out
 }
 
 /// Every enumerated candidate must round-trip a matrix byte-perfectly: the
@@ -19,19 +38,15 @@ fn every_candidate_scheme_roundtrips_store_load() {
     let spec = DramSpec::lpddr5_6400(64, 8 << 30); // iPhone 15 Pro
     let topo = spec.topology;
     let arch = PimArch::aim(&topo);
-    let space = CandidateSpace::enumerate(topo, &arch, HUGE_PAGE_BITS, true).unwrap();
-    assert!(space.len() > 20, "candidate space unexpectedly small: {}", space.len());
-
     let m = MatrixConfig::new(16, 2048, DType::F16);
     let w: Vec<f32> = (0..m.rows * m.cols).map(grid).collect();
-    for cand in space.candidates() {
-        let d = cand.decision(&m, topo, &arch, HUGE_PAGE_BITS).unwrap();
+    for (cand, hash, d) in decisions(topo, &arch, &m) {
         let mut sys = FacilSystem::new(spec.clone(), arch);
         let alloc = sys.pimalloc_with(m, d).unwrap();
         let mut mem = BankedMemory::new(topo);
         store_matrix(&mut mem, &sys, &alloc, &w).unwrap();
         let back = load_matrix(&mem, &sys, &alloc).unwrap();
-        assert_eq!(back, w, "round-trip mismatch under {cand:?}");
+        assert_eq!(back, w, "round-trip mismatch under {cand:?} (hash {hash})");
     }
 }
 
@@ -43,14 +58,11 @@ fn every_candidate_scheme_replays_or_rejects() {
     let spec = DramSpec::lpddr5_6400(64, 8 << 30);
     let topo = spec.topology;
     let arch = PimArch::aim(&topo);
-    let space = CandidateSpace::enumerate(topo, &arch, HUGE_PAGE_BITS, true).unwrap();
-
     let m = MatrixConfig::new(8, 2048, DType::F16);
     let w: Vec<f32> = (0..m.rows * m.cols).map(grid).collect();
     let x: Vec<f32> = (0..m.cols).map(|i| grid(i ^ 0x5EED)).collect();
     let (mut replayed, mut rejected) = (0u32, 0u32);
-    for cand in space.candidates() {
-        let d = cand.decision(&m, topo, &arch, HUGE_PAGE_BITS).unwrap();
+    for (cand, hash, d) in decisions(topo, &arch, &m) {
         let mut sys = FacilSystem::new(spec.clone(), arch);
         let alloc = sys.pimalloc_with(m, d).unwrap();
         let mut mem = BankedMemory::new(topo);
@@ -60,15 +72,18 @@ fn every_candidate_scheme_replays_or_rejects() {
         // field) and the hash is only bank-stable at MapID 0.
         let chunks = m.cols * 2 / arch.chunk_row_bytes;
         let overwide = (1u64 << cand.map_id) > chunks;
-        let unstable = cand.bank_hash && cand.map_id > 0;
+        let unstable = hash && cand.map_id > 0;
         match cross_check(&mem, &sys, &alloc, &x) {
             Ok(report) => {
-                assert!(!overwide && !unstable, "illegal candidate {cand:?} traced");
-                assert!(report.bit_exact(), "{cand:?}: {report:?}");
+                assert!(!overwide && !unstable, "illegal candidate {cand:?} (hash {hash}) traced");
+                assert!(report.bit_exact(), "{cand:?} (hash {hash}): {report:?}");
                 replayed += 1;
             }
             Err(e) => {
-                assert!(overwide || unstable, "legal candidate {cand:?} rejected: {e}");
+                assert!(
+                    overwide || unstable,
+                    "legal candidate {cand:?} (hash {hash}) rejected: {e}"
+                );
                 if unstable && !overwide {
                     assert!(e.to_string().contains("bank-stable"), "{e}");
                 }

@@ -1,7 +1,8 @@
 //! Candidate enumeration over legal PIM-optimized mapping schemes.
 //!
-//! The search space generalizes [`MappingScheme::pim_optimized`] along the
-//! three axes user-level software controls:
+//! The search space is the FACIL family that
+//! [`MappingScheme::pim_optimized_ordered`] builds, along the two axes
+//! user-level software controls:
 //!
 //! * **MapID** — how many DRAM row bits sit between the chunk-column bits
 //!   and the PU-changing bits (`0..=in_page_row_bits`, the tight
@@ -9,50 +10,20 @@
 //!   upper-bounds);
 //! * **PU-bit order** — the relative order of the bank/rank/channel
 //!   segments (the paper fixes bank lowest; e.g. channel-lowest spreads a
-//!   small matrix across channels before banks);
-//! * **bank hash** — DRAMA-style bank XOR on or off.
+//!   small matrix across channels before banks).
 //!
-//! Every candidate is validated at construction through
-//! [`MappingScheme::from_segments`] (the DRAMsim3 lesson: reject bad
-//! geometry when the mapping is *built*, not when the first address
-//! faults), so an enumerated space contains only bijective, topology-exact
-//! schemes.
+//! facil-core states the segment layout, its geometry checks and the
+//! partition formula once; a candidate only names its point in the space.
+//! Every candidate is validated at construction (the DRAMsim3 lesson:
+//! reject bad geometry when the mapping is *built*, not when the first
+//! address faults), so an enumerated space contains only bijective,
+//! topology-exact schemes.
 
-use facil_core::scheme::Field;
+pub use facil_core::PuOrder;
 use facil_core::{
-    FacilError, MapId, MappingDecision, MappingScheme, MatrixConfig, PimArch, Result, Segment,
+    decision_with_map_id, MappingDecision, MappingScheme, MatrixConfig, PimArch, Result,
 };
 use facil_dram::Topology;
-
-/// Order of the PU-changing bit segments, from PA LSB to MSB.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct PuOrder(pub [Field; 3]);
-
-impl PuOrder {
-    /// The paper's order (Fig. 8): bank, then rank, then channel.
-    pub const fn paper() -> Self {
-        PuOrder([Field::Bank, Field::Rank, Field::Channel])
-    }
-
-    /// All six permutations, paper order first (enumeration is
-    /// deterministic, so search results are too).
-    pub const fn all() -> [PuOrder; 6] {
-        use Field::{Bank, Channel, Rank};
-        [
-            PuOrder([Bank, Rank, Channel]),
-            PuOrder([Bank, Channel, Rank]),
-            PuOrder([Rank, Bank, Channel]),
-            PuOrder([Rank, Channel, Bank]),
-            PuOrder([Channel, Bank, Rank]),
-            PuOrder([Channel, Rank, Bank]),
-        ]
-    }
-
-    /// Compact label, e.g. `"ba-rk-ch"`.
-    pub fn short(&self) -> String {
-        format!("{}-{}-{}", self.0[0], self.0[1], self.0[2])
-    }
-}
 
 /// One point of the search space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -61,80 +32,38 @@ pub struct Candidate {
     pub map_id: u8,
     /// PU-changing segment order.
     pub pu_order: PuOrder,
-    /// DRAMA-style bank hash enabled.
-    pub bank_hash: bool,
 }
 
 impl Candidate {
-    /// The paper's candidate for a given MapID (bank-first PU order, no
-    /// hash) — the incumbent every search starts from.
+    /// The paper's candidate for a given MapID (bank-first PU order) — the
+    /// incumbent every search starts from.
     pub fn paper(map_id: u8) -> Self {
-        Candidate { map_id, pu_order: PuOrder::paper(), bank_hash: false }
+        Candidate { map_id, pu_order: PuOrder::paper() }
     }
 
-    /// Short human label, e.g. `"AiM MapID=1 PU=ch-ba-rk +hash"`.
+    /// Short human label, e.g. `"AiM MapID=1 PU=ch-ba-rk"`.
     pub fn describe(&self, arch: &PimArch) -> String {
-        let hash = if self.bank_hash { " +hash" } else { "" };
-        format!("{} MapID={} PU={}{}", arch.style, self.map_id, self.pu_order.short(), hash)
+        format!("{} MapID={} PU={}", arch.style, self.map_id, self.pu_order.short())
     }
 
-    /// Build the validated [`MappingScheme`] for this candidate.
-    ///
-    /// The paper candidate delegates to [`MappingScheme::pim_optimized`]
-    /// so its scheme (including the label) is bit-identical to what
-    /// `select_mapping` constructs.
+    /// Build the validated [`MappingScheme`] for this candidate
+    /// ([`MappingScheme::pim_optimized_ordered`]); the paper candidate's
+    /// scheme, label included, is the one `select_mapping` constructs.
     ///
     /// # Errors
     ///
     /// Propagates geometry validation: MapID out of range for the
-    /// topology/page size, chunk not tiling the DRAM row, or segment
-    /// widths not covering the topology.
+    /// topology/page size, chunk not tiling the DRAM row.
     pub fn build(&self, topo: Topology, arch: &PimArch, page_bits: u32) -> Result<MappingScheme> {
-        if self.pu_order == PuOrder::paper() && !self.bank_hash {
-            return MappingScheme::pim_optimized(topo, arch, self.map_id, page_bits);
-        }
-        if !arch.tiles_row(&topo) {
-            return Err(FacilError::InvalidMapping(format!(
-                "chunk ({} rows x {} bytes) does not tile the {}-byte DRAM row",
-                arch.chunk_rows, arch.chunk_row_bytes, topo.row_bytes
-            )));
-        }
-        let in_page = MappingScheme::in_page_row_bits(&topo, page_bits)?;
-        if u32::from(self.map_id) > in_page {
-            return Err(FacilError::MapIdOutOfRange { requested: self.map_id, max: in_page as u8 });
-        }
-        let mid = u32::from(self.map_id);
-        let pu_width = |f: Field| match f {
-            Field::Bank => topo.bank_bits(),
-            Field::Rank => topo.rank_bits(),
-            Field::Channel => topo.channel_bits(),
-            _ => 0,
-        };
-        let mut segments = vec![
-            Segment { field: Field::Tx, width: topo.tx_bits() },
-            Segment { field: Field::Column, width: arch.chunk_col_bits(&topo) },
-            Segment { field: Field::Row, width: mid },
-            Segment { field: Field::Column, width: arch.chunk_row_bits() },
-        ];
-        for f in self.pu_order.0 {
-            segments.push(Segment { field: f, width: pu_width(f) });
-        }
-        segments.push(Segment { field: Field::Row, width: in_page - mid });
-        segments.push(Segment { field: Field::Row, width: topo.row_bits() - in_page });
-        let scheme = MappingScheme::from_segments(topo, segments, self.describe(arch))?;
-        Ok(if self.bank_hash { scheme.with_bank_hash() } else { scheme })
+        MappingScheme::pim_optimized_ordered(topo, arch, self.map_id, self.pu_order, page_bits)
     }
 
     /// Build the full [`MappingDecision`] for `matrix` under this
-    /// candidate. A MapID smaller than the matrix row needs scatters each
-    /// row over `row_bytes / (chunk_row_bytes << map_id)` PUs, whose
-    /// partial sums the SoC reduces (the Fig. 10 partitioning, same
-    /// accounting as `decision_with_map_id`).
+    /// candidate: [`decision_with_map_id`] at its MapID, with its scheme.
     ///
     /// # Errors
     ///
-    /// Rejects matrices narrower than a chunk row and propagates
-    /// scheme-construction errors.
+    /// As [`decision_with_map_id`] and [`Candidate::build`].
     pub fn decision(
         &self,
         matrix: &MatrixConfig,
@@ -142,18 +71,8 @@ impl Candidate {
         arch: &PimArch,
         page_bits: u32,
     ) -> Result<MappingDecision> {
-        let row_bytes = matrix.padded_row_bytes();
-        if row_bytes < arch.chunk_row_bytes {
-            return Err(FacilError::InvalidRequest(format!(
-                "matrix row ({row_bytes} B) smaller than one chunk row ({} B)",
-                arch.chunk_row_bytes
-            )));
-        }
-        let scheme = self.build(topo, arch, page_bits)?;
-        let per_pu_row_bytes = arch.chunk_row_bytes << self.map_id;
-        let partitions = (row_bytes / per_pu_row_bytes).max(1).min(topo.total_banks());
-        let memory_per_bank = (1u64 << page_bits) / topo.total_banks();
-        Ok(MappingDecision { map_id: MapId(self.map_id), partitions, scheme, memory_per_bank })
+        let paper = decision_with_map_id(matrix, topo, arch, self.map_id, page_bits)?;
+        Ok(MappingDecision { scheme: self.build(topo, arch, page_bits)?, ..paper })
     }
 }
 
@@ -170,34 +89,24 @@ pub struct CandidateSpace {
 
 impl CandidateSpace {
     /// Enumerate every legal candidate in deterministic order: MapID
-    /// ascending, PU orders in [`PuOrder::all`] order (paper first), hash
-    /// off before on. Every candidate's scheme is constructed once here,
-    /// so an enumerated space is known-valid.
+    /// ascending, PU orders in [`PuOrder::all`] order (paper first). Every
+    /// candidate's scheme is constructed once here, so an enumerated space
+    /// is known-valid.
     ///
     /// # Errors
     ///
     /// Propagates scheme-construction errors (e.g. a page size that cannot
     /// hold the interleaving bits).
-    pub fn enumerate(
-        topo: Topology,
-        arch: &PimArch,
-        page_bits: u32,
-        include_bank_hash: bool,
-    ) -> Result<Self> {
+    pub fn enumerate(topo: Topology, arch: &PimArch, page_bits: u32) -> Result<Self> {
         let max_map_id = MappingScheme::in_page_row_bits(&topo, page_bits)? as u8;
         let mut candidates = Vec::new();
         for map_id in 0..=max_map_id {
             for pu_order in PuOrder::all() {
-                for bank_hash in [false, true] {
-                    if bank_hash && !include_bank_hash {
-                        continue;
-                    }
-                    let c = Candidate { map_id, pu_order, bank_hash };
-                    // Validate now (DRAMsim3 lesson); the scheme itself is
-                    // rebuilt lazily by the evaluators.
-                    c.build(topo, arch, page_bits)?;
-                    candidates.push(c);
-                }
+                let c = Candidate { map_id, pu_order };
+                // Validate now (DRAMsim3 lesson); the scheme itself is
+                // rebuilt lazily by the evaluators.
+                c.build(topo, arch, page_bits)?;
+                candidates.push(c);
             }
         }
         Ok(CandidateSpace { topo, arch: *arch, page_bits, max_map_id, candidates })
@@ -247,7 +156,7 @@ impl CandidateSpace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use facil_core::HUGE_PAGE_BITS;
+    use facil_core::{FacilError, Field, HUGE_PAGE_BITS};
 
     fn iphone() -> (Topology, PimArch) {
         let t = Topology::new(4, 2, 4, 4, 16384, 2048, 32);
@@ -257,22 +166,20 @@ mod tests {
     #[test]
     fn space_size_matches_axes() {
         let (t, a) = iphone();
-        let s = CandidateSpace::enumerate(t, &a, HUGE_PAGE_BITS, true).unwrap();
-        // iPhone-like: 3 in-page row bits -> MapID 0..=3, x6 orders x2 hash.
+        let s = CandidateSpace::enumerate(t, &a, HUGE_PAGE_BITS).unwrap();
+        // iPhone-like: 3 in-page row bits -> MapID 0..=3, x6 orders.
         assert_eq!(s.max_map_id(), 3);
-        assert_eq!(s.len(), 4 * 6 * 2);
-        let no_hash = CandidateSpace::enumerate(t, &a, HUGE_PAGE_BITS, false).unwrap();
-        assert_eq!(no_hash.len(), 4 * 6);
+        assert_eq!(s.len(), 4 * 6);
         assert!(!s.is_empty());
     }
 
     #[test]
     fn paper_candidate_is_first_of_its_mapid_and_findable() {
         let (t, a) = iphone();
-        let s = CandidateSpace::enumerate(t, &a, HUGE_PAGE_BITS, true).unwrap();
+        let s = CandidateSpace::enumerate(t, &a, HUGE_PAGE_BITS).unwrap();
         for map_id in 0..=s.max_map_id() {
             let idx = s.position(&Candidate::paper(map_id)).unwrap();
-            assert_eq!(idx, map_id as usize * 12, "MapID block starts with the paper order");
+            assert_eq!(idx, map_id as usize * 6, "MapID block starts with the paper order");
         }
         assert_eq!(s.position(&Candidate::paper(s.max_map_id() + 1)), None);
     }
@@ -289,7 +196,7 @@ mod tests {
     #[test]
     fn every_candidate_roundtrips_addresses() {
         let (t, a) = iphone();
-        let s = CandidateSpace::enumerate(t, &a, HUGE_PAGE_BITS, true).unwrap();
+        let s = CandidateSpace::enumerate(t, &a, HUGE_PAGE_BITS).unwrap();
         for c in s.candidates() {
             let scheme = c.build(t, &a, HUGE_PAGE_BITS).unwrap();
             for i in 0..256u64 {
@@ -305,13 +212,10 @@ mod tests {
     fn channel_first_order_changes_pu_walk() {
         let (t, a) = iphone();
         let paper = Candidate::paper(0).build(t, &a, HUGE_PAGE_BITS).unwrap();
-        let chan_first = Candidate {
-            map_id: 0,
-            pu_order: PuOrder([Field::Channel, Field::Bank, Field::Rank]),
-            bank_hash: false,
-        }
-        .build(t, &a, HUGE_PAGE_BITS)
-        .unwrap();
+        let chan_first =
+            Candidate { map_id: 0, pu_order: PuOrder([Field::Channel, Field::Bank, Field::Rank]) }
+                .build(t, &a, HUGE_PAGE_BITS)
+                .unwrap();
         // One chunk (2 KB) ahead: paper moves to the next bank, channel-first
         // moves to the next channel.
         let (p0, p1) = (paper.map_pa(0), paper.map_pa(2048));
@@ -320,12 +224,15 @@ mod tests {
         assert_eq!(p1.channel, p0.channel);
         assert_eq!(c1.channel, c0.channel + 1);
         assert_eq!(c1.bank, c0.bank);
+        // Only a non-paper order names itself in the scheme label.
+        assert_eq!(paper.label(), "AiM MapID=0");
+        assert_eq!(chan_first.label(), "AiM MapID=0 PU=ch-ba-rk");
     }
 
     #[test]
     fn out_of_range_mapid_rejected_at_construction() {
         let (t, a) = iphone();
-        let c = Candidate { map_id: 9, pu_order: PuOrder::all()[3], bank_hash: false };
+        let c = Candidate { map_id: 9, pu_order: PuOrder::all()[3] };
         assert!(matches!(
             c.build(t, &a, HUGE_PAGE_BITS),
             Err(FacilError::MapIdOutOfRange { requested: 9, .. })

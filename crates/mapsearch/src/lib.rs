@@ -15,9 +15,12 @@
 //! 1. [`WorkloadProfile`] — GEMV/GEMM mix and tensor shapes derived from
 //!    `facil-workloads` datasets, optionally calibrated with measured
 //!    [`DramStats`](facil_dram::DramStats) from earlier runs;
-//! 2. [`CandidateSpace`] — enumerates every legal PIM-optimized scheme for
-//!    a topology (bounded by the in-page row bits, which the paper's
-//!    `max_map_id_bound` upper-bounds loosely);
+//! 2. [`CandidateSpace`] — enumerates every legal (MapID, PU order) point
+//!    of the PIM-optimized family for a topology (bounded by the in-page
+//!    row bits, which the paper's `max_map_id_bound` upper-bounds loosely);
+//!    facil-core builds each point's scheme and decision
+//!    (`MappingScheme::pim_optimized_ordered`, `decision_with_map_id`), so
+//!    the paper's candidate is exactly what `select_mapping` returns;
 //! 3. [`CostModel`] — a fast analytic makespan model (per-bank row service
 //!    vs per-channel bus occupancy over address windows) used to rank all
 //!    candidates, cross-checked by real [`DramSystem`](facil_dram::DramSystem)

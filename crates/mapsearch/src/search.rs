@@ -160,11 +160,7 @@ fn search_tensor(
     replays: &ReplayMemo,
 ) -> Result<MatrixSearchResult> {
     let topo = spec.topology;
-    // No bank-hash variants: hashing spreads row conflicts for *any*
-    // mapping in the cycle-accurate replay, so it would win measured
-    // comparisons for reasons orthogonal to placement and drown the
-    // MapID/PU-order signal the Fig. 13 baselines isolate.
-    let space = CandidateSpace::enumerate(topo, arch, config.page_bits, false)?;
+    let space = CandidateSpace::enumerate(topo, arch, config.page_bits)?;
     let model = CostModel::new(spec, arch, tensor.matrix, profile, config.sample, config.page_bits);
     let workers = config.workers.unwrap_or_else(pool::parallelism);
 

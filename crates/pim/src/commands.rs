@@ -11,6 +11,11 @@
 //! the exact [`facil_dram::PimStream`]s the timing model simulates, so one
 //! JEDEC-legality checker ([`facil_dram::verify_allbank_log`]) covers both.
 //!
+//! The tracer is the one placement check. On every chunk it enforces the
+//! §II-C properties — chunk contiguity, each row on exactly `partitions` PUs,
+//! rows `r` and `r + chunk_rows` of a tile in lock-step on different PUs —
+//! and the all-bank ones: one broadcast row per wave, bank-stable registers.
+//!
 //! One *wave* is one all-bank pass: `GB-load* → ACT-AB → MAC-AB* → PRE-AB`
 //! on every rank that owns weights for it, all banks in lock-step on one
 //! broadcast row address. Waves are ordered tile-major, segment-ascending —
@@ -163,9 +168,11 @@ impl CommandSequence {
     /// * [`FacilError::InvalidMapping`] if the placement violates an
     ///   all-bank invariant: a chunk straddling banks or DRAM rows or
     ///   misaligned within a row, a wave needing more than one broadcast row
-    ///   address, a chunk outside the partition range, or a PU output
-    ///   register that would have to migrate between banks mid-tile (the
-    ///   bank-hash + MapID > 0 case — accumulation would be lost);
+    ///   address, a chunk outside the partition range, a (padded) row not on
+    ///   exactly `partitions` PUs, rows `r` and `r + chunk_rows` of a tile
+    ///   not at one DRAM row and column on two PUs, or a PU output register
+    ///   that would have to migrate between banks mid-tile (the bank-hash +
+    ///   MapID > 0 case — accumulation would be lost);
     /// * [`FacilError::NotMapped`] if the allocation's VA range is no longer
     ///   mapped.
     pub fn trace(sys: &FacilSystem, alloc: &PimAllocation) -> facil_core::Result<Self> {
@@ -178,10 +185,13 @@ impl CommandSequence {
                 "functional replay models 16-bit weights".into(),
             ));
         }
-        if arch.chunk_rows > 1 && d.partitions > 1 {
-            return Err(FacilError::InvalidMapping(
-                "multi-row chunks cannot be column-partitioned".into(),
-            ));
+        let max_partitions = if arch.chunk_rows > 1 { 1 } else { topo.total_banks() };
+        if !(1..=max_partitions).contains(&d.partitions) {
+            return Err(FacilError::InvalidMapping(format!(
+                "{} partitions; a row spreads over 1 to {max_partitions} PUs here (multi-row \
+                 chunks cannot be column-partitioned)",
+                d.partitions
+            )));
         }
         let placement = PimPlacement::new(&m, d, &topo, &arch);
         let chunk_elems = arch.chunk_row_bytes / 2;
@@ -191,6 +201,11 @@ impl CommandSequence {
         let seg_mask = (1u64 << map_id) - 1;
         let page_table = sys.page_table();
         let scheme = &d.scheme;
+        let chunks = m.cols.div_ceil(chunk_elems);
+        // Lane `r % chunk_rows` holds the (DRAM row, column, PU) of every
+        // chunk of the last row traced in it: the lock-step peer of row `r`.
+        let mut lanes = vec![vec![(0, 0, 0); chunks as usize]; arch.chunk_rows as usize];
+        let mut row_pus = BTreeSet::new();
 
         let mut waves: BTreeMap<(u64, u64), WaveBuild> = BTreeMap::new();
         // The register binding must be a *bijection* within a tile: each PU
@@ -202,7 +217,19 @@ impl CommandSequence {
 
         for r in 0..m.rows {
             let tile = r / placement.rows_per_tile;
-            for j in 0..m.cols.div_ceil(chunk_elems) {
+            let has_peer = r % placement.rows_per_tile >= arch.chunk_rows;
+            let lane = &mut lanes[(r % arch.chunk_rows) as usize];
+            row_pus.clear();
+            // The padding of a row belongs to its partitions too.
+            for j in 0..m.padded_row_bytes() / arch.chunk_row_bytes {
+                let va = alloc.va + r * m.padded_row_bytes() + j * arch.chunk_row_bytes;
+                let pa = page_table.translate(va)?.pa;
+                let first = scheme.map_pa(pa);
+                let flat = (first.channel * topo.ranks + first.rank) * topo.banks() + first.bank;
+                row_pus.insert(flat);
+                if j >= chunks {
+                    continue;
+                }
                 let col0 = j * chunk_elems;
                 let elems = chunk_elems.min(m.cols - col0);
                 let segment = j & seg_mask;
@@ -213,8 +240,6 @@ impl CommandSequence {
                         d.partitions
                     )));
                 }
-                let pa = page_table.translate(alloc.element_va(r, col0))?.pa;
-                let first = scheme.map_pa(pa);
                 if !first.column.is_multiple_of(chunk_tx) {
                     return Err(FacilError::InvalidMapping(format!(
                         "chunk {j} of row {r} is not chunk-row aligned (column {})",
@@ -233,7 +258,6 @@ impl CommandSequence {
                     }
                 }
                 let slot = first.column >> arch.chunk_col_bits(&topo);
-                let flat = (first.channel * topo.ranks + first.rank) * topo.banks() + first.bank;
                 match registers.insert((tile, flat, slot), (r, partition)) {
                     Some(prev) if prev != (r, partition) => {
                         return Err(FacilError::InvalidMapping(format!(
@@ -256,6 +280,15 @@ impl CommandSequence {
                         )));
                     }
                     _ => {}
+                }
+                let here = (first.row, first.column, flat);
+                let peer = std::mem::replace(&mut lane[j as usize], here);
+                if has_peer && ((peer.0, peer.1) != (here.0, here.1) || peer.2 == flat) {
+                    return Err(FacilError::InvalidMapping(format!(
+                        "rows {} and {r} of tile {tile} are not in lock-step: chunk {j} at \
+                         (DRAM row, column, PU) {peer:?} and {here:?}",
+                        r - arch.chunk_rows
+                    )));
                 }
                 let wave = waves.entry((tile, segment)).or_insert_with(|| WaveBuild {
                     dram_row: None,
@@ -286,6 +319,13 @@ impl CommandSequence {
                     .entry((first.channel, first.rank, first.bank))
                     .or_default()
                     .insert(slot, task);
+            }
+            if row_pus.len() as u64 != d.partitions {
+                return Err(FacilError::InvalidMapping(format!(
+                    "matrix row {r} touches {} PUs, expected {} partitions",
+                    row_pus.len(),
+                    d.partitions
+                )));
             }
         }
 
@@ -389,9 +429,9 @@ impl CommandSequence {
         self.waves.iter().flat_map(move |w| self.wave_commands(w))
     }
 
-    /// Lower the sequence to the per-rank [`PimStream`]s of one channel —
-    /// the same shape [`crate::PimEngine::gemv_simulated_cycles`] feeds to
-    /// [`facil_dram::run_allbank`], so the timing simulation and the
+    /// Lower the sequence to the per-rank [`PimStream`]s of one channel,
+    /// which [`facil_dram::run_allbank`] simulates to check the analytic
+    /// [`crate::PimEngine::gemv`], so the timing simulation and the
     /// JEDEC-legality checker run off this one traced stream.
     ///
     /// Ranks with no work on `channel` are omitted.
@@ -434,7 +474,8 @@ impl CommandSequence {
 mod tests {
     use super::*;
     use facil_core::{
-        decision_with_map_id, DType, MappingDecision, MatrixConfig, PimArch, HUGE_PAGE_BITS,
+        decision_with_map_id, select_mapping_2mb, DType, Field, MapId, MappingDecision,
+        MappingScheme, MatrixConfig, PimArch, Segment, HUGE_PAGE_BITS,
     };
     use facil_dram::DramSpec;
 
@@ -474,7 +515,7 @@ mod tests {
     #[test]
     fn streams_match_timing_model_shape() {
         // Full tiles, unpartitioned: the lowered streams must be exactly
-        // what gemv_simulated_cycles constructs from the placement.
+        // the one-per-rank streams the placement geometry implies.
         let spec = DramSpec::lpddr5_6400(16, 1 << 30); // one channel
         let arch = PimArch::aim(&spec.topology);
         let topo = spec.topology;
@@ -563,6 +604,72 @@ mod tests {
         let err = CommandSequence::trace(&sys, &alloc).unwrap_err();
         assert!(matches!(err, FacilError::InvalidMapping(_)), "{err}");
         assert!(err.to_string().contains("bank-stable"), "{err}");
+    }
+
+    #[test]
+    fn conventional_mapping_fails_chunk_contiguity() {
+        // The conventional scheme scatters a chunk across channels.
+        let mut sys = iphone();
+        let m = MatrixConfig::new(2048, 2048, DType::F16);
+        let d = select_mapping_2mb(&m, sys.spec().topology, sys.arch()).unwrap();
+        let scheme = MappingScheme::conventional(sys.spec().topology);
+        let alloc = sys.pimalloc_with(m, MappingDecision { scheme, ..d }).unwrap();
+        let err = CommandSequence::trace(&sys, &alloc).unwrap_err();
+        assert!(matches!(err, FacilError::InvalidMapping(_)), "{err}");
+        assert!(err.to_string().contains("not contiguous"), "{err}");
+    }
+
+    #[test]
+    fn row_on_other_than_partitions_pus_is_rejected() {
+        let mut sys = iphone();
+        let m = MatrixConfig::new(64, 2048, DType::F16);
+        let d = select_mapping_2mb(&m, sys.spec().topology, sys.arch()).unwrap();
+        assert_eq!((d.map_id, d.partitions), (MapId(1), 1));
+        // Both chunks of a row sit on one PU, which pim_gemv would reduce
+        // as one partial sum of two.
+        let two = sys.pimalloc_with(m, MappingDecision { partitions: 2, ..d.clone() }).unwrap();
+        let err = CommandSequence::trace(&sys, &two).unwrap_err();
+        assert!(matches!(err, FacilError::InvalidMapping(_)), "{err}");
+        assert!(err.to_string().contains("touches 1 PUs, expected 2 partitions"), "{err}");
+        // More partitions than PUs is an error, not a panic.
+        let many = sys.pimalloc_with(m, MappingDecision { partitions: 256, ..d }).unwrap();
+        let err = CommandSequence::trace(&sys, &many).unwrap_err();
+        assert!(matches!(err, FacilError::InvalidMapping(_)), "{err}");
+    }
+
+    #[test]
+    fn rows_out_of_lock_step_are_rejected() {
+        let spec = DramSpec::lpddr5_6400(64, 8 << 30);
+        let topo = spec.topology;
+        let arch = PimArch::hbm_pim(&topo);
+        let m = MatrixConfig::new(1024, 1024, DType::F16);
+        // The stock MapID 3 scheme traces, here from a base past PA 0.
+        let mut sys = FacilSystem::new(spec.clone(), arch);
+        sys.alloc_conventional(2 << 20).unwrap();
+        let stock = sys.pimalloc(m).unwrap();
+        assert_eq!(stock.map_id(), MapId(3));
+        assert_ne!(stock.pages[0], 0);
+        CommandSequence::trace(&sys, &stock).unwrap();
+        // Bank bit 0 moved below the chunk-row bits: rows 0 and 8 share a
+        // bank, at different register slots and so at different columns.
+        let seg = |field, width| Segment { field, width };
+        let segments = vec![
+            seg(Field::Tx, topo.tx_bits()),
+            seg(Field::Column, arch.chunk_col_bits(&topo)),
+            seg(Field::Row, 3),
+            seg(Field::Bank, 1),
+            seg(Field::Column, arch.chunk_row_bits()),
+            seg(Field::Bank, topo.bank_bits() - 1),
+            seg(Field::Rank, topo.rank_bits()),
+            seg(Field::Channel, topo.channel_bits()),
+            seg(Field::Row, topo.row_bits() - 3),
+        ];
+        let scheme = MappingScheme::from_segments(topo, segments, "bank bit low").unwrap();
+        let mut sys = FacilSystem::new(spec, arch);
+        let alloc = sys.pimalloc_with(m, MappingDecision { scheme, ..stock.decision }).unwrap();
+        let err = CommandSequence::trace(&sys, &alloc).unwrap_err();
+        assert!(matches!(err, FacilError::InvalidMapping(_)), "{err}");
+        assert!(err.to_string().contains("rows 0 and 8 of tile 0 are not in lock-step"), "{err}");
     }
 
     #[test]

@@ -7,12 +7,18 @@
 //! PRE-AB`, every bank MAC-ing its own chunk in lock-step. Both ranks of a
 //! channel interleave commands on the shared command/data bus; the channel
 //! time is the maximum of the bus occupancy and the per-rank timing path.
+//!
+//! Its tests hold it within 15% of [`facil_dram::run_allbank`] on the streams
+//! [`crate::CommandSequence::to_streams`] lowers from a traced placement.
 
 use facil_core::{MappingDecision, MatrixConfig, PimArch};
 use facil_dram::DramSpec;
 use facil_telemetry::{ArgValue, TraceSink};
 
 use crate::layout::PimPlacement;
+
+/// Cycles to drain the per-bank output registers of one rank per tile.
+const DRAIN_CYCLES_PER_TILE: u64 = 8;
 
 /// Timing knobs of the PIM processing unit (defaults follow the AiM-style
 /// configuration of paper Section VI-A).
@@ -25,13 +31,11 @@ pub struct PimTimingConfig {
     /// Whether the global-buffer load of segment *s+1* overlaps the MAC
     /// stream of segment *s* (double buffering).
     pub gb_double_buffer: bool,
-    /// Cycles to drain the per-bank output registers of one rank per tile.
-    pub drain_cycles_per_tile: u64,
 }
 
 impl Default for PimTimingConfig {
     fn default() -> Self {
-        PimTimingConfig { mac_interval: 2, gb_double_buffer: true, drain_cycles_per_tile: 8 }
+        PimTimingConfig { mac_interval: 2, gb_double_buffer: true }
     }
 }
 
@@ -149,27 +153,6 @@ impl PimEngine {
         timing
     }
 
-    /// Cycle-level cross-validation path: build the per-rank all-bank
-    /// command streams this GEMV issues on one channel and simulate them
-    /// command by command on [`facil_dram::run_allbank`]. The analytic
-    /// [`PimEngine::gemv`] cycles must agree with this within a small
-    /// tolerance (asserted by the test suite).
-    pub fn gemv_simulated_cycles(&self, matrix: &MatrixConfig, decision: &MappingDecision) -> u64 {
-        let topo = &self.spec.topology;
-        let placement = PimPlacement::new(matrix, decision, topo, &self.arch);
-        let streams: Vec<facil_dram::PimStream> = (0..topo.ranks)
-            .map(|rank| facil_dram::PimStream {
-                rank,
-                rows: placement.dram_rows_per_bank,
-                gb_cmds_per_row: self.arch.chunk_row_bytes / topo.transfer_bytes,
-                macs_per_row: topo.columns(),
-                mac_interval: self.cfg.mac_interval,
-                double_buffer: self.cfg.gb_double_buffer,
-            })
-            .collect();
-        facil_dram::run_allbank(&self.spec, &streams).cycles
-    }
-
     /// Time a GEMM (`Y = W X` with `m` input vectors) executed on PIM as
     /// `m` successive MAC passes (how a GEMV engine performs GEMM; used by
     /// the hybrid-dynamic baseline for short prefills).
@@ -195,12 +178,11 @@ impl PimEngine {
 
         // Per-rank timing path (ranks run concurrently).
         let segs_total = placement.tiles * placement.segments * m;
-        let rank_cycles =
-            segs_total * seg_cycles + placement.tiles * m * self.cfg.drain_cycles_per_tile;
+        let rank_cycles = segs_total * seg_cycles + placement.tiles * m * DRAIN_CYCLES_PER_TILE;
         // Command/data bus path: both ranks share one bus per channel.
         let bus_per_seg = gb_cmds + mac_cmds + 2;
-        let bus_cycles = topo.ranks
-            * (segs_total * bus_per_seg + placement.tiles * m * self.cfg.drain_cycles_per_tile);
+        let bus_cycles =
+            topo.ranks * (segs_total * bus_per_seg + placement.tiles * m * DRAIN_CYCLES_PER_TILE);
         let cycles = rank_cycles.max(bus_cycles);
 
         let weight_bytes = placement.weight_bytes * m;
@@ -254,7 +236,8 @@ impl PimEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use facil_core::{select_mapping_2mb, DType};
+    use crate::commands::CommandSequence;
+    use facil_core::{select_mapping_2mb, DType, FacilSystem};
     use facil_dram::DramSpec;
 
     fn jetson() -> (DramSpec, PimArch) {
@@ -365,20 +348,24 @@ mod tests {
     #[test]
     fn analytic_model_matches_cycle_simulation() {
         // The analytic GEMV timing must track the command-level all-bank
-        // simulation within 15% across shapes and configurations.
+        // simulation of the traced stream within 15% across shapes and
+        // configurations.
         let spec = DramSpec::lpddr5_6400(16, 1 << 30); // one channel
         let arch = PimArch::aim(&spec.topology);
         for (rows, cols) in [(512u64, 2048u64), (2048, 2048), (1024, 8192)] {
             let m = MatrixConfig::new(rows, cols, DType::F16);
-            let d = select_mapping_2mb(&m, spec.topology, &arch).unwrap();
+            let mut sys = FacilSystem::new(spec.clone(), arch);
+            let alloc = sys.pimalloc(m).unwrap();
+            let seq = CommandSequence::trace(&sys, &alloc).unwrap();
             for cfg in [
                 PimTimingConfig::default(),
                 PimTimingConfig { gb_double_buffer: false, ..Default::default() },
                 PimTimingConfig { mac_interval: 4, ..Default::default() },
             ] {
                 let engine = PimEngine::with_config(spec.clone(), arch, cfg);
-                let analytic = engine.gemv(&m, &d).cycles as f64;
-                let simulated = engine.gemv_simulated_cycles(&m, &d) as f64;
+                let analytic = engine.gemv(&m, &alloc.decision).cycles as f64;
+                let streams = seq.to_streams(0, cfg.mac_interval, cfg.gb_double_buffer);
+                let simulated = facil_dram::run_allbank(&spec, &streams).cycles as f64;
                 let err = (analytic - simulated).abs() / simulated;
                 assert!(
                     err < 0.15,

@@ -1,9 +1,13 @@
-//! Property-based tests for PIM placement geometry and timing.
+//! Property-based tests for PIM placement geometry and timing, and for the
+//! selector's placements under the tracer.
 
 use facil_check::{cases, Gen};
-use facil_core::{select_mapping_2mb, DType, MatrixConfig, PimArch};
+use facil_core::{
+    select_mapping_2mb, DType, FacilError, FacilSystem, MappingScheme, MatrixConfig, PimArch,
+    PimStyle, HUGE_PAGE_BITS,
+};
 use facil_dram::{DramSpec, Topology};
-use facil_pim::{PimEngine, PimPlacement};
+use facil_pim::{CommandSequence, PimEngine, PimPlacement};
 
 fn topology(g: &mut Gen) -> Topology {
     let (ch, rk, rowb) = (g.u32(0..=4), g.u32(0..=1), g.u32(12..=15));
@@ -77,6 +81,65 @@ fn gemv_timing_is_monotone_and_bounded() {
         let g = engine.gemm(&m, &d, 4);
         assert!(g.time_ns > 3.0 * t1.cycles as f64 * 0.5);
         assert_eq!(g.weight_bytes, 4 * t1.weight_bytes);
+    });
+}
+
+/// Realistic edge-device topologies (powers of two, 2 KB rows, 32 B
+/// transfers, interleaving bits that fit a 2 MB page offset).
+fn edge_topology(g: &mut Gen) -> Topology {
+    let (ch, rk, bg, bpg, rowb) =
+        (g.u32(0..=4), g.u32(0..=1), g.u32(1..=2), g.u32(1..=2), g.u32(8..=14));
+    Topology::new(1 << ch, 1 << rk, 1 << bg, 1 << bpg, 1 << rowb, 2048, 32)
+}
+
+/// The selector's output for one topology and matrix shape is placeable:
+/// MapID within range, partition count a power of two, and an allocation
+/// the tracer accepts with the decision's partition count.
+fn check_selector(topo: Topology, arch: PimArch, rows_log: u32, cols_log: u32) {
+    let m = MatrixConfig::new(1 << rows_log, 1 << cols_log, DType::F16);
+    if (1u64 << cols_log) * 2 < arch.chunk_row_bytes {
+        return; // narrower than a chunk: selector rejects, fine
+    }
+    let d = match select_mapping_2mb(&m, topo, &arch) {
+        Ok(d) => d,
+        // HBM-PIM-style architectures reject the partitioned case
+        // (paper defines Fig. 10 partitioning for AiM only).
+        Err(FacilError::InvalidRequest(_)) => return,
+        Err(e) => panic!("selector failed: {e}"),
+    };
+    assert!(d.partitions.is_power_of_two());
+    let max = MappingScheme::in_page_row_bits(&topo, HUGE_PAGE_BITS).unwrap();
+    assert!(u32::from(d.map_id.0) <= max);
+    // The decision depends on the column count only, so a matrix larger
+    // than the topology's memory is traced over the rows that fit.
+    let rows = m.rows.min(topo.capacity_bytes() / m.padded_row_bytes());
+    let m = MatrixConfig::new(rows, m.cols, m.dtype);
+    let spec = DramSpec { topology: topo, ..DramSpec::lpddr5_6400(16, 1 << 30) };
+    let mut sys = FacilSystem::new(spec, arch);
+    let alloc = sys.pimalloc(m).unwrap();
+    assert_eq!(alloc.decision, d);
+    let seq = CommandSequence::trace(&sys, &alloc).unwrap();
+    assert_eq!(seq.placement().partitions, d.partitions);
+}
+
+/// The selector always returns a placement the tracer accepts.
+#[test]
+fn selector_output_is_always_placeable() {
+    // A failure random search once found: HBM-PIM on 4 channels with a
+    // 16 x 8192 matrix.
+    let topo = Topology::new(4, 1, 4, 2, 256, 2048, 32);
+    let hbm = PimArch {
+        style: PimStyle::HbmPim,
+        chunk_rows: 8,
+        chunk_row_bytes: 256,
+        macs_per_cycle: 16,
+    };
+    assert_eq!(hbm, PimArch::hbm_pim(&topo));
+    check_selector(topo, hbm, 4, 13);
+    cases(128, |g| {
+        let topo = edge_topology(g);
+        let arch = g.pick(&[PimArch::aim(&topo), PimArch::hbm_pim(&topo)]);
+        check_selector(topo, arch, g.u32(4..=10), g.u32(10..=14));
     });
 }
 

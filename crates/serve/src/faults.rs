@@ -242,15 +242,21 @@ impl FaultPlan {
     ///
     /// # Panics
     ///
-    /// Panics if `span_s` or a rate is not finite: arrivals never reach an
-    /// infinite or NaN span, and an infinite rate draws zero-length gaps, so
-    /// the sampler would push events until memory ran out.
+    /// Panics if `span_s`, a rate or `mean_outage_s` is not finite:
+    /// arrivals never reach an infinite or NaN span, an infinite rate draws
+    /// zero-length gaps, so the sampler would push events until memory ran
+    /// out, and a NaN mean outage would silently draw 1 ms outages.
     pub fn random(seed: u64, devices: usize, span_s: f64, rates: FaultRates) -> Self {
         assert!(span_s.is_finite(), "fault plan span_s must be finite, got {span_s}");
         let classes = [(rates.crash_per_s, 0u8), (rates.pim_per_s, 1u8), (rates.kv_per_s, 2u8)];
         for ((rate, _), name) in classes.iter().zip(["crash_per_s", "pim_per_s", "kv_per_s"]) {
             assert!(rate.is_finite(), "fault rate {name} must be finite, got {rate}");
         }
+        let mean_outage_s = rates.mean_outage_s;
+        assert!(
+            mean_outage_s.is_finite(),
+            "fault mean_outage_s must be finite, got {mean_outage_s}"
+        );
         let mut rng = XorShift64Star::new(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0xc4a0);
         let mut events = Vec::new();
         for device in 0..devices {
@@ -264,7 +270,7 @@ impl FaultPlan {
                     if t >= span_s {
                         break;
                     }
-                    let outage = rng.next_exp(1.0 / rates.mean_outage_s.max(1e-3)).max(1e-3);
+                    let outage = rng.next_exp(1.0 / mean_outage_s.max(1e-3)).max(1e-3);
                     let kind = match class {
                         0 => FaultKind::Crash { recover_s: Some(outage) },
                         1 => FaultKind::PimFault { duration_s: outage },
@@ -302,7 +308,8 @@ mod tests {
 
     /// Each non-finite input panics naming its field. At a NaN or infinite
     /// span, or an infinite rate, the sampler used to push events until
-    /// memory ran out.
+    /// memory ran out; a NaN mean outage drew 1 ms outages, and an infinite
+    /// one panicked inside the exponential draw without naming the field.
     #[test]
     fn random_rejects_non_finite_span_and_rates() {
         let rates =
@@ -313,6 +320,8 @@ mod tests {
             (10.0, FaultRates { crash_per_s: f64::INFINITY, ..rates }, "crash_per_s"),
             (10.0, FaultRates { pim_per_s: f64::INFINITY, ..rates }, "pim_per_s"),
             (10.0, FaultRates { kv_per_s: f64::NAN, ..rates }, "kv_per_s"),
+            (10.0, FaultRates { mean_outage_s: f64::NAN, ..rates }, "mean_outage_s"),
+            (10.0, FaultRates { mean_outage_s: f64::INFINITY, ..rates }, "mean_outage_s"),
         ];
         for (span_s, rates, field) in cases {
             let panic = std::panic::catch_unwind(|| FaultPlan::random(3, 2, span_s, rates))

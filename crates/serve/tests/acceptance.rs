@@ -10,7 +10,7 @@ use facil_serve::{
 };
 use facil_sim::{InferenceSim, Strategy};
 use facil_soc::{Platform, PlatformId};
-use facil_workloads::{ArrivalProcess, Dataset};
+use facil_workloads::{ArrivalProcess, Dataset, Query};
 use std::sync::OnceLock;
 
 fn sim() -> &'static InferenceSim {
@@ -60,10 +60,14 @@ fn continuous_batching_sustains_higher_qps_than_fcfs() {
 /// run-to-completion: each request starts at `max(arrival, previous
 /// finish)` and then takes exactly its isolated `run_query` time. Checked
 /// request by request for three strategies, from an idle device to a
-/// saturated one.
+/// saturated one, with one zero-token prompt among the requests.
 #[test]
 fn batch_of_one_is_fcfs_run_to_completion() {
-    let d = Dataset::code_autocompletion_like(5, 48);
+    let mut d = Dataset::code_autocompletion_like(5, 48);
+    // A zero-token prompt: prefilled as one token, decoded from context 1.
+    // First, where arrival times are small enough for its short TTFT to
+    // keep a 1e-9 relative error after the subtraction of times in seconds.
+    d.queries.insert(0, Query { prefill: 0, decode: 8 });
     let n = d.queries.len();
     let rel = |a: f64, b: f64| (a - b).abs() / b.abs().max(1e-12);
     for strategy in [Strategy::HybridStatic, Strategy::HybridDynamic, Strategy::FacilDynamic] {

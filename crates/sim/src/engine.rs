@@ -480,12 +480,15 @@ impl InferenceSim {
     }
 
     /// Run a full query under `strategy`: its whole prefill, then each
-    /// decode step as a healthy batch of one.
+    /// decode step as a healthy batch of one. A zero-token prompt is
+    /// prefilled as one token, and decoding starts from that context, as a
+    /// serving device does.
     pub fn run_query(&self, strategy: Strategy, q: Query) -> QueryResult {
-        let (ttft_ns, relayout_ns, prefill_on_pim) = self.prefill_ns(strategy, q.prefill.max(1));
+        let prefill = q.prefill.max(1);
+        let (ttft_ns, relayout_ns, prefill_on_pim) = self.prefill_ns(strategy, prefill);
         let mut total = ttft_ns;
         for i in 0..q.decode {
-            total += self.decode_batch_ns(strategy, false, &[q.prefill + i]);
+            total += self.decode_batch_ns(strategy, false, &[prefill + i]);
         }
         QueryResult { ttft_ns, ttlt_ns: total, relayout_ns, prefill_on_pim }
     }

@@ -1,15 +1,15 @@
 //! Mapping explorer: for every platform and every weight of its model,
 //! show what the FACIL selector decides — MapID, partitioning, the exact
 //! PA-bit layout — and verify the placement properties of paper
-//! Section II-C hold.
+//! Section II-C hold by tracing a row-capped copy of the weight.
 //!
 //! Run with: `cargo run --release --example mapping_explorer`
 
 use facil::core::{
-    max_map_id_bound, select_mapping_2mb, DType, MappingScheme, MatrixConfig, PlacementChecker,
-    HUGE_PAGE_BITS,
+    max_map_id_bound, DType, FacilSystem, MappingScheme, MatrixConfig, HUGE_PAGE_BITS,
 };
 use facil::llm::ModelConfig;
+use facil::pim::CommandSequence;
 use facil::soc::{Platform, PlatformId};
 
 fn main() {
@@ -32,24 +32,31 @@ fn main() {
         );
         println!("conventional: {}", MappingScheme::conventional(topo));
 
+        let mut sys = FacilSystem::new(platform.dram.clone(), platform.pim_arch);
         let mut seen = std::collections::BTreeSet::new();
         for (op, _) in model.all_linears() {
-            let matrix = MatrixConfig::new(op.out_features, op.in_features, DType::F16);
-            let d = select_mapping_2mb(&matrix, topo, &platform.pim_arch).expect("mappable");
-            let checker = PlacementChecker::new(&matrix, &d, &platform.pim_arch, 0);
-            let report = checker.check_all().expect("placement invariants hold");
+            // The decision depends on the column count only; trace a copy
+            // capped at 1024 rows rather than every row of the weight.
+            let rows = op.out_features.min(1024);
+            let alloc = sys
+                .pimalloc(MatrixConfig::new(rows, op.in_features, DType::F16))
+                .expect("mappable");
+            let seq = CommandSequence::trace(&sys, &alloc).expect("placement invariants hold");
+            let d = &alloc.decision;
             println!(
-                "  {:<10} {:>14}  -> MapID {} | partitions {} | PUs/row {} | {}",
+                "  {:<10} {:>14}  -> MapID {} | partitions {} | {} waves over {} rows | {}",
                 op.name,
                 format!("{}x{}", op.out_features, op.in_features),
                 d.map_id.0,
                 d.partitions,
-                report.pus_per_row,
+                seq.waves().len(),
+                rows,
                 if seen.insert(d.map_id) { "new frontend slot" } else { "shares slot" },
             );
             if seen.len() == 1 {
                 println!("             layout: {}", d.scheme);
             }
+            sys.free(&alloc).expect("live allocation");
         }
         println!(
             "  distinct MapIDs for the whole model: {} (fits the paper's 4-slot mux: {})",

@@ -48,6 +48,15 @@ PY
 echo "== build (release) =="
 cargo build --workspace --release --offline
 
+echo "== examples (release) =="
+# cargo test compiles the examples but runs none of them: run each once,
+# failing on a non-zero exit (mapping_explorer traces every paper weight).
+for example in examples/*.rs; do
+  example="$(basename "$example" .rs)"
+  cargo run --release -q --offline --example "$example" > /dev/null
+  echo "$example: ran"
+done
+
 echo "== committed records (release) =="
 # BENCH_mapsearch.json, BENCH_fidelity.json, BENCH_cluster.json and
 # BENCH_report.json are the full --json runs of their binaries, committed

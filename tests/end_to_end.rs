@@ -2,10 +2,10 @@
 //! table → frontend mux → DRAM cells → PIM compute, and the full
 //! strategy-level evaluation on all four paper platforms.
 
-use facil::core::{DType, FacilSystem, MatrixConfig, PimArch, PlacementChecker};
+use facil::core::{DType, FacilSystem, MatrixConfig, PimArch};
 use facil::dram::{BankedMemory, DramSpec};
 use facil::llm::ModelConfig;
-use facil::pim::{load_matrix, pim_gemv, store_matrix, PimEngine};
+use facil::pim::{load_matrix, pim_gemv, store_matrix, CommandSequence, PimEngine};
 use facil::sim::{InferenceSim, Strategy};
 use facil::soc::{Platform, PlatformId};
 use facil::workloads::{Dataset, Query};
@@ -40,8 +40,8 @@ fn soc_writes_pim_computes_soc_reads() {
 }
 
 /// Every weight of every paper model is placeable on its paper platform,
-/// passes the placement validators, and the whole model fits in the
-/// 4-slot frontend mux.
+/// its placement passes the tracer's checks, and the whole model fits in
+/// the 4-slot frontend mux.
 #[test]
 fn all_paper_models_place_on_their_platforms() {
     for id in PlatformId::all() {
@@ -50,14 +50,15 @@ fn all_paper_models_place_on_their_platforms() {
         let mut sys = FacilSystem::new(platform.dram.clone(), platform.pim_arch);
         let mut distinct = std::collections::BTreeSet::new();
         for (op, _) in model.all_linears() {
-            // One row of each shape suffices to exercise mapping/placement
-            // without allocating 16 GB of simulated frames per weight.
+            // The decision depends on the column count only, so a copy
+            // capped at 1024 rows exercises mapping and placement without
+            // allocating and tracing 16 GB of simulated frames per weight.
             let matrix = MatrixConfig::new(op.out_features.min(1024), op.in_features, DType::F16);
             let alloc = sys.pimalloc(matrix).unwrap_or_else(|e| panic!("{id}/{}: {e}", op.name));
             distinct.insert(alloc.map_id());
-            let checker = PlacementChecker::new(&matrix, &alloc.decision, &platform.pim_arch, 0);
-            let report = checker.check_all().unwrap_or_else(|e| panic!("{id}/{}: {e}", op.name));
-            assert_eq!(report.pus_per_row, alloc.decision.partitions, "{id}/{}", op.name);
+            let seq = CommandSequence::trace(&sys, &alloc)
+                .unwrap_or_else(|e| panic!("{id}/{}: {e}", op.name));
+            assert_eq!(seq.placement().partitions, alloc.decision.partitions, "{id}/{}", op.name);
             sys.free(&alloc).unwrap();
         }
         assert!(
