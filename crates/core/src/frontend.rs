@@ -103,6 +103,21 @@ impl Frontend {
         self.slots.get(map_id.0 as usize).and_then(|s| s.as_ref())
     }
 
+    /// The mapping `map_id` selects (`None` = conventional).
+    ///
+    /// # Errors
+    ///
+    /// [`FacilError::MapIdOutOfRange`] if the MapID has no installed scheme
+    /// (hardware would raise a machine check here).
+    pub fn selected(&self, map_id: Option<MapId>) -> Result<&MappingScheme> {
+        match map_id {
+            None => Ok(&self.conventional),
+            Some(id) => {
+                self.scheme(id).ok_or(FacilError::MapIdOutOfRange { requested: id.0, max: 15 })
+            }
+        }
+    }
+
     /// Translate a physical address under the mapping selected by `map_id`
     /// (`None` = conventional).
     ///
@@ -111,13 +126,7 @@ impl Frontend {
     /// [`FacilError::MapIdOutOfRange`] if the MapID has no installed scheme
     /// (hardware would raise a machine check here).
     pub fn translate(&self, pa: u64, map_id: Option<MapId>) -> Result<DramAddress> {
-        match map_id {
-            None => Ok(self.conventional.map_pa(pa)),
-            Some(id) => match self.scheme(id) {
-                Some(s) => Ok(s.map_pa(pa)),
-                None => Err(FacilError::MapIdOutOfRange { requested: id.0, max: 15 }),
-            },
-        }
+        Ok(self.selected(map_id)?.map_pa(pa))
     }
 
     /// Hardware-cost figure: inputs of each of the five field multiplexers

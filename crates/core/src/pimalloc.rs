@@ -23,7 +23,7 @@ use crate::error::FacilError;
 use crate::error::Result;
 use crate::frontend::Frontend;
 use crate::matrix::MatrixConfig;
-use crate::paging::{AddressSpace, AllocStats, MmapFlags, RadixPageTable};
+use crate::paging::{AddressSpace, AllocStats, MmapFlags, RadixPageTable, BASE_PAGE_BITS};
 use crate::scheme::{HUGE_PAGE_BITS, HUGE_PAGE_BYTES};
 use crate::select::{select_mapping, MapId, MappingDecision};
 
@@ -230,6 +230,19 @@ impl AddressMapper for VaMapper<'_> {
     /// fault); callers decide whether that is fatal.
     fn map(&self, va: u64) -> std::result::Result<DramAddress, MapFault> {
         self.system.translate_va(va).map_err(|_| MapFault { addr: va })
+    }
+
+    /// The selected scheme's run at the translated PA, cut at the end of
+    /// the page: the next page's frame can be anywhere.
+    fn map_run(&self, va: u64) -> std::result::Result<(DramAddress, u64), MapFault> {
+        let fault = |_| MapFault { addr: va };
+        let t = self.system.space.translate(va).map_err(fault)?;
+        let scheme = self.system.frontend.selected(t.map_id).map_err(fault)?;
+        let (addr, run) = scheme.map_run(t.pa)?;
+        let page = 1u64 << if t.huge { HUGE_PAGE_BITS } else { BASE_PAGE_BITS };
+        let tx = scheme.topology().transfer_bytes;
+        let in_page = (page - (va & (page - 1) & !(tx - 1))) / tx;
+        Ok((addr, run.min(in_page)))
     }
 }
 

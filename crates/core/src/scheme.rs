@@ -448,6 +448,24 @@ impl AddressMapper for MappingScheme {
     fn map(&self, pa: u64) -> std::result::Result<DramAddress, MapFault> {
         Ok(self.map_pa(pa))
     }
+
+    /// A layout that starts with all the transfer bits and then column bits
+    /// (every PIM-optimized scheme: one chunk row) keeps the rest of that
+    /// column run in one bank row, since the row, and so a hashed bank,
+    /// comes from higher bits. Any other layout promises one transfer: the
+    /// conventional scheme changes channel from one transfer to the next.
+    fn map_run(&self, pa: u64) -> std::result::Result<(DramAddress, u64), MapFault> {
+        let run = match self.segments.as_slice() {
+            [Segment { field: Field::Tx, width: tx }, Segment { field: Field::Column, width: col }, ..]
+                if *tx == self.topo.tx_bits() =>
+            {
+                let len = 1u64 << col;
+                len - ((pa >> tx) & (len - 1))
+            }
+            _ => 1,
+        };
+        Ok((self.map_pa(pa), run))
+    }
 }
 
 impl std::fmt::Display for MappingScheme {

@@ -59,8 +59,15 @@ impl BankedMemory {
         (addr.column * self.topo.transfer_bytes) as usize
     }
 
-    /// The row image holding `addr`, if that row was ever written.
-    fn row(&self, addr: DramAddress) -> Option<&[u8]> {
+    /// The whole row image of `addr`'s bank and row (its column is
+    /// ignored), if that row was ever written: `row_bytes` long, transfer
+    /// `c` at bytes `c * transfer_bytes ..`. The all-bank replay borrows one
+    /// per bank at `ACT-AB` and reads every MAC beat's transfer from it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is out of range for the topology.
+    pub fn row(&self, addr: DramAddress) -> Option<&[u8]> {
         self.banks[self.flat_bank(addr)].get(&addr.row).map(Vec::as_slice)
     }
 
@@ -93,37 +100,61 @@ impl BankedMemory {
         self.row_mut(addr)[off..off + data.len()].copy_from_slice(data);
     }
 
-    /// Write `data` starting at physical byte address `pa`, translating each
-    /// transfer through `mapper`. Partial transfers keep the rest of the
-    /// stored transfer.
+    /// One mapped run of a byte copy: the device address of `pa`, the
+    /// byte offset of `pa` in that row image, and how many of the next
+    /// `left` bytes sit contiguously from there (the mapper's
+    /// [`AddressMapper::map_run`], cut at `left`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the mapper reports an empty run or one that leaves the row.
+    fn run<M: AddressMapper>(
+        &self,
+        mapper: &M,
+        pa: u64,
+        left: usize,
+    ) -> Result<(DramAddress, usize, usize), MapFault> {
+        let tx = self.topo.transfer_bytes;
+        let (addr, transfers) = mapper.map_run(pa)?;
+        assert!(transfers >= 1, "a mapped run holds at least its own transfer");
+        let off = self.offset(addr) + (pa % tx) as usize;
+        let len = ((transfers * tx - pa % tx) as usize).min(left);
+        assert!(
+            off + len <= self.topo.row_bytes as usize,
+            "mapped run of {transfers} transfers at {addr} leaves its row"
+        );
+        Ok((addr, off, len))
+    }
+
+    /// Write `data` starting at physical byte address `pa` through `mapper`,
+    /// one row-image copy per mapped run ([`AddressMapper::map_run`]; one
+    /// transfer for a mapper that promises no more). Partial transfers keep
+    /// the rest of the stored transfer.
     ///
     /// # Errors
     ///
     /// Propagates the first [`MapFault`] the mapper raises; bytes before the
-    /// faulting transfer are already written.
+    /// faulting run are already written.
     pub fn write_bytes<M: AddressMapper>(
         &mut self,
         mapper: &M,
         pa: u64,
         data: &[u8],
     ) -> Result<(), MapFault> {
-        let tx = self.topo.transfer_bytes;
         let mut cur = pa;
         let mut remaining = data;
         while !remaining.is_empty() {
-            let offset = (cur % tx) as usize;
-            let chunk = ((tx as usize) - offset).min(remaining.len());
-            let addr = mapper.map(cur)?;
-            let off = self.offset(addr) + offset;
-            self.row_mut(addr)[off..off + chunk].copy_from_slice(&remaining[..chunk]);
-            remaining = &remaining[chunk..];
-            cur += chunk as u64;
+            let (addr, off, len) = self.run(mapper, cur, remaining.len())?;
+            self.row_mut(addr)[off..off + len].copy_from_slice(&remaining[..len]);
+            remaining = &remaining[len..];
+            cur += len as u64;
         }
         Ok(())
     }
 
     /// Read `len` bytes starting at physical byte address `pa` through
-    /// `mapper`. Unwritten cells read as zero.
+    /// `mapper`, one row-image copy per mapped run. Unwritten cells read as
+    /// zero.
     ///
     /// # Errors
     ///
@@ -134,19 +165,15 @@ impl BankedMemory {
         pa: u64,
         len: usize,
     ) -> Result<Vec<u8>, MapFault> {
-        let tx = self.topo.transfer_bytes;
         let mut out = Vec::with_capacity(len);
         let mut cur = pa;
         while out.len() < len {
-            let offset = (cur % tx) as usize;
-            let chunk = ((tx as usize) - offset).min(len - out.len());
-            let addr = mapper.map(cur)?;
-            let off = self.offset(addr) + offset;
+            let (addr, off, n) = self.run(mapper, cur, len - out.len())?;
             match self.row(addr) {
-                Some(row) => out.extend_from_slice(&row[off..off + chunk]),
-                None => out.resize(out.len() + chunk, 0),
+                Some(row) => out.extend_from_slice(&row[off..off + n]),
+                None => out.resize(out.len() + n, 0),
             }
-            cur += chunk as u64;
+            cur += n as u64;
         }
         Ok(out)
     }

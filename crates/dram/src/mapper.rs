@@ -39,6 +39,22 @@ pub trait AddressMapper {
     ///
     /// [`MapFault`] if the address has no translation (unmapped VA).
     fn map(&self, pa: u64) -> Result<DramAddress, MapFault>;
+
+    /// Map `pa` as [`map`](Self::map) does, and say how many transfers,
+    /// `pa`'s own first, the mapping guarantees to place at consecutive
+    /// columns of the returned address's bank and row. Bulk copies map once
+    /// per such run instead of once per transfer.
+    ///
+    /// The default promises only `pa`'s own transfer (a run of 1), which is
+    /// always true; a mapper overrides it only where its layout guarantees
+    /// longer runs.
+    ///
+    /// # Errors
+    ///
+    /// [`MapFault`] if the address has no translation (unmapped VA).
+    fn map_run(&self, pa: u64) -> Result<(DramAddress, u64), MapFault> {
+        Ok((self.map(pa)?, 1))
+    }
 }
 
 /// Adapter turning an infallible closure into an [`AddressMapper`].
@@ -60,11 +76,19 @@ impl<M: AddressMapper + ?Sized> AddressMapper for &M {
     fn map(&self, pa: u64) -> Result<DramAddress, MapFault> {
         (**self).map(pa)
     }
+
+    fn map_run(&self, pa: u64) -> Result<(DramAddress, u64), MapFault> {
+        (**self).map_run(pa)
+    }
 }
 
 impl<M: AddressMapper + ?Sized> AddressMapper for Box<M> {
     fn map(&self, pa: u64) -> Result<DramAddress, MapFault> {
         (**self).map(pa)
+    }
+
+    fn map_run(&self, pa: u64) -> Result<(DramAddress, u64), MapFault> {
+        (**self).map_run(pa)
     }
 }
 

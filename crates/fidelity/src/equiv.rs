@@ -11,20 +11,24 @@
 //!   all-bank command stream traced once, and every GEMV executed by
 //!   [`crate::replay_gemv`] — the functional command interpreter.
 //! * **Conventional path** — the same fp16 bytes are written through
-//!   [`MappingScheme::conventional`] into a *second* cell store, read back,
-//!   and multiplied on the (modelled) SoC by [`crate::gemv_fixed_order`],
-//!   which uses the PIM-identical accumulation order.
+//!   [`MappingScheme::conventional`] into a *second* cell store, read back
+//!   as fp16 bytes, and multiplied on the (modelled) SoC by
+//!   [`crate::gemv_fixed_order`], which uses the PIM-identical accumulation
+//!   order.
+//!
+//! Each linear's weights are generated a matrix row at a time and that row's
+//! fp16 bytes go to both cell stores, so no whole-matrix `f32` or byte copy
+//! is ever held.
 //!
 //! Activations are re-quantized to fp16 between layers on both paths, so
 //! every intermediate value is exactly representable and the two paths must
 //! agree *bit for bit* on every logit of every step — no epsilon.
 
 use facil_core::{DType, FacilSystem, MappingScheme, MatrixConfig, PimArch};
-use facil_dram::{BankedMemory, DramSpec, FnMapper};
+use facil_dram::{BankedMemory, DramSpec};
 use facil_llm::ModelConfig;
 use facil_pim::commands::CommandSequence;
-use facil_pim::f16::{decode_f16_le, encode_f16_le, f16_bits_to_f32, f32_to_f16_bits};
-use facil_pim::store_matrix;
+use facil_pim::f16::{f16_bits_to_f32, f32_to_f16_bits};
 
 use crate::replay::{gemv_fixed_order, replay_gemv};
 
@@ -52,11 +56,10 @@ struct PlacedLinear {
     cols: u64,
     /// The all-bank command stream for the FACIL-mapped copy.
     seq: CommandSequence,
-    /// Weights read back from the conventional copy (exact fp16 values).
-    conv_w: Vec<f32>,
+    /// fp16 weight bytes read back from the conventional copy.
+    conv_w: Vec<u8>,
     chunk_elems: u64,
     map_id: u8,
-    partitions: u64,
 }
 
 fn splitmix64(mut z: u64) -> u64 {
@@ -101,7 +104,7 @@ fn argmax(logits: &[f32]) -> u64 {
 ///
 /// # Errors
 ///
-/// Propagates `pimalloc`, `store_matrix` and command-trace errors from the
+/// Propagates `pimalloc`, page-table and command-trace errors from the
 /// FACIL path, and conventional-mapping faults from the SoC path.
 pub fn token_equivalence(
     spec: &DramSpec,
@@ -118,7 +121,6 @@ pub fn token_equivalence(
     // the SoC-default mapping at bump-allocated physical addresses.
     let mut conv_mem = BankedMemory::new(topo);
     let conv = MappingScheme::conventional(topo);
-    let conv_mapper = FnMapper(move |pa: u64| conv.map_pa(pa));
     let mut conv_pa = 0u64;
 
     // Linear execution order: `layers x block_linears`, then the LM head.
@@ -129,30 +131,39 @@ pub fn token_equivalence(
     }
     ops.push(model.lm_head());
 
+    // fp16 bits of the 15 values `grid` takes, by `h % 15`.
+    let grid_f16: [u16; 15] = std::array::from_fn(|k| f32_to_f16_bits(grid(k as u64)));
     let mut linears = Vec::with_capacity(ops.len());
     for (idx, op) in ops.iter().enumerate() {
         let rows = op.out_features;
         let cols = op.in_features;
-        let w: Vec<f32> =
-            (0..rows * cols).map(|i| grid(splitmix64(seed ^ ((idx as u64) << 48) ^ i))).collect();
-
-        // FACIL path: allocate, fill through the mapped page table, trace.
+        let key = seed ^ ((idx as u64) << 48);
         let alloc = sys.pimalloc(MatrixConfig::new(rows, cols, DType::F16))?;
-        store_matrix(&mut facil_mem, &sys, &alloc, &w)?;
-        let seq = CommandSequence::trace(&sys, &alloc)?;
 
-        // Conventional path: raw row-major fp16 bytes under the SoC mapping.
-        let bytes = encode_f16_le(&w);
-        conv_mem.write_bytes(&conv_mapper, conv_pa, &bytes)?;
-        let conv_w = decode_f16_le(&conv_mem.read_bytes(&conv_mapper, conv_pa, bytes.len())?);
-        conv_pa += (bytes.len() as u64).next_multiple_of(topo.row_bytes);
+        // One matrix row of fp16 bytes at a time, into the FACIL copy
+        // through the mapped page table and into the conventional copy as
+        // raw row-major bytes under the SoC mapping.
+        let row_bytes = (cols * 2) as usize;
+        let mut row = vec![0u8; row_bytes];
+        let va_mapper = sys.va_mapper();
+        for r in 0..rows {
+            for (c, b) in row.chunks_exact_mut(2).enumerate() {
+                let h = splitmix64(key ^ (r * cols + c as u64));
+                b.copy_from_slice(&grid_f16[(h % 15) as usize].to_le_bytes());
+            }
+            facil_mem.write_bytes(&va_mapper, alloc.element_va(r, 0), &row)?;
+            conv_mem.write_bytes(&conv, conv_pa + r * cols * 2, &row)?;
+        }
+        let seq = CommandSequence::trace(&sys, &alloc)?;
+        let bytes = rows as usize * row_bytes;
+        let conv_w = conv_mem.read_bytes(&conv, conv_pa, bytes)?;
+        conv_pa += (bytes as u64).next_multiple_of(topo.row_bytes);
 
         linears.push(PlacedLinear {
             rows,
             cols,
             chunk_elems: seq.chunk_elems(),
             map_id: alloc.decision.map_id.0,
-            partitions: alloc.decision.partitions,
             seq,
             conv_w,
         });
@@ -171,15 +182,8 @@ pub fn token_equivalence(
         let last = linears.len() - 1;
         for (i, lin) in linears.iter().enumerate() {
             let fy = replay_gemv(&facil_mem, &lin.seq, &fx);
-            let cy = gemv_fixed_order(
-                &lin.conv_w,
-                lin.rows,
-                lin.cols,
-                &cx,
-                lin.chunk_elems,
-                lin.map_id,
-                lin.partitions,
-            );
+            let cy =
+                gemv_fixed_order(&lin.conv_w, lin.rows, lin.cols, &cx, lin.chunk_elems, lin.map_id);
             if i == last {
                 logit_mismatches +=
                     fy.iter().zip(&cy).filter(|(a, b)| a.to_bits() != b.to_bits()).count() as u64;

@@ -9,6 +9,13 @@
 //! partial sums at tile boundaries; the SoC-side reduction sums partials in
 //! partition-ascending order.
 //!
+//! The interpreter keeps dense state: registers and their bindings in
+//! `Vec`s indexed by (flat bank, slot), partial sums in one indexed by (row,
+//! partition) with a present flag, global-buffer slices, open rows and the
+//! wave's bank tasks per rank. `ACT-AB` borrows each bank's row image once
+//! ([`BankedMemory::row`]); every `MAC-AB` beat decodes its transfer from
+//! that image in place.
+//!
 //! **Bit-exactness contract.** The accumulation order is fixed: within a
 //! partition, chunks are visited segment-ascending and elements ascending
 //! into a single `f32` accumulator that starts at `0.0`; partials are
@@ -17,15 +24,14 @@
 //! reproduces its output *bit for bit* — which [`cross_check`] asserts by
 //! comparing both `f32` and fp16 bit patterns.
 
-use std::collections::{BTreeMap, HashMap};
-
 use facil_core::{FacilSystem, PimAllocation};
 use facil_dram::{BankedMemory, DramAddress};
-use facil_pim::commands::{CommandSequence, PimCommand};
-use facil_pim::f16::{decode_f16_le, f32_to_f16_bits};
+use facil_pim::commands::{BankTask, CommandSequence, PimCommand};
+use facil_pim::f16::{f16_bits_to_f32, f32_to_f16_bits};
 
 /// One partition's staged global-buffer content during a wave.
 struct GbBuf {
+    partition: u64,
     base: u64,
     vals: Vec<f32>,
 }
@@ -43,155 +49,183 @@ pub fn replay_gemv(mem: &BankedMemory, seq: &CommandSequence, x: &[f32]) -> Vec<
     let m = seq.matrix();
     assert_eq!(x.len() as u64, m.cols, "input length must match matrix columns");
     let topo = *seq.topology();
-    let elems_per_tx = (topo.transfer_bytes / 2) as usize;
+    let tx = topo.transfer_bytes as usize;
+    let elems_per_tx = tx / 2;
     let chunk_tx = seq.chunk_elems() * 2 / topo.transfer_bytes;
+    let banks = topo.banks() as usize;
+    let rank_of = |channel: u64, rank: u64| (channel * topo.ranks + rank) as usize;
+    let ranks = rank_of(topo.channels, 0);
+    // Chunk rows per DRAM row: the output registers (slots) of one PU.
+    let slots = (topo.columns() / chunk_tx) as usize;
+    let partitions = seq.placement().partitions as usize;
 
-    // PU output registers: (flat bank, slot) -> accumulator. Persist across
-    // the waves of one tile, drain between tiles.
-    let mut registers: HashMap<(u64, u64), f32> = HashMap::new();
-    // Register binding for the current tile: (flat bank, slot) -> (row, partition).
-    let mut binding: HashMap<(u64, u64), (u64, u64)> = HashMap::new();
-    // Drained partial sums: (row, partition) -> value.
-    let mut partials: BTreeMap<(u64, u64), f32> = BTreeMap::new();
-    let mut cur_tile: Option<u64> = None;
+    // PU output registers, (flat bank, slot) at `flat * slots + slot`, and
+    // the (row, partition) partial, at `row * partitions + partition`, each
+    // one accumulates for in the current tile. They persist across the
+    // waves of one tile and drain into `partials` between tiles.
+    let mut registers = vec![0f32; ranks * banks * slots];
+    let mut binding: Vec<Option<usize>> = vec![None; registers.len()];
+    let mut partials: Vec<Option<f32>> = vec![None; m.rows as usize * partitions];
 
-    let drain = |registers: &mut HashMap<(u64, u64), f32>,
-                 binding: &mut HashMap<(u64, u64), (u64, u64)>,
-                 partials: &mut BTreeMap<(u64, u64), f32>| {
-        for (key, rk) in binding.drain() {
-            if let Some(acc) = registers.remove(&key) {
-                partials.insert(rk, acc);
-            }
-        }
-        registers.clear();
-    };
+    // Per-rank interpreter state, reset every wave: the bank tasks, staged
+    // global-buffer slices and open row of each rank, and the row image
+    // each bank of an open row reads from (unwritten rows read as zero).
+    let mut rank_tasks: Vec<Vec<&BankTask>> = vec![Vec::new(); ranks];
+    let mut gb: Vec<Vec<GbBuf>> = (0..ranks).map(|_| Vec::new()).collect();
+    let mut open: Vec<Option<u64>> = vec![None; ranks];
+    let zero_row = vec![0u8; topo.row_bytes as usize];
+    let mut row_image: Vec<&[u8]> = vec![&zero_row; ranks * banks];
 
-    for wave in seq.waves() {
-        if cur_tile.is_some() && cur_tile != Some(wave.tile) {
-            drain(&mut registers, &mut binding, &mut partials);
-        }
-        cur_tile = Some(wave.tile);
-        // Bank tasks of this wave, grouped per (channel, rank) for the
-        // rank-broadcast commands.
-        let mut rank_tasks: HashMap<(u64, u64), Vec<&facil_pim::commands::BankTask>> =
-            HashMap::new();
-        for t in &wave.tasks {
-            rank_tasks.entry((t.channel, t.rank)).or_default().push(t);
-            let flat = (t.channel * topo.ranks + t.rank) * topo.banks() + t.bank;
-            for row in &t.rows {
-                binding.insert((flat, row.slot), (row.matrix_row, row.partition));
-            }
-        }
-        // Per-rank interpreter state for this wave.
-        let mut gb: HashMap<(u64, u64), BTreeMap<u64, GbBuf>> = HashMap::new();
-        let mut open: HashMap<(u64, u64), u64> = HashMap::new();
-
-        for cmd in seq.wave_commands(wave) {
-            match cmd {
-                PimCommand::GbLoad { channel, rank, partition, input_elem0, elems } => {
-                    let buf = gb
-                        .entry((channel, rank))
-                        .or_default()
-                        .entry(partition)
-                        .or_insert_with(|| GbBuf { base: input_elem0, vals: Vec::new() });
-                    for e in input_elem0..input_elem0 + elems {
-                        buf.vals.push(x[e as usize]);
-                    }
+    for tile in seq.waves().chunk_by(|a, b| a.tile == b.tile) {
+        for wave in tile {
+            rank_tasks.iter_mut().for_each(Vec::clear);
+            gb.iter_mut().for_each(Vec::clear);
+            open.fill(None);
+            for t in &wave.tasks {
+                let rank = rank_of(t.channel, t.rank);
+                rank_tasks[rank].push(t);
+                let flat = rank * banks + t.bank as usize;
+                for row in &t.rows {
+                    binding[flat * slots + row.slot as usize] =
+                        Some(row.matrix_row as usize * partitions + row.partition as usize);
                 }
-                PimCommand::ActAb { channel, rank, dram_row } => {
-                    assert_eq!(dram_row, wave.dram_row, "ACT-AB row must match the wave");
-                    open.insert((channel, rank), dram_row);
-                }
-                PimCommand::MacAb { channel, rank, column } => {
-                    // The tracer emits GB-LOAD and ACT-AB for every rank of a
-                    // wave before its first MAC-AB, so neither lookup can miss
-                    // on a traced sequence.
-                    #[allow(clippy::expect_used)]
-                    let row = *open.get(&(channel, rank)).expect("MAC-AB on a closed row");
-                    #[allow(clippy::expect_used)]
-                    let slices = gb.get(&(channel, rank)).expect("MAC-AB before GB staging");
-                    for t in rank_tasks.get(&(channel, rank)).map_or(&[][..], Vec::as_slice) {
-                        let flat = (channel * topo.ranks + rank) * topo.banks() + t.bank;
-                        for task in &t.rows {
-                            if column < task.column0 || column >= task.column0 + chunk_tx {
-                                continue;
+            }
+
+            for cmd in seq.wave_commands(wave) {
+                match cmd {
+                    PimCommand::GbLoad { channel, rank, partition, input_elem0, elems } => {
+                        let bufs = &mut gb[rank_of(channel, rank)];
+                        let i = match bufs.iter().position(|b| b.partition == partition) {
+                            Some(i) => i,
+                            None => {
+                                bufs.push(GbBuf { partition, base: input_elem0, vals: Vec::new() });
+                                bufs.len() - 1
                             }
-                            let da = DramAddress { channel, rank, bank: t.bank, row, column };
-                            let w = decode_f16_le(&mem.load_transfer(da));
-                            let buf = &slices[&task.partition];
-                            let e0 = ((column - task.column0) as usize) * elems_per_tx;
-                            let acc = registers.entry((flat, task.slot)).or_insert(0.0);
-                            for (i, wv) in w.iter().enumerate() {
-                                let e = e0 + i;
-                                if (e as u64) < task.elems {
-                                    debug_assert_eq!(buf.base + e as u64, task.col0 + e as u64);
-                                    *acc += wv * buf.vals[e];
+                        };
+                        // The padded tail of a ragged chunk stages nothing: its
+                        // GB-LOADs carry no elements and start past the input.
+                        if elems > 0 {
+                            let e0 = input_elem0 as usize;
+                            bufs[i].vals.extend_from_slice(&x[e0..e0 + elems as usize]);
+                        }
+                    }
+                    PimCommand::ActAb { channel, rank, dram_row } => {
+                        assert_eq!(dram_row, wave.dram_row, "ACT-AB row must match the wave");
+                        let r = rank_of(channel, rank);
+                        open[r] = Some(dram_row);
+                        for t in &rank_tasks[r] {
+                            let da = DramAddress {
+                                channel,
+                                rank,
+                                bank: t.bank,
+                                row: dram_row,
+                                column: 0,
+                            };
+                            row_image[r * banks + t.bank as usize] =
+                                mem.row(da).unwrap_or(&zero_row);
+                        }
+                    }
+                    PimCommand::MacAb { channel, rank, column } => {
+                        // The tracer emits GB-LOAD and ACT-AB for every rank of
+                        // a wave before its first MAC-AB, so neither check can
+                        // fail on a traced sequence.
+                        let r = rank_of(channel, rank);
+                        assert!(open[r].is_some(), "MAC-AB on a closed row");
+                        let slices = &gb[r];
+                        assert!(!slices.is_empty(), "MAC-AB before GB staging");
+                        let off = column as usize * tx;
+                        for t in &rank_tasks[r] {
+                            let flat = r * banks + t.bank as usize;
+                            let transfer = &row_image[flat][off..off + tx];
+                            for task in &t.rows {
+                                if column < task.column0 || column >= task.column0 + chunk_tx {
+                                    continue;
                                 }
+                                #[allow(clippy::expect_used)]
+                                let buf = slices
+                                    .iter()
+                                    .find(|b| b.partition == task.partition)
+                                    .expect("MAC-AB on an unstaged partition");
+                                let e0 = ((column - task.column0) as usize) * elems_per_tx;
+                                let live =
+                                    (task.elems as usize).saturating_sub(e0).min(elems_per_tx);
+                                // A transfer wholly in a ragged chunk's padding
+                                // adds nothing.
+                                if live == 0 {
+                                    continue;
+                                }
+                                debug_assert_eq!(buf.base, task.col0);
+                                let reg = &mut registers[flat * slots + task.slot as usize];
+                                let mut acc = *reg;
+                                for (w, xv) in
+                                    transfer.chunks_exact(2).zip(&buf.vals[e0..e0 + live])
+                                {
+                                    acc += f16_bits_to_f32(u16::from_le_bytes([w[0], w[1]])) * xv;
+                                }
+                                *reg = acc;
                             }
                         }
                     }
-                }
-                PimCommand::PreAb { channel, rank } => {
-                    open.remove(&(channel, rank));
+                    PimCommand::PreAb { channel, rank } => {
+                        open[rank_of(channel, rank)] = None;
+                    }
                 }
             }
         }
+        // Tile boundary: every bound register drains into its partial and
+        // starts the next tile at 0.0.
+        for (acc, bound) in registers.iter_mut().zip(&mut binding) {
+            if let Some(p) = bound.take() {
+                partials[p] = Some(std::mem::take(acc));
+            }
+        }
     }
-    drain(&mut registers, &mut binding, &mut partials);
 
     // SoC-side reduction: partials summed partition-ascending per row,
     // starting from 0.0 — the fixed-order contract.
-    let mut y = vec![0f32; m.rows as usize];
-    for ((r, _k), v) in &partials {
-        y[*r as usize] += v;
-    }
-    y
+    partials
+        .chunks_exact(partitions)
+        .map(|row| row.iter().flatten().fold(0.0, |y, v| y + v))
+        .collect()
 }
 
-/// SoC GEMV with the *PIM-identical* accumulation order: chunk by chunk,
-/// partition boundaries every `1 << map_id` chunks, one `f32` accumulator
-/// per partition, partials reduced partition-ascending. Running this over
-/// weights read back through any mapping gives logits bit-identical to the
-/// functional PIM replay — the token-equivalence contract.
+/// SoC GEMV with the *PIM-identical* accumulation order over the weights'
+/// little-endian fp16 bytes `w` (row-major, as read back from the cells):
+/// each row walks as slices of `chunk_elems << map_id` elements, one
+/// partition each, into one `f32` accumulator per partition, and the
+/// partials are reduced partition-ascending. Running this over weights read
+/// back through any mapping gives logits bit-identical to the functional PIM
+/// replay — the token-equivalence contract. A partition that holds only
+/// `pimalloc`'s padding has no slice here and no partial in the replay.
 ///
 /// # Panics
 ///
-/// Panics if `w.len() != rows * cols`, `x.len() != cols`, or a row does not
-/// touch exactly `partitions` partitions.
+/// Panics if `w.len() != 2 * rows * cols` or `x.len() != cols`.
 pub fn gemv_fixed_order(
-    w: &[f32],
+    w: &[u8],
     rows: u64,
     cols: u64,
     x: &[f32],
     chunk_elems: u64,
     map_id: u8,
-    partitions: u64,
 ) -> Vec<f32> {
-    assert_eq!(w.len() as u64, rows * cols);
+    assert_eq!(w.len() as u64, 2 * rows * cols);
     assert_eq!(x.len() as u64, cols);
-    let mut y = vec![0f32; rows as usize];
-    for r in 0..rows {
-        let mut parts: Vec<f32> = Vec::new();
-        let mut last_k = None;
-        let mut acc = 0f32;
-        for j in 0..cols.div_ceil(chunk_elems) {
-            let k = j >> map_id;
-            if last_k.is_some() && last_k != Some(k) {
-                parts.push(acc);
-                acc = 0.0;
-            }
-            last_k = Some(k);
-            let col0 = j * chunk_elems;
-            let n = chunk_elems.min(cols - col0);
-            for i in 0..n {
-                acc += w[(r * cols + col0 + i) as usize] * x[(col0 + i) as usize];
-            }
-        }
-        parts.push(acc);
-        assert_eq!(parts.len() as u64, partitions, "row must span exactly `partitions` partitions");
-        y[r as usize] = parts.iter().sum();
-    }
-    y
+    let span = (chunk_elems << map_id) as usize;
+    w.chunks_exact(2 * cols as usize)
+        .map(|row| {
+            row.chunks(2 * span)
+                .zip(x.chunks(span))
+                .map(|(ws, xs)| {
+                    let mut acc = 0f32;
+                    for (wv, xv) in ws.chunks_exact(2).zip(xs) {
+                        acc += f16_bits_to_f32(u16::from_le_bytes([wv[0], wv[1]])) * xv;
+                    }
+                    acc
+                })
+                .sum()
+        })
+        .collect()
 }
 
 /// Outcome of one replay-vs-reference cross-check.

@@ -7,10 +7,10 @@
 use facil_check::cases;
 use facil_core::{DType, FacilSystem, MappingDecision, MatrixConfig, PimArch, HUGE_PAGE_BITS};
 use facil_dram::DramSpec;
-use facil_fidelity::{replay_gemv, BankedMemory};
+use facil_fidelity::{cross_check, gemv_fixed_order, replay_gemv, BankedMemory};
 use facil_mapsearch::{Candidate, PuOrder};
 use facil_pim::commands::CommandSequence;
-use facil_pim::f16::f32_to_f16_bits;
+use facil_pim::f16::{encode_f16_le, f32_to_f16_bits};
 use facil_pim::{pim_gemv, store_matrix};
 
 /// The paper's four platforms (Table III), all with AiM-style PIM.
@@ -28,6 +28,11 @@ fn grid(i: u64) -> f32 {
     ((i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40) % 15) as f32 * 0.0625 - 0.4375
 }
 
+/// The bit patterns of a GEMV output.
+fn bits(y: &[f32]) -> Vec<u32> {
+    y.iter().map(|v| v.to_bits()).collect()
+}
+
 /// fp16 elements per chunk row.
 fn seq_chunk_elems(arch: &PimArch) -> u64 {
     arch.chunk_row_bytes / 2
@@ -35,14 +40,17 @@ fn seq_chunk_elems(arch: &PimArch) -> u64 {
 
 #[test]
 fn replay_is_bit_exact_for_every_legal_candidate() {
-    cases(48, |g| {
+    cases(128, |g| {
         let (plat, rows_pow, cols_sel, map_id, pu_idx, hash_sel) =
-            (g.usize(0..4), g.u32(2..5), g.usize(0..3), g.u8(0..4), g.usize(0..6), g.u8(0..2));
+            (g.usize(0..4), g.u32(2..5), g.usize(0..6), g.u8(0..4), g.usize(0..6), g.u8(0..2));
         let spec = platform(plat);
         let topo = spec.topology;
         let arch = PimArch::aim(&topo);
         let rows = 1u64 << rows_pow;
-        let cols = [1024u64, 2048, 4096][cols_sel];
+        // Power-of-two widths, and ragged ones whose last chunk is short:
+        // Qwen2-1.5B's hidden width, TinyLlama's `down_proj` input width,
+        // and a width whose last transfer is part padding.
+        let cols = [1024u64, 2048, 4096, 1536, 5632, 1000][cols_sel];
         let hash = hash_sel == 1;
         let m = MatrixConfig::new(rows, cols, DType::F16);
         let cand = Candidate { map_id, pu_order: PuOrder::all()[pu_idx] };
@@ -68,7 +76,7 @@ fn replay_is_bit_exact_for_every_legal_candidate() {
         // single broadcast row), and the DRAMA-style hash with MapID > 0 on
         // multi-chunk rows (the PU accumulator migrates between banks
         // mid-tile). Everything else must trace and replay bit-exactly.
-        let chunks = cols / seq_chunk_elems(&arch);
+        let chunks = m.padded_row_bytes() / arch.chunk_row_bytes;
         let overwide = (1u64 << map_id) > chunks;
         let unstable = hash && map_id > 0 && chunks > 1;
         match CommandSequence::trace(&sys, &alloc) {
@@ -95,32 +103,81 @@ fn replay_is_bit_exact_for_every_legal_candidate() {
                     );
                     assert_eq!(f32_to_f16_bits(*a), f32_to_f16_bits(*b));
                 }
+                let soc = gemv_fixed_order(
+                    &encode_f16_le(&w),
+                    rows,
+                    cols,
+                    &x,
+                    seq.chunk_elems(),
+                    alloc.decision.map_id.0,
+                );
+                assert_eq!(bits(&soc), bits(&got), "fixed-order GEMV differs under {cand:?}");
             }
         }
     });
 }
 
 /// HBM-PIM places 8 chunk rows per DRAM row at distinct PU slots; the
-/// replay must keep the per-slot registers separate.
+/// replay must keep the per-slot registers separate. The 1000-column
+/// matrix ends in a short chunk whose last transfers are part or all
+/// padding.
 #[test]
 fn hbm_pim_replay_matches_reference() {
     let spec = DramSpec::lpddr5_6400(16, 2 << 30);
     let arch = PimArch::hbm_pim(&spec.topology);
+    for cols in [1024, 1000] {
+        let mut sys = FacilSystem::new(spec.clone(), arch);
+        let m = MatrixConfig::new(64, cols, DType::F16);
+        let alloc = sys.pimalloc(m).unwrap();
+        let mut mem = BankedMemory::new(spec.topology);
+        let w: Vec<f32> = (0..m.rows * m.cols).map(grid).collect();
+        store_matrix(&mut mem, &sys, &alloc, &w).unwrap();
+        let x: Vec<f32> = (0..m.cols).map(|i| grid(i ^ 0xBEEF)).collect();
+
+        let seq = CommandSequence::trace(&sys, &alloc).unwrap();
+        let got = replay_gemv(&mem, &seq, &x);
+        let want = pim_gemv(&mem, &sys, &alloc, &x);
+        assert_eq!(bits(&got), bits(&want), "64x{cols}");
+        let soc = gemv_fixed_order(
+            &encode_f16_le(&w),
+            m.rows,
+            m.cols,
+            &x,
+            seq.chunk_elems(),
+            alloc.decision.map_id.0,
+        );
+        assert_eq!(bits(&soc), bits(&got), "64x{cols}: fixed-order GEMV differs");
+    }
+}
+
+/// Llama3-8B's `down_proj` width (14,336 columns, padded to 16,384) on the
+/// Jetson gets MapID 1 and 8 partitions, and its live chunks reach only 7
+/// of them: the eighth holds only padding. The reference counts partitions
+/// over the padded row, as the tracer does, and the padding-only partition
+/// adds no partial on any path.
+#[test]
+fn padding_only_partition_replays_bit_exact() {
+    let spec = platform(0);
+    let arch = PimArch::aim(&spec.topology);
     let mut sys = FacilSystem::new(spec.clone(), arch);
-    let m = MatrixConfig::new(64, 1024, DType::F16);
+    let m = MatrixConfig::new(4, 14336, DType::F16);
     let alloc = sys.pimalloc(m).unwrap();
+    assert_eq!((alloc.decision.map_id.0, alloc.decision.partitions), (1, 8));
+    let chunk_elems = seq_chunk_elems(&arch);
+    assert_eq!(m.cols.div_ceil(chunk_elems << 1), 7, "the live chunks reach 7 partitions");
+
     let mut mem = BankedMemory::new(spec.topology);
     let w: Vec<f32> = (0..m.rows * m.cols).map(grid).collect();
     store_matrix(&mut mem, &sys, &alloc, &w).unwrap();
-    let x: Vec<f32> = (0..m.cols).map(|i| grid(i ^ 0xBEEF)).collect();
+    let x: Vec<f32> = (0..m.cols).map(|i| grid(i ^ 0xD0E5)).collect();
+    let report = cross_check(&mem, &sys, &alloc, &x).unwrap();
+    assert!(report.bit_exact(), "{report:?}");
+    assert_eq!(report.partitions, 8);
 
     let seq = CommandSequence::trace(&sys, &alloc).unwrap();
-    let got = replay_gemv(&mem, &seq, &x);
-    let want = pim_gemv(&mem, &sys, &alloc, &x);
-    assert_eq!(
-        got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-        want.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-    );
+    let replayed = replay_gemv(&mem, &seq, &x);
+    let soc = gemv_fixed_order(&encode_f16_le(&w), m.rows, m.cols, &x, chunk_elems, 1);
+    assert_eq!(bits(&soc), bits(&replayed));
 }
 
 /// The traced sequence lowers to timing streams that pass the shared JEDEC

@@ -1,9 +1,14 @@
 //! `store_matrix` / `load_matrix` round-trips — and bit-exact replays —
 //! under *every* mapping scheme the `CandidateSpace` enumerates, with and
-//! without a DRAMA-style bank hash.
+//! without a DRAMA-style bank hash; and the bulk byte paths, which map once
+//! per run, against per-transfer mapping.
 
-use facil_core::{DType, FacilSystem, MappingDecision, MatrixConfig, PimArch, HUGE_PAGE_BITS};
-use facil_dram::{DramSpec, Topology};
+use facil_check::cases;
+use facil_core::{
+    decision_with_map_id, DType, FacilSystem, MappingDecision, MatrixConfig, PimArch,
+    HUGE_PAGE_BITS,
+};
+use facil_dram::{AddressMapper, DramSpec, Topology};
 use facil_fidelity::{cross_check, BankedMemory};
 use facil_mapsearch::{Candidate, CandidateSpace};
 use facil_pim::{load_matrix, store_matrix};
@@ -93,4 +98,59 @@ fn every_candidate_scheme_replays_or_rejects() {
     }
     assert!(replayed > 10, "too few replayed candidates: {replayed}");
     assert!(rejected > 0, "expected some hash-unstable rejections");
+}
+
+/// `write_bytes` and `read_bytes` map once per run the mapper guarantees
+/// (`AddressMapper::map_run`: a chunk row under a PIM-optimized scheme, one
+/// transfer under the conventional one). Every byte must still sit in the
+/// cell that mapping its own transfer names: `load_transfer` at
+/// `mapper.map(va)`. Copies start unaligned near chunk-row and huge-page
+/// boundaries (or anywhere) and cross them, through `va_mapper` over an AiM
+/// and an HBM-PIM placement, a bank-hashed MapID 0 placement and a
+/// conventional region, each 4 MiB (two huge pages).
+#[test]
+fn bulk_copies_land_where_per_transfer_mapping_puts_each_byte() {
+    cases(48, |g| {
+        let spec = DramSpec::lpddr5_6400(64, 8 << 30); // iPhone 15 Pro
+        let topo = spec.topology;
+        let setup = g.usize(0..4);
+        let arch = if setup == 1 { PimArch::hbm_pim(&topo) } else { PimArch::aim(&topo) };
+        let mut sys = FacilSystem::new(spec, arch);
+        let (base, len) = match setup {
+            0 | 1 => {
+                let m = MatrixConfig::new(4 << 20 >> 11, 1024, DType::F16);
+                let alloc = sys.pimalloc(m).expect("fits");
+                (alloc.va, m.padded_bytes())
+            }
+            2 => {
+                let m = MatrixConfig::new(4 << 20 >> 11, 1024, DType::F16);
+                let d = decision_with_map_id(&m, topo, &arch, 0, HUGE_PAGE_BITS).expect("MapID 0");
+                let hashed = MappingDecision { scheme: d.scheme.clone().with_bank_hash(), ..d };
+                let alloc = sys.pimalloc_with(m, hashed).expect("fits");
+                (alloc.va, m.padded_bytes())
+            }
+            _ => (sys.alloc_conventional(4 << 20).expect("fits"), 4 << 20),
+        };
+        let boundary = match g.usize(0..3) {
+            0 => arch.chunk_row_bytes * g.u64(1..64),
+            1 => 1 << HUGE_PAGE_BITS,
+            _ => g.u64(0..len),
+        };
+        let start = base + boundary.saturating_sub(g.u64(0..3 * arch.chunk_row_bytes));
+        let bytes =
+            g.usize(1..6 * arch.chunk_row_bytes as usize).min((base + len - start) as usize);
+        let salt = g.u8(..);
+        let data: Vec<u8> = (0..bytes).map(|i| (i as u8).wrapping_mul(31) ^ salt).collect();
+
+        let mapper = sys.va_mapper();
+        let mut mem = BankedMemory::new(topo);
+        mem.write_bytes(&mapper, start, &data).expect("mapped");
+        let tx = topo.transfer_bytes;
+        for (i, b) in data.iter().enumerate() {
+            let va = start + i as u64;
+            let cell = mem.load_transfer(mapper.map(va).expect("mapped"))[(va % tx) as usize];
+            assert_eq!(cell, *b, "byte {i} of a copy at {start:#x} (setup {setup})");
+        }
+        assert_eq!(mem.read_bytes(&mapper, start, bytes).expect("mapped"), data);
+    });
 }

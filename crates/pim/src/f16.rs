@@ -5,87 +5,75 @@
 //! half-precision dependency.
 
 /// Convert an `f32` to its fp16 bit pattern (round-to-nearest-even).
+///
+/// NaNs keep the top 10 payload bits with the quiet bit forced (signaling
+/// NaNs come out quieted, payloads that fit are preserved); magnitudes that
+/// round past 65504 become infinity. All three cases are computed and one
+/// is selected, so no input costs a mispredicted branch.
+#[inline]
 pub fn f32_to_f16_bits(x: f32) -> u16 {
     let bits = x.to_bits();
     let sign = ((bits >> 16) & 0x8000) as u16;
-    let exp = ((bits >> 23) & 0xFF) as i32;
-    let mant = bits & 0x007F_FFFF;
-
-    if exp == 0xFF {
-        if mant == 0 {
-            return sign | 0x7C00; // infinity
-        }
-        // NaN: keep the top 10 payload bits and force the quiet bit, the
-        // standard narrow-on-NaN behavior (signaling NaNs come out quieted,
-        // payloads that fit are preserved).
-        return sign | 0x7C00 | 0x0200 | (mant >> 13) as u16;
-    }
-    // Re-bias: f32 exp-127 + 15.
-    let new_exp = exp - 127 + 15;
-    if new_exp >= 0x1F {
-        return sign | 0x7C00; // overflow -> inf
-    }
-    if new_exp <= 0 {
-        // Subnormal or zero.
-        if new_exp < -10 {
-            return sign;
-        }
-        let mant = mant | 0x0080_0000; // implicit leading 1
-        let shift = (14 - new_exp) as u32;
-        let half = 1u32 << (shift - 1);
-        // Round to nearest, ties to even.
-        let down = mant >> shift;
-        let rem = mant & ((1 << shift) - 1);
-        let r = if rem > half || (rem == half && down & 1 == 1) { down + 1 } else { down };
-        return sign | r as u16;
-    }
-    // Normal: round mantissa from 23 to 10 bits.
-    let down = mant >> 13;
-    let rem = mant & 0x1FFF;
-    let half = 0x1000;
-    let mut m = down;
-    let mut e = new_exp as u32;
-    if rem > half || (rem == half && down & 1 == 1) {
-        m += 1;
-        if m == 0x400 {
-            m = 0;
-            e += 1;
-            if e >= 0x1F {
-                return sign | 0x7C00;
-            }
-        }
-    }
-    sign | ((e as u16) << 10) | m as u16
+    let abs = bits & 0x7FFF_FFFF;
+    // Below 2^-14, an fp16 subnormal or zero: adding 0.5 puts the fp16
+    // subnormal quantum (2^-24) at the sum's last mantissa bit, so the f32
+    // addition itself rounds to nearest even, and the sum's low bits are the
+    // fp16 pattern (0x400, the smallest normal, when it rounds up into the
+    // normal range).
+    let subnormal = (f32::from_bits(abs) + 0.5).to_bits().wrapping_sub(0x3F00_0000);
+    // Normal: re-bias the exponent (127 -> 15) and round the 13 dropped
+    // mantissa bits to nearest even; a carry out of the mantissa bumps the
+    // exponent, up to infinity.
+    let odd = (abs >> 13) & 1;
+    let normal = abs.wrapping_sub((127 - 15) << 23).wrapping_add(0x0FFF + odd) >> 13;
+    // 2^16 and up (every such value rounds past 65504), infinity, NaN.
+    let special = if abs > 0x7F80_0000 { 0x7E00 | ((abs >> 13) & 0x03FF) } else { 0x7C00 };
+    let magnitude = if abs < 0x3880_0000 { subnormal } else { normal };
+    let magnitude = if abs >= 0x4780_0000 { special } else { magnitude };
+    sign | magnitude as u16
 }
 
-/// Convert an fp16 bit pattern to `f32`.
-pub fn f16_bits_to_f32(h: u16) -> f32 {
-    let sign = u32::from(h & 0x8000) << 16;
+/// An fp16 bit pattern's `f32` bit pattern, by arithmetic: the definition
+/// [`F16_TO_F32`] is built from at compile time.
+const fn f16_to_f32_bits(h: u16) -> u32 {
+    let sign = ((h & 0x8000) as u32) << 16;
     let exp = (h >> 10) & 0x1F;
-    let mant = u32::from(h & 0x03FF);
-    let bits = match exp {
+    let mant = (h & 0x03FF) as u32;
+    match exp {
         0 => {
             if mant == 0 {
                 sign
             } else {
-                // Subnormal (value = mant * 2^-24): normalize. `e` counts the
-                // shifts needed to bring the leading 1 into the implicit-bit
-                // position; the largest subnormal (mant 0x3FF) needs one
-                // shift and lands at exponent 2^-15 - ulp territory.
-                let mut e = 0i32;
-                let mut m = mant;
-                while m & 0x0400 == 0 {
-                    m <<= 1;
-                    e -= 1;
-                }
-                m &= 0x03FF;
-                sign | (((127 - 15 + e + 1) as u32) << 23) | (m << 13)
+                // Subnormal (value = mant * 2^-24): normalize. `shift` brings
+                // the leading 1 into the implicit-bit position (bit 10); the
+                // largest subnormal (mant 0x3FF) needs one shift and lands at
+                // exponent 2^-15.
+                let shift = mant.leading_zeros() - 21;
+                sign | ((113 - shift) << 23) | (((mant << shift) & 0x03FF) << 13)
             }
         }
         0x1F => sign | 0x7F80_0000 | (mant << 13),
-        e => sign | ((u32::from(e) + 127 - 15) << 23) | (mant << 13),
-    };
-    f32::from_bits(bits)
+        e => sign | ((e as u32 + 127 - 15) << 23) | (mant << 13),
+    }
+}
+
+/// Every fp16 bit pattern's `f32` bit pattern (256 KiB): decoding is one
+/// load, with no branch on subnormals, zeros or NaNs.
+static F16_TO_F32: [u32; 1 << 16] = {
+    let mut table = [0u32; 1 << 16];
+    let mut h = 0;
+    while h < table.len() {
+        table[h] = f16_to_f32_bits(h as u16);
+        h += 1;
+    }
+    table
+};
+
+/// Convert an fp16 bit pattern to `f32` (exact: every binary16 value is an
+/// `f32`). NaN payloads are kept.
+#[inline]
+pub fn f16_bits_to_f32(h: u16) -> f32 {
+    f32::from_bits(F16_TO_F32[usize::from(h)])
 }
 
 /// Encode a slice of `f32` into little-endian fp16 bytes.
@@ -180,6 +168,140 @@ mod tests {
                 assert_eq!(got.to_bits(), want.to_bits(), "h={h:#06x}: got {got}, want {want}");
             }
         }
+    }
+
+    /// A case-by-case encoder with one branch per rounding decision: the
+    /// reference the branch-free encoder must match.
+    fn branchy_encode(x: f32) -> u16 {
+        let bits = x.to_bits();
+        let sign = ((bits >> 16) & 0x8000) as u16;
+        let exp = ((bits >> 23) & 0xFF) as i32;
+        let mant = bits & 0x007F_FFFF;
+
+        if exp == 0xFF {
+            if mant == 0 {
+                return sign | 0x7C00;
+            }
+            return sign | 0x7C00 | 0x0200 | (mant >> 13) as u16;
+        }
+        let new_exp = exp - 127 + 15;
+        if new_exp >= 0x1F {
+            return sign | 0x7C00;
+        }
+        if new_exp <= 0 {
+            if new_exp < -10 {
+                return sign;
+            }
+            let mant = mant | 0x0080_0000;
+            let shift = (14 - new_exp) as u32;
+            let half = 1u32 << (shift - 1);
+            let down = mant >> shift;
+            let rem = mant & ((1 << shift) - 1);
+            let r = if rem > half || (rem == half && down & 1 == 1) { down + 1 } else { down };
+            return sign | r as u16;
+        }
+        let down = mant >> 13;
+        let rem = mant & 0x1FFF;
+        let half = 0x1000;
+        let mut m = down;
+        let mut e = new_exp as u32;
+        if rem > half || (rem == half && down & 1 == 1) {
+            m += 1;
+            if m == 0x400 {
+                m = 0;
+                e += 1;
+                if e >= 0x1F {
+                    return sign | 0x7C00;
+                }
+            }
+        }
+        sign | ((e as u16) << 10) | m as u16
+    }
+
+    #[test]
+    fn encode_matches_branchy_encoder_on_every_fp16_value_and_midpoint() {
+        // Every fp16 value, and for each pair of neighbouring fp16 values
+        // the f32 midpoint (a tie) and the f32 values one ulp either side of
+        // it: every rounding decision the encoder can make, both signs,
+        // subnormals, the overflow edge and every NaN payload included.
+        for h in 0..=u16::MAX {
+            let v = f16_bits_to_f32(h);
+            assert_eq!(f32_to_f16_bits(v), branchy_encode(v), "h={h:#06x}");
+            let next = f16_bits_to_f32(h.wrapping_add(1));
+            if v.is_finite() && next.is_finite() && v.is_sign_negative() == next.is_sign_negative()
+            {
+                // Exact in f32: fp16 neighbours differ in their 11th
+                // significand bit, and f32 has 24.
+                let mid = (v + next) / 2.0;
+                for u in [mid.to_bits() - 1, mid.to_bits(), mid.to_bits() + 1] {
+                    let x = f32::from_bits(u);
+                    assert_eq!(f32_to_f16_bits(x), branchy_encode(x), "{x:e} ({u:#010x})");
+                }
+            }
+        }
+        // Past the largest finite fp16 and f32 extremes.
+        for x in [65519.99f32, 65520.0, 65535.0, 65536.0, 1e30, f32::MAX, f32::MIN_POSITIVE, 1e-45]
+        {
+            for x in [x, -x] {
+                assert_eq!(f32_to_f16_bits(x), branchy_encode(x), "{x:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn encode_matches_branchy_encoder_on_scattered_f32_patterns() {
+        // One f32 bit pattern in every 4099 (a prime stride): every
+        // exponent, both signs, NaN payloads, and mantissas off the fp16
+        // grid.
+        let mut u = 0u32;
+        loop {
+            let x = f32::from_bits(u);
+            assert_eq!(f32_to_f16_bits(x), branchy_encode(x), "{u:#010x}");
+            match u.checked_add(4099) {
+                Some(n) => u = n,
+                None => break,
+            }
+        }
+    }
+
+    /// A decoder that normalizes subnormals bit by bit: the reference the
+    /// table must match.
+    fn loop_decode(h: u16) -> f32 {
+        let sign = u32::from(h & 0x8000) << 16;
+        let exp = (h >> 10) & 0x1F;
+        let mant = u32::from(h & 0x03FF);
+        let bits = match exp {
+            0 => {
+                if mant == 0 {
+                    sign
+                } else {
+                    let mut e = 0i32;
+                    let mut m = mant;
+                    while m & 0x0400 == 0 {
+                        m <<= 1;
+                        e -= 1;
+                    }
+                    m &= 0x03FF;
+                    sign | (((127 - 15 + e + 1) as u32) << 23) | (m << 13)
+                }
+            }
+            0x1F => sign | 0x7F80_0000 | (mant << 13),
+            e => sign | ((u32::from(e) + 127 - 15) << 23) | (mant << 13),
+        };
+        f32::from_bits(bits)
+    }
+
+    #[test]
+    fn table_decode_matches_loop_decoder_bit_for_bit() {
+        // All 65536 patterns, NaN payloads and both zeros included: the
+        // table gives exactly the reference decoder's bits.
+        for h in 0..=u16::MAX {
+            assert_eq!(f16_bits_to_f32(h).to_bits(), loop_decode(h).to_bits(), "h={h:#06x}");
+        }
+        let bytes: Vec<u8> = (0..=u16::MAX).flat_map(u16::to_le_bytes).collect();
+        let slice: Vec<u32> = decode_f16_le(&bytes).iter().map(|v| v.to_bits()).collect();
+        let want: Vec<u32> = (0..=u16::MAX).map(|h| loop_decode(h).to_bits()).collect();
+        assert_eq!(slice, want, "slice decoder");
     }
 
     #[test]

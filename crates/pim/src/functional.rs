@@ -136,11 +136,24 @@ pub fn pim_gemv(
             col += n as u64;
         }
         acc_parts.push(acc);
-        assert_eq!(
-            acc_parts.len() as u64,
-            alloc.decision.partitions,
-            "row must span exactly `partitions` PUs"
-        );
+        // The padding of a row belongs to its partitions too, as the tracer
+        // counts them: a PU that holds only padding adds no partial.
+        let mut pus = acc_parts.len() as u64;
+        let padded_cols = m.padded_row_bytes() / m.dtype.bytes();
+        let mut col = m.cols.next_multiple_of(chunk_elems as u64);
+        while col < padded_cols {
+            let va = alloc.va + r * m.padded_row_bytes() + col * m.dtype.bytes();
+            #[allow(clippy::expect_used)]
+            let pa = page_table.translate(va).expect("allocation is mapped").pa;
+            let first = scheme.map_pa(pa);
+            let pu = (first.channel, first.rank, first.bank);
+            if last_pu != Some(pu) {
+                pus += 1;
+                last_pu = Some(pu);
+            }
+            col += chunk_elems as u64;
+        }
+        assert_eq!(pus, alloc.decision.partitions, "row must span exactly `partitions` PUs");
         // SoC-side reduction of the partials.
         y[r as usize] = acc_parts.iter().sum();
     }

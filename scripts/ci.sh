@@ -178,11 +178,12 @@ echo "== perf gates (release) =="
 # Wall-clock gates, each on provably equivalent work: serial == parallel
 # DRAM SimResults on 1/2/4/8 channels, stepped == next-event engine on a
 # low-utilization trace (and >= 5x faster there, on every host), executor
-# results == the scoped-spawn baseline's, and a byte-identical 8-device
-# fleet report on one worker and many. The >= 2x (channels), > 1x
-# (dispatch) and >= 1.5x (fleet) parallel gates arm only on hosts with
-# >= 4 cores. Ignored in the debug run above; one at a time so the
-# timings do not share cores.
+# results == the scoped-spawn baseline's, a byte-identical 8-device fleet
+# report on one worker and many, and the functional PIM replay ==
+# pim_gemv bit for bit on the tiny-fidelity linears (and >= 2x faster, on
+# every host). The >= 2x (channels), > 1x (dispatch) and >= 1.5x (fleet)
+# parallel gates arm only on hosts with >= 4 cores. Ignored in the debug
+# run above; one at a time so the timings do not share cores.
 cargo test --release --offline -q --test perf_gates -- --ignored --test-threads=1
 
 echo "== DRAM engine equivalence smoke =="

@@ -10,12 +10,15 @@
 //! * executor dispatch: small `par_map` batches on the persistent executor
 //!   return what a scoped-spawn pool returns, with less overhead per call;
 //! * fleet: an 8-device `run_fleet` report is byte-identical on one worker
-//!   and on several, and at least 1.5x faster on several.
+//!   and on several, and at least 1.5x faster on several;
+//! * PIM replay: on the `tiny-fidelity` linears placed on the iPhone, the
+//!   functional command interpreter (`replay_gemv`) returns the
+//!   `pim_gemv` reference's bits in at most half its time.
 //!
-//! Equality is asserted on every host, as is the 5x engine gate (it needs
-//! no extra cores). The three parallel-speedup gates are armed only on
-//! hosts with at least 4 cores: worker count alone cannot buy wall-clock
-//! speedup.
+//! Equality is asserted on every host, as are the 5x engine gate and the
+//! 2x replay gate (neither needs extra cores). The three parallel-speedup
+//! gates are armed only on hosts with at least 4 cores: worker count alone
+//! cannot buy wall-clock speedup.
 //!
 //! The tests are `#[ignore]`d: timings mean nothing in a debug build or
 //! beside other tests. Run them in release, one at a time:
@@ -27,7 +30,11 @@
 use std::sync::Mutex;
 use std::time::Instant;
 
+use facil::core::{DType, FacilSystem, MatrixConfig, PimArch};
 use facil::dram::{DramAddress, DramSpec, DramSystem, EngineKind, Request, SchedConfig, SimResult};
+use facil::fidelity::{replay_gemv, BankedMemory};
+use facil::llm::ModelConfig;
+use facil::pim::{pim_gemv, store_matrix, CommandSequence};
 use facil::serve::{run_fleet, FleetConfig, Routing, ServeConfig};
 use facil::sim::{InferenceSim, Strategy};
 use facil::soc::{Platform, PlatformId};
@@ -233,5 +240,50 @@ fn fleet_report_is_identical_on_one_worker_and_many() {
     eprintln!("fleet: {speedup:.2}x on {threads} workers");
     if cores() >= 4 {
         assert!(speedup >= 1.5, "fleet: only {speedup:.2}x on {} cores", cores());
+    }
+}
+
+/// Value on an exact-fp16 grid: one of `{-7..=7} / 16`.
+fn grid(i: u64) -> f32 {
+    ((i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40) % 15) as f32 * 0.0625 - 0.4375
+}
+
+#[test]
+#[ignore = "timing gate: run in release with --ignored --test-threads=1"]
+fn replay_matches_pim_gemv_and_is_2x_faster() {
+    let spec = DramSpec::lpddr5_6400(64, 8 << 30); // iPhone 15 Pro
+    let arch = PimArch::aim(&spec.topology);
+    let mut shapes: Vec<(u64, u64)> = Vec::new();
+    for op in ModelConfig::tiny_fidelity().block_linears() {
+        if !shapes.contains(&(op.out_features, op.in_features)) {
+            shapes.push((op.out_features, op.in_features));
+        }
+    }
+    assert!(shapes.contains(&(1024, 1024)) && shapes.contains(&(2048, 1024)), "{shapes:?}");
+    for (rows, cols) in shapes {
+        let mut sys = FacilSystem::new(spec.clone(), arch);
+        let alloc = sys.pimalloc(MatrixConfig::new(rows, cols, DType::F16)).unwrap();
+        let mut mem = BankedMemory::new(spec.topology);
+        let w: Vec<f32> = (0..rows * cols).map(grid).collect();
+        store_matrix(&mut mem, &sys, &alloc, &w).unwrap();
+        let x: Vec<f32> = (0..cols).map(|i| grid(i ^ 0xFAC1)).collect();
+        let seq = CommandSequence::trace(&sys, &alloc).unwrap();
+        let bits = |y: Vec<f32>| y.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        // Equal bits, which also warms both paths.
+        let want = bits(pim_gemv(&mem, &sys, &alloc, &x));
+        assert_eq!(bits(replay_gemv(&mem, &seq, &x)), want, "{rows}x{cols}: replay diverged");
+        // Best of five alternating runs each.
+        let (mut reference_s, mut replay_s) = (f64::MAX, f64::MAX);
+        for _ in 0..5 {
+            reference_s = reference_s.min(timed(|| pim_gemv(&mem, &sys, &alloc, &x)).1);
+            replay_s = replay_s.min(timed(|| replay_gemv(&mem, &seq, &x)).1);
+        }
+        let speedup = reference_s / replay_s.max(1e-12);
+        eprintln!(
+            "{rows}x{cols}: replay {:.2} ms, pim_gemv {:.2} ms ({speedup:.1}x)",
+            replay_s * 1e3,
+            reference_s * 1e3
+        );
+        assert!(speedup >= 2.0, "{rows}x{cols}: replay only {speedup:.2}x pim_gemv");
     }
 }
