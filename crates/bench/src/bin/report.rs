@@ -31,10 +31,10 @@ fn main() {
     fig13(&mut m, show, smoke);
     fig14(&mut m, show, smoke);
     // The two dataset sweeps are independent whole-figure jobs.
-    let (f15, f16) = pool::join(|| fig15_datasets(seed, queries), || fig16_datasets(seed, queries));
+    let figs = pool::par_map(&[fig15_datasets, fig16_datasets], |fig| fig(seed, queries));
     for (fig, metric, rows, paper) in [
-        ("15", "TTFT", &f15, "2.37x (Alpaca), 2.63x (code autocompletion)"),
-        ("16", "TTLT", &f16, "~1.20x on both datasets; ~3.55x over SoC-only"),
+        ("15", "TTFT", &figs[0], "2.37x (Alpaca), 2.63x (code autocompletion)"),
+        ("16", "TTLT", &figs[1], "~1.20x on both datasets; ~3.55x over SoC-only"),
     ] {
         let title = format!(
             "Fig. {fig}: {metric} speedup over hybrid-static ({queries} sampled queries, \

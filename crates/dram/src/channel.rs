@@ -111,7 +111,13 @@ pub(crate) enum Decision {
 ///    could differ: the next refresh deadline and the bounds returned by
 ///    [`Decision::Blocked`] must all cap the jump;
 /// 3. stop once [`ChannelCore::pending`] reaches zero.
+///
+/// Neighbouring channels of a [`crate::DramSystem`] run at the same time
+/// on pool workers, so each `ChannelCore` is aligned to 128 bytes (the
+/// line pair adjacent-line prefetchers fetch together): one channel's
+/// clock and counters never share a cache line with the next channel's.
 #[derive(Debug)]
+#[repr(align(128))]
 pub(crate) struct ChannelCore {
     spec: Arc<DramSpec>,
     banks: Vec<Vec<BankState>>,

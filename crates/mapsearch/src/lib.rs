@@ -12,8 +12,8 @@
 //! space is tiny (MapID x PU-bit order) and every candidate is
 //! geometry-validated at construction. The pipeline:
 //!
-//! 1. [`WorkloadProfile`] — GEMV/GEMM mix and tensor shapes derived from
-//!    `facil-workloads` datasets, optionally calibrated with measured
+//! 1. [`WorkloadProfile`] — the tensor shapes to place and the GEMV/GEMM
+//!    pass mix they are scored under, optionally calibrated with measured
 //!    [`DramStats`](facil_dram::DramStats) from earlier runs;
 //! 2. [`CandidateSpace`] — enumerates every legal (MapID, PU order) point
 //!    of the PIM-optimized family for a topology (bounded by the in-page

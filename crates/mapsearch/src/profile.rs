@@ -9,7 +9,6 @@
 
 use facil_core::MatrixConfig;
 use facil_dram::DramStats;
-use facil_workloads::Dataset;
 
 /// One weight tensor of the workload.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,28 +69,6 @@ impl WorkloadProfile {
         }
     }
 
-    /// Derive the GEMV/GEMM mix from a query-length dataset: every decode
-    /// token is one GEMV pass over the weights, every prefill is one GEMM
-    /// pass (the SoC streams each weight once per prefill chunk).
-    pub fn from_dataset(
-        name: impl Into<String>,
-        dataset: &Dataset,
-        tensors: Vec<TensorSpec>,
-    ) -> Self {
-        let decode = dataset.geomean_decode().max(0.0);
-        // One GEMM pass per query regardless of prefill length (the weight
-        // is streamed once per prefill), so the pass mix is decode : 1.
-        let passes = decode + 1.0;
-        WorkloadProfile {
-            name: name.into(),
-            tensors,
-            gemv_weight: decode / passes,
-            gemm_weight: 1.0 / passes,
-            weight_passes_per_query: passes,
-            measured: None,
-        }
-    }
-
     /// Override the GEMV/GEMM mix (normalized; both must be non-negative
     /// and not both zero).
     ///
@@ -126,11 +103,6 @@ impl WorkloadProfile {
         }
         Some(m.hit_rate())
     }
-
-    /// Total padded bytes across all tensor instances.
-    pub fn footprint_bytes(&self) -> u64 {
-        self.tensors.iter().map(|t| t.matrix.padded_bytes() * t.instances).sum()
-    }
 }
 
 #[cfg(test)]
@@ -143,15 +115,6 @@ mod tests {
             TensorSpec::new("qkv", MatrixConfig::new(2048, 2048, DType::F16)).with_instances(24),
             TensorSpec::new("ffn", MatrixConfig::new(8192, 2048, DType::F16)),
         ]
-    }
-
-    #[test]
-    fn dataset_mix_is_decode_heavy_and_normalized() {
-        let d = Dataset::alpaca_like(7, 500);
-        let p = WorkloadProfile::from_dataset("alpaca", &d, tensors());
-        assert!((p.gemv_weight + p.gemm_weight - 1.0).abs() < 1e-12);
-        assert!(p.gemv_weight > 0.9, "~128 decode tokens per prefill: {}", p.gemv_weight);
-        assert!(p.weight_passes_per_query > 50.0);
     }
 
     #[test]
@@ -177,13 +140,5 @@ mod tests {
         assert_eq!(empty.measured_hit_rate(), None);
         let real = p.with_measured(DramStats { row_hits: 3, row_misses: 1, ..Default::default() });
         assert_eq!(real.measured_hit_rate(), Some(0.75));
-    }
-
-    #[test]
-    fn footprint_counts_instances() {
-        let p = WorkloadProfile::decode_only("d", tensors());
-        let qkv = MatrixConfig::new(2048, 2048, DType::F16).padded_bytes() * 24;
-        let ffn = MatrixConfig::new(8192, 2048, DType::F16).padded_bytes();
-        assert_eq!(p.footprint_bytes(), qkv + ffn);
     }
 }

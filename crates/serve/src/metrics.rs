@@ -263,19 +263,12 @@ impl ServeReport {
             .collect();
         sheds.sort_by_key(|s| s.id);
 
-        // Latency rollups go through the shared registry: one percentile
-        // definition for the whole workspace instead of a bespoke path here.
-        let mut reg = MetricsRegistry::new();
-        for r in &requests {
-            reg.observe("serve.ttft_ms", r.ttft_ms);
-            reg.observe("serve.ttlt_ms", r.ttlt_ms);
-        }
-        for d in devices {
-            reg.observe_all("serve.tbt_ms", d.tbt_ms());
-        }
-        let ttft_ms = reg.summary("serve.ttft_ms");
-        let ttlt_ms = reg.summary("serve.ttlt_ms");
-        let tbt_ms = reg.summary("serve.tbt_ms");
+        // One percentile definition for the whole workspace: the shared
+        // `Summary`, over the samples in request-id and device order.
+        let ttft_ms = Summary::from_unsorted(requests.iter().map(|r| r.ttft_ms).collect());
+        let ttlt_ms = Summary::from_unsorted(requests.iter().map(|r| r.ttlt_ms).collect());
+        let tbt_ms =
+            Summary::from_unsorted(devices.iter().flat_map(|d| d.tbt_ms()).copied().collect());
         let by_reason = |reason: ShedReason| sheds.iter().filter(|s| s.reason == reason).count();
         let utilization = if span_s > 0.0 {
             devices.iter().map(|d| d.busy_s()).sum::<f64>() / (span_s * devices.len() as f64)

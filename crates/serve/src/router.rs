@@ -38,8 +38,8 @@
 //! Router decisions are serial. The per-device phases run over cells ×
 //! devices **flattened into one global device list**: each tick of an
 //! untraced run issues a single [`pool::par_map_mut`] batch across every
-//! slot of every cell, so the work-stealing executor balances uneven cells
-//! against each other. Reports serialize byte-identically for any
+//! slot of every cell, so the executor's shrinking claims balance uneven
+//! cells against each other. Reports serialize byte-identically for any
 //! `FACIL_THREADS` worker count.
 //!
 //! A fleet ([`crate::run_fleet_with_faults`]) is the one-cell case: no

@@ -1,26 +1,23 @@
-//! Persistent work-stealing executor backing [`crate::pool`].
+//! Persistent executor backing [`crate::pool`].
 //!
-//! The PR 4 pool spawned fresh scoped OS threads on *every*
-//! `par_map`/`par_map_mut` call and handed work out through a global
-//! `Mutex<Iterator>` — one lock acquisition per item. Both costs sit inside
-//! the innermost per-timestep loops of the fleet and cluster drivers, so at
-//! sweep scale the dispatch tax dominated the win from parallelism itself.
-//! This module replaces that fork-join with:
+//! Parallel calls sit inside the innermost per-timestep loops of the fleet
+//! and cluster drivers, so dispatch must cost far less than spawning
+//! threads or locking once per item. The executor provides:
 //!
 //! * **Long-lived workers**, created lazily on first use and parked on a
 //!   condvar when idle, so steady-state dispatch is "push a job pointer,
 //!   wake k parked threads" instead of k `thread::spawn` calls;
-//! * **Per-participant chunked ranges** with atomic-counter claiming:
-//!   the input index space `0..n` is split into one contiguous range per
-//!   participant, owners repeatedly claim the front half of their own
-//!   range (binary splitting, so uneven per-item cost self-balances down
-//!   to single items), and a participant that runs dry **steals the back
-//!   half** of the fullest victim's range — every claim is one CAS, no
-//!   lock, no per-item handshake;
+//! * **One shared claim cursor** per batch: every participant (the
+//!   submitting thread plus at most `workers - 1` helpers) claims the next
+//!   run of input indices from one atomic cursor. Each claim takes
+//!   `remaining / (2 * participants)` items, at least one, so early claims
+//!   are large and the tail is single items: a participant stuck on a slow
+//!   item holds back at most the run it claimed, and the others drain the
+//!   rest. Every claim is one CAS, with no lock and no per-item handshake;
 //! * **Input-order reassembly**: every claimed index writes its result
 //!   into output slot `i`, so the returned `Vec` is bit-identical to a
 //!   serial `items.iter().map(f).collect()` for any worker count and any
-//!   steal schedule. Scheduling decides only *who* computes item `i`,
+//!   claim schedule. Scheduling decides only *who* computes item `i`,
 //!   never *what* item `i`'s result is or where it lands;
 //! * **Nesting safety**: a parallel call issued *from a pool worker*
 //!   (e.g. `DramSystem::run_with_threads` reached from inside a parallel
@@ -35,8 +32,8 @@
 //! # Safety protocol
 //!
 //! Jobs live on the submitting call's stack and are published to the
-//! worker pool as type-erased raw pointers, so every dereference must stay
-//! inside the submitter's stack frame. The protocol that guarantees it:
+//! worker pool as lifetime-erased raw pointers, so every dereference must
+//! stay inside the submitter's stack frame. The protocol that guarantees it:
 //!
 //! 1. the submitter publishes the job under the injector lock, then helps
 //!    execute it;
@@ -48,15 +45,16 @@
 //!    every attached helper has detached and every item is accounted for;
 //! 4. a helper touches the job only between its attach and detach.
 //!
-//! A panicking item closure cancels the rest of the batch (remaining
-//! chunks are drained unexecuted), is captured once, and re-raised on the
-//! submitting thread after quiescence — the pool itself survives.
+//! A panicking item closure cancels the rest of the batch (the cursor
+//! jumps to the end, and the unclaimed items are accounted for unexecuted),
+//! is captured once, and re-raised on the submitting thread after
+//! quiescence — the pool itself survives.
 
 use std::any::Any;
 use std::cell::Cell;
 use std::mem::{ManuallyDrop, MaybeUninit};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Hard cap on persistent worker threads, a backstop far above any
@@ -80,98 +78,6 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     // locks (item panics are caught before the lock is touched); recover
     // from poison regardless so one bad batch cannot wedge the pool.
     m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-// ---------------------------------------------------------------------------
-// Chunked ranges: the per-participant deques.
-// ---------------------------------------------------------------------------
-
-fn pack(start: u32, end: u32) -> u64 {
-    (u64::from(start) << 32) | u64::from(end)
-}
-
-fn unpack(v: u64) -> (u32, u32) {
-    ((v >> 32) as u32, v as u32)
-}
-
-/// One participant's contiguous run of input indices, packed as
-/// `(start, end)` in a single atomic word so owner claims and steals
-/// linearize through plain CAS.
-struct Range(AtomicU64);
-
-impl Range {
-    fn new(start: u32, end: u32) -> Self {
-        Range(AtomicU64::new(pack(start, end)))
-    }
-
-    fn remaining(&self) -> u32 {
-        let (s, e) = unpack(self.0.load(Ordering::Acquire));
-        e.saturating_sub(s)
-    }
-
-    /// Owner path: claim the front half (rounded up) of what remains.
-    /// Binary splitting — early claims are big, the tail degrades to
-    /// single items so stragglers stay stealable.
-    fn claim_front(&self) -> Option<(u32, u32)> {
-        let mut cur = self.0.load(Ordering::Acquire);
-        loop {
-            let (s, e) = unpack(cur);
-            if s >= e {
-                return None;
-            }
-            let take = ((e - s) - (e - s) / 2).max(1);
-            match self.0.compare_exchange_weak(
-                cur,
-                pack(s + take, e),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return Some((s, s + take)),
-                Err(v) => cur = v,
-            }
-        }
-    }
-
-    /// Thief path: take the back half of what remains, leaving the front
-    /// for the owner — owner and thief touch opposite ends, so a steal
-    /// never reorders or duplicates work.
-    fn steal_back(&self) -> Option<(u32, u32)> {
-        let mut cur = self.0.load(Ordering::Acquire);
-        loop {
-            let (s, e) = unpack(cur);
-            if s >= e {
-                return None;
-            }
-            let take = ((e - s) / 2).max(1);
-            match self.0.compare_exchange_weak(
-                cur,
-                pack(s, e - take),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return Some((e - take, e)),
-                Err(v) => cur = v,
-            }
-        }
-    }
-
-    /// Cancellation path: claim everything left without running it.
-    fn drain(&self) -> u32 {
-        let (s, e) = unpack(self.0.swap(pack(0, 0), Ordering::AcqRel));
-        e.saturating_sub(s)
-    }
-}
-
-/// Split `0..n` into `parts` contiguous ranges of near-equal length.
-fn split_ranges(n: u32, parts: usize) -> Box<[Range]> {
-    let parts = parts.max(1) as u64;
-    (0..parts)
-        .map(|i| {
-            let s = (u64::from(n) * i / parts) as u32;
-            let e = (u64::from(n) * (i + 1) / parts) as u32;
-            Range::new(s, e)
-        })
-        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -255,145 +161,100 @@ impl Latch {
 // Jobs.
 // ---------------------------------------------------------------------------
 
-/// A batch the pool can help execute. Implementations are stack-allocated
-/// in the submitting call; see the module-level safety protocol.
-trait Task: Sync {
-    /// Reserve a helper slot; false when the job's helper cap is reached.
-    fn attach(&self) -> bool;
-    /// Claim and run work until none is claimable by this participant.
-    fn run(&self);
-    /// Release a helper slot.
-    fn detach(&self);
-    /// Whether a new helper could still find claimable work.
-    fn has_work(&self) -> bool;
-}
-
-/// A parallel map batch: `run_chunk(a, b)` executes items `a..b`, writing
-/// each result into its input-order output slot.
+/// A parallel map batch over the indices `0..end`: `run_chunk(a, b)`
+/// executes items `a..b`, writing each result into its input-order output
+/// slot. Stack-allocated in the submitting call; see the module-level
+/// safety protocol.
 struct MapJob<'f> {
-    run_chunk: &'f (dyn Fn(u32, u32) + Sync),
-    ranges: Box<[Range]>,
-    next_slot: AtomicUsize,
-    max_helpers: usize,
-    canceled: AtomicBool,
+    run_chunk: &'f (dyn Fn(usize, usize) + Sync),
+    /// First unclaimed index. Claims advance it and cancellation swaps it
+    /// to `end`, so it never passes `end`. It publishes no data (results
+    /// reach the submitter through the latch), so it is accessed relaxed.
+    next: AtomicUsize,
+    end: usize,
+    /// The submitter plus the most helpers that may attach.
+    participants: usize,
     panic: Mutex<Option<Box<dyn Any + Send>>>,
     latch: Latch,
 }
 
-impl MapJob<'_> {
-    /// Execute one claimed chunk, catching a panic so the pool survives:
-    /// the first payload is kept for the submitter, the batch is canceled.
-    fn exec(&self, a: u32, b: u32) {
-        let result = catch_unwind(AssertUnwindSafe(|| (self.run_chunk)(a, b)));
-        self.latch.finish_items((b - a) as usize);
-        if let Err(payload) = result {
-            {
-                let mut slot = lock(&self.panic);
-                if slot.is_none() {
-                    *slot = Some(payload);
-                }
-            }
-            self.canceled.store(true, Ordering::Release);
+impl<'f> MapJob<'f> {
+    fn new(run_chunk: &'f (dyn Fn(usize, usize) + Sync), n: usize, participants: usize) -> Self {
+        MapJob {
+            run_chunk,
+            next: AtomicUsize::new(0),
+            end: n,
+            participants,
+            panic: Mutex::new(None),
+            latch: Latch::new(n),
         }
     }
 
-    /// Next chunk for the participant owning `slot`: own range first, then
-    /// steal the back half of the fullest victim. Rescans on a lost race
-    /// and returns `None` only once every range is empty.
-    fn next_chunk(&self, slot: usize) -> Option<(u32, u32)> {
+    /// Claim the next run of indices: `remaining / (2 * participants)`
+    /// items, at least one. `None` once the cursor reached the end.
+    fn claim(&self) -> Option<(usize, usize)> {
+        let mut cur = self.next.load(Ordering::Relaxed);
         loop {
-            if let Some(c) = self.ranges[slot].claim_front() {
-                return Some(c);
+            let left = self.end - cur;
+            if left == 0 {
+                return None;
             }
-            let victim = self
-                .ranges
-                .iter()
-                .enumerate()
-                .filter(|&(i, r)| i != slot && r.remaining() > 0)
-                .max_by_key(|&(_, r)| r.remaining())
-                .map(|(i, _)| i)?;
-            if let Some(c) = self.ranges[victim].steal_back() {
-                return Some(c);
+            let take = (left / self.participants.saturating_mul(2)).max(1);
+            match self.next.compare_exchange_weak(
+                cur,
+                cur + take,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => return Some((cur, cur + take)),
+                Err(v) => cur = v,
             }
-            // Lost the steal race; some other range may still have work.
         }
     }
-}
 
-impl Task for MapJob<'_> {
-    fn attach(&self) -> bool {
-        self.latch.try_attach(self.max_helpers)
+    /// Claim everything left without running it, accounting for it once:
+    /// a second cancel finds the cursor at the end and accounts for none.
+    fn cancel(&self) {
+        let claimed = self.next.swap(self.end, Ordering::Relaxed);
+        self.latch.finish_items(self.end - claimed);
     }
 
+    /// Claim and run chunks until none is left. A panicking chunk is
+    /// caught so the pool survives: the first payload is kept for the
+    /// submitter and the batch is canceled.
     fn run(&self) {
-        let slot = self.next_slot.fetch_add(1, Ordering::Relaxed) % self.ranges.len();
-        loop {
-            if self.canceled.load(Ordering::Acquire) {
-                let drained: usize = self.ranges.iter().map(|r| r.drain() as usize).sum();
-                self.latch.finish_items(drained);
-                return;
+        while let Some((a, b)) = self.claim() {
+            let result = catch_unwind(AssertUnwindSafe(|| (self.run_chunk)(a, b)));
+            self.latch.finish_items(b - a);
+            if let Err(payload) = result {
+                lock(&self.panic).get_or_insert(payload);
+                self.cancel();
             }
-            let Some((a, b)) = self.next_chunk(slot) else { return };
-            self.exec(a, b);
         }
     }
 
-    fn detach(&self) {
-        self.latch.detach();
-    }
-
+    /// Whether a new helper could still find claimable work.
     fn has_work(&self) -> bool {
-        !self.canceled.load(Ordering::Acquire) && self.ranges.iter().any(|r| r.remaining() > 0)
+        self.next.load(Ordering::Relaxed) < self.end
+    }
+
+    /// Reserve a helper slot; false when every helper slot is taken.
+    fn attach(&self) -> bool {
+        self.latch.try_attach(self.participants - 1)
     }
 }
 
-// ---------------------------------------------------------------------------
-// Type erasure.
-// ---------------------------------------------------------------------------
-
-/// A published job: a raw pointer to a stack-allocated [`Task`] plus its
-/// monomorphized entry points. Valid only between publish and unpublish
-/// (see the module-level safety protocol).
+/// A published job: a pointer to a submitter's [`MapJob`] with its
+/// lifetime erased. Valid only between publish and unpublish (see the
+/// module-level safety protocol).
 #[derive(Clone, Copy)]
-struct ErasedJob {
-    data: *const (),
-    attach: unsafe fn(*const ()) -> bool,
-    run: unsafe fn(*const ()),
-    detach: unsafe fn(*const ()),
-    has_work: unsafe fn(*const ()) -> bool,
-}
+struct JobRef(*const MapJob<'static>);
 
-// SAFETY: the raw pointer is only dereferenced by workers between attach
-// and detach, which the publish/unpublish protocol keeps inside the
-// submitting call's stack frame; the pointee is `Sync`.
-unsafe impl Send for ErasedJob {}
-
-unsafe fn attach_shim<J: Task>(p: *const ()) -> bool {
-    // SAFETY: `p` was erased from a live `&J` by `erase`.
-    unsafe { (*p.cast::<J>()).attach() }
-}
-unsafe fn run_shim<J: Task>(p: *const ()) {
-    // SAFETY: as above.
-    unsafe { (*p.cast::<J>()).run() }
-}
-unsafe fn detach_shim<J: Task>(p: *const ()) {
-    // SAFETY: as above.
-    unsafe { (*p.cast::<J>()).detach() }
-}
-unsafe fn has_work_shim<J: Task>(p: *const ()) -> bool {
-    // SAFETY: as above.
-    unsafe { (*p.cast::<J>()).has_work() }
-}
-
-fn erase<J: Task>(job: &J) -> ErasedJob {
-    ErasedJob {
-        data: (job as *const J).cast(),
-        attach: attach_shim::<J>,
-        run: run_shim::<J>,
-        detach: detach_shim::<J>,
-        has_work: has_work_shim::<J>,
-    }
-}
+// SAFETY: the pointer is only dereferenced by workers between attach and
+// detach, which the publish/unpublish protocol keeps inside the submitting
+// call's stack frame; `MapJob` is `Sync` (its closure is `Sync`, the rest
+// is atomics and mutexes).
+unsafe impl Send for JobRef {}
 
 // ---------------------------------------------------------------------------
 // The executor proper.
@@ -402,7 +263,7 @@ fn erase<J: Task>(job: &J) -> ErasedJob {
 struct Inner {
     /// Published jobs, oldest first. Submitters remove their own entry
     /// before waiting on the latch.
-    jobs: Vec<ErasedJob>,
+    jobs: Vec<JobRef>,
     /// Worker threads spawned and not yet exited.
     live: usize,
     /// Workers currently parked on `work_cv`.
@@ -443,25 +304,21 @@ fn worker_loop(ex: &'static Executor) {
             g.live -= 1;
             return;
         }
-        let mut picked = None;
-        for job in &g.jobs {
+        let picked = g.jobs.iter().copied().find(|&JobRef(job)| {
             // SAFETY: the job is published, so the pointer is live; attach
             // happens under the injector lock, which is what keeps it live
             // until the matching detach.
-            if unsafe { (job.has_work)(job.data) && (job.attach)(job.data) } {
-                picked = Some(*job);
-                break;
-            }
-        }
+            let job = unsafe { &*job };
+            job.has_work() && job.attach()
+        });
         match picked {
-            Some(job) => {
+            Some(JobRef(job)) => {
                 drop(g);
                 // SAFETY: attached above; the submitter cannot reclaim the
                 // job's stack frame until this thread detaches.
-                unsafe {
-                    (job.run)(job.data);
-                    (job.detach)(job.data);
-                }
+                let job = unsafe { &*job };
+                job.run();
+                job.latch.detach();
                 g = lock(&ex.inner);
             }
             None => {
@@ -473,13 +330,14 @@ fn worker_loop(ex: &'static Executor) {
     }
 }
 
-/// Publish `job`, growing the pool toward `helpers_wanted` live workers
+/// Publish `job`, growing the pool toward one live worker per helper slot
 /// and waking that many parked ones.
-fn publish<J: Task>(job: &J, helpers_wanted: usize) -> ErasedJob {
+fn publish(job: &MapJob<'_>) -> JobRef {
     let ex = executor();
-    let erased = erase(job);
+    let published = JobRef((job as *const MapJob<'_>).cast());
+    let helpers_wanted = job.participants - 1;
     let mut g = lock(&ex.inner);
-    g.jobs.push(erased);
+    g.jobs.push(published);
     let want = helpers_wanted.min(MAX_WORKERS);
     while g.live - g.exiting < want && g.live < MAX_WORKERS {
         let builder = std::thread::Builder::new().name("facil-pool".into());
@@ -489,21 +347,21 @@ fn publish<J: Task>(job: &J, helpers_wanted: usize) -> ErasedJob {
                 g.handles.push(h);
             }
             // Out of threads: degrade to fewer helpers — the submitter
-            // executes whatever nobody steals, so results are unaffected.
+            // claims whatever no helper does, so results are unaffected.
             Err(_) => break,
         }
     }
     for _ in 0..helpers_wanted.min(g.parked) {
         ex.work_cv.notify_one();
     }
-    erased
+    published
 }
 
 /// Remove `job` from the published list, so no new helper can attach.
-fn unpublish(erased: ErasedJob) {
+fn unpublish(job: JobRef) {
     let ex = executor();
     let mut g = lock(&ex.inner);
-    g.jobs.retain(|j| !std::ptr::eq(j.data, erased.data));
+    g.jobs.retain(|j| !std::ptr::eq(j.0, job.0));
 }
 
 /// Join all persistent workers and return how many were joined. Workers
@@ -560,7 +418,7 @@ unsafe impl<T: Send> Sync for SendPtr<T> {}
 /// Run `g(i)` for every `i in 0..n` on up to `workers` participants (the
 /// caller plus at most `workers - 1` pool helpers), returning results in
 /// input order — bit-identical to `(0..n).map(g).collect()` for any
-/// worker count and steal schedule.
+/// worker count and claim schedule.
 ///
 /// Caller guarantees `workers >= 2`, `n >= 2` (smaller calls stay inline
 /// in [`crate::pool`]) and must not be on a worker thread.
@@ -569,36 +427,24 @@ where
     R: Send,
     G: Fn(usize) -> R + Sync,
 {
-    assert!(u32::try_from(n).is_ok(), "batch of {n} items exceeds the u32 index space");
     debug_assert!(workers >= 2 && n >= 2);
     debug_assert!(!on_worker_thread());
     let mut out: Vec<MaybeUninit<R>> = (0..n).map(|_| MaybeUninit::uninit()).collect();
     let out_ptr = SendPtr(out.as_mut_ptr());
-    let run_chunk = |a: u32, b: u32| {
+    let run_chunk = |a: usize, b: usize| {
         for i in a..b {
-            let r = g(i as usize);
+            let r = g(i);
             // SAFETY: index `i` is claimed by exactly this chunk, so the
             // slot is written once, with no concurrent access.
-            unsafe {
-                (*out_ptr.get().add(i as usize)).write(r);
-            }
+            unsafe { (*out_ptr.get().add(i)).write(r) };
         }
     };
-    let participants = workers.min(n);
-    let job = MapJob {
-        run_chunk: &run_chunk,
-        ranges: split_ranges(n as u32, participants),
-        next_slot: AtomicUsize::new(0),
-        max_helpers: participants - 1,
-        canceled: AtomicBool::new(false),
-        panic: Mutex::new(None),
-        latch: Latch::new(n),
-    };
-    let erased = publish(&job, participants - 1);
-    // The submitter is participant #1; `run` only returns when no work is
-    // claimable, so unpublishing immediately after is safe.
+    let job = MapJob::new(&run_chunk, n, workers.min(n));
+    let published = publish(&job);
+    // The submitter is participant #1; `run` only returns once the cursor
+    // reached the end, so unpublishing immediately after is safe.
     job.run();
-    unpublish(erased);
+    unpublish(published);
     job.latch.wait_quiescent();
     if let Some(payload) = lock(&job.panic).take() {
         // Written results leak under a panic (MaybeUninit drops nothing);
@@ -611,94 +457,74 @@ where
     unsafe { Vec::from_raw_parts(out.as_mut_ptr().cast::<R>(), n, out.capacity()) }
 }
 
-/// Fork-join of exactly two closures: `fb` is published as a stealable
-/// one-item job while the caller runs `fa`, then the caller claims `fb`
-/// itself if no worker got there first.
-///
-/// Caller must not be on a worker thread (checked by [`crate::pool::join`],
-/// which falls back to sequential execution there).
-pub(crate) fn join_impl<A, B, FA, FB>(fa: FA, fb: FB) -> (A, B)
-where
-    A: Send,
-    B: Send,
-    FA: FnOnce() -> A + Send,
-    FB: FnOnce() -> B + Send,
-{
-    let fb_cell = Mutex::new(Some(fb));
-    let out = Mutex::new(None::<B>);
-    let run_chunk = |_a: u32, _b: u32| {
-        // The single index is claimed exactly once, so `take` always finds
-        // the closure on the only call.
-        if let Some(f) = lock(&fb_cell).take() {
-            let b = f();
-            *lock(&out) = Some(b);
-        }
-    };
-    let job = MapJob {
-        run_chunk: &run_chunk,
-        ranges: split_ranges(1, 1),
-        next_slot: AtomicUsize::new(0),
-        max_helpers: 1,
-        canceled: AtomicBool::new(false),
-        panic: Mutex::new(None),
-        latch: Latch::new(1),
-    };
-    let erased = publish(&job, 1);
-    let a_result = catch_unwind(AssertUnwindSafe(fa));
-    // Claim fb inline if it is still unclaimed, then tear down exactly as
-    // map_indexed does.
-    job.run();
-    unpublish(erased);
-    job.latch.wait_quiescent();
-    if let Some(payload) = lock(&job.panic).take() {
-        resume_unwind(payload);
-    }
-    let a = match a_result {
-        Ok(a) => a,
-        Err(payload) => resume_unwind(payload),
-    };
-    // Quiescent without a stored panic, so the one chunk ran `fb` to
-    // completion and stored its result.
-    #[allow(clippy::expect_used)]
-    let b = lock(&out).take().expect("join task completed without a result");
-    (a, b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn ranges_split_evenly_and_cover_the_space() {
-        let ranges = split_ranges(10, 3);
-        let total: u32 = ranges.iter().map(Range::remaining).sum();
-        assert_eq!(total, 10);
-        assert!(ranges.iter().all(|r| r.remaining() >= 3));
+    fn noop(_: usize, _: usize) {}
+
+    /// Claim until the cursor is dry, returning every claimed run.
+    fn drain(job: &MapJob<'_>) -> Vec<(usize, usize)> {
+        std::iter::from_fn(|| job.claim()).collect()
     }
 
     #[test]
-    fn claim_and_steal_partition_a_range() {
-        let r = Range::new(0, 8);
-        let (a0, b0) = r.claim_front().unwrap();
-        assert_eq!((a0, b0), (0, 4));
-        let (a1, b1) = r.steal_back().unwrap();
-        assert_eq!((a1, b1), (6, 8));
-        let mut seen = vec![(a0, b0), (a1, b1)];
-        while let Some(c) = r.claim_front() {
-            seen.push(c);
+    fn claims_cover_the_batch_once_in_order_and_shrink_to_single_items() {
+        for n in [1, 2, 7, 1000] {
+            for participants in [2, 3, 8, 256] {
+                let job = MapJob::new(&noop, n, participants);
+                let claims = drain(&job);
+                let covered: Vec<usize> = claims.iter().flat_map(|&(a, b)| a..b).collect();
+                assert_eq!(covered, (0..n).collect::<Vec<_>>(), "n {n}, {participants}");
+                let sizes: Vec<usize> = claims.iter().map(|&(a, b)| b - a).collect();
+                assert!(sizes.windows(2).all(|w| w[1] <= w[0]), "grew: {sizes:?}");
+                let singles = sizes.iter().rev().take_while(|&&s| s == 1).count();
+                assert!(singles >= n.min(2 * participants), "tail {sizes:?}");
+                assert_eq!(job.claim(), None);
+            }
         }
-        assert!(r.steal_back().is_none());
-        let mut covered: Vec<u32> = seen.iter().flat_map(|&(a, b)| a..b).collect();
-        covered.sort_unstable();
-        assert_eq!(covered, (0..8).collect::<Vec<_>>());
+        // Early claims are large: a share of the whole batch, not one item.
+        let job = MapJob::new(&noop, 1000, 2);
+        assert_eq!(job.claim(), Some((0, 250)));
     }
 
     #[test]
-    fn drain_takes_everything_once() {
-        let r = Range::new(2, 9);
-        assert_eq!(r.drain(), 7);
-        assert_eq!(r.drain(), 0);
-        assert!(r.claim_front().is_none());
+    fn cancel_accounts_for_exactly_the_unclaimed_rest() {
+        for k in [0, 1, 5, 20] {
+            let n = 100;
+            let job = MapJob::new(&noop, n, 3);
+            let claimed: usize = (0..k).filter_map(|_| job.claim()).map(|(a, b)| b - a).sum();
+            job.cancel();
+            // Claimed items are their claimers' to account for; cancel
+            // settles the rest.
+            assert_eq!(job.latch.pending.load(Ordering::Relaxed), claimed, "after {k} claims");
+            assert!(!job.has_work());
+            assert_eq!(job.claim(), None);
+            job.cancel();
+            assert_eq!(job.latch.pending.load(Ordering::Relaxed), claimed, "second cancel");
+        }
+    }
+
+    #[test]
+    fn chunk_arithmetic_stays_in_range_for_huge_batches() {
+        // Bare jobs only: no batch ever starts this many workers.
+        for n in [u32::MAX as usize, usize::MAX] {
+            for participants in [8, 1 << 20, usize::MAX] {
+                let job = MapJob::new(&noop, n, participants);
+                let mut cur = 0;
+                for _ in 0..4 {
+                    let (a, b) = job.claim().unwrap();
+                    assert!(a == cur && a < b && b <= n, "{n}, {participants}: {a}..{b}");
+                    cur = b;
+                }
+                job.cancel();
+                assert_eq!(job.latch.pending.load(Ordering::Relaxed), cur);
+            }
+            // The last items of a full-width batch are single claims.
+            let job = MapJob::new(&noop, n, 256);
+            job.next.store(n - 3, Ordering::Relaxed);
+            assert_eq!(drain(&job), [(n - 3, n - 2), (n - 2, n - 1), (n - 1, n)]);
+        }
     }
 
     #[test]

@@ -22,12 +22,13 @@
 //!   without holding its lock while a value is computed (the re-layout
 //!   profile and mapping-search replay memos);
 //! * [`pool`] — deterministic parallel helpers ([`pool::par_map`],
-//!   [`pool::par_map_mut`], [`pool::join`]) on a persistent work-stealing
-//!   executor, with the `FACIL_THREADS` worker-count knob, used to run
-//!   independent DRAM channels, fleet devices and bench sweep points
-//!   concurrently while keeping results bit-identical to serial
-//!   execution for any worker count — nested calls run inline on the
-//!   invoking worker, so parallel layers compose without oversubscribing;
+//!   [`pool::par_map_mut`]) on a persistent executor whose workers claim
+//!   runs of items from one shared cursor, with the `FACIL_THREADS`
+//!   worker-count knob, used to run independent DRAM channels, fleet
+//!   devices and bench sweep points concurrently while keeping results
+//!   bit-identical to serial execution for any worker count — nested
+//!   calls run inline on the invoking worker, so parallel layers compose
+//!   without oversubscribing;
 //! * [`stats`] — nearest-rank percentiles and [`stats::Summary`]
 //!   aggregates, shared by every crate that reports latencies.
 //!

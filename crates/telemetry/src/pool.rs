@@ -1,5 +1,5 @@
 //! Deterministic parallelism for the simulation crates, backed by a
-//! persistent work-stealing executor.
+//! persistent executor.
 //!
 //! The FACIL workspace simulates many *independent* units — the LPDDR5
 //! channels of a `facil_dram::DramSystem`, devices in a serving fleet,
@@ -9,23 +9,21 @@
 //! * [`par_map`] / [`par_map_mut`] — map a closure over a slice on the
 //!   executor's long-lived workers, returning results **in input order**,
 //!   so the output is bit-identical to a serial loop no matter how the
-//!   items were split, claimed, or stolen across workers;
-//! * [`join`] — run two closures concurrently (fork-join of exactly two
-//!   tasks, e.g. two whole figure sweeps); the second closure is published
-//!   as a stealable task and reclaimed inline if no worker takes it;
+//!   items were split and claimed across workers; [`par_map_with`] and
+//!   [`par_map_mut_with`] take the worker count explicitly. Two whole,
+//!   independent jobs are a two-item map;
 //! * [`parallelism`] / [`set_parallelism`] — the worker-count knob:
 //!   process-wide override, then the `FACIL_THREADS` environment variable,
 //!   then [`std::thread::available_parallelism`];
 //! * [`shutdown`] — join the persistent workers (they respawn lazily on
 //!   the next parallel call), for thread-hygiene-sensitive callers.
 //!
-//! Everything is `std`-only. Unlike the PR 4 pool — fresh scoped threads
-//! per call, one `Mutex` lock per item — workers persist across calls
-//! (parked on a condvar when idle) and claim *runs* of items from
-//! per-participant atomic ranges, stealing half a victim's range when
-//! their own runs dry; see the private `executor` module docs for the
-//! scheduling and safety details. Dispatching a batch is a pointer push
-//! plus wakeups, and per-item overhead is amortized over whole chunks.
+//! Everything is `std`-only. Workers persist across calls (parked on a
+//! condvar when idle) and claim *runs* of items from one shared atomic
+//! cursor, each run a shrinking share of what is left; see the private
+//! `executor` module docs for the scheduling and safety details.
+//! Dispatching a batch is a pointer push plus wakeups, and per-item
+//! overhead is amortized over whole runs.
 //!
 //! Calls degrade to a plain inline loop when one worker is requested or
 //! the input has fewer than two items — so `FACIL_THREADS=1` runs exactly
@@ -56,23 +54,43 @@ use crate::executor;
 /// Process-wide worker-count override; 0 means "not set".
 static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
-/// The default worker count: `FACIL_THREADS` if set to a positive integer,
-/// otherwise the machine's available parallelism. Read once and cached —
-/// use [`set_parallelism`] for in-process changes.
+/// Environment variable holding the default worker count.
+const THREADS_VAR: &str = "FACIL_THREADS";
+
+/// The worker count a `FACIL_THREADS` value selects (`None` when the
+/// variable is unset, which means the available cores): a positive
+/// integer, surrounding whitespace ignored. Any other value is an error
+/// naming the variable, so a malformed count never silently runs on every
+/// core.
+fn workers_from_env_value(value: Option<&str>) -> Result<usize, String> {
+    let Some(v) = value else {
+        return Ok(std::thread::available_parallelism().map_or(1, |n| n.get()));
+    };
+    match v.trim().parse::<usize>() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(format!("{THREADS_VAR}={v:?} is no worker count: expected a positive integer")),
+    }
+}
+
+/// The default worker count: the one `FACIL_THREADS` names, else the
+/// machine's available parallelism. Read once and cached — use
+/// [`set_parallelism`] for in-process changes.
 fn default_parallelism() -> usize {
     static DEFAULT: OnceLock<usize> = OnceLock::new();
     *DEFAULT.get_or_init(|| {
-        std::env::var("FACIL_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+        let value = std::env::var_os(THREADS_VAR).map(|v| v.to_string_lossy().into_owned());
+        workers_from_env_value(value.as_deref()).unwrap_or_else(|msg| panic!("{msg}"))
     })
 }
 
-/// Worker count used by [`par_map`]/[`par_map_mut`]/[`join`] when no
-/// explicit count is given: the [`set_parallelism`] override if set, else
-/// the `FACIL_THREADS` environment variable, else the available cores.
+/// Worker count used by [`par_map`]/[`par_map_mut`] when no explicit
+/// count is given: the [`set_parallelism`] override if set, else the
+/// `FACIL_THREADS` environment variable, else the available cores.
+///
+/// # Panics
+///
+/// Panics when no override is set and `FACIL_THREADS` is set to anything
+/// but a positive integer.
 pub fn parallelism() -> usize {
     match OVERRIDE.load(Ordering::Relaxed) {
         0 => default_parallelism(),
@@ -160,25 +178,6 @@ where
     })
 }
 
-/// Run two closures concurrently and return both results. The second
-/// closure is published to the executor as a stealable task while the
-/// caller runs the first; if no worker steals it, the caller runs it
-/// inline afterward. Falls back to sequential calls under
-/// [`parallelism`]` == 1` or when the caller is already a pool worker
-/// (nested `join`).
-pub fn join<A, B, FA, FB>(fa: FA, fb: FB) -> (A, B)
-where
-    A: Send,
-    B: Send,
-    FA: FnOnce() -> A + Send,
-    FB: FnOnce() -> B + Send,
-{
-    if parallelism() <= 1 || executor::on_worker_thread() {
-        return (fa(), fb());
-    }
-    executor::join_impl(fa, fb)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,10 +222,21 @@ mod tests {
         assert_eq!(par_map_with(8, &[7u8], |&x| x + 1), vec![8]);
     }
 
+    /// The variable accepts exactly the positive integers, trimmed; unset
+    /// means the available cores, and every other value is an error naming
+    /// the variable. Tested on values, so no test touches the process
+    /// environment.
     #[test]
-    fn join_returns_both_results() {
-        let (a, b) = join(|| 1 + 1, || "two");
-        assert_eq!((a, b), (2, "two"));
+    fn threads_variable_accepts_only_positive_counts() {
+        let workers = workers_from_env_value;
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(workers(None), Ok(cores));
+        assert_eq!(workers(Some("8")), Ok(8));
+        assert_eq!(workers(Some(" 3\n")), Ok(3));
+        for rejected in ["eight", "0", "-2", "", " ", "1.5", "8 workers"] {
+            let err = workers(Some(rejected)).unwrap_err();
+            assert!(err.contains(&format!("FACIL_THREADS={rejected:?}")), "{err}");
+        }
     }
 
     #[test]
@@ -249,16 +259,6 @@ mod tests {
             par_map_with(4, &inner, |&y| x * 100 + y).iter().sum::<u64>()
         });
         assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn join_inside_par_map_falls_back_inline() {
-        let items: Vec<u32> = (0..12).collect();
-        let got = par_map_with(3, &items, |&x| {
-            let (a, b) = join(|| x + 1, || x * 2);
-            a + b
-        });
-        assert_eq!(got, items.iter().map(|&x| (x + 1) + (x * 2)).collect::<Vec<_>>());
     }
 
     #[test]

@@ -1,12 +1,12 @@
-//! Adversarial-schedule properties for the work-stealing pool.
+//! Adversarial-schedule properties for the parallel pool.
 //!
 //! The executor's one observable contract is *schedule invisibility*: for
-//! any worker count, any per-item cost skew (which drives real stealing),
-//! and any nesting depth, `par_map` returns exactly what the serial loop
-//! returns, in input order. These tests generate uneven workloads to force
-//! chunk claims and steals onto different interleavings every run, then
-//! assert bit-identical output across worker counts {1, 2, 3, 8, 64} and
-//! nesting depths {1, 2}.
+//! any worker count, any per-item cost skew (which makes participants
+//! finish their claims at different times), and any nesting depth,
+//! `par_map` returns exactly what the serial loop returns, in input order.
+//! These tests generate uneven workloads to force chunk claims onto
+//! different interleavings every run, then assert bit-identical output
+//! across worker counts {1, 2, 3, 8, 64} and nesting depths {1, 2}.
 //!
 //! Worker counts are always passed explicitly (`par_map_with`) — the
 //! process-global `set_parallelism` knob would race with other tests in
@@ -22,7 +22,7 @@ fn h(x: u64) -> u64 {
 
 /// Burn a schedule-skewing amount of CPU: `cost` is 0..4, chosen per item
 /// by the generator, so some chunks finish long before others and idle
-/// participants must steal to keep up.
+/// participants claim the rest of the batch.
 fn spin(cost: u8) -> u64 {
     let mut acc = 1u64;
     for i in 0..(u64::from(cost) * 400) {
@@ -114,16 +114,16 @@ fn par_map_mut_mutates_each_item_once_under_any_schedule() {
     });
 }
 
-/// `join` nested inside a stolen task composes with the map machinery:
-/// depth-2 mixing of both entry points stays deterministic.
+/// Two-item maps nested inside a map: depth-2 composition of whole,
+/// independent jobs stays deterministic at every worker count.
 #[test]
-fn join_and_map_compose_across_depths() {
+fn two_item_maps_compose_across_depths() {
     let items: Vec<u64> = (0..48).collect();
     let expect: Vec<u64> = items.iter().map(|&x| h(x).wrapping_add(h(x ^ 1))).collect();
     for workers in WORKER_COUNTS {
         let out = pool::par_map_with(workers, &items, |&x| {
-            let (a, b) = pool::join(|| h(x), || h(x ^ 1));
-            a.wrapping_add(b)
+            let pair = pool::par_map_with(workers, &[x, x ^ 1], |&y| h(y));
+            pair[0].wrapping_add(pair[1])
         });
         assert_eq!(out, expect, "diverged at {workers} workers");
     }

@@ -95,6 +95,10 @@ echo "== executor stress (release) =="
 # by a stack-sentinel check. The race needs an optimised build, so the
 # probe is ignored in the debug test run above.
 cargo test --release --offline -q -p facil-telemetry --test pool_stress -- --ignored
+# The schedule-invisibility properties and the worker-lifecycle test again
+# at release timing, where a claim race would show (the debug run above
+# checks the other profile).
+cargo test --release --offline -q -p facil-telemetry --test pool_properties --test pool_shutdown
 
 echo "== allocator equivalence (release) =="
 # The word-level physical-frame allocator against the frame-at-a-time
@@ -342,6 +346,19 @@ for bin in serving_v2 chaos cluster; do
   diff "$t1" "$t8" && echo "$bin FACIL_THREADS=1 vs 8: byte-identical"
   rm -f "$t1" "$t8"
 done
+# A malformed count must fail, not silently run on every core (which would
+# compare one width with itself above): serving_v2 exits non-zero and
+# names the variable.
+if err="$(FACIL_THREADS=eight cargo run --release -q --offline -p facil-bench --bin serving_v2 -- --smoke --json 2>&1 > /dev/null)"; then
+  echo "serving_v2 ran with FACIL_THREADS=eight instead of failing" >&2
+  exit 1
+fi
+if ! grep -q 'FACIL_THREADS="eight"' <<< "$err"; then
+  echo "serving_v2 failed with FACIL_THREADS=eight, but not on the variable:" >&2
+  echo "$err" >&2
+  exit 1
+fi
+echo "serving_v2 with FACIL_THREADS=eight: rejected"
 
 echo "== trace export smoke =="
 # serving_v2 --trace must write a valid Chrome trace_event file carrying
