@@ -29,9 +29,11 @@
 //! it must be byte-identical.
 
 use facil_bench::{emit_run, print_table, BenchCli};
-use facil_core::{DType, MatrixConfig};
+use facil_core::{DType, MatrixConfig, HUGE_PAGE_BITS};
 use facil_llm::ModelConfig;
-use facil_mapsearch::{search_workload, SearchConfig, SearchReport, TensorSpec, WorkloadProfile};
+use facil_mapsearch::{
+    search_workload, SearchConfig, SearchReport, TensorSpec, WorkloadProfile, IMPROVEMENT_THRESHOLD,
+};
 use facil_soc::{Platform, PlatformId};
 use facil_telemetry::{json, RunManifest};
 
@@ -95,7 +97,6 @@ fn run_platform(
     SearchReport::new(
         slug(platform.id),
         &profile.name,
-        config,
         platform.dram.topology,
         platform.pim_arch,
         results,
@@ -195,8 +196,8 @@ fn main() {
     let mut manifest = RunManifest::new("mapsearch", seed);
     manifest
         .config_uint("platforms", platforms.len() as u64)
-        .config_uint("page_bits", u64::from(config.page_bits))
-        .config_num("improvement_threshold", config.improvement_threshold)
+        .config_uint("page_bits", u64::from(HUGE_PAGE_BITS))
+        .config_num("improvement_threshold", IMPROVEMENT_THRESHOLD)
         .config_bool("smoke", cli.smoke);
     for report in &reports {
         manifest.result_uint(

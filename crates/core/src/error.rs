@@ -41,11 +41,6 @@ pub enum FacilError {
         /// Fleet index of the device.
         device: usize,
     },
-    /// A request's deadline elapsed before it could be served.
-    DeadlineExceeded {
-        /// The deadline that was missed, in milliseconds after arrival.
-        deadline_ms: u64,
-    },
 }
 
 impl fmt::Display for FacilError {
@@ -65,9 +60,6 @@ impl fmt::Display for FacilError {
             FacilError::InvalidRequest(msg) => write!(f, "invalid request: {msg}"),
             FacilError::DeviceUnavailable { device } => {
                 write!(f, "device {device} is unavailable")
-            }
-            FacilError::DeadlineExceeded { deadline_ms } => {
-                write!(f, "deadline of {deadline_ms} ms exceeded")
             }
         }
     }
@@ -98,7 +90,6 @@ mod tests {
             FacilError::NotMapped { va: 0x1000 },
             FacilError::InvalidRequest("y".into()),
             FacilError::DeviceUnavailable { device: 2 },
-            FacilError::DeadlineExceeded { deadline_ms: 250 },
         ];
         for e in errors {
             let s = e.to_string();

@@ -13,7 +13,8 @@
 use crate::error::Result;
 use crate::matrix::{DType, MatrixConfig};
 use crate::pimalloc::{FacilSystem, PimAllocation};
-use crate::scheme::HUGE_PAGE_BYTES;
+use crate::scheme::{HUGE_PAGE_BITS, HUGE_PAGE_BYTES};
+use crate::select::{select_mapping, MappingDecision};
 
 /// Which half of the cache a token row belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -40,6 +41,9 @@ pub struct PagedKvCache {
     slab_tokens: u64,
     len: u64,
     slabs: Vec<LayerSlabs>,
+    /// Every slab's mapping: all slabs share one shape, so the first
+    /// extension selects it once.
+    decision: Option<MappingDecision>,
 }
 
 impl PagedKvCache {
@@ -61,6 +65,7 @@ impl PagedKvCache {
             slab_tokens,
             len: 0,
             slabs: (0..layers).map(|_| LayerSlabs { k: Vec::new(), v: Vec::new() }).collect(),
+            decision: None,
         }
     }
 
@@ -96,18 +101,25 @@ impl PagedKvCache {
     ///
     /// # Errors
     ///
-    /// Propagates `pimalloc` errors (frontend slots, out of memory). On
-    /// error the cache keeps its previous length; slabs already added stay
-    /// reserved for the retry.
+    /// Propagates `pimalloc` errors (selector, frontend slots, out of
+    /// memory). On error the cache keeps its previous length; slabs already
+    /// added stay reserved for the retry.
     pub fn append(&mut self, sys: &mut FacilSystem, n: u64) -> Result<()> {
         let needed = self.len + n;
+        let slab = MatrixConfig::new(self.slab_tokens, self.kv_dim, self.dtype);
         while self.capacity() < needed {
-            let slab = MatrixConfig::new(self.slab_tokens, self.kv_dim, self.dtype);
+            let decision = match &self.decision {
+                Some(d) => d.clone(),
+                None => {
+                    let d = select_mapping(&slab, sys.spec().topology, sys.arch(), HUGE_PAGE_BITS)?;
+                    self.decision.insert(d).clone()
+                }
+            };
             for layer in 0..self.layers as usize {
                 if (self.slabs[layer].k.len() as u64) * self.slab_tokens < needed {
-                    let k = sys.pimalloc(slab)?;
+                    let k = sys.pimalloc_with(slab, decision.clone())?;
                     self.slabs[layer].k.push(k);
-                    let v = sys.pimalloc(slab)?;
+                    let v = sys.pimalloc_with(slab, decision.clone())?;
                     self.slabs[layer].v.push(v);
                 }
             }

@@ -147,14 +147,17 @@ impl DramAddress {
             && self.column < topo.columns()
     }
 
+    /// Flat bank index across the whole system, (channel, rank, bank)-major:
+    /// `(channel × ranks + rank) × banks + bank`, in `0..total_banks()`.
+    pub fn flat_bank(&self, topo: &Topology) -> u64 {
+        (self.channel * topo.ranks + self.rank) * topo.banks() + self.bank
+    }
+
     /// Flatten into a unique transfer index (useful as a map key and for
     /// bijectivity testing). The field order here is arbitrary but fixed.
     pub fn flat_index(&self, topo: &Topology) -> u64 {
         debug_assert!(self.is_valid(topo));
-        (((self.channel * topo.ranks + self.rank) * topo.banks() + self.bank) * topo.rows
-            + self.row)
-            * topo.columns()
-            + self.column
+        (self.flat_bank(topo) * topo.rows + self.row) * topo.columns() + self.column
     }
 }
 

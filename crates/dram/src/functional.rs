@@ -51,7 +51,7 @@ impl BankedMemory {
     /// would otherwise alias another bank's cells.
     fn flat_bank(&self, addr: DramAddress) -> usize {
         assert!(addr.is_valid(&self.topo), "DRAM address {addr} out of range for {:?}", self.topo);
-        ((addr.channel * self.topo.ranks + addr.rank) * self.topo.banks() + addr.bank) as usize
+        addr.flat_bank(&self.topo) as usize
     }
 
     /// Byte offset of `addr`'s transfer within its row image.

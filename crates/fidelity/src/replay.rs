@@ -11,10 +11,12 @@
 //!
 //! The interpreter keeps dense state: registers and their bindings in
 //! `Vec`s indexed by (flat bank, slot), partial sums in one indexed by (row,
-//! partition) with a present flag, global-buffer slices, open rows and the
-//! wave's bank tasks per rank. `ACT-AB` borrows each bank's row image once
+//! partition) with a present flag. It runs one
+//! [`RankPass`](facil_pim::RankPass) at a time, so the rest is the current
+//! pass's: its staged global-buffer slices, its open row and its banks' row
+//! images. `ACT-AB` borrows each bank's row image once
 //! ([`BankedMemory::row`]); every `MAC-AB` beat decodes its transfer from
-//! that image in place.
+//! that image in place and takes its live elements from the staged slice.
 //!
 //! **Bit-exactness contract.** The accumulation order is fixed: within a
 //! partition, chunks are visited segment-ascending and elements ascending
@@ -24,16 +26,19 @@
 //! reproduces its output *bit for bit* — which [`cross_check`] asserts by
 //! comparing both `f32` and fp16 bit patterns.
 
+use std::ops::Range;
+
 use facil_core::{FacilSystem, PimAllocation};
 use facil_dram::{BankedMemory, DramAddress};
-use facil_pim::commands::{BankTask, CommandSequence, PimCommand};
+use facil_pim::commands::{CommandSequence, PimCommand};
 use facil_pim::f16::{f16_bits_to_f32, f32_to_f16_bits};
 
-/// One partition's staged global-buffer content during a wave.
+/// One partition's slice staged in the current pass's global buffer: the
+/// input element it starts at and its span of the staged elements.
 struct GbBuf {
     partition: u64,
     base: u64,
-    vals: Vec<f32>,
+    span: Range<usize>,
 }
 
 /// Execute `y = W x` by interpreting the all-bank command stream of `seq`
@@ -52,9 +57,6 @@ pub fn replay_gemv(mem: &BankedMemory, seq: &CommandSequence, x: &[f32]) -> Vec<
     let tx = topo.transfer_bytes as usize;
     let elems_per_tx = tx / 2;
     let chunk_tx = seq.chunk_elems() * 2 / topo.transfer_bytes;
-    let banks = topo.banks() as usize;
-    let rank_of = |channel: u64, rank: u64| (channel * topo.ranks + rank) as usize;
-    let ranks = rank_of(topo.channels, 0);
     // Chunk rows per DRAM row: the output registers (slots) of one PU.
     let slots = (topo.columns() / chunk_tx) as usize;
     let partitions = seq.placement().partitions as usize;
@@ -63,102 +65,87 @@ pub fn replay_gemv(mem: &BankedMemory, seq: &CommandSequence, x: &[f32]) -> Vec<
     // the (row, partition) partial, at `row * partitions + partition`, each
     // one accumulates for in the current tile. They persist across the
     // waves of one tile and drain into `partials` between tiles.
-    let mut registers = vec![0f32; ranks * banks * slots];
+    let mut registers = vec![0f32; topo.total_banks() as usize * slots];
     let mut binding: Vec<Option<usize>> = vec![None; registers.len()];
     let mut partials: Vec<Option<f32>> = vec![None; m.rows as usize * partitions];
 
-    // Per-rank interpreter state, reset every wave: the bank tasks, staged
-    // global-buffer slices and open row of each rank, and the row image
-    // each bank of an open row reads from (unwritten rows read as zero).
-    let mut rank_tasks: Vec<Vec<&BankTask>> = vec![Vec::new(); ranks];
-    let mut gb: Vec<Vec<GbBuf>> = (0..ranks).map(|_| Vec::new()).collect();
-    let mut open: Vec<Option<u64>> = vec![None; ranks];
+    // The current pass's state: its staged global-buffer slices (their
+    // elements in `staged`), its open row, and the row image (unwritten
+    // rows read as zero) and flat bank of each of its banks.
+    let mut gb: Vec<GbBuf> = Vec::new();
+    let mut staged: Vec<f32> = Vec::new();
     let zero_row = vec![0u8; topo.row_bytes as usize];
-    let mut row_image: Vec<&[u8]> = vec![&zero_row; ranks * banks];
+    let mut banks: Vec<(&[u8], usize)> = Vec::new();
 
     for tile in seq.waves().chunk_by(|a, b| a.tile == b.tile) {
-        for wave in tile {
-            rank_tasks.iter_mut().for_each(Vec::clear);
-            gb.iter_mut().for_each(Vec::clear);
-            open.fill(None);
-            for t in &wave.tasks {
-                let rank = rank_of(t.channel, t.rank);
-                rank_tasks[rank].push(t);
-                let flat = rank * banks + t.bank as usize;
-                for row in &t.rows {
-                    binding[flat * slots + row.slot as usize] =
-                        Some(row.matrix_row as usize * partitions + row.partition as usize);
-                }
-            }
-
-            for cmd in seq.wave_commands(wave) {
+        for (wave, pass) in tile.iter().flat_map(|w| w.ranks.iter().map(move |p| (w, p))) {
+            gb.clear();
+            staged.clear();
+            banks.clear();
+            let mut open = None;
+            for cmd in seq.pass_commands(wave, pass) {
                 match cmd {
-                    PimCommand::GbLoad { channel, rank, partition, input_elem0, elems } => {
-                        let bufs = &mut gb[rank_of(channel, rank)];
-                        let i = match bufs.iter().position(|b| b.partition == partition) {
-                            Some(i) => i,
-                            None => {
-                                bufs.push(GbBuf { partition, base: input_elem0, vals: Vec::new() });
-                                bufs.len() - 1
-                            }
-                        };
+                    PimCommand::GbLoad { partition, input_elem0, elems, .. } => {
+                        if gb.last().is_none_or(|b| b.partition != partition) {
+                            let at = staged.len();
+                            gb.push(GbBuf { partition, base: input_elem0, span: at..at });
+                        }
                         // The padded tail of a ragged chunk stages nothing: its
                         // GB-LOADs carry no elements and start past the input.
                         if elems > 0 {
                             let e0 = input_elem0 as usize;
-                            bufs[i].vals.extend_from_slice(&x[e0..e0 + elems as usize]);
+                            staged.extend_from_slice(&x[e0..e0 + elems as usize]);
+                            if let Some(b) = gb.last_mut() {
+                                b.span.end = staged.len();
+                            }
                         }
                     }
                     PimCommand::ActAb { channel, rank, dram_row } => {
                         assert_eq!(dram_row, wave.dram_row, "ACT-AB row must match the wave");
-                        let r = rank_of(channel, rank);
-                        open[r] = Some(dram_row);
-                        for t in &rank_tasks[r] {
-                            let da = DramAddress {
-                                channel,
-                                rank,
-                                bank: t.bank,
-                                row: dram_row,
-                                column: 0,
-                            };
-                            row_image[r * banks + t.bank as usize] =
-                                mem.row(da).unwrap_or(&zero_row);
+                        open = Some(dram_row);
+                        let row0 = DramAddress { channel, rank, bank: 0, row: dram_row, column: 0 };
+                        for t in &pass.banks {
+                            let da = DramAddress { bank: t.bank, ..row0 };
+                            let flat = da.flat_bank(&topo) as usize;
+                            for row in &t.rows {
+                                binding[flat * slots + row.slot as usize] = Some(
+                                    row.matrix_row as usize * partitions + row.partition as usize,
+                                );
+                            }
+                            banks.push((mem.row(da).unwrap_or(&zero_row), flat));
                         }
                     }
-                    PimCommand::MacAb { channel, rank, column } => {
-                        // The tracer emits GB-LOAD and ACT-AB for every rank of
-                        // a wave before its first MAC-AB, so neither check can
-                        // fail on a traced sequence.
-                        let r = rank_of(channel, rank);
-                        assert!(open[r].is_some(), "MAC-AB on a closed row");
-                        let slices = &gb[r];
-                        assert!(!slices.is_empty(), "MAC-AB before GB staging");
+                    PimCommand::MacAb { column, .. } => {
+                        // The tracer emits GB-LOAD and ACT-AB for every pass
+                        // before its first MAC-AB, so neither check can fail on
+                        // a traced sequence.
+                        assert!(open.is_some(), "MAC-AB on a closed row");
+                        assert!(!gb.is_empty(), "MAC-AB before GB staging");
                         let off = column as usize * tx;
-                        for t in &rank_tasks[r] {
-                            let flat = r * banks + t.bank as usize;
-                            let transfer = &row_image[flat][off..off + tx];
+                        for (t, &(image, flat)) in pass.banks.iter().zip(&banks) {
+                            let transfer = &image[off..off + tx];
                             for task in &t.rows {
-                                if column < task.column0 || column >= task.column0 + chunk_tx {
+                                let column0 = task.slot * chunk_tx;
+                                if column < column0 || column >= column0 + chunk_tx {
                                     continue;
                                 }
                                 #[allow(clippy::expect_used)]
-                                let buf = slices
+                                let i = gb
                                     .iter()
-                                    .find(|b| b.partition == task.partition)
+                                    .position(|b| b.partition == task.partition)
                                     .expect("MAC-AB on an unstaged partition");
-                                let e0 = ((column - task.column0) as usize) * elems_per_tx;
-                                let live =
-                                    (task.elems as usize).saturating_sub(e0).min(elems_per_tx);
+                                let e0 =
+                                    gb[i].span.start + (column - column0) as usize * elems_per_tx;
+                                let live = gb[i].span.end.saturating_sub(e0).min(elems_per_tx);
                                 // A transfer wholly in a ragged chunk's padding
                                 // adds nothing.
                                 if live == 0 {
                                     continue;
                                 }
-                                debug_assert_eq!(buf.base, task.col0);
+                                debug_assert_eq!(gb[i].base, pass.gb[i].input_elem0);
                                 let reg = &mut registers[flat * slots + task.slot as usize];
                                 let mut acc = *reg;
-                                for (w, xv) in
-                                    transfer.chunks_exact(2).zip(&buf.vals[e0..e0 + live])
+                                for (w, xv) in transfer.chunks_exact(2).zip(&staged[e0..e0 + live])
                                 {
                                     acc += f16_bits_to_f32(u16::from_le_bytes([w[0], w[1]])) * xv;
                                 }
@@ -166,9 +153,7 @@ pub fn replay_gemv(mem: &BankedMemory, seq: &CommandSequence, x: &[f32]) -> Vec<
                             }
                         }
                     }
-                    PimCommand::PreAb { channel, rank } => {
-                        open[rank_of(channel, rank)] = None;
-                    }
+                    PimCommand::PreAb { .. } => open = None,
                 }
             }
         }

@@ -5,7 +5,7 @@
 //! trace time.
 
 use facil_check::cases;
-use facil_core::{DType, FacilSystem, MappingDecision, MatrixConfig, PimArch, HUGE_PAGE_BITS};
+use facil_core::{DType, FacilSystem, MappingDecision, MatrixConfig, PimArch};
 use facil_dram::DramSpec;
 use facil_fidelity::{cross_check, gemv_fixed_order, replay_gemv, BankedMemory};
 use facil_mapsearch::{Candidate, PuOrder};
@@ -56,7 +56,7 @@ fn replay_is_bit_exact_for_every_legal_candidate() {
         let cand = Candidate { map_id, pu_order: PuOrder::all()[pu_idx] };
         // Candidates the geometry rejects outright (MapID beyond the page)
         // are out of scope here — `CandidateSpace` never enumerates them.
-        let Ok(mut d) = cand.decision(&m, topo, &arch, HUGE_PAGE_BITS) else {
+        let Ok(mut d) = cand.decision(&m, topo, &arch) else {
             return;
         };
         if hash {

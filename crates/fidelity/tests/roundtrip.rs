@@ -1,17 +1,20 @@
 //! `store_matrix` / `load_matrix` round-trips — and bit-exact replays —
 //! under *every* mapping scheme the `CandidateSpace` enumerates, with and
-//! without a DRAMA-style bank hash; and the bulk byte paths, which map once
-//! per run, against per-transfer mapping.
+//! without a DRAMA-style bank hash; bit-exact replays of every stock
+//! platform's paper-model linear shapes; and the bulk byte paths, which map
+//! once per run, against per-transfer mapping.
 
 use facil_check::cases;
 use facil_core::{
-    decision_with_map_id, DType, FacilSystem, MappingDecision, MatrixConfig, PimArch,
-    HUGE_PAGE_BITS,
+    decision_with_map_id, select_mapping, DType, FacilSystem, MappingDecision, MatrixConfig,
+    PimArch, HUGE_PAGE_BITS,
 };
 use facil_dram::{AddressMapper, DramSpec, Topology};
 use facil_fidelity::{cross_check, BankedMemory};
+use facil_llm::ModelConfig;
 use facil_mapsearch::{Candidate, CandidateSpace};
-use facil_pim::{load_matrix, store_matrix};
+use facil_pim::{load_matrix, store_matrix, CommandSequence, PimPlacement};
+use facil_soc::{Platform, PlatformId};
 
 fn grid(i: u64) -> f32 {
     ((i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40) % 15) as f32 * 0.0625 - 0.4375
@@ -23,11 +26,11 @@ fn decisions(
     arch: &PimArch,
     m: &MatrixConfig,
 ) -> Vec<(Candidate, bool, MappingDecision)> {
-    let space = CandidateSpace::enumerate(topo, arch, HUGE_PAGE_BITS).unwrap();
+    let space = CandidateSpace::enumerate(topo, arch).unwrap();
     assert!(space.len() > 20, "candidate space unexpectedly small: {}", space.len());
     let mut out = Vec::new();
     for cand in space.candidates() {
-        let d = cand.decision(m, topo, arch, HUGE_PAGE_BITS).unwrap();
+        let d = cand.decision(m, topo, arch).unwrap();
         let hashed = MappingDecision { scheme: d.scheme.clone().with_bank_hash(), ..d.clone() };
         out.push((*cand, false, d));
         out.push((*cand, true, hashed));
@@ -98,6 +101,56 @@ fn every_candidate_scheme_replays_or_rejects() {
     }
     assert!(replayed > 10, "too few replayed candidates: {replayed}");
     assert!(rejected > 0, "expected some hash-unstable rejections");
+}
+
+/// Every stock platform's paper-model linear shapes (18 distinct shapes)
+/// replay bit-exactly as a two-tile row slice at full width, which keeps
+/// the full matrix's mapping decision. Each shape pins the most
+/// global-buffer slices one rank stages in one pass: one per partition
+/// its banks hold. Jetson's `down_proj` has a padding-only partition.
+#[test]
+fn paper_shapes_replay_as_two_tile_slices() {
+    let mut shapes = 0;
+    for id in PlatformId::all() {
+        let platform = Platform::get(id);
+        let (spec, arch) = (&platform.dram, platform.pim_arch);
+        let topo = spec.topology;
+        let mut seen: Vec<MatrixConfig> = Vec::new();
+        for (op, _) in ModelConfig::by_name(platform.model_name).all_linears() {
+            let full = MatrixConfig::new(op.out_features, op.in_features, DType::F16);
+            if seen.contains(&full) {
+                continue;
+            }
+            seen.push(full);
+            let want = select_mapping(&full, topo, &arch, HUGE_PAGE_BITS).unwrap();
+            let tile = PimPlacement::new(&full, &want, &topo, &arch).rows_per_tile;
+            let m = MatrixConfig::new((2 * tile).min(full.rows), full.cols, DType::F16);
+            let mut sys = FacilSystem::new(spec.clone(), arch);
+            let alloc = sys.pimalloc(m).unwrap();
+            assert_eq!(alloc.decision, want, "{id} {}: the slice must map as the matrix", op.name);
+
+            let w: Vec<f32> = (0..m.rows * m.cols).map(grid).collect();
+            let x: Vec<f32> = (0..m.cols).map(|i| grid(i ^ 0x5EED)).collect();
+            let mut mem = BankedMemory::new(topo);
+            store_matrix(&mut mem, &sys, &alloc, &w).unwrap();
+            let report = cross_check(&mem, &sys, &alloc, &x).unwrap();
+            assert!(report.bit_exact(), "{id} {}: {report:?}", op.name);
+
+            let seq = CommandSequence::trace(&sys, &alloc).unwrap();
+            let most = seq.waves().iter().flat_map(|w| &w.ranks).map(|p| p.gb.len()).max();
+            let pinned = match (id, op.name) {
+                (PlatformId::Jetson, "down_proj") => 7,
+                (PlatformId::Jetson, _) => 2,
+                (PlatformId::Macbook, "down_proj") => 14,
+                (PlatformId::Macbook, _) => 4,
+                (PlatformId::Ideapad, "fc2") => 2,
+                (PlatformId::Ideapad | PlatformId::Iphone, _) => 1,
+            };
+            assert_eq!(most, Some(pinned), "{id} {}: GB slices per pass", op.name);
+            shapes += 1;
+        }
+    }
+    assert_eq!(shapes, 18);
 }
 
 /// `write_bytes` and `read_bytes` map once per run the mapper guarantees

@@ -22,6 +22,7 @@
 pub use facil_core::PuOrder;
 use facil_core::{
     decision_with_map_id, MappingDecision, MappingScheme, MatrixConfig, PimArch, Result,
+    HUGE_PAGE_BITS,
 };
 use facil_dram::Topology;
 
@@ -54,8 +55,8 @@ impl Candidate {
     ///
     /// Propagates geometry validation: MapID out of range for the
     /// topology/page size, chunk not tiling the DRAM row.
-    pub fn build(&self, topo: Topology, arch: &PimArch, page_bits: u32) -> Result<MappingScheme> {
-        MappingScheme::pim_optimized_ordered(topo, arch, self.map_id, self.pu_order, page_bits)
+    pub fn build(&self, topo: Topology, arch: &PimArch) -> Result<MappingScheme> {
+        MappingScheme::pim_optimized_ordered(topo, arch, self.map_id, self.pu_order, HUGE_PAGE_BITS)
     }
 
     /// Build the full [`MappingDecision`] for `matrix` under this
@@ -69,20 +70,18 @@ impl Candidate {
         matrix: &MatrixConfig,
         topo: Topology,
         arch: &PimArch,
-        page_bits: u32,
     ) -> Result<MappingDecision> {
-        let paper = decision_with_map_id(matrix, topo, arch, self.map_id, page_bits)?;
-        Ok(MappingDecision { scheme: self.build(topo, arch, page_bits)?, ..paper })
+        let paper = decision_with_map_id(matrix, topo, arch, self.map_id, HUGE_PAGE_BITS)?;
+        Ok(MappingDecision { scheme: self.build(topo, arch)?, ..paper })
     }
 }
 
 /// The enumerated, geometry-validated candidate space for one
-/// (topology, PIM architecture, page size).
+/// (topology, PIM architecture), every scheme fitting a huge page.
 #[derive(Debug, Clone)]
 pub struct CandidateSpace {
     topo: Topology,
     arch: PimArch,
-    page_bits: u32,
     max_map_id: u8,
     candidates: Vec<Candidate>,
 }
@@ -95,21 +94,21 @@ impl CandidateSpace {
     ///
     /// # Errors
     ///
-    /// Propagates scheme-construction errors (e.g. a page size that cannot
+    /// Propagates scheme-construction errors (e.g. a huge page that cannot
     /// hold the interleaving bits).
-    pub fn enumerate(topo: Topology, arch: &PimArch, page_bits: u32) -> Result<Self> {
-        let max_map_id = MappingScheme::in_page_row_bits(&topo, page_bits)? as u8;
+    pub fn enumerate(topo: Topology, arch: &PimArch) -> Result<Self> {
+        let max_map_id = MappingScheme::in_page_row_bits(&topo, HUGE_PAGE_BITS)? as u8;
         let mut candidates = Vec::new();
         for map_id in 0..=max_map_id {
             for pu_order in PuOrder::all() {
                 let c = Candidate { map_id, pu_order };
                 // Validate now (DRAMsim3 lesson); the scheme itself is
                 // rebuilt lazily by the evaluators.
-                c.build(topo, arch, page_bits)?;
+                c.build(topo, arch)?;
                 candidates.push(c);
             }
         }
-        Ok(CandidateSpace { topo, arch: *arch, page_bits, max_map_id, candidates })
+        Ok(CandidateSpace { topo, arch: *arch, max_map_id, candidates })
     }
 
     /// All candidates in enumeration order.
@@ -142,11 +141,6 @@ impl CandidateSpace {
         &self.arch
     }
 
-    /// Page size (log2 bytes) of the enumeration.
-    pub fn page_bits(&self) -> u32 {
-        self.page_bits
-    }
-
     /// Index of `candidate` in enumeration order, if it is in the space.
     pub fn position(&self, candidate: &Candidate) -> Option<usize> {
         self.candidates.iter().position(|c| c == candidate)
@@ -166,7 +160,7 @@ mod tests {
     #[test]
     fn space_size_matches_axes() {
         let (t, a) = iphone();
-        let s = CandidateSpace::enumerate(t, &a, HUGE_PAGE_BITS).unwrap();
+        let s = CandidateSpace::enumerate(t, &a).unwrap();
         // iPhone-like: 3 in-page row bits -> MapID 0..=3, x6 orders.
         assert_eq!(s.max_map_id(), 3);
         assert_eq!(s.len(), 4 * 6);
@@ -176,7 +170,7 @@ mod tests {
     #[test]
     fn paper_candidate_is_first_of_its_mapid_and_findable() {
         let (t, a) = iphone();
-        let s = CandidateSpace::enumerate(t, &a, HUGE_PAGE_BITS).unwrap();
+        let s = CandidateSpace::enumerate(t, &a).unwrap();
         for map_id in 0..=s.max_map_id() {
             let idx = s.position(&Candidate::paper(map_id)).unwrap();
             assert_eq!(idx, map_id as usize * 6, "MapID block starts with the paper order");
@@ -188,7 +182,7 @@ mod tests {
     fn paper_candidate_scheme_matches_pim_optimized() {
         let (t, a) = iphone();
         let c = Candidate::paper(2);
-        let built = c.build(t, &a, HUGE_PAGE_BITS).unwrap();
+        let built = c.build(t, &a).unwrap();
         let reference = MappingScheme::pim_optimized(t, &a, 2, HUGE_PAGE_BITS).unwrap();
         assert_eq!(built, reference, "labels and segments must be bit-identical");
     }
@@ -196,9 +190,9 @@ mod tests {
     #[test]
     fn every_candidate_roundtrips_addresses() {
         let (t, a) = iphone();
-        let s = CandidateSpace::enumerate(t, &a, HUGE_PAGE_BITS).unwrap();
+        let s = CandidateSpace::enumerate(t, &a).unwrap();
         for c in s.candidates() {
-            let scheme = c.build(t, &a, HUGE_PAGE_BITS).unwrap();
+            let scheme = c.build(t, &a).unwrap();
             for i in 0..256u64 {
                 let pa = ((i * 977 * 32) % t.capacity_bytes()) & !31;
                 let da = scheme.map_pa(pa);
@@ -211,10 +205,10 @@ mod tests {
     #[test]
     fn channel_first_order_changes_pu_walk() {
         let (t, a) = iphone();
-        let paper = Candidate::paper(0).build(t, &a, HUGE_PAGE_BITS).unwrap();
+        let paper = Candidate::paper(0).build(t, &a).unwrap();
         let chan_first =
             Candidate { map_id: 0, pu_order: PuOrder([Field::Channel, Field::Bank, Field::Rank]) }
-                .build(t, &a, HUGE_PAGE_BITS)
+                .build(t, &a)
                 .unwrap();
         // One chunk (2 KB) ahead: paper moves to the next bank, channel-first
         // moves to the next channel.
@@ -233,10 +227,7 @@ mod tests {
     fn out_of_range_mapid_rejected_at_construction() {
         let (t, a) = iphone();
         let c = Candidate { map_id: 9, pu_order: PuOrder::all()[3] };
-        assert!(matches!(
-            c.build(t, &a, HUGE_PAGE_BITS),
-            Err(FacilError::MapIdOutOfRange { requested: 9, .. })
-        ));
+        assert!(matches!(c.build(t, &a), Err(FacilError::MapIdOutOfRange { requested: 9, .. })));
     }
 
     #[test]
@@ -245,7 +236,7 @@ mod tests {
         let (t, a) = iphone();
         let m = MatrixConfig::new(64, 4096, DType::F16); // 8 KB rows
         for map_id in 0..=3u8 {
-            let ours = Candidate::paper(map_id).decision(&m, t, &a, HUGE_PAGE_BITS).unwrap();
+            let ours = Candidate::paper(map_id).decision(&m, t, &a).unwrap();
             let reference = decision_with_map_id(&m, t, &a, map_id, HUGE_PAGE_BITS).unwrap();
             assert_eq!(ours, reference, "MapID {map_id}");
         }
@@ -255,6 +246,6 @@ mod tests {
     fn narrow_matrix_rejected() {
         let (t, a) = iphone();
         let m = MatrixConfig::new(64, 256, facil_core::DType::F16);
-        assert!(Candidate::paper(0).decision(&m, t, &a, HUGE_PAGE_BITS).is_err());
+        assert!(Candidate::paper(0).decision(&m, t, &a).is_err());
     }
 }

@@ -40,20 +40,11 @@ use facil_telemetry::memo::Memo;
 /// fixes the request stream and the replay's counters.
 pub(crate) type ReplayMemo = Memo<(MappingScheme, u64, u64), Result<DramStats>>;
 
-/// How many windows each evaluator samples from the matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SampleConfig {
-    /// Windows binned by the analytic model (stride-sampled, no RNG).
-    pub analytic_windows: usize,
-    /// Windows replayed through the cycle-accurate scheduler.
-    pub measured_windows: usize,
-}
+/// Windows the analytic model bins per candidate (stride-sampled, no RNG).
+const ANALYTIC_WINDOWS: u64 = 4;
 
-impl Default for SampleConfig {
-    fn default() -> Self {
-        SampleConfig { analytic_windows: 4, measured_windows: 1 }
-    }
-}
+/// Windows the measured model replays through the cycle-accurate scheduler.
+const MEASURED_WINDOWS: u64 = 1;
 
 /// Analytic score breakdown for one candidate.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -94,8 +85,6 @@ pub struct CostModel<'a> {
     gemv_weight: f64,
     gemm_weight: f64,
     hit_rate: f64,
-    sample: SampleConfig,
-    page_bits: u32,
 }
 
 impl<'a> CostModel<'a> {
@@ -106,8 +95,6 @@ impl<'a> CostModel<'a> {
         arch: &'a PimArch,
         matrix: MatrixConfig,
         profile: &WorkloadProfile,
-        sample: SampleConfig,
-        page_bits: u32,
     ) -> Self {
         CostModel {
             spec,
@@ -116,8 +103,6 @@ impl<'a> CostModel<'a> {
             gemv_weight: profile.gemv_weight,
             gemm_weight: profile.gemm_weight,
             hit_rate: profile.measured_hit_rate().unwrap_or(0.0).clamp(0.0, 1.0),
-            sample,
-            page_bits,
         }
     }
 
@@ -173,12 +158,12 @@ impl<'a> CostModel<'a> {
     /// Propagates scheme construction / partitioning errors.
     pub fn analytic(&self, candidate: &Candidate) -> Result<AnalyticCost> {
         let topo = self.spec.topology;
-        let decision = candidate.decision(&self.matrix, topo, self.arch, self.page_bits)?;
+        let decision = candidate.decision(&self.matrix, topo, self.arch)?;
         let scheme = decision.scheme;
         let bytes = self.matrix.padded_bytes();
         let window = self.window_bytes(candidate.map_id);
         let n_windows = bytes.div_ceil(window).max(1);
-        let sampled = (self.sample.analytic_windows.max(1) as u64).min(n_windows);
+        let sampled = ANALYTIC_WINDOWS.min(n_windows);
 
         let chunk = self.arch.chunk_row_bytes;
         let block_service = self.block_service_cycles();
@@ -204,10 +189,7 @@ impl<'a> CostModel<'a> {
             chan_busy.iter_mut().for_each(|c| *c = 0.0);
             for blk in 0..(len / chunk) {
                 let da = scheme.map_pa(base + blk * chunk);
-                let global_bank = ((da.channel as usize * topo.ranks as usize + da.rank as usize)
-                    * topo.banks() as usize)
-                    + da.bank as usize;
-                bank_busy[global_bank] += block_service;
+                bank_busy[da.flat_bank(&topo) as usize] += block_service;
                 chan_busy[da.channel as usize] += cols_per_block * burst;
             }
             let bank_max = bank_busy.iter().copied().fold(0.0, f64::max);
@@ -255,11 +237,11 @@ impl<'a> CostModel<'a> {
         replays: &ReplayMemo,
     ) -> Result<MeasuredCost> {
         let topo = self.spec.topology;
-        let decision = candidate.decision(&self.matrix, topo, self.arch, self.page_bits)?;
+        let decision = candidate.decision(&self.matrix, topo, self.arch)?;
         let bytes = self.matrix.padded_bytes();
         let window = self.window_bytes(candidate.map_id);
         let n_windows = bytes.div_ceil(window).max(1);
-        let sampled = (self.sample.measured_windows.max(1) as u64).min(n_windows);
+        let sampled = MEASURED_WINDOWS.min(n_windows);
 
         let mut cycles = 0.0f64;
         let mut stats = DramStats::default();
@@ -301,7 +283,7 @@ impl<'a> CostModel<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use facil_core::{DType, HUGE_PAGE_BITS};
+    use facil_core::DType;
 
     fn setup() -> (DramSpec, PimArch) {
         // iPhone-class: 4ch x 2rk x 16 banks, 2 KB rows.
@@ -317,7 +299,7 @@ mod tests {
 
     fn model<'a>(spec: &'a DramSpec, arch: &'a PimArch, matrix: MatrixConfig) -> CostModel<'a> {
         let profile = WorkloadProfile::decode_only("t", vec![]);
-        CostModel::new(spec, arch, matrix, &profile, SampleConfig::default(), HUGE_PAGE_BITS)
+        CostModel::new(spec, arch, matrix, &profile)
     }
 
     #[test]
@@ -366,8 +348,7 @@ mod tests {
             row_misses: 1,
             ..Default::default()
         });
-        let warm =
-            CostModel::new(&spec, &arch, matrix, &profile, SampleConfig::default(), HUGE_PAGE_BITS);
+        let warm = CostModel::new(&spec, &arch, matrix, &profile);
         let c = Candidate::paper(0);
         assert!(
             warm.block_service_cycles() < cold.block_service_cycles(),
@@ -383,17 +364,9 @@ mod tests {
         let (spec, arch) = setup();
         let matrix = MatrixConfig::new(8192, 2048, DType::F16);
         let profile = WorkloadProfile::decode_only("t", vec![]);
-        let gemv_model =
-            CostModel::new(&spec, &arch, matrix, &profile, SampleConfig::default(), HUGE_PAGE_BITS);
+        let gemv_model = CostModel::new(&spec, &arch, matrix, &profile);
         let gemm_profile = profile.clone().with_mix(0.0, 1.0);
-        let gemm_model = CostModel::new(
-            &spec,
-            &arch,
-            matrix,
-            &gemm_profile,
-            SampleConfig::default(),
-            HUGE_PAGE_BITS,
-        );
+        let gemm_model = CostModel::new(&spec, &arch, matrix, &gemm_profile);
         let c = Candidate::paper(1);
         let gemv = gemv_model.analytic(&c).unwrap();
         let gemm = gemm_model.analytic(&c).unwrap();

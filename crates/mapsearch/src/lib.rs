@@ -53,9 +53,10 @@ pub mod report;
 pub mod search;
 
 pub use candidates::{Candidate, CandidateSpace, PuOrder};
-pub use cost::{AnalyticCost, CostModel, MeasuredCost, SampleConfig};
+pub use cost::{AnalyticCost, CostModel, MeasuredCost};
 pub use profile::{TensorSpec, WorkloadProfile};
 pub use report::SearchReport;
 pub use search::{
     search_matrix, search_workload, CandidateOutcome, MatrixSearchResult, SearchConfig, TracePoint,
+    IMPROVEMENT_THRESHOLD,
 };

@@ -1,7 +1,7 @@
 //! Search reports: the durable output of a mapping search.
 //!
 //! A [`SearchReport`] bundles the per-tensor [`MatrixSearchResult`]s with
-//! enough provenance (platform, profile, page size) to reproduce the
+//! enough provenance (platform, profile, topology) to reproduce the
 //! run, serializes through the workspace's hand-rolled
 //! [`JsonWriter`] (byte-identical for
 //! identical inputs — the determinism property tests diff these strings),
@@ -10,8 +10,8 @@
 //! `InferenceSim::with_selector` constructor calls instead of the paper's
 //! closed-form rule.
 
-use crate::search::{MatrixSearchResult, SearchConfig};
-use facil_core::{select_mapping, MappingDecision, MatrixConfig, PimArch, Result};
+use crate::search::MatrixSearchResult;
+use facil_core::{select_mapping, MappingDecision, MatrixConfig, PimArch, Result, HUGE_PAGE_BITS};
 use facil_dram::Topology;
 use facil_telemetry::{JsonWriter, RunManifest};
 
@@ -23,8 +23,6 @@ pub struct SearchReport {
     pub platform: String,
     /// Workload profile name.
     pub profile: String,
-    /// Page size (log2 bytes) the schemes fit in.
-    pub page_bits: u32,
     /// Topology the search ran against.
     pub topology: Topology,
     /// PIM architecture the search ran against.
@@ -49,19 +47,17 @@ impl SearchReport {
     pub fn new(
         platform: impl Into<String>,
         profile: impl Into<String>,
-        config: &SearchConfig,
         topology: Topology,
         arch: PimArch,
         results: Vec<MatrixSearchResult>,
     ) -> Result<Self> {
         let layouts = results
             .iter()
-            .map(|r| Ok(r.best.build(topology, &arch, config.page_bits)?.dump()))
+            .map(|r| Ok(r.best.build(topology, &arch)?.dump()))
             .collect::<Result<Vec<_>>>()?;
         Ok(SearchReport {
             platform: platform.into(),
             profile: profile.into(),
-            page_bits: config.page_bits,
             topology,
             arch,
             results,
@@ -83,8 +79,8 @@ impl SearchReport {
     /// Propagates decision-construction errors (unplaceable matrices).
     pub fn decision_for(&self, matrix: &MatrixConfig) -> Result<MappingDecision> {
         match self.result_for(matrix) {
-            Some(r) => r.best.decision(matrix, self.topology, &self.arch, self.page_bits),
-            None => select_mapping(matrix, self.topology, &self.arch, self.page_bits),
+            Some(r) => r.best.decision(matrix, self.topology, &self.arch),
+            None => select_mapping(matrix, self.topology, &self.arch, HUGE_PAGE_BITS),
         }
     }
 
@@ -113,7 +109,7 @@ impl SearchReport {
         w.begin_object()
             .field_str("platform", &self.platform)
             .field_str("profile", &self.profile)
-            .field_uint("page_bits", u64::from(self.page_bits))
+            .field_uint("page_bits", u64::from(HUGE_PAGE_BITS))
             .field_uint("displaced", self.displaced_count() as u64)
             .field_uint("evaluated", self.evaluated_total())
             .key("results")
@@ -157,7 +153,7 @@ impl SearchReport {
         manifest
             .config_str("platform", &self.platform)
             .config_str("profile", &self.profile)
-            .config_uint("page_bits", u64::from(self.page_bits));
+            .config_uint("page_bits", u64::from(HUGE_PAGE_BITS));
         manifest
             .result_uint("tensors", self.results.len() as u64)
             .result_uint("displaced", self.displaced_count() as u64)
@@ -170,7 +166,7 @@ impl SearchReport {
 mod tests {
     use super::*;
     use crate::profile::{TensorSpec, WorkloadProfile};
-    use crate::search::search_workload;
+    use crate::search::{search_workload, SearchConfig};
     use facil_core::DType;
     use facil_dram::DramSpec;
 
@@ -184,10 +180,8 @@ mod tests {
                 TensorSpec::new("moe-expert", MatrixConfig::new(64, 4096, DType::F16)),
             ],
         );
-        let config = SearchConfig::default();
-        let results = search_workload(&spec, &arch, &profile, &config).unwrap();
-        SearchReport::new("iphone15pro", &profile.name, &config, spec.topology, arch, results)
-            .unwrap()
+        let results = search_workload(&spec, &arch, &profile, &SearchConfig::default()).unwrap();
+        SearchReport::new("iphone15pro", &profile.name, spec.topology, arch, results).unwrap()
     }
 
     #[test]
@@ -195,20 +189,20 @@ mod tests {
         let r = report();
         let moe = MatrixConfig::new(64, 4096, DType::F16);
         let searched = r.decision_for(&moe).unwrap();
-        let paper = select_mapping(&moe, r.topology, &r.arch, r.page_bits).unwrap();
+        let paper = select_mapping(&moe, r.topology, &r.arch, HUGE_PAGE_BITS).unwrap();
         assert_ne!(searched.scheme, paper.scheme, "the skinny tensor is re-laid-out");
         assert_eq!(searched.map_id, paper.map_id, "via PU order, at the same MapID");
         // A shape the search never saw falls back to the paper's rule.
         let other = MatrixConfig::new(4096, 4096, DType::F16);
         assert_eq!(
             r.selector()(&other).unwrap(),
-            select_mapping(&other, r.topology, &r.arch, r.page_bits).unwrap()
+            select_mapping(&other, r.topology, &r.arch, HUGE_PAGE_BITS).unwrap()
         );
         // A searched-but-not-displaced shape also matches the paper.
         let qkv = MatrixConfig::new(2048, 2048, DType::F16);
         assert_eq!(
             r.decision_for(&qkv).unwrap(),
-            select_mapping(&qkv, r.topology, &r.arch, r.page_bits).unwrap()
+            select_mapping(&qkv, r.topology, &r.arch, HUGE_PAGE_BITS).unwrap()
         );
     }
 

@@ -5,7 +5,7 @@
 //! the paper's pick) through the cycle-accurate scheduler, and applies an
 //! **epsilon incumbent rule**: the paper's selection is only displaced by a
 //! candidate that beats it on *measured* cycles by more than
-//! [`SearchConfig::improvement_threshold`]. Closed-form and searched picks
+//! [`IMPROVEMENT_THRESHOLD`]. Closed-form and searched picks
 //! therefore agree everywhere the paper's rule is already (near-)optimal —
 //! reproducing Fig. 13's four platform baselines — while genuinely better
 //! placements (e.g. a matrix too small to fill the paper-MapID window)
@@ -17,41 +17,28 @@
 //! (including under `FACIL_THREADS`).
 
 use crate::candidates::{Candidate, CandidateSpace};
-use crate::cost::{AnalyticCost, CostModel, MeasuredCost, ReplayMemo, SampleConfig};
+use crate::cost::{AnalyticCost, CostModel, MeasuredCost, ReplayMemo};
 use crate::profile::{TensorSpec, WorkloadProfile};
 use facil_core::{select_mapping, MatrixConfig, PimArch, Result, HUGE_PAGE_BITS};
 use facil_dram::DramSpec;
 use facil_telemetry::pool;
 
-/// Tunables for one search run.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// How many analytically top-ranked candidates get a cycle-accurate replay
+/// (the paper's pick is always replayed in addition).
+const SIM_TOP_K: usize = 3;
+
+/// Relative measured-score margin a challenger must win by to displace the
+/// paper's pick (the epsilon incumbent rule).
+pub const IMPROVEMENT_THRESHOLD: f64 = 0.05;
+
+/// Tunables for one search run. Every scheme fits a huge page
+/// ([`HUGE_PAGE_BITS`]).
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SearchConfig {
-    /// How many analytically top-ranked candidates get a cycle-accurate
-    /// replay (the paper's pick is always replayed in addition).
-    pub sim_top_k: usize,
-    /// Relative measured-score margin a challenger must win by to displace
-    /// the paper's pick (the epsilon incumbent rule).
-    pub improvement_threshold: f64,
     /// Worker count for parallel evaluation; `None` uses the global
     /// [`pool::parallelism`] (which honors `FACIL_THREADS`). Results are
     /// identical either way — this only affects wall-clock time.
     pub workers: Option<usize>,
-    /// OS page size (log2 bytes) the schemes must fit in.
-    pub page_bits: u32,
-    /// Window sampling for both evaluators.
-    pub sample: SampleConfig,
-}
-
-impl Default for SearchConfig {
-    fn default() -> Self {
-        SearchConfig {
-            sim_top_k: 3,
-            improvement_threshold: 0.05,
-            workers: None,
-            page_bits: HUGE_PAGE_BITS,
-            sample: SampleConfig::default(),
-        }
-    }
 }
 
 /// One improvement of the global analytic best, for the score trace.
@@ -160,11 +147,11 @@ fn search_tensor(
     replays: &ReplayMemo,
 ) -> Result<MatrixSearchResult> {
     let topo = spec.topology;
-    let space = CandidateSpace::enumerate(topo, arch, config.page_bits)?;
-    let model = CostModel::new(spec, arch, tensor.matrix, profile, config.sample, config.page_bits);
+    let space = CandidateSpace::enumerate(topo, arch)?;
+    let model = CostModel::new(spec, arch, tensor.matrix, profile);
     let workers = config.workers.unwrap_or_else(pool::parallelism);
 
-    let paper_decision = select_mapping(&tensor.matrix, topo, arch, config.page_bits)?;
+    let paper_decision = select_mapping(&tensor.matrix, topo, arch, HUGE_PAGE_BITS)?;
     let paper = Candidate::paper(paper_decision.map_id.0);
 
     let (scores, trace) = analytic_phase(&space, &model, workers)?;
@@ -177,7 +164,7 @@ fn search_tensor(
         let (sa, sb) = (scores[a].score, scores[b].score);
         sa.partial_cmp(&sb).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(&b))
     });
-    ranked.truncate(config.sim_top_k.max(1));
+    ranked.truncate(SIM_TOP_K);
     let paper_idx = space.position(&paper);
     if let Some(pi) = paper_idx {
         if !ranked.contains(&pi) {
@@ -203,11 +190,11 @@ fn search_tensor(
     };
 
     // Epsilon incumbent rule: lowest measured score wins, but only a
-    // challenger more than `improvement_threshold` better than the paper's
+    // challenger more than `IMPROVEMENT_THRESHOLD` better than the paper's
     // measured score may displace it.
     let mut best = paper;
     let mut best_measured = paper_measured.clone();
-    let bar = paper_measured.score * (1.0 - config.improvement_threshold);
+    let bar = paper_measured.score * (1.0 - IMPROVEMENT_THRESHOLD);
     for (i, m) in &measured {
         let cand = space.candidates()[*i];
         if cand != paper && m.score < bar && m.score < best_measured.score {
@@ -318,7 +305,7 @@ mod tests {
         assert!(r.displaced, "search must find the wider distribution");
         assert_eq!(r.best.map_id, 2, "the win comes from PU order, not extra partitioning");
         assert_ne!(r.best.pu_order, PuOrder::paper());
-        assert!(r.improvement > SearchConfig::default().improvement_threshold);
+        assert!(r.improvement > IMPROVEMENT_THRESHOLD);
         assert!(r.best_measured.score < r.paper_measured.score);
     }
 
@@ -327,8 +314,8 @@ mod tests {
         let (spec, arch) = iphone_spec();
         let t = TensorSpec::new("ffn", MatrixConfig::new(8192, 2048, DType::F16));
         let p = profile_for(t.clone());
-        let base = SearchConfig { workers: Some(1), ..Default::default() };
-        let wide = SearchConfig { workers: Some(4), ..Default::default() };
+        let base = SearchConfig { workers: Some(1) };
+        let wide = SearchConfig { workers: Some(4) };
         let a = search_matrix(&spec, &arch, &t, &p, &base).unwrap();
         let b = search_matrix(&spec, &arch, &t, &p, &base).unwrap();
         let c = search_matrix(&spec, &arch, &t, &p, &wide).unwrap();
@@ -355,7 +342,7 @@ mod tests {
         let (spec, arch) = iphone_spec();
         let p = shared_window_profile();
         for workers in [Some(1), Some(4)] {
-            let config = SearchConfig { workers, ..Default::default() };
+            let config = SearchConfig { workers };
             let shared = search_workload(&spec, &arch, &p, &config).unwrap();
             let alone: Vec<_> = p
                 .tensors

@@ -7,6 +7,7 @@ use facil_core::{DType, MatrixConfig, PimArch};
 use facil_dram::DramSpec;
 use facil_mapsearch::{
     search_matrix, search_workload, SearchConfig, SearchReport, TensorSpec, WorkloadProfile,
+    IMPROVEMENT_THRESHOLD,
 };
 
 fn spec() -> DramSpec {
@@ -52,7 +53,7 @@ fn searched_never_worse_than_paper() {
             r.paper_measured.score
         );
         if r.displaced {
-            assert!(r.improvement > config.improvement_threshold);
+            assert!(r.improvement > IMPROVEMENT_THRESHOLD);
             assert!(r.best != r.paper);
         } else {
             assert!(r.best == r.paper, "retention must keep the paper's candidate");
@@ -79,12 +80,12 @@ fn report_is_byte_identical_across_workers() {
         let spec = spec();
         let arch = PimArch::aim(&spec.topology);
         let profile = WorkloadProfile::decode_only("prop", vec![TensorSpec::new("t", matrix)]);
-        let serial = SearchConfig { workers: Some(1), ..SearchConfig::default() };
-        let wide = SearchConfig { workers: Some(8), ..SearchConfig::default() };
+        let serial = SearchConfig { workers: Some(1) };
+        let wide = SearchConfig { workers: Some(8) };
 
         let report = |config: &SearchConfig| -> SearchReport {
             let results = search_workload(&spec, &arch, &profile, config).unwrap();
-            SearchReport::new("prop", &profile.name, config, spec.topology, arch, results).unwrap()
+            SearchReport::new("prop", &profile.name, spec.topology, arch, results).unwrap()
         };
         let a = report(&serial);
         let b = report(&wide);

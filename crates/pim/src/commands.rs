@@ -4,33 +4,38 @@
 //! this module makes the same stream *replayable*: [`CommandSequence::trace`]
 //! walks a placed matrix chunk by chunk through the page table and mapping
 //! scheme, validates every placement invariant the all-bank hardware relies
-//! on, and records the per-wave structure — which bank MACs which matrix row
-//! against which global-buffer slice in which DRAM row. A functional
-//! interpreter (`facil-fidelity`) executes the sequence over a byte-accurate
+//! on, and records the stream as one [`RankPass`] per rank per wave: the
+//! global-buffer slices that rank stages, and which bank MACs which matrix
+//! row in which register slot. A functional interpreter (`facil-fidelity`)
+//! executes it pass by pass over a byte-accurate
 //! [`facil_dram::BankedMemory`]; [`CommandSequence::to_streams`] lowers it to
 //! the exact [`facil_dram::PimStream`]s the timing model simulates, so one
 //! JEDEC-legality checker ([`facil_dram::verify_allbank_log`]) covers both.
+//! Neither regroups the stream: the passes are each rank's one statement of
+//! its staging.
 //!
 //! The tracer is the one placement check. On every chunk it enforces the
 //! §II-C properties — chunk contiguity, each row on exactly `partitions` PUs,
 //! rows `r` and `r + chunk_rows` of a tile in lock-step on different PUs —
 //! and the all-bank ones: one broadcast row per wave, bank-stable registers.
+//! Its state is dense and spans one tile: the walk is tile-major, so a tile's
+//! chunk rows are grouped into waves, passes and banks as the tile completes.
 //!
-//! One *wave* is one all-bank pass: `GB-load* → ACT-AB → MAC-AB* → PRE-AB`
+//! One *wave* is one all-bank step: `GB-load* → ACT-AB → MAC-AB* → PRE-AB`
 //! on every rank that owns weights for it, all banks in lock-step on one
 //! broadcast row address. Waves are ordered tile-major, segment-ascending —
 //! the same order [`functional::pim_gemv`](crate::functional::pim_gemv)
 //! accumulates in, which is what makes the replay bit-exact.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::iter::once;
 
 use facil_core::{FacilError, FacilSystem, MatrixConfig, PimAllocation};
 use facil_dram::{PimStream, Topology};
 
 use crate::layout::PimPlacement;
 
-/// One global-buffer slice staged for a wave: the input-vector span the PUs
-/// of partition `partition` consume during that wave.
+/// One global-buffer slice a rank stages for a wave: the input-vector span
+/// the PUs of partition `partition` consume during that wave.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GbSlice {
     /// Partition index (0 when the row is unpartitioned).
@@ -41,39 +46,46 @@ pub struct GbSlice {
     pub elems: u64,
 }
 
-/// One chunk row a bank MACs during a wave.
+/// One chunk row a bank MACs during a wave. It reads its pass's
+/// [`GbSlice`] of `partition` and starts at DRAM column
+/// `slot × chunk transfers`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkRowTask {
     /// Matrix row this chunk row belongs to.
     pub matrix_row: u64,
     /// Partition index of the chunk (which partial sum it feeds).
     pub partition: u64,
-    /// First matrix column the chunk covers.
-    pub col0: u64,
-    /// Live elements (< chunk elements only for a ragged tail).
-    pub elems: u64,
     /// Chunk-row slot within the DRAM row (always 0 for AiM; 0..8 for
     /// HBM-PIM, selecting the PU output register).
     pub slot: u64,
-    /// First DRAM column of the chunk row.
-    pub column0: u64,
 }
 
 /// All chunk rows one bank processes during a wave.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BankTask {
-    /// Channel of the bank.
-    pub channel: u64,
-    /// Rank of the bank.
-    pub rank: u64,
     /// Bank index within the rank.
     pub bank: u64,
     /// Chunk rows, slot-ascending.
     pub rows: Vec<ChunkRowTask>,
 }
 
-/// One all-bank pass: every listed bank processes one DRAM row against the
-/// staged global-buffer slices.
+/// One rank's part of a wave: the global-buffer slices it stages, then the
+/// banks that MAC against them in lock-step.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RankPass {
+    /// Channel of the rank.
+    pub channel: u64,
+    /// Rank index within the channel.
+    pub rank: u64,
+    /// Slices staged, one per partition the rank's banks read,
+    /// partition-ascending.
+    pub gb: Vec<GbSlice>,
+    /// Per-bank work, bank-ascending.
+    pub banks: Vec<BankTask>,
+}
+
+/// One all-bank step: every rank that owns weights for it makes one pass,
+/// all on the same broadcast row.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Wave {
     /// Tile index (PU output registers accumulate across the waves of one
@@ -84,10 +96,8 @@ pub struct Wave {
     /// The DRAM row every bank activates (all-bank ACT broadcasts one row
     /// address).
     pub dram_row: u64,
-    /// Global-buffer slices staged for this wave, partition-ascending.
-    pub gb: Vec<GbSlice>,
-    /// Per-bank work, (channel, rank, bank)-ascending.
-    pub tasks: Vec<BankTask>,
+    /// One pass per rank with work, (channel, rank)-ascending.
+    pub ranks: Vec<RankPass>,
 }
 
 /// One command of the functional replay stream. The kinds mirror
@@ -146,16 +156,7 @@ pub struct CommandSequence {
     chunk_tx: u64,
     /// fp16 elements per chunk row.
     chunk_elems: u64,
-    map_id: u8,
     waves: Vec<Wave>,
-}
-
-struct WaveBuild {
-    dram_row: Option<u64>,
-    /// (channel, rank, bank) -> slot-keyed chunk rows.
-    tasks: BTreeMap<(u64, u64, u64), BTreeMap<u64, ChunkRowTask>>,
-    /// Partitions present -> live elements of their slice.
-    slices: BTreeMap<u64, u64>,
 }
 
 impl CommandSequence {
@@ -202,36 +203,43 @@ impl CommandSequence {
         let page_table = sys.page_table();
         let scheme = &d.scheme;
         let chunks = m.cols.div_ceil(chunk_elems);
+        let slots = topo.columns() / chunk_tx;
+        let rows_per_tile = placement.rows_per_tile;
         // Lane `r % chunk_rows` holds the (DRAM row, column, PU) of every
         // chunk of the last row traced in it: the lock-step peer of row `r`.
         let mut lanes = vec![vec![(0, 0, 0); chunks as usize]; arch.chunk_rows as usize];
-        let mut row_pus = BTreeSet::new();
+        // `row_of_pu[flat] == r` once row `r` has touched PU `flat`.
+        let mut row_of_pu = vec![u64::MAX; topo.total_banks() as usize];
 
-        let mut waves: BTreeMap<(u64, u64), WaveBuild> = BTreeMap::new();
-        // The register binding must be a *bijection* within a tile: each PU
-        // output register (tile, flat bank, slot) accumulates exactly one
-        // (matrix row, partition), and each (matrix row, partition)
+        // Per-tile state, cleared as each tile completes. The register
+        // binding must be a *bijection* within a tile: each PU output
+        // register (flat bank, slot), at `flat * slots + slot`, accumulates
+        // exactly one (matrix row, partition), and each (matrix row,
+        // partition), at `(r % rows_per_tile) * partitions + partition`,
         // accumulates in exactly one register. Both directions are checked.
-        let mut registers: BTreeMap<(u64, u64, u64), (u64, u64)> = BTreeMap::new();
-        let mut reg_of: BTreeMap<(u64, u64, u64), (u64, u64)> = BTreeMap::new();
+        // `dram_rows[segment]` is the broadcast row of the tile's wave.
+        let mut registers = vec![None; (topo.total_banks() * slots) as usize];
+        let mut reg_of = vec![None; (rows_per_tile * d.partitions) as usize];
+        let mut dram_rows = vec![None; 1 << map_id];
+        let mut waves = Vec::new();
 
         for r in 0..m.rows {
-            let tile = r / placement.rows_per_tile;
-            let has_peer = r % placement.rows_per_tile >= arch.chunk_rows;
+            let tile = r / rows_per_tile;
+            let has_peer = r % rows_per_tile >= arch.chunk_rows;
             let lane = &mut lanes[(r % arch.chunk_rows) as usize];
-            row_pus.clear();
+            let mut row_pus = 0;
             // The padding of a row belongs to its partitions too.
             for j in 0..m.padded_row_bytes() / arch.chunk_row_bytes {
                 let va = alloc.va + r * m.padded_row_bytes() + j * arch.chunk_row_bytes;
                 let pa = page_table.translate(va)?.pa;
                 let first = scheme.map_pa(pa);
-                let flat = (first.channel * topo.ranks + first.rank) * topo.banks() + first.bank;
-                row_pus.insert(flat);
+                let flat = first.flat_bank(&topo);
+                if std::mem::replace(&mut row_of_pu[flat as usize], r) != r {
+                    row_pus += 1;
+                }
                 if j >= chunks {
                     continue;
                 }
-                let col0 = j * chunk_elems;
-                let elems = chunk_elems.min(m.cols - col0);
                 let segment = j & seg_mask;
                 let partition = j >> map_id;
                 if partition >= d.partitions {
@@ -246,6 +254,7 @@ impl CommandSequence {
                         first.column
                     )));
                 }
+                let elems = chunk_elems.min(m.cols - j * chunk_elems);
                 for t in 1..(elems * 2).div_ceil(tx) {
                     let da = scheme.map_pa(pa + t * tx);
                     if (da.channel, da.rank, da.bank, da.row)
@@ -258,7 +267,7 @@ impl CommandSequence {
                     }
                 }
                 let slot = first.column >> arch.chunk_col_bits(&topo);
-                match registers.insert((tile, flat, slot), (r, partition)) {
+                match registers[(flat * slots + slot) as usize].replace((r, partition)) {
                     Some(prev) if prev != (r, partition) => {
                         return Err(FacilError::InvalidMapping(format!(
                             "PU register (bank {flat}, slot {slot}) of tile {tile} is not \
@@ -269,7 +278,8 @@ impl CommandSequence {
                     }
                     _ => {}
                 }
-                match reg_of.insert((tile, r, partition), (flat, slot)) {
+                let bound = &mut reg_of[((r % rows_per_tile) * d.partitions + partition) as usize];
+                match bound.replace((flat, slot)) {
                     Some(prev) if prev != (flat, slot) => {
                         return Err(FacilError::InvalidMapping(format!(
                             "row {r} partition {partition} of tile {tile} is not bank-stable: \
@@ -290,13 +300,8 @@ impl CommandSequence {
                         r - arch.chunk_rows
                     )));
                 }
-                let wave = waves.entry((tile, segment)).or_insert_with(|| WaveBuild {
-                    dram_row: None,
-                    tasks: BTreeMap::new(),
-                    slices: BTreeMap::new(),
-                });
-                match wave.dram_row {
-                    None => wave.dram_row = Some(first.row),
+                match dram_rows[segment as usize] {
+                    None => dram_rows[segment as usize] = Some(first.row),
                     Some(row) if row != first.row => {
                         return Err(FacilError::InvalidMapping(format!(
                             "wave (tile {tile}, segment {segment}) needs rows {row} and {} — \
@@ -306,58 +311,57 @@ impl CommandSequence {
                     }
                     Some(_) => {}
                 }
-                wave.slices.entry(partition).or_insert(elems);
-                let task = ChunkRowTask {
-                    matrix_row: r,
-                    partition,
-                    col0,
-                    elems,
-                    slot,
-                    column0: first.column,
-                };
-                wave.tasks
-                    .entry((first.channel, first.rank, first.bank))
-                    .or_default()
-                    .insert(slot, task);
             }
-            if row_pus.len() as u64 != d.partitions {
+            if row_pus != d.partitions {
                 return Err(FacilError::InvalidMapping(format!(
-                    "matrix row {r} touches {} PUs, expected {} partitions",
-                    row_pus.len(),
+                    "matrix row {r} touches {row_pus} PUs, expected {} partitions",
                     d.partitions
                 )));
             }
+            if (r + 1) % rows_per_tile != 0 && r + 1 != m.rows {
+                continue;
+            }
+            // The tile is complete: group it into waves, segment-ascending,
+            // and each wave into passes and banks in flat-bank order. The
+            // (row, partition) of a register has a chunk in segment `s`
+            // unless chunk `(partition << map_id) | s` is past the row's end.
+            for (segment, dram_row) in (0..).zip(&mut dram_rows) {
+                let Some(dram_row) = dram_row.take() else { continue };
+                let mut ranks = Vec::new();
+                for (pass, regs) in
+                    (0..).zip(registers.chunks_exact((topo.banks() * slots) as usize))
+                {
+                    let (channel, rank) = (pass / topo.ranks, pass % topo.ranks);
+                    let mut p = RankPass { channel, rank, gb: Vec::new(), banks: Vec::new() };
+                    for (bank, regs) in (0..).zip(regs.chunks_exact(slots as usize)) {
+                        let mut rows = Vec::new();
+                        for (slot, reg) in (0..).zip(regs) {
+                            let Some((matrix_row, partition)) = *reg else { continue };
+                            let j = (partition << map_id) | segment;
+                            if j >= chunks {
+                                continue;
+                            }
+                            if let Err(i) = p.gb.binary_search_by_key(&partition, |s| s.partition) {
+                                let elems = chunk_elems.min(m.cols - j * chunk_elems);
+                                let input_elem0 = j * chunk_elems;
+                                p.gb.insert(i, GbSlice { partition, input_elem0, elems });
+                            }
+                            rows.push(ChunkRowTask { matrix_row, partition, slot });
+                        }
+                        if !rows.is_empty() {
+                            p.banks.push(BankTask { bank, rows });
+                        }
+                    }
+                    if !p.banks.is_empty() {
+                        ranks.push(p);
+                    }
+                }
+                waves.push(Wave { tile, segment, dram_row, ranks });
+            }
+            registers.fill(None);
+            reg_of.fill(None);
         }
-
-        let waves = waves
-            .into_iter()
-            .map(|((tile, segment), b)| Wave {
-                tile,
-                segment,
-                // Every wave got at least one chunk before landing here.
-                dram_row: b.dram_row.unwrap_or(0),
-                gb: b
-                    .slices
-                    .into_iter()
-                    .map(|(partition, elems)| GbSlice {
-                        partition,
-                        input_elem0: ((partition << map_id) | segment) * chunk_elems,
-                        elems,
-                    })
-                    .collect(),
-                tasks: b
-                    .tasks
-                    .into_iter()
-                    .map(|((channel, rank, bank), rows)| BankTask {
-                        channel,
-                        rank,
-                        bank,
-                        rows: rows.into_values().collect(),
-                    })
-                    .collect(),
-            })
-            .collect();
-        Ok(CommandSequence { topo, matrix: m, placement, chunk_tx, chunk_elems, map_id, waves })
+        Ok(CommandSequence { topo, matrix: m, placement, chunk_tx, chunk_elems, waves })
     }
 
     /// The DRAM topology the sequence was traced against.
@@ -385,48 +389,40 @@ impl CommandSequence {
         &self.waves
     }
 
-    /// The commands of one wave, grouped per (channel, rank):
-    /// `GB-load* → ACT-AB → MAC-AB* → PRE-AB`.
-    pub fn wave_commands(&self, wave: &Wave) -> Vec<PimCommand> {
-        let mut out = Vec::new();
+    /// The commands of one rank's pass of `wave`: `GB-load* → ACT-AB →
+    /// MAC-AB* → PRE-AB`, one GB load per transfer of each staged slice.
+    pub fn pass_commands<'a>(
+        &'a self,
+        wave: &'a Wave,
+        pass: &'a RankPass,
+    ) -> impl Iterator<Item = PimCommand> + 'a {
+        let (channel, rank) = (pass.channel, pass.rank);
         let elems_per_tx = self.topo.transfer_bytes / 2;
-        let mut rank_parts: BTreeMap<(u64, u64), BTreeSet<u64>> = BTreeMap::new();
-        for t in &wave.tasks {
-            let parts = rank_parts.entry((t.channel, t.rank)).or_default();
-            for row in &t.rows {
-                parts.insert(row.partition);
-            }
-        }
-        for ((channel, rank), parts) in rank_parts {
-            for partition in parts {
-                // Trace construction put a slice there for every partition a
-                // task references.
-                let Some(slice) = wave.gb.iter().find(|s| s.partition == partition) else {
-                    continue;
-                };
-                for t in 0..self.chunk_tx {
-                    let off = t * elems_per_tx;
-                    out.push(PimCommand::GbLoad {
-                        channel,
-                        rank,
-                        partition,
-                        input_elem0: slice.input_elem0 + off,
-                        elems: elems_per_tx.min(slice.elems.saturating_sub(off)),
-                    });
+        let loads = pass.gb.iter().flat_map(move |s| {
+            (0..self.chunk_tx).map(move |t| {
+                let off = t * elems_per_tx;
+                PimCommand::GbLoad {
+                    channel,
+                    rank,
+                    partition: s.partition,
+                    input_elem0: s.input_elem0 + off,
+                    elems: elems_per_tx.min(s.elems.saturating_sub(off)),
                 }
-            }
-            out.push(PimCommand::ActAb { channel, rank, dram_row: wave.dram_row });
-            for column in 0..self.topo.columns() {
-                out.push(PimCommand::MacAb { channel, rank, column });
-            }
-            out.push(PimCommand::PreAb { channel, rank });
-        }
-        out
+            })
+        });
+        let macs =
+            (0..self.topo.columns()).map(move |column| PimCommand::MacAb { channel, rank, column });
+        loads
+            .chain(once(PimCommand::ActAb { channel, rank, dram_row: wave.dram_row }))
+            .chain(macs)
+            .chain(once(PimCommand::PreAb { channel, rank }))
     }
 
-    /// The full replayable command stream, wave by wave.
+    /// The full replayable command stream, wave by wave and pass by pass.
     pub fn commands(&self) -> impl Iterator<Item = PimCommand> + '_ {
-        self.waves.iter().flat_map(move |w| self.wave_commands(w))
+        self.waves
+            .iter()
+            .flat_map(move |w| w.ranks.iter().flat_map(move |p| self.pass_commands(w, p)))
     }
 
     /// Lower the sequence to the per-rank [`PimStream`]s of one channel,
@@ -441,23 +437,17 @@ impl CommandSequence {
         mac_interval: u64,
         double_buffer: bool,
     ) -> Vec<PimStream> {
-        let mut per_rank: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
-        for w in &self.waves {
-            let mut parts: BTreeMap<u64, BTreeSet<u64>> = BTreeMap::new();
-            for t in w.tasks.iter().filter(|t| t.channel == channel) {
-                let set = parts.entry(t.rank).or_default();
-                for row in &t.rows {
-                    set.insert(row.partition);
-                }
-            }
-            for (rank, set) in parts {
-                let e = per_rank.entry(rank).or_insert((0, 0));
-                e.0 += 1;
-                e.1 = e.1.max(set.len() as u64 * self.chunk_tx);
-            }
+        // Per rank: passes (one DRAM row each), and the most GB loads one
+        // pass stages.
+        let mut per_rank = vec![(0, 0); self.topo.ranks as usize];
+        for pass in self.waves.iter().flat_map(|w| &w.ranks).filter(|p| p.channel == channel) {
+            let (rows, gb_cmds) = &mut per_rank[pass.rank as usize];
+            *rows += 1;
+            *gb_cmds = (*gb_cmds).max(pass.gb.len() as u64 * self.chunk_tx);
         }
-        per_rank
-            .into_iter()
+        (0..)
+            .zip(per_rank)
+            .filter(|(_, (rows, _))| *rows > 0)
             .map(|(rank, (rows, gb_cmds_per_row))| PimStream {
                 rank,
                 rows,
@@ -496,19 +486,28 @@ mod tests {
         assert_eq!(p.partitions, 1);
         assert_eq!(seq.waves().len() as u64, p.tiles * p.segments);
         for w in seq.waves() {
-            // Unpartitioned AiM: every bank MACs exactly one chunk row.
-            assert_eq!(w.tasks.len() as u64, topo.total_banks());
-            assert_eq!(w.gb.len(), 1);
-            assert_eq!(w.gb[0].elems, seq.chunk_elems());
-            for t in &w.tasks {
-                assert_eq!(t.rows.len(), 1);
-                assert_eq!(t.rows[0].slot, 0);
-                assert_eq!(t.rows[0].col0, w.gb[0].input_elem0);
+            // Unpartitioned AiM: every rank stages one full slice, the
+            // wave's segment, and every bank MACs exactly one chunk row.
+            assert_eq!(w.ranks.len() as u64, topo.channels * topo.ranks);
+            for p in &w.ranks {
+                assert_eq!(p.gb.len(), 1);
+                assert_eq!(p.gb[0].elems, seq.chunk_elems());
+                assert_eq!(p.gb[0].input_elem0, w.segment * seq.chunk_elems());
+                assert_eq!(p.banks.len() as u64, topo.banks());
+                for t in &p.banks {
+                    assert_eq!(t.rows.len(), 1);
+                    assert_eq!((t.rows[0].slot, t.rows[0].partition), (0, 0));
+                }
             }
         }
         // Register bindings never repeat: rows * partitions distinct tasks.
-        let tasks: u64 =
-            seq.waves().iter().flat_map(|w| &w.tasks).map(|t| t.rows.len() as u64).sum();
+        let tasks: u64 = seq
+            .waves()
+            .iter()
+            .flat_map(|w| &w.ranks)
+            .flat_map(|p| &p.banks)
+            .map(|t| t.rows.len() as u64)
+            .sum();
         assert_eq!(tasks, m.rows * m.cols.div_ceil(seq.chunk_elems()));
     }
 
@@ -567,7 +566,7 @@ mod tests {
         let alloc = sys.pimalloc(MatrixConfig::new(64, 1024, DType::F16)).unwrap();
         let seq = CommandSequence::trace(&sys, &alloc).unwrap();
         for w in seq.waves() {
-            for t in &w.tasks {
+            for t in w.ranks.iter().flat_map(|p| &p.banks) {
                 // 8 matrix rows share the DRAM row at distinct slots.
                 let slots: Vec<u64> = t.rows.iter().map(|r| r.slot).collect();
                 assert_eq!(slots, (0..8).collect::<Vec<_>>());
@@ -681,13 +680,18 @@ mod tests {
         let alloc = sys.pimalloc(MatrixConfig::new(8, 4096, DType::F16)).unwrap();
         assert_eq!(alloc.decision.partitions, 2);
         let seq = CommandSequence::trace(&sys, &alloc).unwrap();
-        for w in seq.waves() {
-            let parts: BTreeSet<u64> =
-                w.tasks.iter().flat_map(|t| t.rows.iter().map(|r| r.partition)).collect();
-            for p in &parts {
-                let slice = w.gb.iter().find(|s| s.partition == *p).unwrap();
-                assert_eq!(slice.elems, seq.chunk_elems());
-            }
+        let mut most = 0;
+        for p in seq.waves().iter().flat_map(|w| &w.ranks) {
+            // A pass stages exactly the partitions its banks read, each a
+            // full chunk here.
+            let mut parts: Vec<u64> =
+                p.banks.iter().flat_map(|t| t.rows.iter().map(|r| r.partition)).collect();
+            parts.sort_unstable();
+            parts.dedup();
+            assert_eq!(p.gb.iter().map(|s| s.partition).collect::<Vec<_>>(), parts);
+            assert!(p.gb.iter().all(|s| s.elems == seq.chunk_elems()));
+            most = most.max(p.gb.len());
         }
+        assert_eq!(most, 2);
     }
 }

@@ -13,7 +13,8 @@
 //!   [`facil_dram::BankedMemory`], proving that SoC-written row-major
 //!   weights compute correctly without re-layout;
 //! * [`commands::CommandSequence`] — the same all-bank stream as a validated,
-//!   *replayable* structure (waves, bank tasks, global-buffer slices) that
+//!   *replayable* structure (waves of per-rank passes, each stating the
+//!   global-buffer slices its rank stages and its banks' chunk rows) that
 //!   `facil-fidelity` executes functionally and the verifylog checker
 //!   validates for JEDEC legality;
 //! * [`mod@f16`] — minimal fp16 codec used by the functional path.
@@ -45,7 +46,7 @@ pub mod functional;
 pub mod gemv;
 pub mod layout;
 
-pub use commands::{BankTask, ChunkRowTask, CommandSequence, GbSlice, PimCommand, Wave};
+pub use commands::{BankTask, ChunkRowTask, CommandSequence, GbSlice, PimCommand, RankPass, Wave};
 pub use functional::{load_matrix, pim_gemv, store_matrix};
 pub use gemv::{PimEngine, PimOpTiming, PimTimingConfig};
 pub use layout::PimPlacement;

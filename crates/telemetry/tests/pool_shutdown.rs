@@ -6,6 +6,8 @@
 //! process) because `/proc/self/task` thread counts would race with other
 //! tests exercising the pool concurrently in a shared binary.
 
+use std::time::{Duration, Instant};
+
 use facil_telemetry::pool;
 
 /// Live thread count of this process; falls back to 1 where `/proc` is
@@ -40,7 +42,14 @@ fn workers_park_and_shut_down_without_leaking_threads() {
     let joined = pool::shutdown();
     assert!(joined > 0, "shutdown must join the workers the calls spawned");
     if before > 1 {
-        let after = thread_count();
+        // `/proc/self/task` can still list a worker just after its join
+        // returned, so let the count settle for up to a second.
+        let deadline = Instant::now() + Duration::from_secs(1);
+        let mut after = thread_count();
+        while after > before && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+            after = thread_count();
+        }
         assert!(after <= before, "workers must exit on shutdown ({before} before, {after} after)");
     }
     // ...and repeating it is a no-op.

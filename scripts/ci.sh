@@ -90,6 +90,14 @@ echo "== DRAM schedule and strategy cost pins (release) =="
 cargo test --release --offline -q -p facil-dram --test pinned
 cargo test --release --offline -q -p facil-sim --test pinned
 
+echo "== paper-shape replays (release) =="
+# Every stock platform's paper-model linear shapes, each as a two-tile row
+# slice: the slice keeps the full matrix's mapping decision, replays bit
+# for bit, and stages the pinned most global-buffer slices per rank pass
+# (crates/fidelity/tests/roundtrip.rs). The debug run above checks the
+# other profile.
+cargo test --release --offline -q -p facil-fidelity --test roundtrip paper_shapes_replay_as_two_tile_slices
+
 echo "== executor stress (release) =="
 # Teardown-race probe: two million tiny two-worker batches, each followed
 # by a stack-sentinel check. The race needs an optimised build, so the

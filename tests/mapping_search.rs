@@ -8,6 +8,7 @@ use facil::core::{DType, MatrixConfig};
 use facil::llm::ModelConfig;
 use facil::mapsearch::{
     search_workload, PuOrder, SearchConfig, SearchReport, TensorSpec, WorkloadProfile,
+    IMPROVEMENT_THRESHOLD,
 };
 use facil::sim::{InferenceSim, Strategy};
 use facil::soc::{Platform, PlatformId};
@@ -43,7 +44,7 @@ fn baselines_reproduced_and_moe_displaced_on_all_platforms() {
             if r.tensor == "moe-expert" {
                 assert!(r.displaced, "{id}: searched mapping must beat the paper on MoE");
                 assert!(
-                    r.improvement > config.improvement_threshold,
+                    r.improvement > IMPROVEMENT_THRESHOLD,
                     "{id}: improvement {} below threshold",
                     r.improvement
                 );
@@ -91,7 +92,6 @@ fn selector_adapter_drives_inference_sim() {
     let report = SearchReport::new(
         "iphone",
         &profile.name,
-        &config,
         platform.dram.topology,
         platform.pim_arch,
         results,

@@ -121,7 +121,7 @@ fn check_frontend_agreement(id: PlatformId, steps: &[Step]) {
             }
             Step::PimallocWith(rows, cols, cand) => {
                 let m = MatrixConfig::new(rows, cols, DType::F16);
-                let d = cand.decision(&m, topo, &arch, HUGE_PAGE_BITS).unwrap();
+                let d = cand.decision(&m, topo, &arch).unwrap();
                 Some(sys.pimalloc_with(m, d))
             }
             Step::Free(k) => {
