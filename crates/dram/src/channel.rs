@@ -28,6 +28,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
+use crate::addr::DramAddress;
 use crate::bank::{BankState, RankState};
 use crate::command::{CommandKind, Op, Request};
 use crate::engine::EngineKind;
@@ -112,11 +113,18 @@ pub(crate) enum Decision {
 ///    [`Decision::Blocked`] must all cap the jump;
 /// 3. stop once [`ChannelCore::pending`] reaches zero.
 ///
+/// No decision, refresh or log entry reads a request's channel: decisions
+/// read its rank, bank, row, column, op and arrival, and a
+/// [`LoggedCommand`] has no channel field. Two cores that start alike and
+/// queue the same requests but for the channel therefore finish in the same
+/// state, which is what lets [`crate::DramSystem`] run one of them and hand
+/// the other a clone (see [`ChannelCore::twins`]).
+///
 /// Neighbouring channels of a [`crate::DramSystem`] run at the same time
 /// on pool workers, so each `ChannelCore` is aligned to 128 bytes (the
 /// line pair adjacent-line prefetchers fetch together): one channel's
 /// clock and counters never share a cache line with the next channel's.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 #[repr(align(128))]
 pub(crate) struct ChannelCore {
     spec: Arc<DramSpec>,
@@ -186,6 +194,24 @@ impl ChannelCore {
     /// Arrival cycle of the youngest queued request, if any.
     pub(crate) fn last_arrival(&self) -> Option<u64> {
         self.queue.back().or(self.window.last().map(|p| &p.req)).map(|r| r.arrival)
+    }
+
+    /// Whether this core, run now, would finish in exactly the state
+    /// `leader` finishes in. Neither has run yet (a core still at cycle 0
+    /// has issued no command, so it holds its initial state), both log or
+    /// neither does, and both queue the same non-empty requests in every
+    /// field but the channel. Queue lengths are compared first, then the
+    /// requests up to the first difference.
+    pub(crate) fn twins(&self, leader: &ChannelCore) -> bool {
+        let same = |a: &Request, b: &Request| {
+            Request { addr: DramAddress { channel: b.addr.channel, ..a.addr }, ..*a } == *b
+        };
+        self.now == 0
+            && leader.now == 0
+            && self.log.is_some() == leader.log.is_some()
+            && !self.queue.is_empty()
+            && self.queue.len() == leader.queue.len()
+            && self.queue.iter().zip(&leader.queue).all(|(a, b)| same(a, b))
     }
 
     /// Number of requests still queued. A drive loop runs until this
@@ -480,9 +506,14 @@ impl ChannelCore {
         self.log.as_deref()
     }
 
+    /// Statistics of every run so far.
+    pub(crate) fn stats(&self) -> &DramStats {
+        &self.stats
+    }
+
     /// Drain the queue, scheduling every request to completion on
-    /// `engine`, and return the statistics for this channel.
-    pub(crate) fn run(&mut self, engine: EngineKind) -> DramStats {
+    /// `engine`; [`Self::stats`] then covers this run too.
+    pub(crate) fn run(&mut self, engine: EngineKind) {
         let pending = self.pending();
         if let Some(log) = &mut self.log {
             // ~1 ACT per miss/conflict + 1 column per request is the common
@@ -495,14 +526,12 @@ impl ChannelCore {
         // is identical whether the engine stepped through or jumped over
         // the idle spans.
         self.stats.idle_cycles = self.stats.finish_cycle.saturating_sub(self.stats.busy_cycles);
-        self.stats
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::addr::DramAddress;
     use crate::DramSystem;
 
     fn small_spec() -> DramSpec {

@@ -156,6 +156,14 @@ impl DramSystem {
     /// [`SimResult`]: per-channel stats are merged in channel index order
     /// after all channels finish.
     ///
+    /// Twin channels are simulated once. A channel that has not run yet
+    /// and queues an earlier such channel's requests in every field but
+    /// the channel, with logging alike, does not run: it takes a copy of
+    /// that channel's finished scheduler. No scheduling decision reads the
+    /// channel, so the copy is the schedule the twin would have produced,
+    /// and its stats and command log are bit for bit its own. A sequential
+    /// window under a FACIL mapping reaches every channel as one stream.
+    ///
     /// Nesting-safe: when reached from inside an already-parallel region
     /// (e.g. a fleet/cluster tick advancing devices on the pool workers,
     /// one of which lazily profiles a relayout through `DramSystem`), the
@@ -163,15 +171,43 @@ impl DramSystem {
     /// or deadlocking the executor — with, again, the same `SimResult`.
     pub fn run_with_threads(&mut self, workers: usize) -> SimResult {
         let engine = self.cfg.engine;
-        let per_channel = pool::par_map_mut_with(workers, &mut self.channels, |ch| ch.run(engine));
+        let twin_of = self.twin_of();
+        let mut runs: Vec<&mut ChannelCore> = self
+            .channels
+            .iter_mut()
+            .zip(&twin_of)
+            .filter_map(|(ch, twin)| twin.is_none().then_some(ch))
+            .collect();
+        pool::par_map_mut_with(workers, &mut runs, |ch| ch.run(engine));
+        for (c, twin) in twin_of.into_iter().enumerate() {
+            if let Some(leader) = twin {
+                self.channels[c] = self.channels[leader].clone();
+            }
+        }
         let mut stats = DramStats::default();
-        for s in &per_channel {
-            stats.merge(s);
+        for ch in &self.channels {
+            stats.merge(ch.stats());
         }
         let elapsed_ns = self.spec.cycles_to_ns(stats.finish_cycle);
         let bytes = stats.bytes(self.spec.topology.transfer_bytes);
         let bandwidth = if elapsed_ns > 0.0 { bytes as f64 / (elapsed_ns * 1e-9) } else { 0.0 };
         SimResult { stats, elapsed_ns, bandwidth_bytes_per_sec: bandwidth }
+    }
+
+    /// For each channel, the first earlier channel it twins (see
+    /// [`ChannelCore::twins`]); a twin is never itself a leader.
+    fn twin_of(&self) -> Vec<Option<usize>> {
+        let mut leaders = Vec::new();
+        (0..self.channels.len())
+            .map(|c| {
+                let twin =
+                    leaders.iter().copied().find(|&l| self.channels[c].twins(&self.channels[l]));
+                if twin.is_none() {
+                    leaders.push(c);
+                }
+                twin
+            })
+            .collect()
     }
 }
 

@@ -8,7 +8,10 @@
 //! stream covers two channels, both ranks, row hits, misses and conflicts,
 //! read/write turnaround, refresh under a shortened tREFI, and idle gaps
 //! long enough for the event engine to jump several refresh deadlines.
-//! The digest holds for both engines in debug and release builds alike.
+//! A second pin covers twin channels: four channels of which two queue the
+//! same requests, one queues them with one request changed and one queues
+//! none. The digests hold for both engines in debug and release builds
+//! alike.
 
 use facil_dram::{DramAddress, DramSpec, DramSystem, EngineKind, Request, SchedConfig};
 use facil_telemetry::json::fnv1a;
@@ -19,6 +22,10 @@ const PINNED: u64 = 0x327d_8869_e155_999a;
 /// Commands the stream issues across both channels.
 const COMMANDS: usize = 32_405;
 
+/// Digest of `format!("{result:?}{logs:?}")` for [`twin_stream`] on
+/// [`twin_spec`].
+const TWIN_PINNED: u64 = 0x84af_de28_ced5_33e4;
+
 /// Two LPDDR5-6400 channels with refresh due every 200 cycles.
 fn spec() -> DramSpec {
     let mut spec = DramSpec::lpddr5_6400(32, 512 << 20);
@@ -26,11 +33,18 @@ fn spec() -> DramSpec {
     spec
 }
 
-/// 3,000 reads and writes over 48 rows, arriving in non-decreasing order:
+/// Four LPDDR5-6400 channels with refresh due every 200 cycles.
+fn twin_spec() -> DramSpec {
+    let mut spec = DramSpec::lpddr5_6400(64, 1 << 30);
+    spec.timing.refi = 200;
+    spec
+}
+
+/// `len` reads and writes over 48 rows, arriving in non-decreasing order:
 /// mostly back to back, with a 5,000-cycle gap about once every 64
 /// requests. The generator is a self-contained xorshift64* so that no
 /// other crate's RNG can move the pin.
-fn stream(spec: &DramSpec) -> Vec<Request> {
+fn stream(spec: &DramSpec, len: usize) -> Vec<Request> {
     let t = spec.topology;
     let mut state = 0x9E37_79B9_7F4A_7C15u64;
     let mut next = |bound: u64| {
@@ -40,7 +54,7 @@ fn stream(spec: &DramSpec) -> Vec<Request> {
         state.wrapping_mul(0x2545_F491_4F6C_DD1D) % bound
     };
     let mut arrival = 0;
-    (0..3_000)
+    (0..len)
         .map(|_| {
             arrival += if next(64) == 0 { 5_000 } else { next(4) };
             let addr = DramAddress {
@@ -56,23 +70,54 @@ fn stream(spec: &DramSpec) -> Vec<Request> {
         .collect()
 }
 
-fn digest(engine: EngineKind) -> (u64, usize) {
-    let spec = spec();
-    let mut sys = DramSystem::with_config(&spec, SchedConfig { engine });
+/// 1,000 requests of [`stream`] queued alike on channels 0 and 2, and on
+/// channel 1 with one request a cycle later: the first that arrives before
+/// its successor, while the channel has no backlog yet. Channel 3 queues
+/// nothing.
+fn twin_stream(spec: &DramSpec) -> Vec<Request> {
+    let base = stream(spec, 1_000);
+    let on = |channel| {
+        base.iter().map(move |&r| Request { addr: DramAddress { channel, ..r.addr }, ..r })
+    };
+    let mut changed: Vec<Request> = on(1).collect();
+    let i = changed.windows(2).position(|w| w[0].arrival < w[1].arrival).expect("arrivals advance");
+    changed[i].arrival += 1;
+    on(0).chain(changed).chain(on(2)).collect()
+}
+
+/// Run `reqs` on `spec` with logging on; return the digest of the result
+/// and logs, and each channel's command count.
+fn digest(spec: &DramSpec, reqs: Vec<Request>, engine: EngineKind) -> (u64, Vec<usize>) {
+    let mut sys = DramSystem::with_config(spec, SchedConfig { engine });
     sys.enable_logging();
-    for req in stream(&spec) {
+    for req in reqs {
         sys.push(req);
     }
     let result = sys.run_with_threads(1);
-    let commands = sys.logs().iter().map(|log| log.len()).sum();
+    let commands = sys.logs().iter().map(|log| log.len()).collect();
     (fnv1a(format!("{result:?}{:?}", sys.logs()).as_bytes()), commands)
 }
 
 #[test]
 fn schedule_is_pinned_on_both_engines() {
+    let spec = spec();
     for engine in [EngineKind::Stepped, EngineKind::Event] {
-        let (got, commands) = digest(engine);
-        assert_eq!(commands, COMMANDS, "{engine} engine: command count moved");
+        let (got, commands) = digest(&spec, stream(&spec, 3_000), engine);
+        assert_eq!(
+            commands.iter().sum::<usize>(),
+            COMMANDS,
+            "{engine} engine: command count moved"
+        );
         assert_eq!(got, PINNED, "{engine} engine: schedule digest moved to {got:#018x}");
+    }
+}
+
+#[test]
+fn twin_channels_are_pinned() {
+    let spec = twin_spec();
+    for engine in [EngineKind::Stepped, EngineKind::Event] {
+        let (got, commands) = digest(&spec, twin_stream(&spec), engine);
+        assert_eq!(commands[3], 0, "{engine} engine: channel 3 queues nothing");
+        assert_eq!(got, TWIN_PINNED, "{engine} engine: twin digest moved to {got:#018x}");
     }
 }

@@ -211,6 +211,110 @@ fn refresh_heavy_streams_are_engine_invariant() {
     });
 }
 
+/// `reqs` moved onto `channel`.
+fn on_channel(reqs: &[Request], channel: u64) -> Vec<Request> {
+    reqs.iter().map(|&r| Request { addr: DramAddress { channel, ..r.addr }, ..r }).collect()
+}
+
+/// 1 to 48 random requests to `channel` of `multi_spec`, arriving mostly
+/// back to back with an occasional idle gap.
+fn channel_requests(g: &mut Gen, channel: u64) -> Vec<Request> {
+    let t = multi_spec().topology;
+    let mut arrival = 0;
+    g.vec(1..48, |g| {
+        arrival += if g.u64(0..16) == 0 { g.u64(0..600) } else { g.u64(0..6) };
+        let req = request(g, &t).at(arrival);
+        Request { addr: DramAddress { channel, ..req.addr }, ..req }
+    })
+}
+
+/// Change one field of one of `reqs`, keeping arrivals non-decreasing (an
+/// arrival change delays the last request).
+fn change_one(g: &mut Gen, reqs: &mut [Request]) {
+    let t = multi_spec().topology;
+    let last = reqs.len() - 1;
+    let r = &mut reqs[g.usize(0..=last)];
+    match g.usize(0..5) {
+        0 => r.op = if r.op == Op::Read { Op::Write } else { Op::Read },
+        1 => r.addr.bank = (r.addr.bank + 1) % t.banks(),
+        2 => r.addr.row = (r.addr.row + 1) % 64,
+        3 => r.addr.column = (r.addr.column + 1) % t.columns(),
+        _ => reqs[last].arrival += g.u64(1..600),
+    }
+}
+
+/// Stats and per-channel command logs after each phase, when a logging
+/// system pushes each phase's requests and then runs.
+fn run_phases(
+    spec: &DramSpec,
+    engine: EngineKind,
+    workers: usize,
+    phases: &[Vec<Request>],
+) -> Vec<(DramStats, Vec<Vec<LoggedCommand>>)> {
+    let mut sys = DramSystem::with_config(spec, SchedConfig { engine });
+    sys.enable_logging();
+    phases
+        .iter()
+        .map(|reqs| {
+            reqs.iter().for_each(|&r| sys.push(r));
+            let stats = sys.run_with_threads(workers).stats;
+            (stats, sys.logs().iter().map(|log| log.to_vec()).collect())
+        })
+        .collect()
+}
+
+/// Twin channels, simulated once and copied, are invisible in the results:
+/// whether a channel copies an earlier channel's requests, copies them with
+/// one request changed, queues none or draws its own, the merged stats and
+/// every channel's log equal those of systems that queue one channel's
+/// requests each. A second phase then queues one stream on every channel,
+/// so channels whose first runs differed queue the same requests and must
+/// still schedule them from their own histories.
+#[test]
+fn twin_channels_run_as_channels_run_alone() {
+    let mut spec = multi_spec();
+    spec.timing.refi = 200;
+    let channels = spec.topology.channels;
+    cases(16, |g| {
+        let mut first: Vec<Vec<Request>> = Vec::new();
+        for c in 0..channels {
+            let reqs = match g.usize(0..4) {
+                kind @ (0 | 1) if c > 0 => {
+                    let mut reqs = on_channel(&first[g.usize(0..c as usize)], c);
+                    if kind == 1 && !reqs.is_empty() {
+                        change_one(g, &mut reqs);
+                    }
+                    reqs
+                }
+                2 => Vec::new(),
+                _ => channel_requests(g, c),
+            };
+            first.push(reqs);
+        }
+        let again = channel_requests(g, 0);
+        let then: Vec<Vec<Request>> = (0..channels).map(|c| on_channel(&again, c)).collect();
+        for engine in [EngineKind::Stepped, EngineKind::Event] {
+            let alone: Vec<_> = (0..channels as usize)
+                .map(|c| run_phases(&spec, engine, 1, &[first[c].clone(), then[c].clone()]))
+                .collect();
+            for workers in [1, 4] {
+                let together = run_phases(&spec, engine, workers, &[first.concat(), then.concat()]);
+                for (phase, (stats, logs)) in together.iter().enumerate() {
+                    let mut merged = DramStats::default();
+                    for (c, runs) in alone.iter().enumerate() {
+                        merged.merge(&runs[phase].0);
+                        assert_eq!(
+                            logs[c], runs[phase].1[c],
+                            "{engine}, {workers} workers, phase {phase}, channel {c}"
+                        );
+                    }
+                    assert_eq!(*stats, merged, "{engine}, {workers} workers, phase {phase}");
+                }
+            }
+        }
+    });
+}
+
 /// Cross-check: every command stream the scheduler emits passes the
 /// independent JEDEC-legality verifier (a second implementation of the
 /// timing rules).

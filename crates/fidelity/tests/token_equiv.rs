@@ -6,6 +6,7 @@
 use facil_dram::DramSpec;
 use facil_fidelity::token_equivalence;
 use facil_llm::ModelConfig;
+use facil_soc::Platform;
 
 #[test]
 fn facil_and_conventional_agree_on_every_token() {
@@ -28,4 +29,17 @@ fn token_stream_is_seed_deterministic() {
     let b = token_equivalence(&spec, &model, 2, 7).unwrap();
     assert_eq!(a, b, "same seed must reproduce the same report bit for bit");
     assert!(a.equivalent);
+}
+
+#[test]
+#[ignore = "four platforms, slow in debug; scripts/ci.sh runs it with --release --ignored"]
+fn token_equivalence_holds_on_every_platform_geometry() {
+    // One layer with TinyLlama's 5,632-wide FFN, which no chunk row of
+    // 1,024 elements divides, on each stock platform's memory geometry.
+    let model = ModelConfig { intermediate: 5_632, layers: 1, ..ModelConfig::tiny_fidelity() };
+    for platform in Platform::all() {
+        let report = token_equivalence(&platform.dram, &model, 2, 0xFAC1).unwrap();
+        assert_eq!(report.logit_mismatches, 0, "{}: {report:?}", platform.id);
+        assert!(report.equivalent, "{}: {report:?}", platform.id);
+    }
 }

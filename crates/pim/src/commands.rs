@@ -30,7 +30,7 @@
 use std::iter::once;
 
 use facil_core::{FacilError, FacilSystem, MatrixConfig, PimAllocation};
-use facil_dram::{PimStream, Topology};
+use facil_dram::{AddressMapper, PimStream, Topology};
 
 use crate::layout::PimPlacement;
 
@@ -232,7 +232,7 @@ impl CommandSequence {
             for j in 0..m.padded_row_bytes() / arch.chunk_row_bytes {
                 let va = alloc.va + r * m.padded_row_bytes() + j * arch.chunk_row_bytes;
                 let pa = page_table.translate(va)?.pa;
-                let first = scheme.map_pa(pa);
+                let (first, run) = scheme.map_run(pa)?;
                 let flat = first.flat_bank(&topo);
                 if std::mem::replace(&mut row_of_pu[flat as usize], r) != r {
                     row_pus += 1;
@@ -254,8 +254,10 @@ impl CommandSequence {
                         first.column
                     )));
                 }
+                // The scheme places `run` transfers at consecutive columns
+                // of one bank row; only a chunk past its run is walked.
                 let elems = chunk_elems.min(m.cols - j * chunk_elems);
-                for t in 1..(elems * 2).div_ceil(tx) {
+                for t in run..(elems * 2).div_ceil(tx) {
                     let da = scheme.map_pa(pa + t * tx);
                     if (da.channel, da.rank, da.bank, da.row)
                         != (first.channel, first.rank, first.bank, first.row)
@@ -616,6 +618,35 @@ mod tests {
         let err = CommandSequence::trace(&sys, &alloc).unwrap_err();
         assert!(matches!(err, FacilError::InvalidMapping(_)), "{err}");
         assert!(err.to_string().contains("not contiguous"), "{err}");
+    }
+
+    #[test]
+    fn chunk_past_its_mapped_run_is_walked() {
+        // The stock scheme's column bits split over two adjacent segments:
+        // every address maps alike, but `map_run` promises 8 transfers of a
+        // 64-transfer chunk, so the tracer must walk the rest of the chunk.
+        let m = MatrixConfig::new(64, 2048, DType::F16);
+        let mut sys = iphone();
+        let topo = sys.spec().topology;
+        let stock = sys.pimalloc(m).unwrap();
+        let scheme = &stock.decision.scheme;
+        let mut segments = scheme.segments().to_vec();
+        let Segment { field: Field::Column, width } = segments[1] else {
+            panic!("{scheme}: no column segment above the transfer bits")
+        };
+        segments[1].width = width / 2;
+        segments.insert(2, Segment { field: Field::Column, width: width - width / 2 });
+        let split = MappingScheme::from_segments(topo, segments, "split column").unwrap();
+        let pa = stock.pages[0];
+        assert!((pa..pa + (2 << 20)).step_by(32).all(|pa| split.map_pa(pa) == scheme.map_pa(pa)));
+        assert_eq!((scheme.map_run(pa).unwrap().1, split.map_run(pa).unwrap().1), (64, 8));
+        let mut other = iphone();
+        let decision = MappingDecision { scheme: split, ..stock.decision.clone() };
+        let alloc = other.pimalloc_with(m, decision).unwrap();
+        let want = CommandSequence::trace(&sys, &stock).unwrap();
+        let got = CommandSequence::trace(&other, &alloc).unwrap();
+        assert!(got.commands().eq(want.commands()));
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -95,8 +95,11 @@ echo "== paper-shape replays (release) =="
 # slice: the slice keeps the full matrix's mapping decision, replays bit
 # for bit, and stages the pinned most global-buffer slices per rank pass
 # (crates/fidelity/tests/roundtrip.rs). The debug run above checks the
-# other profile.
+# other profile. Then token equivalence on every stock platform's geometry
+# with a ragged FFN width (crates/fidelity/tests/token_equiv.rs, ignored in
+# debug).
 cargo test --release --offline -q -p facil-fidelity --test roundtrip paper_shapes_replay_as_two_tile_slices
+cargo test --release --offline -q -p facil-fidelity --test token_equiv -- --ignored
 
 echo "== executor stress (release) =="
 # Teardown-race probe: two million tiny two-worker batches, each followed
