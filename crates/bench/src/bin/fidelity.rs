@@ -7,7 +7,8 @@
 //! bank-sliced cell store, and cross-checks the output bit for bit against
 //! the `pim_gemv` reference — the JSON carries the mismatch counts, which CI
 //! requires to be zero. It then decodes the seeded `tiny-fidelity` model
-//! through both a FACIL mapping and the conventional SoC mapping and asserts
+//! by the PIM replay over its FACIL-mapped cells and by the SoC's
+//! fixed-order GEMV over the same row-major fp16 weights, and asserts
 //! identical logits per token.
 //!
 //! Usage: `cargo run --release -p facil-bench --bin fidelity`

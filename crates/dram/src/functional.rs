@@ -33,16 +33,6 @@ impl BankedMemory {
         BankedMemory { topo, banks }
     }
 
-    /// Geometry of this memory.
-    pub fn topology(&self) -> &Topology {
-        &self.topo
-    }
-
-    /// Total distinct DRAM rows holding data, across all banks.
-    pub fn touched_rows(&self) -> usize {
-        self.banks.iter().map(HashMap::len).sum()
-    }
-
     /// Flat bank index of `addr`.
     ///
     /// # Panics
@@ -87,17 +77,6 @@ impl BankedMemory {
             Some(row) => row[off..off + tx].to_vec(),
             None => vec![0u8; tx],
         }
-    }
-
-    /// Write one whole transfer at a device address.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data` is not exactly one transfer long.
-    pub fn store_transfer(&mut self, addr: DramAddress, data: &[u8]) {
-        assert_eq!(data.len() as u64, self.topo.transfer_bytes);
-        let off = self.offset(addr);
-        self.row_mut(addr)[off..off + data.len()].copy_from_slice(data);
     }
 
     /// One mapped run of a byte copy: the device address of `pa`, the
@@ -267,15 +246,17 @@ mod tests {
         let t = topo();
         let mut mem = BankedMemory::new(t);
         let addr = DramAddress { channel: 1, rank: 0, bank: 3, row: 5, column: 7 };
-        mem.store_transfer(addr, &[7u8; 32]);
+        mem.write_bytes(&FnMapper(move |_| addr), 0, &[7u8; 32]).unwrap();
         assert_eq!(mem.load_transfer(addr), vec![7u8; 32]);
-        assert_eq!(mem.touched_rows(), 1);
         // Same row, untouched column: zero (the row image was allocated).
+        assert_eq!(mem.row(addr).map(<[u8]>::len), Some(256));
         assert_eq!(mem.load_transfer(DramAddress { column: 0, ..addr }), vec![0u8; 32]);
-        // Untouched rows, in another bank and in another channel.
-        assert_eq!(mem.load_transfer(DramAddress { bank: 0, ..addr }), vec![0u8; 32]);
-        assert_eq!(mem.load_transfer(DramAddress { channel: 0, ..addr }), vec![0u8; 32]);
-        assert_eq!(mem.touched_rows(), 1);
+        // Untouched rows, in another bank and in another channel: zero, and
+        // still unallocated after the reads.
+        for other in [DramAddress { bank: 0, ..addr }, DramAddress { channel: 0, ..addr }] {
+            assert_eq!(mem.load_transfer(other), vec![0u8; 32]);
+            assert!(mem.row(other).is_none());
+        }
     }
 
     /// Bank 16 of a 16-bank rank would alias bank 0 of the next rank.
@@ -283,9 +264,7 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn rejects_out_of_range_bank() {
         let mut mem = BankedMemory::new(Topology::new(1, 2, 4, 4, 64, 256, 32));
-        mem.store_transfer(
-            DramAddress { channel: 0, rank: 0, bank: 16, row: 0, column: 0 },
-            &[1; 32],
-        );
+        let bank16 = DramAddress { channel: 0, rank: 0, bank: 16, row: 0, column: 0 };
+        mem.write_bytes(&FnMapper(move |_| bank16), 0, &[1; 32]).unwrap();
     }
 }

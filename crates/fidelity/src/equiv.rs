@@ -10,21 +10,22 @@
 //!   through the mapped page table into a [`BankedMemory`], its
 //!   all-bank command stream traced once, and every GEMV executed by
 //!   [`crate::replay_gemv`] — the functional command interpreter.
-//! * **Conventional path** — the same fp16 bytes are written through
-//!   [`MappingScheme::conventional`] into a *second* cell store, read back
-//!   as fp16 bytes, and multiplied on the (modelled) SoC by
-//!   [`crate::gemv_fixed_order`], which uses the PIM-identical accumulation
-//!   order.
+//! * **Conventional path** — the (modelled) SoC multiplies the generated
+//!   row-major fp16 bytes themselves with [`crate::gemv_fixed_order`], which
+//!   uses the PIM-identical accumulation order. Under the conventional
+//!   mapping the SoC reads a matrix back exactly as it wrote it (the
+//!   mapping's own tests check the round trip), so the reference never
+//!   reads the cells the PIM reads.
 //!
-//! Each linear's weights are generated a matrix row at a time and that row's
-//! fp16 bytes go to both cell stores, so no whole-matrix `f32` or byte copy
-//! is ever held.
+//! Each linear's weights are generated once, as row-major fp16 bytes; the
+//! FACIL copy is written from them a matrix row at a time, and no `f32`
+//! copy of a matrix is ever held.
 //!
 //! Activations are re-quantized to fp16 between layers on both paths, so
 //! every intermediate value is exactly representable and the two paths must
 //! agree *bit for bit* on every logit of every step — no epsilon.
 
-use facil_core::{DType, FacilSystem, MappingScheme, MatrixConfig, PimArch};
+use facil_core::{DType, FacilSystem, MatrixConfig, PimArch};
 use facil_dram::{BankedMemory, DramSpec};
 use facil_llm::ModelConfig;
 use facil_pim::commands::CommandSequence;
@@ -50,14 +51,14 @@ pub struct TokenEquivalenceReport {
     pub equivalent: bool,
 }
 
-/// One linear layer, placed on both paths.
+/// One linear layer: its FACIL placement and the SoC path's weights.
 struct PlacedLinear {
     rows: u64,
     cols: u64,
     /// The all-bank command stream for the FACIL-mapped copy.
     seq: CommandSequence,
-    /// fp16 weight bytes read back from the conventional copy.
-    conv_w: Vec<u8>,
+    /// The generated row-major fp16 weight bytes the SoC path multiplies.
+    w: Vec<u8>,
     chunk_elems: u64,
     map_id: u8,
 }
@@ -105,7 +106,7 @@ fn argmax(logits: &[f32]) -> u64 {
 /// # Errors
 ///
 /// Propagates `pimalloc`, page-table and command-trace errors from the
-/// FACIL path, and conventional-mapping faults from the SoC path.
+/// FACIL path.
 pub fn token_equivalence(
     spec: &DramSpec,
     model: &ModelConfig,
@@ -116,12 +117,6 @@ pub fn token_equivalence(
     let arch = PimArch::aim(&topo);
     let mut sys = FacilSystem::new(spec.clone(), arch);
     let mut facil_mem = BankedMemory::new(topo);
-
-    // The conventional copy lives in its own device image, addressed through
-    // the SoC-default mapping at bump-allocated physical addresses.
-    let mut conv_mem = BankedMemory::new(topo);
-    let conv = MappingScheme::conventional(topo);
-    let mut conv_pa = 0u64;
 
     // Linear execution order: `layers x block_linears`, then the LM head.
     // The chain is dimension-compatible, so each output feeds the next input.
@@ -140,24 +135,18 @@ pub fn token_equivalence(
         let key = seed ^ ((idx as u64) << 48);
         let alloc = sys.pimalloc(MatrixConfig::new(rows, cols, DType::F16))?;
 
-        // One matrix row of fp16 bytes at a time, into the FACIL copy
-        // through the mapped page table and into the conventional copy as
-        // raw row-major bytes under the SoC mapping.
-        let row_bytes = (cols * 2) as usize;
-        let mut row = vec![0u8; row_bytes];
+        // Row-major fp16 bytes, element `i` hashed from `key ^ i`; each
+        // matrix row goes into the FACIL copy through the mapped page table.
+        let mut w = vec![0u8; (rows * cols * 2) as usize];
+        for (i, b) in w.chunks_exact_mut(2).enumerate() {
+            let h = splitmix64(key ^ i as u64);
+            b.copy_from_slice(&grid_f16[(h % 15) as usize].to_le_bytes());
+        }
         let va_mapper = sys.va_mapper();
-        for r in 0..rows {
-            for (c, b) in row.chunks_exact_mut(2).enumerate() {
-                let h = splitmix64(key ^ (r * cols + c as u64));
-                b.copy_from_slice(&grid_f16[(h % 15) as usize].to_le_bytes());
-            }
-            facil_mem.write_bytes(&va_mapper, alloc.element_va(r, 0), &row)?;
-            conv_mem.write_bytes(&conv, conv_pa + r * cols * 2, &row)?;
+        for (r, row) in (0..rows).zip(w.chunks_exact((cols * 2) as usize)) {
+            facil_mem.write_bytes(&va_mapper, alloc.element_va(r, 0), row)?;
         }
         let seq = CommandSequence::trace(&sys, &alloc)?;
-        let bytes = rows as usize * row_bytes;
-        let conv_w = conv_mem.read_bytes(&conv, conv_pa, bytes)?;
-        conv_pa += (bytes as u64).next_multiple_of(topo.row_bytes);
 
         linears.push(PlacedLinear {
             rows,
@@ -165,7 +154,7 @@ pub fn token_equivalence(
             chunk_elems: seq.chunk_elems(),
             map_id: alloc.decision.map_id.0,
             seq,
-            conv_w,
+            w,
         });
     }
 
@@ -182,8 +171,7 @@ pub fn token_equivalence(
         let last = linears.len() - 1;
         for (i, lin) in linears.iter().enumerate() {
             let fy = replay_gemv(&facil_mem, &lin.seq, &fx);
-            let cy =
-                gemv_fixed_order(&lin.conv_w, lin.rows, lin.cols, &cx, lin.chunk_elems, lin.map_id);
+            let cy = gemv_fixed_order(&lin.w, lin.rows, lin.cols, &cx, lin.chunk_elems, lin.map_id);
             if i == last {
                 logit_mismatches +=
                     fy.iter().zip(&cy).filter(|(a, b)| a.to_bits() != b.to_bits()).count() as u64;

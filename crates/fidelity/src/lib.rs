@@ -16,8 +16,9 @@
 //! * [`cross_check`] — bit-exact comparison (f32 and fp16 bit patterns)
 //!   of the replay against the [`facil_pim::pim_gemv`] reference;
 //! * [`token_equivalence`] — end-to-end decode of a small seeded model
-//!   through both a FACIL mapping and the conventional SoC mapping,
-//!   asserting identical logits for every token.
+//!   by the PIM replay over its FACIL-mapped cells and by the SoC's
+//!   fixed-order GEMV over the same row-major fp16 weights, asserting
+//!   identical logits for every token.
 //!
 //! ```
 //! use facil_core::{DType, FacilSystem, MatrixConfig, PimArch};

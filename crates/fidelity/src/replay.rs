@@ -175,13 +175,14 @@ pub fn replay_gemv(mem: &BankedMemory, seq: &CommandSequence, x: &[f32]) -> Vec<
 }
 
 /// SoC GEMV with the *PIM-identical* accumulation order over the weights'
-/// little-endian fp16 bytes `w` (row-major, as read back from the cells):
-/// each row walks as slices of `chunk_elems << map_id` elements, one
-/// partition each, into one `f32` accumulator per partition, and the
-/// partials are reduced partition-ascending. Running this over weights read
-/// back through any mapping gives logits bit-identical to the functional PIM
-/// replay — the token-equivalence contract. A partition that holds only
-/// `pimalloc`'s padding has no slice here and no partial in the replay.
+/// little-endian fp16 bytes `w` (row-major, as the SoC reads them under the
+/// conventional mapping): each row walks as slices of `chunk_elems <<
+/// map_id` elements, one partition each, into one `f32` accumulator per
+/// partition, and the partials are reduced partition-ascending. Running
+/// this over a matrix's bytes gives logits bit-identical to the functional
+/// PIM replay over the cells they were written to — the token-equivalence
+/// contract. A partition that holds only `pimalloc`'s padding has no slice
+/// here and no partial in the replay.
 ///
 /// # Panics
 ///

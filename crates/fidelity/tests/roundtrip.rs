@@ -1,8 +1,9 @@
 //! `store_matrix` / `load_matrix` round-trips — and bit-exact replays —
 //! under *every* mapping scheme the `CandidateSpace` enumerates, with and
-//! without a DRAMA-style bank hash; bit-exact replays of every stock
-//! platform's paper-model linear shapes; and the bulk byte paths, which map
-//! once per run, against per-transfer mapping.
+//! without a DRAMA-style bank hash; bit-exact, order-sensitive and
+//! JEDEC-legal replays of every stock platform's paper-model linear shapes;
+//! and the bulk byte paths, which map once per run, against per-transfer
+//! mapping.
 
 use facil_check::cases;
 use facil_core::{
@@ -10,14 +11,26 @@ use facil_core::{
     PimArch, HUGE_PAGE_BITS,
 };
 use facil_dram::{AddressMapper, DramSpec, Topology};
-use facil_fidelity::{cross_check, BankedMemory};
+use facil_fidelity::{cross_check, gemv_fixed_order, replay_gemv, BankedMemory};
 use facil_llm::ModelConfig;
 use facil_mapsearch::{Candidate, CandidateSpace};
+use facil_pim::f16::{f16_bits_to_f32, f32_to_f16_bits};
 use facil_pim::{load_matrix, store_matrix, CommandSequence, PimPlacement};
 use facil_soc::{Platform, PlatformId};
 
 fn grid(i: u64) -> f32 {
     ((i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40) % 15) as f32 * 0.0625 - 0.4375
+}
+
+/// A full-mantissa fp16 value in [-1, 1], hashed from `i` by splitmix64.
+/// Unlike [`grid`] values, their products' `f32` sums round, so an output
+/// depends on the order it was accumulated in.
+fn full_f16(i: u64) -> u16 {
+    let mut z = i.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^= z >> 31;
+    f32_to_f16_bits((z >> 40) as f32 / (1 << 23) as f32 - 1.0)
 }
 
 /// Every enumerated candidate's decision for `m`, plain and bank-hashed.
@@ -105,7 +118,13 @@ fn every_candidate_scheme_replays_or_rejects() {
 
 /// Every stock platform's paper-model linear shapes (18 distinct shapes)
 /// replay bit-exactly as a two-tile row slice at full width, which keeps
-/// the full matrix's mapping decision. Each shape pins the most
+/// the full matrix's mapping decision. Weights and inputs are full-mantissa
+/// fp16, so the replay must keep `pim_gemv`'s accumulation order, and the
+/// SoC's `gemv_fixed_order` over the slice's row-major fp16 bytes must
+/// match the replay bit for bit too. Two partials commute, so only the
+/// shapes with three or more partitions (Jetson's `down_proj` and every
+/// MacBook shape) pin the partition reduction's order. Every channel's
+/// lowered all-bank stream must be JEDEC-legal. Each shape pins the most
 /// global-buffer slices one rank stages in one pass: one per partition
 /// its banks hold. Jetson's `down_proj` has a padding-only partition.
 #[test]
@@ -129,14 +148,48 @@ fn paper_shapes_replay_as_two_tile_slices() {
             let alloc = sys.pimalloc(m).unwrap();
             assert_eq!(alloc.decision, want, "{id} {}: the slice must map as the matrix", op.name);
 
-            let w: Vec<f32> = (0..m.rows * m.cols).map(grid).collect();
-            let x: Vec<f32> = (0..m.cols).map(|i| grid(i ^ 0x5EED)).collect();
+            let bits: Vec<u16> = (0..m.rows * m.cols).map(full_f16).collect();
+            let w: Vec<f32> = bits.iter().map(|&b| f16_bits_to_f32(b)).collect();
+            // Inputs hash from `!i`, apart from every weight's index.
+            let x: Vec<f32> = (0..m.cols).map(|i| f16_bits_to_f32(full_f16(!i))).collect();
             let mut mem = BankedMemory::new(topo);
             store_matrix(&mut mem, &sys, &alloc, &w).unwrap();
             let report = cross_check(&mem, &sys, &alloc, &x).unwrap();
             assert!(report.bit_exact(), "{id} {}: {report:?}", op.name);
 
             let seq = CommandSequence::trace(&sys, &alloc).unwrap();
+            let bytes: Vec<u8> = bits.iter().flat_map(|b| b.to_le_bytes()).collect();
+            let soc = gemv_fixed_order(
+                &bytes,
+                m.rows,
+                m.cols,
+                &x,
+                seq.chunk_elems(),
+                alloc.decision.map_id.0,
+            );
+            let pim = replay_gemv(&mem, &seq, &x);
+            assert!(
+                soc.iter().zip(&pim).all(|(a, b)| a.to_bits() == b.to_bits()),
+                "{id} {}: the SoC's fixed-order GEMV differs from the replay",
+                op.name
+            );
+            // The data shows order: a plain row-major dot product, one
+            // accumulator per row, misses the replay on a partitioned row.
+            let plain = w
+                .chunks_exact(m.cols as usize)
+                .map(|row| row.iter().zip(&x).fold(0f32, |acc, (wv, xv)| acc + wv * xv).to_bits());
+            assert_eq!(
+                plain.ne(pim.iter().map(|v| v.to_bits())),
+                alloc.decision.partitions > 1,
+                "{id} {}: only a partitioned matrix reorders the row sum",
+                op.name
+            );
+            for ch in 0..topo.channels {
+                let streams = seq.to_streams(ch, 2, true);
+                let (_, log) = facil_dram::run_allbank_logged(spec, &streams);
+                let violations = facil_dram::verify_allbank_log(&log, &spec.timing, &streams);
+                assert!(violations.is_empty(), "{id} {} channel {ch}: {violations:?}", op.name);
+            }
             let most = seq.waves().iter().flat_map(|w| &w.ranks).map(|p| p.gb.len()).max();
             let pinned = match (id, op.name) {
                 (PlatformId::Jetson, "down_proj") => 7,

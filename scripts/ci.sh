@@ -79,25 +79,30 @@ echo "== serving pins (release) =="
 cargo test --release --offline -q -p facil-serve --test pinned
 
 echo "== DRAM schedule and strategy cost pins (release) =="
-# One FNV-1a digest of a fixed request stream's SimResult and command
-# logs, on both engines (crates/dram/tests/pinned.rs), one of the four
-# platforms' re-layout profiles (crates/sim/tests/pinned.rs: every request
-# at cycle 0, 4 to 32 channels, two mappings), and one of every strategy
-# cost InferenceSim prices on those platforms (the same file's
-# strategy_costs_are_pinned: prefill chunks, whole prefills, queries and
-# decode batches, healthy and degraded). All hold in both profiles, and
-# the debug run above checks the other one.
+# FNV-1a digests of fixed request streams' SimResults and command logs,
+# on both engines (crates/dram/tests/pinned.rs: a backlogged stream under
+# a 200-cycle tREFI, the same stream at the stock tREFI, whose idle gaps
+# must drain both channels and hold every rank's refresh, and twin
+# channels), one of the four platforms' re-layout profiles
+# (crates/sim/tests/pinned.rs: every request at cycle 0, 4 to 32
+# channels, two mappings), and one of every strategy cost InferenceSim
+# prices on those platforms (the same file's strategy_costs_are_pinned:
+# prefill chunks, whole prefills, queries and decode batches, healthy and
+# degraded). All hold in both profiles, and the debug run above checks
+# the other one.
 cargo test --release --offline -q -p facil-dram --test pinned
 cargo test --release --offline -q -p facil-sim --test pinned
 
 echo "== paper-shape replays (release) =="
 # Every stock platform's paper-model linear shapes, each as a two-tile row
-# slice: the slice keeps the full matrix's mapping decision, replays bit
-# for bit, and stages the pinned most global-buffer slices per rank pass
-# (crates/fidelity/tests/roundtrip.rs). The debug run above checks the
-# other profile. Then token equivalence on every stock platform's geometry
-# with a ragged FFN width (crates/fidelity/tests/token_equiv.rs, ignored in
-# debug).
+# slice of full-mantissa fp16 data, whose f32 sums show accumulation
+# order: the slice keeps the full matrix's mapping decision, replays bit
+# for bit against pim_gemv and the SoC's fixed-order GEMV, lowers to a
+# JEDEC-legal all-bank stream on every channel, and stages the pinned most
+# global-buffer slices per rank pass (crates/fidelity/tests/roundtrip.rs).
+# The debug run above checks the other profile. Then token equivalence on
+# every stock platform's geometry with a ragged FFN width
+# (crates/fidelity/tests/token_equiv.rs, ignored in debug).
 cargo test --release --offline -q -p facil-fidelity --test roundtrip paper_shapes_replay_as_two_tile_slices
 cargo test --release --offline -q -p facil-fidelity --test token_equiv -- --ignored
 
