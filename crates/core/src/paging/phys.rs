@@ -44,34 +44,51 @@ pub struct HugeAlloc {
     pub frames_moved: u64,
 }
 
-/// Bitmap physical-frame allocator: one bit per 4 KB frame, set = used.
+/// Physical-frame allocator: one bit per 4 KB frame, set = used, kept as
+/// eight 64-frame words per 2 MB block only while the block is partly used.
 ///
-/// It works a 64-frame word or a whole 2 MB block (8 words) at a time.
-/// Next to the bitmap it keeps each block's free count and two indexes over
-/// the counts, both exact after every operation: a bitset of the fully-free
-/// blocks, and the largest count in each group of 64 blocks. The indexes
-/// cost about one bit plus 1/32 byte per block. With `B` blocks:
+/// Each block's free count is exact after every operation, and it implies
+/// the words of a full block (all set) and of an empty one (all clear), so
+/// those blocks store none. A partly used block owns a slot of eight words.
+/// A block that fills or empties keeps its slot, stale, and a block whose
+/// words are implied gets a slot, or has its stale slot refilled from its
+/// count, before its first bit changes. A serving device prepared at FMFI
+/// 0 therefore stores at most the one block its used memory ends in, while
+/// its KV slabs come and go as huge pages; a Table I state stores its
+/// partly used blocks' words.
+///
+/// Over the counts it keeps two indexes, both exact after every operation:
+/// a bitset of the fully-free blocks, and the largest count in each group
+/// of 64 blocks. With `B` blocks, counts, slot numbers and indexes cost
+/// about 6 bytes per block. Per operation:
 ///
 /// * `alloc_huge`, direct: a scan of `B / 64` words for the lowest
-///   fully-free block, then 8 word writes;
+///   fully-free block, then a count update;
 /// * `alloc_huge`, compacting: a scan of `B / 64` group maxima and one
 ///   group's 64 counts for the victim, then a relocation walk from the
 ///   rotating cursor that reads one count per block it passes and fills
-///   words at a time;
-/// * `free_huge`: 8 words; `free_base`: one bit;
-/// * `alloc_base`: a scan of the `B` block counts for a partial block;
-/// * `fragment_to`: one write per bitmap word plus one per separator frame
-///   of the scattered region, then a popcount per word;
+///   stored words at a time, then a count update for the victim;
+/// * `free_huge`: a count update; `free_base`: one stored bit;
+/// * `alloc_base`: a scan of the `B` block counts for a partial block, then
+///   one stored bit;
+/// * `fragment_to`: a fill of the `B` counts and slot numbers, then, a
+///   block at a time, one write per separator frame of the scattered region
+///   and a popcount of each block that region or the used run's partial
+///   ends touch;
 /// * `free_huge_blocks` and `fmfi`: a popcount of `B / 64` words.
 ///
 /// Each count change also refreshes its group's maximum, rescanning the
 /// group's 64 counts only when the group loses its maximum.
 #[derive(Debug, Clone)]
 pub struct PhysicalMemory {
-    /// 1 bit per frame; set = used.
-    bits: Vec<u64>,
     /// Free frames per 2 MB block.
     block_free: Vec<u16>,
+    /// Each block's index into `stored`, or [`NO_SLOT`]. Every partly used
+    /// block has one, holding its current words.
+    slot: Vec<u32>,
+    /// Frame words of the blocks with a slot, 1 bit per frame, set = used;
+    /// stale for a block that is now full or empty.
+    stored: Vec<[u64; BLOCK_WORDS]>,
     /// Bit `b % 64` of word `b / 64` is set iff block `b` is fully free.
     free_blocks: Vec<u64>,
     /// Largest `block_free` of each group of [`GROUP`] consecutive blocks.
@@ -83,12 +100,15 @@ pub struct PhysicalMemory {
     scan_hint: u64,
 }
 
-/// Bitmap words per 2 MB block.
+/// Frame words per 2 MB block.
 const BLOCK_WORDS: usize = (FRAMES_PER_HUGE / 64) as usize;
 
 /// Blocks per group of the compaction-victim index: one word of the
 /// fully-free bitset covers one group.
 const GROUP: usize = 64;
+
+/// The slot number of a block that has never stored words.
+const NO_SLOT: u32 = u32::MAX;
 
 /// The frames whose bits are set in `words`, lowest first, where bit 0 of
 /// the first word is frame `first`.
@@ -104,19 +124,40 @@ fn set_frames(words: &[u64], first: u64) -> Vec<u64> {
     frames
 }
 
+/// Set the bits of frames `lo..hi` in `words`, where bit 0 of the first
+/// word is frame 0.
+fn fill_used(words: &mut [u64], lo: u64, hi: u64) {
+    if lo >= hi {
+        return;
+    }
+    let (first, last) = ((lo / 64) as usize, ((hi - 1) / 64) as usize);
+    let head = u64::MAX << (lo % 64);
+    let tail = u64::MAX >> (63 - (hi - 1) % 64);
+    if first == last {
+        words[first] |= head & tail;
+    } else {
+        words[first] |= head;
+        words[first + 1..last].fill(u64::MAX);
+        words[last] |= tail;
+    }
+}
+
 impl PhysicalMemory {
     /// Create an allocator over `total_bytes` of physical memory.
     ///
     /// # Panics
     ///
-    /// Panics if `total_bytes` is not a multiple of 2 MB.
+    /// Panics if `total_bytes` is not a multiple of 2 MB, or is so large
+    /// that the block count does not fit a slot number.
     pub fn new(total_bytes: u64) -> Self {
         assert_eq!(total_bytes % (1 << HUGE_PAGE_BITS), 0, "size must be a multiple of 2 MB");
         let frames = total_bytes >> BASE_PAGE_BITS;
         let blocks = (frames / FRAMES_PER_HUGE) as usize;
+        assert!(blocks < NO_SLOT as usize, "{blocks} blocks overflow the slot numbers");
         let mut pm = PhysicalMemory {
-            bits: vec![0u64; blocks * BLOCK_WORDS],
             block_free: vec![FRAMES_PER_HUGE as u16; blocks],
+            slot: vec![NO_SLOT; blocks],
+            stored: Vec::new(),
             free_blocks: vec![0; blocks.div_ceil(GROUP)],
             group_max: vec![0; blocks.div_ceil(GROUP)],
             frames,
@@ -160,9 +201,40 @@ impl PhysicalMemory {
         }
     }
 
-    /// Bitmap words of block `b`.
-    fn block_words(&mut self, b: usize) -> &mut [u64] {
-        &mut self.bits[b * BLOCK_WORDS..(b + 1) * BLOCK_WORDS]
+    /// The value of every frame word of block `b` if its count implies its
+    /// words: all bits set for a full block, none for an empty one; `None`
+    /// for a partly used block, whose words are stored.
+    fn implied_word(&self, b: usize) -> Option<u64> {
+        match u64::from(self.block_free[b]) {
+            0 => Some(u64::MAX),
+            FRAMES_PER_HUGE => Some(0),
+            _ => None,
+        }
+    }
+
+    /// Frame words of block `b`, implied by its count or stored.
+    fn words(&self, b: usize) -> [u64; BLOCK_WORDS] {
+        match self.implied_word(b) {
+            Some(w) => [w; BLOCK_WORDS],
+            None => self.stored[self.slot[b] as usize],
+        }
+    }
+
+    /// Frame words of block `b`, stored so that its bits can change. A
+    /// block whose words are implied first gets a slot, or has its stale
+    /// slot refilled, from its count.
+    fn words_mut(&mut self, b: usize) -> &mut [u64; BLOCK_WORDS] {
+        let implied = self.implied_word(b);
+        if self.slot[b] == NO_SLOT {
+            assert!(implied.is_some(), "partly used block {b} stores no words");
+            self.slot[b] = self.stored.len() as u32;
+            self.stored.push([0; BLOCK_WORDS]);
+        }
+        let words = &mut self.stored[self.slot[b] as usize];
+        if let Some(w) = implied {
+            *words = [w; BLOCK_WORDS];
+        }
+        words
     }
 
     /// The lowest fully-free block.
@@ -215,7 +287,7 @@ impl PhysicalMemory {
         // (mirrors the kernel's anti-fragmentation placement). Without one,
         // every block with a free frame is fully free.
         // `free_frames > 0` was checked above, and the counts are kept in
-        // lockstep with the frame bitmap, so both lookups must succeed.
+        // lockstep with the frame words, so both lookups must succeed.
         #[allow(clippy::expect_used)]
         let block = self
             .block_free
@@ -225,7 +297,7 @@ impl PhysicalMemory {
             .expect("free frames exist");
         #[allow(clippy::expect_used)]
         let (i, word) = self
-            .block_words(block)
+            .words_mut(block)
             .iter_mut()
             .enumerate()
             .find(|(_, w)| **w != u64::MAX)
@@ -287,7 +359,7 @@ impl PhysicalMemory {
             // relocation takes, in the order it takes them.
             Some(moves) => {
                 let first = victim as u64 * FRAMES_PER_HUGE;
-                let sources = set_frames(self.block_words(victim), first);
+                let sources = set_frames(&self.words(victim), first);
                 let mut targets = Vec::with_capacity(sources.len());
                 self.relocate(victim, to_move, Some(&mut targets));
                 let pa = |frame: u64| frame << BASE_PAGE_BITS;
@@ -336,7 +408,7 @@ impl PhysicalMemory {
     fn take_lowest(&mut self, b: usize, need: u64, mut frames: Option<&mut Vec<u64>>) -> u64 {
         let mut taken = 0;
         let first = b as u64 * FRAMES_PER_HUGE;
-        for (i, word) in self.block_words(b).iter_mut().enumerate() {
+        for (i, word) in self.words_mut(b).iter_mut().enumerate() {
             let old = *word;
             let mut free = !*word;
             let n = u64::from(free.count_ones());
@@ -365,7 +437,6 @@ impl PhysicalMemory {
 
     /// Occupy every frame of block `b`.
     fn claim(&mut self, b: usize) {
-        self.block_words(b).fill(u64::MAX);
         self.free_frames -= u64::from(self.block_free[b]);
         self.set_block_free(b, 0);
     }
@@ -378,10 +449,7 @@ impl PhysicalMemory {
     pub fn free_huge(&mut self, pa: u64) {
         assert_eq!(pa & ((1 << HUGE_PAGE_BITS) - 1), 0);
         let b = (pa >> HUGE_PAGE_BITS) as usize;
-        let words = self.block_words(b);
-        let used: u32 = words.iter().map(|w| w.count_ones()).sum();
-        words.fill(0);
-        self.free_frames += u64::from(used);
+        self.free_frames += FRAMES_PER_HUGE - u64::from(self.block_free[b]);
         self.set_block_free(b, FRAMES_PER_HUGE as u16);
     }
 
@@ -394,11 +462,17 @@ impl PhysicalMemory {
     pub fn free_base(&mut self, pa: u64) {
         assert_eq!(pa & ((1 << BASE_PAGE_BITS) - 1), 0);
         let frame = pa >> BASE_PAGE_BITS;
-        let (word, bit) = (&mut self.bits[(frame / 64) as usize], 1u64 << (frame % 64));
+        let b = (frame / FRAMES_PER_HUGE) as usize;
+        // Every frame of an empty block is free already; storing its words
+        // would change nothing.
+        if self.implied_word(b) == Some(0) {
+            return;
+        }
+        let word = &mut self.words_mut(b)[(frame % FRAMES_PER_HUGE / 64) as usize];
+        let bit = 1u64 << (frame % 64);
         if *word & bit != 0 {
             *word &= !bit;
             self.free_frames += 1;
-            let b = (frame / FRAMES_PER_HUGE) as usize;
             self.set_block_free(b, self.block_free[b] + 1);
         }
     }
@@ -416,7 +490,9 @@ impl PhysicalMemory {
     pub fn fragment_to(&mut self, used_bytes: u64, fmfi: f64) {
         assert!((0.0..=1.0).contains(&fmfi), "fmfi must be in [0,1]");
         assert!(used_bytes <= self.frames << BASE_PAGE_BITS);
-        self.bits.fill(0);
+        self.block_free.fill(FRAMES_PER_HUGE as u16);
+        self.slot.fill(NO_SLOT);
+        self.stored.clear();
         self.stats = AllocStats::default();
         self.scan_hint = 0;
 
@@ -444,38 +520,42 @@ impl PhysicalMemory {
                 (scattered - 1) / free_run * period + (scattered - 1) % free_run + 1;
             past_scattered.min(used_frames * period).min(self.frames)
         };
-        for fr in (free_run..mixed).step_by(period as usize) {
-            self.bits[(fr / 64) as usize] |= 1 << (fr % 64);
-        }
         // The remaining used frames follow in one run: first they pad the
         // mixed region's tail block, so it is not accidentally huge-page
         // ready, then they fill whole blocks.
         let rest = used_frames - mixed / period;
         assert!(rest <= self.frames - mixed, "could not place all used frames");
-        self.fill_used(mixed, mixed + rest);
-        for (free, words) in self.block_free.iter_mut().zip(self.bits.chunks_exact(BLOCK_WORDS)) {
+        let used_end = mixed + rest;
+        // A block's words: its separators, at the frames `free_run` modulo
+        // `period` below `mixed`, and its share of the used run.
+        let words_of = |b: u64| {
+            let (lo, hi) = (b * FRAMES_PER_HUGE, (b + 1) * FRAMES_PER_HUGE);
+            let mut words = [0; BLOCK_WORDS];
+            let mut fr = lo + (free_run + period - lo % period) % period;
+            while fr < mixed.min(hi) {
+                words[((fr - lo) / 64) as usize] |= 1 << (fr % 64);
+                fr += period;
+            }
+            fill_used(&mut words, mixed.max(lo) - lo, used_end.clamp(lo, hi) - lo);
+            words
+        };
+        // Words a block at a time for the mixed region and the used run's
+        // partly used last block; the whole blocks between by count alone.
+        let mixed_blocks = mixed.div_ceil(FRAMES_PER_HUGE);
+        let full_end = (used_end / FRAMES_PER_HUGE).max(mixed_blocks);
+        self.block_free[mixed_blocks as usize..full_end as usize].fill(0);
+        for b in (0..mixed_blocks).chain(full_end..used_end.div_ceil(FRAMES_PER_HUGE)) {
+            let words = words_of(b);
             let used: u32 = words.iter().map(|w| w.count_ones()).sum();
-            *free = (FRAMES_PER_HUGE - u64::from(used)) as u16;
+            let b = b as usize;
+            self.block_free[b] = (FRAMES_PER_HUGE - u64::from(used)) as u16;
+            if self.implied_word(b).is_none() {
+                self.slot[b] = self.stored.len() as u32;
+                self.stored.push(words);
+            }
         }
         self.free_frames = free_frames;
         self.index_groups();
-    }
-
-    /// Mark frames `lo..hi` used in the bitmap (counts untouched).
-    fn fill_used(&mut self, lo: u64, hi: u64) {
-        if lo >= hi {
-            return;
-        }
-        let (first, last) = ((lo / 64) as usize, ((hi - 1) / 64) as usize);
-        let head = u64::MAX << (lo % 64);
-        let tail = u64::MAX >> (63 - (hi - 1) % 64);
-        if first == last {
-            self.bits[first] |= head & tail;
-        } else {
-            self.bits[first] |= head;
-            self.bits[first + 1..last].fill(u64::MAX);
-            self.bits[last] |= tail;
-        }
     }
 }
 
@@ -644,6 +724,52 @@ mod tests {
         let t1 = m.huge_page_load_time(1 << 30, &costly);
         assert!(t1 > t0);
         assert!(m.base_page_load_time(1 << 30) > 0.0);
+    }
+
+    /// The blocks that own a slot, and the partly used blocks.
+    fn stored_and_partly_used(pm: &PhysicalMemory) -> (Vec<usize>, Vec<usize>) {
+        let blocks = 0..pm.block_free.len();
+        let stored = blocks.clone().filter(|&b| pm.slot[b] != NO_SLOT).collect();
+        (stored, blocks.filter(|&b| pm.implied_word(b).is_none()).collect())
+    }
+
+    /// A serving device's 8 GiB, prepared at FMFI 0 with its weights used,
+    /// stores words for at most the one block its weights end in, however
+    /// often KV slabs come and go as huge pages. A Table I-shaped state
+    /// stores exactly its partly used blocks' words.
+    #[test]
+    fn words_are_stored_only_for_partly_used_blocks() {
+        let weights = 3 << 30;
+        for (used, partial) in [(weights, 0), (weights + (5 << BASE_PAGE_BITS), 1)] {
+            let mut pm = PhysicalMemory::new(8 << 30);
+            pm.fragment_to(used, 0.0);
+            let mut held = Vec::new();
+            for round in 0..64 {
+                held.push(pm.alloc_huge().unwrap().pa);
+                held.push(pm.alloc_huge().unwrap().pa);
+                pm.free_huge(held.swap_remove(round % held.len()));
+            }
+            let (stored, partly_used) = stored_and_partly_used(&pm);
+            assert_eq!(stored, partly_used);
+            assert_eq!(pm.stored.len(), partial, "used size {used}");
+        }
+
+        let mut pm = PhysicalMemory::new(8 << 30);
+        pm.fragment_to(weights, 0.0);
+        pm.alloc_base().unwrap();
+        assert_eq!(pm.stored.len(), 1, "a base page from an empty block stores that block");
+        pm.fragment_to(weights, 0.0);
+        assert_eq!((pm.stored.len(), stored_and_partly_used(&pm).0.len()), (0, 0));
+
+        // Table I's 64 GB and 16.2 GB model, scaled down 128 times.
+        let total = 512 << 20;
+        let free = (16.2e9 / 128.0 * 1.1) as u64;
+        pm = PhysicalMemory::new(total);
+        pm.fragment_to(total - free, 0.75);
+        let (stored, partly_used) = stored_and_partly_used(&pm);
+        assert!(partly_used.len() > 64, "{} partly used blocks", partly_used.len());
+        assert_eq!(stored, partly_used);
+        assert_eq!(pm.stored.len(), partly_used.len());
     }
 
     #[test]

@@ -1,13 +1,15 @@
-//! Differential tests: the word-level [`PhysicalMemory`] against the
-//! frame-at-a-time [`reference::PhysicalMemory`] it replaced. After every
+//! Differential tests: [`PhysicalMemory`], which stores frame words only
+//! for partly used blocks, against the frame-at-a-time
+//! [`reference::PhysicalMemory`] with its dense bitmap. After every
 //! operation both must return the same result and agree on every accessor;
-//! the full state (bitmap, block counts, relocation cursor) is compared
-//! too, and the new allocator's indexes are checked against its counts.
+//! the full state (every frame's bit, block counts, relocation cursor) is
+//! compared too, and the new allocator's indexes are checked against its
+//! counts.
 
 use facil_check::{cases, Gen};
 
 use super::reference;
-use super::{PhysicalMemory, GROUP};
+use super::{PhysicalMemory, FRAMES_PER_HUGE, GROUP, NO_SLOT};
 use crate::paging::pte::{BASE_PAGE_BITS, HUGE_PAGE_BITS};
 
 /// Every public accessor agrees.
@@ -20,13 +22,20 @@ fn assert_accessors(new: &PhysicalMemory, old: &reference::PhysicalMemory) {
 }
 
 /// The whole state agrees, and the new allocator's fully-free bitset and
-/// group maxima are exactly what its block counts say.
+/// group maxima are exactly what its block counts say. Its bitmap is each
+/// block's words as it reads them: implied by the count for a full or
+/// empty block, stored for a partly used one.
 fn assert_same_state(new: &PhysicalMemory, old: &reference::PhysicalMemory) {
     assert_accessors(new, old);
     assert_eq!(new.scan_hint, old.scan_hint, "relocation cursor");
     assert_eq!(new.free_frames, old.free_frames);
-    assert!(new.bits == old.bits, "frame bitmaps differ");
     assert!(new.block_free == old.block_free, "block counts differ");
+    let blocks = 0..new.block_free.len();
+    for b in blocks.clone().filter(|&b| new.implied_word(b).is_none()) {
+        assert_ne!(new.slot[b], NO_SLOT, "partly used block {b} stores no words");
+    }
+    let bits: Vec<u64> = blocks.flat_map(|b| new.words(b)).collect();
+    assert!(bits == old.bits, "frame bitmaps differ");
     let mut reindexed = new.clone();
     reindexed.index_groups();
     assert_eq!(new.free_blocks, reindexed.free_blocks, "fully-free bitset");
@@ -118,18 +127,30 @@ impl Pair {
 
 /// Seeded random programs of `fragment_to`, `alloc_huge`, `alloc_base`,
 /// `free_huge` and `free_base` over 4 MB to 256 MB: one or two 64-block
-/// groups, usually with a partial last group. Most programs reach
-/// compaction.
+/// groups, usually with a partial last group. A program starts from fresh
+/// memory, from a random prepared state, or from a serving device's shape:
+/// FMFI exactly 0 or exactly 1 with a used size that ends inside a block,
+/// so that some block's words are stored from the start. Most programs
+/// reach compaction.
 #[test]
 fn random_programs_match_the_reference() {
     let mut compacted = 0;
     cases(256, |g| {
         let total = g.u64(2..=2 * GROUP as u64) << HUGE_PAGE_BITS;
+        let frames = total >> BASE_PAGE_BITS;
         let mut pair = Pair::new(total);
-        if g.bool() {
-            let used = g.u64(0..=total >> BASE_PAGE_BITS) << BASE_PAGE_BITS;
-            let fmfi = g.f64(0.0..=1.0);
-            pair.fragment_to(used, fmfi);
+        match g.u8(0..4) {
+            0 => {}
+            1 => {
+                let used = g.u64(0..=frames) << BASE_PAGE_BITS;
+                let fmfi = g.f64(0.0..=1.0);
+                pair.fragment_to(used, fmfi);
+            }
+            shape => {
+                let blocks = g.u64(0..frames / FRAMES_PER_HUGE);
+                let used = blocks * FRAMES_PER_HUGE + g.u64(1..FRAMES_PER_HUGE);
+                pair.fragment_to(used << BASE_PAGE_BITS, if shape == 2 { 0.0 } else { 1.0 });
+            }
         }
         assert_same_state(&pair.new, &pair.old);
         let mut compacts = false;

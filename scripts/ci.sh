@@ -117,11 +117,14 @@ cargo test --release --offline -q -p facil-telemetry --test pool_stress -- --ign
 cargo test --release --offline -q -p facil-telemetry --test pool_properties --test pool_shutdown
 
 echo "== allocator equivalence (release) =="
-# The word-level physical-frame allocator against the frame-at-a-time
-# reference it replaced, at Table I scale (64 GB, 7,725 huge pages, FMFI
-# 0.05 and 0.75): same pages, same compaction, same state. Too slow for
-# the debug test run above, which runs the small random programs only.
-cargo test --release --offline -q -p facil-core --lib paging::phys::differential -- --ignored
+# The physical-frame allocator, which stores frame words only for partly
+# used blocks and reads a full or empty block's words from its free count,
+# against the frame-at-a-time reference with its dense bitmap: same pages,
+# same compaction, same bits. The random programs run again here under
+# release arithmetic (wrapping, no debug_assert), beside the Table I-scale
+# case (64 GB, 7,725 huge pages, FMFI 0.05 and 0.75) that is too slow for
+# the debug test run above.
+cargo test --release --offline -q -p facil-core --lib paging::phys::differential -- --include-ignored
 
 echo "== rustfmt =="
 # (cargo fmt resolves no dependencies and takes no --offline flag.)
