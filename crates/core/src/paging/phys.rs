@@ -59,26 +59,32 @@ pub struct HugeAlloc {
 ///
 /// Over the counts it keeps two indexes, both exact after every operation:
 /// a bitset of the fully-free blocks, and the largest count in each group
-/// of 64 blocks. With `B` blocks, counts, slot numbers and indexes cost
-/// about 6 bytes per block. Per operation:
+/// of 64 blocks. A cursor names the lowest group that can still hold a
+/// fully-free block: no group below it holds one. With `B` blocks, counts,
+/// slot numbers and indexes cost about 6 bytes per block. Per operation:
 ///
-/// * `alloc_huge`, direct: a scan of `B / 64` words for the lowest
-///   fully-free block, then a count update;
-/// * `alloc_huge`, compacting: a scan of `B / 64` group maxima and one
-///   group's 64 counts for the victim, then a relocation walk from the
-///   rotating cursor that reads one count per block it passes and fills
-///   stored words at a time, then a count update for the victim;
+/// * `alloc_huge`, direct: a scan of the bitset from the cursor to the
+///   lowest fully-free block, which the cursor then names, and a count
+///   update; a run of direct allocations reads each word of the bitset
+///   about once;
+/// * `alloc_huge`, compacting: a branch-free pass over the `B / 64` group
+///   maxima for the largest, a search for the last group holding it, 32
+///   maxima at a time from the end, and one group's 64 counts for the
+///   victim; then a relocation walk from the rotating cursor that reads one
+///   count per block it passes and fills stored words at a time, then a
+///   count update for the victim;
 /// * `free_huge`: a count update; `free_base`: one stored bit;
 /// * `alloc_base`: a scan of the `B` block counts for a partial block, then
 ///   one stored bit;
 /// * `fragment_to`: a fill of the `B` counts and slot numbers, then, a
-///   block at a time, one write per separator frame of the scattered region
-///   and a popcount of each block that region or the used run's partial
-///   ends touch;
+///   word at a time, one shifted separator mask per word of the scattered
+///   region and a popcount of each block that region or the used run's
+///   partial ends touch;
 /// * `free_huge_blocks` and `fmfi`: a popcount of `B / 64` words.
 ///
 /// Each count change also refreshes its group's maximum, rescanning the
-/// group's 64 counts only when the group loses its maximum.
+/// group's 64 counts only when the group loses its maximum, and lowers the
+/// cursor to the group of a block that becomes fully free.
 #[derive(Debug, Clone)]
 pub struct PhysicalMemory {
     /// Free frames per 2 MB block.
@@ -93,6 +99,8 @@ pub struct PhysicalMemory {
     free_blocks: Vec<u64>,
     /// Largest `block_free` of each group of [`GROUP`] consecutive blocks.
     group_max: Vec<u16>,
+    /// No word of `free_blocks` below this one has a bit set.
+    free_group: usize,
     frames: u64,
     free_frames: u64,
     stats: AllocStats,
@@ -109,6 +117,9 @@ const GROUP: usize = 64;
 
 /// The slot number of a block that has never stored words.
 const NO_SLOT: u32 = u32::MAX;
+
+/// Group maxima the victim search compares at once.
+const MAX_CHUNK: usize = 32;
 
 /// The frames whose bits are set in `words`, lowest first, where bit 0 of
 /// the first word is frame `first`.
@@ -160,6 +171,7 @@ impl PhysicalMemory {
             stored: Vec::new(),
             free_blocks: vec![0; blocks.div_ceil(GROUP)],
             group_max: vec![0; blocks.div_ceil(GROUP)],
+            free_group: 0,
             frames,
             free_frames: frames,
             stats: AllocStats::default(),
@@ -169,7 +181,8 @@ impl PhysicalMemory {
         pm
     }
 
-    /// Rebuild the fully-free bitset and the group maxima from the counts.
+    /// Rebuild the fully-free bitset and the group maxima from the counts,
+    /// and reset the cursor to the first group.
     fn index_groups(&mut self) {
         let groups = self.block_free.chunks(GROUP);
         for ((free, max), counts) in
@@ -181,6 +194,7 @@ impl PhysicalMemory {
                 .fold(0, |w, &f| w << 1 | u64::from(u64::from(f) == FRAMES_PER_HUGE));
             *max = counts.iter().copied().max().unwrap_or(0);
         }
+        self.free_group = 0;
     }
 
     /// Set block `b`'s free count, keeping both indexes in step.
@@ -189,6 +203,7 @@ impl PhysicalMemory {
         let (g, bit) = (b / GROUP, 1u64 << (b % GROUP));
         if u64::from(free) == FRAMES_PER_HUGE {
             self.free_blocks[g] |= bit;
+            self.free_group = self.free_group.min(g);
         } else {
             self.free_blocks[g] &= !bit;
         }
@@ -237,10 +252,13 @@ impl PhysicalMemory {
         words
     }
 
-    /// The lowest fully-free block.
-    fn first_free_block(&self) -> Option<usize> {
-        let g = self.free_blocks.iter().position(|&w| w != 0)?;
-        Some(g * GROUP + self.free_blocks[g].trailing_zeros() as usize)
+    /// The lowest fully-free block. The cursor moves up to its group, or
+    /// past the last group if there is none.
+    fn first_free_block(&mut self) -> Option<usize> {
+        let groups = &self.free_blocks[self.free_group..];
+        self.free_group += groups.iter().position(|&w| w != 0).unwrap_or(groups.len());
+        let w = self.free_blocks.get(self.free_group)?;
+        Some(self.free_group * GROUP + w.trailing_zeros() as usize)
     }
 
     /// Total physical frames.
@@ -373,12 +391,14 @@ impl PhysicalMemory {
     }
 
     /// The compaction victim: the last block holding the most free frames,
-    /// as a `max_by_key` over all blocks picks it. `max_by_key` keeps the
-    /// last maximum, so the last group holding the largest maximum holds it.
+    /// found in the last group whose maximum is the largest. Whole chunks
+    /// of maxima are compared without branching, from the end.
     fn victim(&self) -> Option<usize> {
-        let (g, _) = self.group_max.iter().enumerate().max_by_key(|(_, &m)| m)?;
-        let group = self.block_free[g * GROUP..].iter().take(GROUP);
-        let (i, _) = group.enumerate().max_by_key(|(_, &f)| f)?;
+        let max = self.group_max.iter().fold(0, |a, &m| a.max(m));
+        let holds = |chunk: &[u16]| chunk.iter().fold(false, |hit, &m| hit | (m == max));
+        let (c, chunk) = self.group_max.chunks(MAX_CHUNK).enumerate().rfind(|(_, ch)| holds(ch))?;
+        let g = c * MAX_CHUNK + chunk.iter().rposition(|&m| m == max)?;
+        let i = self.block_free[g * GROUP..].iter().take(GROUP).rposition(|&f| f == max)?;
         Some(g * GROUP + i)
     }
 
@@ -527,15 +547,20 @@ impl PhysicalMemory {
         assert!(rest <= self.frames - mixed, "could not place all used frames");
         let used_end = mixed + rest;
         // A block's words: its separators, at the frames `free_run` modulo
-        // `period` below `mixed`, and its share of the used run.
+        // `period` below `mixed`, and its share of the used run. A word's
+        // separators are one mask, with a bit at every multiple of `period`,
+        // shifted up to the word's first separator; a shift of 64 or more
+        // leaves the word none.
+        let separators = (0..64).step_by(period as usize).fold(0u64, |m, i| m | 1 << i);
         let words_of = |b: u64| {
             let (lo, hi) = (b * FRAMES_PER_HUGE, (b + 1) * FRAMES_PER_HUGE);
-            let mut words = [0; BLOCK_WORDS];
-            let mut fr = lo + (free_run + period - lo % period) % period;
-            while fr < mixed.min(hi) {
-                words[((fr - lo) / 64) as usize] |= 1 << (fr % 64);
-                fr += period;
-            }
+            let mut words: [u64; BLOCK_WORDS] = std::array::from_fn(|i| {
+                let w0 = lo + i as u64 * 64;
+                let phase = (free_run + period - w0 % period) % period;
+                let below_mixed = mixed.saturating_sub(w0).min(64) as u32;
+                let cut = u64::MAX.checked_shr(64 - below_mixed).unwrap_or(0);
+                separators.checked_shl(phase as u32).unwrap_or(0) & cut
+            });
             fill_used(&mut words, mixed.max(lo) - lo, used_end.clamp(lo, hi) - lo);
             words
         };

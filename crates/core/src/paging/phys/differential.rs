@@ -3,13 +3,13 @@
 //! [`reference::PhysicalMemory`] with its dense bitmap. After every
 //! operation both must return the same result and agree on every accessor;
 //! the full state (every frame's bit, block counts, relocation cursor) is
-//! compared too, and the new allocator's indexes are checked against its
-//! counts.
+//! compared too, and the new allocator's indexes and its fully-free
+//! cursor are checked against its counts.
 
 use facil_check::{cases, Gen};
 
 use super::reference;
-use super::{PhysicalMemory, FRAMES_PER_HUGE, GROUP, NO_SLOT};
+use super::{set_frames, PhysicalMemory, FRAMES_PER_HUGE, GROUP, NO_SLOT};
 use crate::paging::pte::{BASE_PAGE_BITS, HUGE_PAGE_BITS};
 
 /// Every public accessor agrees.
@@ -21,8 +21,9 @@ fn assert_accessors(new: &PhysicalMemory, old: &reference::PhysicalMemory) {
     assert_eq!(new.fmfi().to_bits(), old.fmfi().to_bits());
 }
 
-/// The whole state agrees, and the new allocator's fully-free bitset and
-/// group maxima are exactly what its block counts say. Its bitmap is each
+/// The whole state agrees, the new allocator's fully-free bitset and group
+/// maxima are exactly what its block counts say, and no group below its
+/// cursor holds a fully-free block. Its bitmap is each
 /// block's words as it reads them: implied by the count for a full or
 /// empty block, stored for a partly used one.
 fn assert_same_state(new: &PhysicalMemory, old: &reference::PhysicalMemory) {
@@ -40,6 +41,8 @@ fn assert_same_state(new: &PhysicalMemory, old: &reference::PhysicalMemory) {
     reindexed.index_groups();
     assert_eq!(new.free_blocks, reindexed.free_blocks, "fully-free bitset");
     assert_eq!(new.group_max, reindexed.group_max, "group maxima");
+    let below = &new.free_blocks[..new.free_group];
+    assert!(below.iter().all(|&w| w == 0), "a fully-free block below the cursor");
 }
 
 /// Both allocators, driven by the same operations with the results
@@ -162,6 +165,43 @@ fn random_programs_match_the_reference() {
         compacted += u32::from(compacts);
     });
     assert!(compacted > 128, "only {compacted} of 256 programs compacted");
+}
+
+/// `fragment_to` at the edges of its separator masks: periods 2, 3, 63,
+/// 64, 65 and 257 on 8 blocks, each with the scattered region ending inside
+/// a word and inside a block just before a separator of the same word, and
+/// one used frame left over to follow it. The reference's bitmap shows each
+/// case at its edge: its first used frame is the first separator,
+/// `period - 1`, and its last is the region's end. The full state is
+/// compared after `fragment_to` and after every `alloc_huge`, direct and
+/// then compacting, until both run out of memory.
+#[test]
+fn separator_edges_match_the_reference() {
+    // (used frames, scattered free frames, period, end of the region)
+    let cases = [
+        (1000, 1000, 2, 1999),
+        (700, 1399, 3, 2098),
+        (35, 2163, 63, 2197),
+        (35, 2185, 64, 2219),
+        (30, 1910, 65, 1939),
+        (10, 2555, 257, 2564),
+    ];
+    for (used, scattered, period, mixed) in cases {
+        let mut pair = Pair::new(8 << HUGE_PAGE_BITS);
+        let free = pair.new.total_frames() - used;
+        pair.fragment_to(used << BASE_PAGE_BITS, scattered as f64 / free as f64);
+        let used_frames = set_frames(&pair.old.bits, 0);
+        assert_eq!(used_frames.first(), Some(&(period - 1)), "period {period}");
+        assert_eq!(used_frames.last(), Some(&mixed), "period {period}");
+        assert!(mixed % 64 != 0 && mixed % FRAMES_PER_HUGE != 0, "period {period}");
+        assert_same_state(&pair.new, &pair.old);
+        while pair.new.free_bytes() >= 1 << HUGE_PAGE_BITS {
+            pair.alloc_huge();
+            assert_same_state(&pair.new, &pair.old);
+        }
+        pair.alloc_huge();
+        assert!(pair.new.stats().pages_compacted > 0, "period {period}");
+    }
 }
 
 /// Table I's tightest column at full scale: 64 GB prepared with 1.1x the

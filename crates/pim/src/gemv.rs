@@ -8,8 +8,13 @@
 //! channel interleave commands on the shared command/data bus; the channel
 //! time is the maximum of the bus occupancy and the per-rank timing path.
 //!
-//! Its tests hold it within 15% of [`facil_dram::run_allbank`] on the streams
-//! [`crate::CommandSequence::to_streams`] lowers from a traced placement.
+//! Its test `analytic_model_matches_cycle_simulation` holds it within 15%
+//! of [`facil_dram::run_allbank`] on the streams
+//! [`crate::CommandSequence::to_streams`] lowers from a traced placement,
+//! for three unpartitioned shapes on a one-channel spec only. On the
+//! partitioned rows of the stock platforms' paper models the two differ by
+//! −34% to −86%, the model below the stream (ROADMAP.md, item 4, "One PIM
+//! GEMV cost").
 
 use facil_core::{MappingDecision, MatrixConfig, PimArch};
 use facil_dram::DramSpec;

@@ -120,11 +120,22 @@ echo "== allocator equivalence (release) =="
 # The physical-frame allocator, which stores frame words only for partly
 # used blocks and reads a full or empty block's words from its free count,
 # against the frame-at-a-time reference with its dense bitmap: same pages,
-# same compaction, same bits. The random programs run again here under
-# release arithmetic (wrapping, no debug_assert), beside the Table I-scale
-# case (64 GB, 7,725 huge pages, FMFI 0.05 and 0.75) that is too slow for
-# the debug test run above.
+# same compaction, same bits. The random programs and the separator-edge
+# cases run again here under release arithmetic (wrapping, no
+# debug_assert), beside the Table I-scale case (64 GB, 7,725 huge pages,
+# FMFI 0.05 and 0.75) that is too slow for the debug test run above.
 cargo test --release --offline -q -p facil-core --lib paging::phys::differential -- --include-ignored
+
+echo "== mutation checks (release) =="
+# Oracles that show they can fail: each patch in scripts/mutants/ plants
+# one known defect (so far the allocator's separator masks, its fully-free
+# cursor, its compaction-victim tie-break and its stale-slot refill) and
+# names the tests that must fail on it. The runner copies the tree once to
+# a throwaway directory with its own target directory, checks that every
+# named test passes unpatched, then applies and reverts each patch in turn
+# (release builds, ~1 min on 2 cores). A surviving mutant, a patch that no
+# longer applies or builds, or a failing unpatched test fails the stage.
+scripts/mutants/run.sh
 
 echo "== rustfmt =="
 # (cargo fmt resolves no dependencies and takes no --offline flag.)
