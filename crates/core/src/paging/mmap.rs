@@ -202,6 +202,11 @@ impl AddressSpace {
     pub fn region_count(&self) -> usize {
         self.regions.len()
     }
+
+    #[cfg(test)]
+    pub(crate) fn fmfi(&self) -> f64 {
+        self.phys.fmfi()
+    }
 }
 
 #[cfg(test)]

@@ -125,6 +125,11 @@ impl FacilSystem {
         self.space.fragment_physical(used_bytes, fmfi);
     }
 
+    #[cfg(test)]
+    pub(crate) fn fmfi(&self) -> f64 {
+        self.space.fmfi()
+    }
+
     /// Physical-allocator statistics since construction (or the last
     /// [`FacilSystem::fragment_physical`], which resets them): huge pages
     /// minted directly vs via compaction, and 4 KB frames moved. This is
@@ -165,13 +170,25 @@ impl FacilSystem {
         matrix: MatrixConfig,
         decision: MappingDecision,
     ) -> Result<PimAllocation> {
-        self.frontend.install_scheme(decision.map_id, &decision.scheme)?;
         let bytes = matrix.padded_bytes();
-        let va = self.space.mmap(bytes, MmapFlags { huge: true, map_id: Some(decision.map_id) })?;
+        let va = self.map_pim(&decision, bytes)?;
         let pages = (0..bytes.div_ceil(HUGE_PAGE_BYTES))
             .map(|i| self.space.translate(va + i * HUGE_PAGE_BYTES).map(|t| t.pa))
             .collect::<Result<_>>()?;
         Ok(PimAllocation { va, matrix, decision, pages })
+    }
+
+    /// Install `decision`'s scheme and map `bytes` of huge pages carrying its
+    /// MapID as one region; returns its VA. Errors as
+    /// [`FacilSystem::pimalloc_with`]'s, after which nothing stays mapped.
+    pub(crate) fn map_pim(&mut self, decision: &MappingDecision, bytes: u64) -> Result<u64> {
+        self.frontend.install_scheme(decision.map_id, &decision.scheme)?;
+        self.space.mmap(bytes, MmapFlags { huge: true, map_id: Some(decision.map_id) })
+    }
+
+    /// [`FacilSystem::free`] of the region mapped at `va`.
+    pub(crate) fn unmap(&mut self, va: u64) -> Result<()> {
+        self.space.munmap(va)
     }
 
     /// Allocate `bytes` of conventionally-mapped huge pages (e.g. the
@@ -195,7 +212,7 @@ impl FacilSystem {
     /// was freed already). Nothing is freed then, so a stale handle cannot
     /// release pages a later allocation owns.
     pub fn free(&mut self, alloc: &PimAllocation) -> Result<()> {
-        self.space.munmap(alloc.va)
+        self.unmap(alloc.va)
     }
 
     /// Full VA → DA translation: page table walk, then the frontend mux with

@@ -610,9 +610,6 @@ impl<'a, S: TraceSink> DeviceSim<'a, S> {
                     });
                 }
                 Err(_) => {
-                    // A failed append leaves already-extended slabs
-                    // reserved; release them before deciding.
-                    kv.free(&mut self.sys);
                     if self.active_count() == 0 {
                         self.pending.pop_front();
                         self.record_shed(self.now_s, front.id, ShedReason::NoMemory);

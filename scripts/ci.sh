@@ -129,12 +129,15 @@ cargo test --release --offline -q -p facil-core --lib paging::phys::differential
 echo "== mutation checks (release) =="
 # Oracles that show they can fail: each patch in scripts/mutants/ plants
 # one known defect (so far the allocator's separator masks, its fully-free
-# cursor, its compaction-victim tie-break and its stale-slot refill) and
-# names the tests that must fail on it. The runner copies the tree once to
-# a throwaway directory with its own target directory, checks that every
-# named test passes unpatched, then applies and reverts each patch in turn
-# (release builds, ~1 min on 2 cores). A surviving mutant, a patch that no
-# longer applies or builds, or a failing unpatched test fails the stage.
+# cursor, its compaction-victim tie-break and its stale-slot refill; the
+# KV cache's slab order and its all-or-nothing growth; a reversed
+# partition reduction in the PIM replay; twin-channel matching that
+# ignores arrivals) and names the tests that must fail on it. The runner
+# copies the tree once to a throwaway directory with its own target
+# directory, checks that every named test passes unpatched, then applies
+# and reverts each patch in turn (release builds, ~70 s on 2 cores). A
+# surviving mutant, a patch that no longer applies or builds, or a failing
+# unpatched test fails the stage.
 scripts/mutants/run.sh
 
 echo "== rustfmt =="
